@@ -2,10 +2,17 @@
 sum, the relaxed paired-walk upper bound, coupling and dominant-term and
 Chebyshev witnesses, and the step-count threshold tables.
 
-Exact rational arithmetic where the instance is small (n <= 12); beyond
-that a windowed evaluator returns certified lower/upper floats for the
-collapsed sum without enumerating all partitions of n.  l2n_sq(k) always
-means |group| * ||P^{*k} - U||_2^2 with the trivial line excluded.
+Every l2 sum (the spectral one in walks too) is sum_i w_i y_i^{2k} over
+Atoms: (weight, value) pairs plus tail majorants that count toward the
+upper edge only.  One evaluator, power_sums, takes a whole list of k:
+exact Fractions, or certified (lower, upper) floats by log-sum-exp.  The
+collapsed and relaxed atoms are one per (n_1, content) row of the shared
+partition table; above FULL_ENUM_MAX an n_1 gets a deficit window (first
+row n_1 - j, j <= J_WINDOW) plus one tail majorant per larger deficit.
+
+A sum is exact iff k <= EXACT_K_MAX, and for the collapsed and relaxed
+sums also n <= EXACT_N_MAX.  l2n_sq(k) always means
+|group| * ||P^{*k} - U||_2^2 with the trivial line excluded.
 """
 from __future__ import annotations
 
@@ -13,38 +20,187 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .groups import GroupTable
 from .partitions import (
     char_ratio_transposition,
     conjugate,
-    content_sum,
-    dim_hook,
+    content_rows,
     enumerate_partitions,
-    partition_count,
+    partition_table,
     partitions_of,
 )
 
 J_WINDOW = 12          # deficit window for large-n inner sums
 FULL_ENUM_MAX = 40     # below this, just enumerate all partitions
-EXACT_N_MAX = 12       # exact Fraction path
+EXACT_N_MAX = 12       # exact Fraction path of the collapsed/relaxed sums
+EXACT_K_MAX = 64       # exact Fraction path of every l2 sum
+
+
+# ---------------------------------------------------------------------------
+# atoms and the one evaluator
+
+class Atoms(NamedTuple):
+    """Terms w y^{2k} of an l2 sum as ln w and ln |y| per atom; atoms with
+    `tail` set are majorants for the upper edge only.  `weights` and
+    `values` repeat the atoms as ints/Fractions when they are exact."""
+    ln_w: np.ndarray
+    ln_y: np.ndarray
+    tail: np.ndarray
+    weights: tuple | None = None
+    values: tuple | None = None
+
+
+def _ln(q) -> float:
+    """ln |q| for an int or Fraction of any size; -inf at 0."""
+    q = abs(Fraction(q))
+    return math.log(q.numerator) - math.log(q.denominator) if q else -math.inf
+
+
+def _float_or_inf(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def exact_atoms(weights, values) -> Atoms:
+    """Atoms from exact weights and values (ints or Fractions)."""
+    weights, values = tuple(weights), tuple(values)
+    return Atoms(np.array([_ln(w) for w in weights], dtype=float),
+                 np.array([_ln(y) for y in values], dtype=float),
+                 np.zeros(len(weights), dtype=bool), weights, values)
+
+
+def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
+    """sum_i w_i y_i^{2k} for every k in ks.
+
+    exact: Fractions, over one common denominator, from the exact atoms.
+    Otherwise certified (lower, upper) floats by log-sum-exp: the lower
+    edge sums the atoms, the upper edge adds the tail majorants."""
+    if exact:
+        if atoms.weights is None:
+            raise ValueError("these atoms have no exact form")
+        wd = math.lcm(*(Fraction(w).denominator for w in atoms.weights))
+        yd = math.lcm(*(Fraction(y).denominator for y in atoms.values))
+        ws = [int(w * wd) for w in atoms.weights]
+        ys = [int(y * yd) for y in atoms.values]
+        return [Fraction(sum(w * y ** (2 * k) for w, y in zip(ws, ys)), wd * yd ** (2 * k))
+                for k in ks]
+    main = ~atoms.tail
+    out = []
+    for k in ks:
+        t = atoms.ln_w + 2 * k * atoms.ln_y if k else atoms.ln_w
+        lo = _exp_sum(t[main])
+        out.append((lo, lo + _exp_sum(t[atoms.tail])))
+    return out
+
+
+def _exp_sum(t: np.ndarray) -> float:
+    """sum of e^t without overflow in the sum; inf past the float range."""
+    top = t.max(initial=-math.inf)
+    if top == -math.inf:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.exp(top + math.log(np.exp(t - top).sum())))
+
+
+def l2_column(atoms: Atoms, ks, exact_ok: bool = True, at_zero: float | None = None) -> list:
+    """One l2 value per k: an exact Fraction where exact_ok and
+    k <= EXACT_K_MAX, else the float upper edge (at k = 0 the closed form
+    at_zero, when given)."""
+    exact = [k for k in ks if exact_ok and k <= EXACT_K_MAX]
+    got = dict(zip(exact, power_sums(atoms, exact, exact=True) if exact else []))
+    rest = [k for k in ks if k not in got]
+    got.update((k, at_zero if k == 0 and at_zero is not None else hi)
+               for k, (_, hi) in zip(rest, power_sums(atoms, rest)))
+    return [got[k] for k in ks]
 
 
 # ---------------------------------------------------------------------------
 # collapsed l2 sum for the independent walk (and, with g_order=1, the
 # transposition walk on S_n alone)
 
-def _inner_terms_exact(m: int, n: int, denom: int):
-    """(d^2, y) for every lambda |- m with y = (m + content)/denom; the
-    trivial [n] is skipped when m == n."""
-    out = []
-    for lam in partitions_of(m):
-        if m == n and lam == (n,):
-            continue
-        d = dim_hook(lam)
-        y = Fraction(m + content_sum(lam), denom)
-        out.append((d * d, y))
-    return out
+@lru_cache(maxsize=8)
+def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None = None) -> Atoms:
+    """Atoms of the collapsed sum: weight C(n,n_1)(n!/n_1!)(|G|-1)^{n-n_1} d^2
+    at y = (n_1 + content)/n^2 per lambda |- n_1, the trivial line (n_1 = n,
+    [n]) excluded.  paired = (s, delta_n) gives the relaxed bound instead:
+    y = (n_1 + content)/(n n_1), weights times s/2, and delta_n/4 at (n-1)/n.
+
+    window None: every lambda, exactly.  window (j_window, full_enum_max):
+    logs only, and each n_1 above max(full_enum_max, 2 j_window + 2) gets
+    deficit-window atoms and tail majorants instead of all its partitions."""
+    full = n if window is None else min(n, max(window[1], 2 * window[0] + 2))
+    slots = range(n + 1) if g_order > 1 else [n]            # |G| = 1: n_1 = n only
+    table = content_rows(max((m for m in slots if m <= full), default=0))
+    rows = [(m, c, d2) for m in slots if m <= full for c, d2 in table[m]
+            if not (m == n and c == m * (m - 1))]
+    half_s = Fraction(paired[0], 2) if paired else 1
+    extra = ([Fraction(paired[1], 4)], [Fraction(n - 1, n)]) if paired else ([], [])
+    if window is None:
+        w = [half_s * math.comb(n, m) * math.perm(n, n - m) * (g_order - 1) ** (n - m)
+             for m in range(n + 1)]
+        scale = [n * max(m, 1) if paired else n * n for m in range(n + 1)]
+        return exact_atoms([w[m] * d2 for m, _, d2 in rows] + extra[0],
+                           [Fraction(m + c, scale[m]) for m, c, _ in rows] + extra[1])
+
+    lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])      # ln i!
+    ms = np.arange(n + 1)
+    ln_w = (_ln(half_s) + 2 * lnf[n] - 2 * lnf - lnf[::-1]
+            + (n - ms) * math.log(max(g_order - 1, 1)))
+    ln_scale = np.log(n * np.maximum(ms, 1)) if paired else np.full(n + 1, 2 * math.log(n))
+    parts = [exact_atoms(*extra)[:3]]
+
+    def add(m, ln_d2, top, tail=False):
+        # atoms at slot sizes m with d^2 = e^{ln_d2} and y = |top| / scale
+        with np.errstate(divide="ignore"):
+            ln_y = np.log(np.abs(top)) - ln_scale[m]
+        parts.append((ln_w[m] + ln_d2, ln_y, np.full(ln_y.shape, tail)))
+
+    sizes = np.array([m for m, _, _ in rows], dtype=np.int64)
+    add(sizes, np.array([math.log(d2) for _, _, d2 in rows]),
+        sizes + np.array([c for _, c, _ in rows], dtype=np.int64))
+    big = np.array([m for m in slots if m > full], dtype=np.int64)
+    if big.size:
+        j_window = window[0]
+        for j in range(j_window + 1):
+            # lambda = (m - j, mu): hooks of the first row by the strip formula
+            level = partition_table(j)
+            for mu in partitions_of(j):        # a fixed atom order for the float sums
+                d_mu, c_mu = level[mu]
+                mu1, conj = (mu[0] if mu else 0), conjugate(mu)
+                ln_d = (lnf[big] - lnf[big - j - mu1] - lnf[j] + math.log(d_mu)
+                        - sum(np.log(big - j - c + 1 + conj[c - 1]) for c in range(1, mu1 + 1)))
+                c_lam = (big - j) * (big - j - 1) + c_mu - 2 * j
+                own = big != n if j == 0 else slice(None)          # the trivial line [n]
+                add(big[own], 2 * ln_d[own], (big + c_lam)[own])
+                outside = big - 1 - len(mu) > j_window            # conjugate not in the window
+                add(big[outside], 2 * ln_d[outside], (big - c_lam)[outside])
+        # each deficit j > j_window: at most 2 C(m,j)^2 j! of d^2, |y| <= (m + cmax)/scale
+        mm = np.repeat(big, big - 1 - j_window)
+        jj = np.concatenate([np.arange(j_window + 1, m) for m in big])
+        top = mm + _cmax_at_deficit(mm, jj)
+        ok = top > 0
+        mm, jj = mm[ok], jj[ok]
+        ln_count = math.log(2.0) + 2 * (lnf[mm] - lnf[jj] - lnf[mm - jj]) + lnf[jj]
+        add(mm, ln_count, top[ok], tail=True)
+    return Atoms(*(np.concatenate(col) for col in zip(*parts)))
+
+
+def _cmax_at_deficit(m, j):
+    """Largest content among partitions of m with first row exactly m - j
+    (greedy wide packing: q more rows of width m - j, then one of the
+    remainder r; a box moved to a wider higher row always gains).  Works
+    elementwise on arrays, whose every m - j must then be >= 1."""
+    w = m - j
+    if np.min(w) < 1:
+        return None
+    q, r = j // w, j % w
+    return w * (w - 1) + q * w * w - w * ((q + 1) ** 2 - 1) + r * r - (2 * q + 3) * r
 
 
 def l2n_sq_collapsed(g_order: int, n: int, k: int, exact: bool | None = None):
@@ -53,29 +209,28 @@ def l2n_sq_collapsed(g_order: int, n: int, k: int, exact: bool | None = None):
 
     Independent walk only; with g_order=1 it degenerates to the
     transposition walk's spectral sum on S_n.  Exact Fractions for
-    n <= 12 and k <= 64, float (windowed upper edge) otherwise.
-    """
+    n <= EXACT_N_MAX and k <= EXACT_K_MAX, float (windowed upper edge)
+    otherwise."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if exact is None:
-        exact = n <= EXACT_N_MAX and k <= 64
-    if exact:
-        if n > EXACT_N_MAX:
-            raise ValueError(f"exact path limited to n <= {EXACT_N_MAX}")
-        total = Fraction(0)
-        for n1 in range(n + 1):
-            if g_order == 1 and n1 < n:
-                continue
-            w = (
-                math.comb(n, n1)
-                * (math.factorial(n) // math.factorial(n1))
-                * (g_order - 1) ** (n - n1)
-            )
-            for d2, y in _inner_terms_exact(n1, n, n * n):
-                total += w * d2 * y ** (2 * k)
-        return total
-    lo, hi = l2n_sq_collapsed_bounds(g_order, n, k)
-    return hi
+        return _column(g_order, n, [k])[0]
+    if not exact:
+        return l2n_sq_collapsed_bounds(g_order, n, k)[1]
+    if n > EXACT_N_MAX:
+        raise ValueError(f"exact path limited to n <= {EXACT_N_MAX}")
+    return power_sums(_slot_atoms(g_order, n, None), [k], exact=True)[0]
+
+
+def _column(g_order: int, n: int, ks, paired: tuple | None = None) -> list:
+    """The collapsed sum (paired = (s, delta_n): the relaxed bound) at every
+    k under the exactness rule, from one set of atoms."""
+    exact = n <= EXACT_N_MAX
+    atoms = _slot_atoms(g_order, n, None if exact else (J_WINDOW, FULL_ENUM_MAX), paired)
+    at_zero = g_order ** n * math.factorial(n) - 1
+    if paired:
+        at_zero = Fraction(paired[0], 2) * at_zero + Fraction(paired[1], 4)
+    return l2_column(atoms, ks, exact, _float_or_inf(at_zero))
 
 
 def l2n_sq_collapsed_bounds(g_order: int, n: int, k: int,
@@ -83,145 +238,14 @@ def l2n_sq_collapsed_bounds(g_order: int, n: int, k: int,
     """Certified (lower, upper) floats for the collapsed sum.  They coincide
     whenever every inner sum is fully enumerated (n <= FULL_ENUM_MAX)."""
     if k == 0:
-        v = g_order ** n * math.factorial(n) - 1
-        f = float(v) if v < 10 ** 308 else float("inf")
+        f = _float_or_inf(g_order ** n * math.factorial(n) - 1)
         return f, f
-    return _outer_float_bounds(g_order, n, k, j_window, relaxed=False)
-
-
-def _outer_float_bounds(g_order: int, n: int, k: int, j_window: int,
-                        relaxed: bool) -> tuple[float, float]:
-    lo_terms: list[float] = []
-    hi_terms: list[float] = []
-    for n1 in range(1, n + 1):
-        if g_order == 1 and n1 < n:
-            continue
-        ln_w = (
-            math.lgamma(n + 1) - math.lgamma(n1 + 1) - math.lgamma(n - n1 + 1)
-            + math.lgamma(n + 1) - math.lgamma(n1 + 1)
-        )
-        if g_order > 1:
-            ln_w += (n - n1) * math.log(g_order - 1)
-        in_lo, in_hi = _inner_ln_terms(n1, n, k, j_window, relaxed)
-        lo_terms.extend(ln_w + t for t in in_lo)
-        hi_terms.extend(ln_w + t for t in in_hi)
-    return _exp_clamped(_lse(lo_terms)), _exp_clamped(_lse(hi_terms))
-
-
-def _lse(ln_terms: list[float]) -> float:
-    if not ln_terms:
-        return float("-inf")
-    m = max(ln_terms)
-    if m == float("-inf"):
-        return m
-    return m + math.log(math.fsum(math.exp(t - m) for t in ln_terms))
-
-
-def _exp_clamped(ln_val: float) -> float:
-    if ln_val == float("-inf"):
-        return 0.0
-    if ln_val > 709.0:
-        return float("inf")
-    return math.exp(ln_val)
-
-
-@lru_cache(maxsize=None)
-def _partition_stats(m: int) -> tuple:
-    """(2 ln d, content) for every partition of m."""
-    return tuple(
-        (2.0 * math.log(dim_hook(lam)), content_sum(lam)) for lam in partitions_of(m)
-    )
-
-
-@lru_cache(maxsize=None)
-def _window_mu_stats(j: int) -> tuple:
-    """Per mu |- j: (mu_1, rows, ln d_mu, content, conjugate prefix)."""
-    if j == 0:
-        return (((0, 0, 0.0, 0, ())),)
-    out = []
-    for mu in partitions_of(j):
-        out.append((mu[0], len(mu), math.log(dim_hook(mu)), content_sum(mu), conjugate(mu)))
-    return tuple(out)
-
-
-def _cmax_at_deficit(m: int, j: int) -> int | None:
-    """Largest content among partitions of m with first row exactly m - j
-    (greedy wide packing; a box moved to a wider higher row always gains)."""
-    w = m - j
-    if w < 1:
-        return None
-    c = w * (w - 1)
-    rem = j
-    i = 2
-    while rem > 0:
-        t = min(w, rem)
-        c += t * t - (2 * i - 1) * t
-        rem -= t
-        i += 1
-    return c
-
-
-def _inner_ln_terms(m: int, n: int, k: int, j_window: int,
-                    relaxed: bool = False) -> tuple[list[float], list[float]]:
-    """ln of each term d^2 |y|^{2k} over lambda |- m (trivial [n] excluded
-    when m == n), split as (exact part, exact part + tail majorants).
-    y = (m + content)/n^2, or (m + content)/(n m) in relaxed scaling."""
-    if m == 0:
-        return [], []
-    two_k = 2 * k
-    ln_scale = math.log(n) + math.log(m) if relaxed else 2.0 * math.log(n)
-    if m <= max(FULL_ENUM_MAX, 2 * j_window + 2):
-        terms = []
-        for ln_d2, c in _partition_stats(m):
-            if m == n and c == m * (m - 1):   # lambda = [n], the trivial line
-                continue
-            val = abs(m + c)
-            if val == 0:
-                continue
-            terms.append(ln_d2 + two_k * (math.log(val) - ln_scale))
-        return terms, list(terms)
-    exact_terms: list[float] = []
-    ln_m_fact = math.lgamma(m + 1)
-    for j in range(0, min(j_window, m - 1) + 1):
-        ln_j_fact = math.lgamma(j + 1)
-        for mu1, rows, ln_d_mu, c_mu, conj in _window_mu_stats(j):
-            if mu1 > m - j:
-                continue
-            ln_d = (
-                ln_m_fact
-                - math.lgamma(m - j - mu1 + 1)
-                - math.fsum(math.log(m - j - c + 1 + conj[c - 1]) for c in range(1, mu1 + 1))
-                - ln_j_fact
-                + ln_d_mu
-            )
-            c_lam = (m - j) * (m - j - 1) + c_mu - 2 * j
-            skip_self = m == n and j == 0          # the trivial line [n]
-            if not skip_self:
-                val = abs(m + c_lam)
-                if val:
-                    exact_terms.append(2.0 * ln_d + two_k * (math.log(val) - ln_scale))
-            if m - 1 - rows > j_window:            # conjugate falls outside the window
-                val = abs(m - c_lam)
-                if val:
-                    exact_terms.append(2.0 * ln_d + two_k * (math.log(val) - ln_scale))
-    hi_terms = list(exact_terms)
-    ln2 = math.log(2.0)
-    for j in range(j_window + 1, m):
-        cmax = _cmax_at_deficit(m, j)
-        if cmax is None or m + cmax <= 0:
-            continue
-        ln_count = 2.0 * (ln_m_fact - math.lgamma(j + 1) - math.lgamma(m - j + 1)) + math.lgamma(j + 1)
-        hi_terms.append(ln2 + ln_count + two_k * (math.log(m + cmax) - ln_scale))
-    return exact_terms, hi_terms
+    return power_sums(_slot_atoms(g_order, n, (j_window, FULL_ENUM_MAX)), [k])[0]
 
 
 def sym_l2n_sq(n: int, k: int):
     """Spectral sum for the transposition walk on S_n alone."""
     return l2n_sq_collapsed(1, n, k)
-
-
-def sym_l2n_sq_bounds(n: int, k: int) -> tuple[float, float]:
-    return l2n_sq_collapsed_bounds(1, n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -241,31 +265,11 @@ def paired_relaxed_bound(g: GroupTable, n: int, k: int):
 
     The inner power majorizes every per-slot eigenvalue (the true ones
     carry an extra 1/d_j decay), so the bound is loose but safe on
-    nonabelian bases.  Exact Fraction for n <= 12 and k <= 64."""
+    nonabelian bases.  Exact Fraction for n <= EXACT_N_MAX and
+    k <= EXACT_K_MAX."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    s = g.num_classes
-    dn = delta_n(g, n)
-    g_order = g.order
-    if n <= EXACT_N_MAX and k <= 64:
-        total = Fraction(0)
-        for n1 in range(n + 1):
-            w = (
-                math.comb(n, n1)
-                * (math.factorial(n) // math.factorial(n1))
-                * (g_order - 1) ** (n - n1)
-            )
-            if n1 == 0:
-                total += w if k == 0 else 0
-                continue
-            for d2, y in _inner_terms_exact(n1, n, n * n1):
-                total += w * d2 * y ** (2 * k)
-        return Fraction(s, 2) * total + Fraction(dn, 4) * Fraction(n - 1, n) ** (2 * k)
-    if k == 0:
-        main = float(g_order ** n * math.factorial(n) - 1)
-    else:
-        main = _outer_float_bounds(g_order, n, k, J_WINDOW, relaxed=True)[1]
-    return 0.5 * s * main + 0.25 * dn * (1.0 - 1.0 / n) ** (2 * k)
+    return _column(g.order, n, [k], (g.num_classes, delta_n(g, n)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +307,9 @@ def tv_lower_dominant(g_order: int, n: int, k: int, kind: str,
         raise ValueError("dominant term applies to the wreath walks")
     term = n * n * (g_order - 1) * (1.0 - 1.0 / n) ** (4 * k)
     if kind == "paired":
-        if dims is None:
-            dn_term = (g_order - 1) * (1.0 - 1.0 / n) ** (2 * k)
-        else:
-            dn_term = sum(
-                d ** (2 * n) * ((n - 1.0) / (n * d)) ** (2 * k) for d in dims[1:]
-            )
-        term = max(term, dn_term)
+        slots = dims[1:] if dims is not None else [1] * (g_order - 1)
+        atoms = exact_atoms([d ** (2 * n) for d in slots], [Fraction(n - 1, n * d) for d in slots])
+        term = max(term, power_sums(atoms, [k])[0][0])
     return 0.5 * math.sqrt(term)
 
 
@@ -464,6 +464,8 @@ def threshold_rows(kind: str) -> list[ThresholdRow]:
 
 
 def classify_base(g: GroupTable) -> str:
+    if g.order < 2:
+        raise ValueError(f"base group {g.name} is trivial; wreath walks need order >= 2")
     if g.order == 2:
         return "Z2"
     if g.name.startswith("Z:"):
@@ -508,16 +510,7 @@ class DistanceCurve:
     base_name: str
     n: int
     mode: str                 # full-spectrum | collapsed | relaxed
-    rows: list                # dicts keyed by the csv columns
-
-    columns = (
-        "k",
-        "l2n_sq",
-        "tv_upper_spectral",
-        "tv_upper_coupling",
-        "l2_lower_dominant",
-        "tv_lower_chebyshev",
-    )
+    rows: list                # dicts keyed by the csv columns (cli.DISTANCE_COLUMNS)
 
 
 def distance_curve(kind: str, n: int, g: GroupTable | None = None,
@@ -526,9 +519,11 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
     """Distance/bound table over a k range.  mode=auto prefers the exact
     spectrum when the label set is enumerable, the collapsed formula for
     large independent instances, and the relaxed bound for large paired
-    ones."""
-    from .walks import l2n_sq_spectral, spectrum
+    ones.  Each l2 column comes from one set of atoms for all ks."""
+    from .walks import spectral_atoms, spectrum
 
+    if kind != "sym" and g is None:
+        raise ValueError("wreath walks need a base group")
     if ks is None:
         ks = list(range(0, 2 * n + 1))
     if mode == "auto":
@@ -549,13 +544,14 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
     is_wreath = kind in ("independent", "paired")
     dims = g.irrep_dims() if is_wreath else None
     g_order = g.order if is_wreath else 1
-    for k in ks:
-        if spec is not None:
-            l2 = l2n_sq_spectral(spec, k)
-        elif mode == "collapsed":
-            l2 = l2n_sq_collapsed(g_order, n, k)
-        else:
-            l2 = 4.0 * float(paired_relaxed_bound(g, n, k))
+    if spec is not None:
+        l2s = l2_column(spectral_atoms(spec), ks)
+    elif mode == "collapsed":
+        l2s = _column(g_order, n, ks)
+    else:
+        l2s = [4.0 * float(v) for v in _column(g_order, n, ks, (g.num_classes, delta_n(g, n)))]
+    sym_l2s = _column(1, n, ks) if kind == "independent" and n >= 2 else None
+    for i, (k, l2) in enumerate(zip(ks, l2s)):
         row = {
             "k": k,
             "l2n_sq": l2,
@@ -565,7 +561,7 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
             "tv_lower_chebyshev": None,
         }
         if kind == "independent":
-            sym_part = tv_upper_spectral(sym_l2n_sq(n, k)) if n >= 2 else 0.0
+            sym_part = tv_upper_spectral(sym_l2s[i]) if sym_l2s else 0.0
             row["tv_upper_coupling"] = tv_upper_coupling(n, g_order, k, sym_part)
         if is_wreath:
             row["l2_lower_dominant"] = tv_lower_dominant(g_order, n, k, kind, dims=dims)
@@ -581,12 +577,10 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
     )
 
 
-def partition_count_bound(g: GroupTable | None, n: int, max_labels: int | None) -> bool:
+def partition_count_bound(g: GroupTable, n: int, max_labels: int | None) -> bool:
     """True when the full label set is small enough to enumerate."""
     from .reps import MAX_LABELS
     from .classes import class_count
 
-    if g is None:
-        return partition_count(n) <= 200000
     cap = max_labels if max_labels is not None else MAX_LABELS
     return class_count(g, n) <= cap

@@ -12,6 +12,7 @@ from functools import lru_cache
 from typing import Iterator, Tuple
 
 Partition = Tuple[int, ...]
+ENUM_N_MAX = 120       # partitions of n are enumerated only up to here
 
 
 def is_partition(lam) -> bool:
@@ -38,8 +39,8 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
-    if n > 120:
-        raise ValueError("partition enumeration capped at n = 120")
+    if n > ENUM_N_MAX:
+        raise ValueError(f"partition enumeration capped at n = {ENUM_N_MAX}")
     return list(partitions_of(n))
 
 
@@ -111,50 +112,64 @@ def dim_hook(lam: Partition) -> int:
     return num // den
 
 
-def _det_fraction(mat: list[list[Fraction]]) -> Fraction:
-    # plain fraction-preserving Gaussian elimination with partial pivoting
-    k = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(k):
-        pivot = None
-        for r in range(col, k):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, k):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+# ---------------------------------------------------------------------------
+# the shared partition table: dimensions and content sums, one m at a time,
+# by the branching rule dim(lam) = sum of dim(lam - corner).
+
+
+def _grow(level: dict) -> dict:
+    """{lam: (dim, content_sum)} over the partitions of m from the same
+    table for m - 1, adding one box to each partition every way."""
+    out: dict = {}
+    for mu, (d, c) in level.items():
+        for row in range(len(mu) + 1):
+            col = mu[row] if row < len(mu) else 0
+            if row == 0 or mu[row - 1] > col:
+                lam = mu[:row] + (col + 1,) + mu[row + 1:]
+                out[lam] = (out.get(lam, (0,))[0] + d, c + 2 * (col - row))
+    return out
+
+
+def _levels(top: int) -> Iterator[dict]:
+    """{lam: (dim, content_sum)} over the partitions of m, for m = 0..top in
+    turn; each level is grown from the one before it."""
+    if top > ENUM_N_MAX:
+        raise ValueError(f"partition enumeration capped at n = {ENUM_N_MAX}")
+    level = {(): (1, 0)}
+    for m in range(top + 1):
+        level = _grow(level) if m else level
+        yield level
+
+
+@lru_cache(maxsize=None)
+def partition_table(m: int) -> dict:
+    """{lam: (dim, content_sum)} for every partition of m (read only).
+    Only the requested levels are kept."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    for level in _levels(m):
+        pass
+    return level
 
 
 def dim_partition(lam: Partition) -> int:
-    """dim of the S_n irrep for lam via n! * det(1 / (lam_i - i + j)!).
-
-    1/m! is taken to be 0 for m < 0.
-    """
+    """dim of the S_n irrep for lam, from the shared partition table."""
     if not is_partition(lam) or sum(lam) < 1:
         raise ValueError("need a valid partition of n >= 1")
-    n = sum(lam)
-    k = len(lam)
-    mat = []
-    for i in range(1, k + 1):
-        row = []
-        for j in range(1, k + 1):
-            m = lam[i - 1] - i + j
-            row.append(Fraction(0) if m < 0 else Fraction(1, math.factorial(m)))
-        mat.append(row)
-    d = math.factorial(n) * _det_fraction(mat)
-    assert d.denominator == 1 and d > 0
-    return int(d)
+    return partition_table(sum(lam))[lam][0]
+
+
+@lru_cache(maxsize=None)
+def content_rows(top: int) -> tuple:
+    """Per m = 0..top, one pair (c, sum of dim^2) per distinct content sum c
+    of the partitions of m; the per-partition levels are not kept."""
+    out = []
+    for level in _levels(top):
+        rows: dict = {}
+        for d, c in level.values():
+            rows[c] = rows.get(c, 0) + d * d
+        out.append(tuple(rows.items()))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -85,11 +85,6 @@ def irrep_dimension(g: GroupTable, n: int, label: IrrepLabel) -> int:
     return d
 
 
-def irrep_multiplicity_sq(g: GroupTable, n: int, label: IrrepLabel) -> int:
-    """Squared dimension = the label's weight in Plancherel sums."""
-    return irrep_dimension(g, n, label) ** 2
-
-
 def _scale(coeff: Fraction, value):
     # Fraction x (Fraction | complex) without losing exactness
     if isinstance(value, complex):

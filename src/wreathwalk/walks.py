@@ -26,10 +26,24 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bounds import Atoms, exact_atoms, l2_column
 from .classes import support_classes, support_tag_of
 from .groups import GroupTable
-from .partitions import Partition, char_ratio_transposition, dim_partition, enumerate_partitions
-from .reps import IrrepLabel, enumerate_labels, irrep_dimension, support_characters
+from .partitions import (
+    char_ratio_transposition,
+    content_sum,
+    dim_partition,
+    enumerate_partitions,
+    partition_count,
+)
+from .reps import (
+    MAX_LABELS,
+    IrrepLabel,
+    _scale,
+    enumerate_labels,
+    irrep_dimension,
+    support_characters,
+)
 
 WALK_KINDS = ("sym", "independent", "paired")
 
@@ -97,34 +111,20 @@ def build_measure(kind: str, n: int, g: GroupTable | None = None) -> WalkMeasure
     return m
 
 
-def _r_or_zero(lam: Partition) -> Fraction:
-    return char_ratio_transposition(lam) if sum(lam) >= 2 else Fraction(0)
-
-
 def eigenvalue(measure: WalkMeasure, label) -> Fraction:
-    """Closed-form Fourier scalar of the measure at the given irrep."""
+    """Closed-form Fourier scalar of the measure at the given irrep, by
+    n_j (n_j - 1) r(lambda_j) = content_sum(lambda_j) in the forms above."""
     n = measure.n
     if measure.kind == "sym":
-        lam: Partition = label
-        if n == 1:
-            return Fraction(1)
-        return Fraction(1, n) + Fraction(n - 1, n) * _r_or_zero(lam)
+        return Fraction(n + content_sum(label), n * n)
     lab: IrrepLabel = label
-    n1 = lab.type[0]
-    if measure.kind == "independent":
-        val = Fraction(n1, n * n)
-        if n1 >= 2:
-            val += Fraction(n1 * (n1 - 1), n * n) * char_ratio_transposition(lab.lambdas[0])
-        return val
-    # paired; the 1/d_j keeps the per-slot term consistent with the support
-    # characters (see support_characters) -- it only matters off slot 1
+    # independent: slot 1 only.  paired: every slot; the 1/d_j keeps the
+    # per-slot term consistent with the support characters (see
+    # support_characters) -- it only matters off slot 1, where d_1 = 1
     dims = measure.base.irrep_dims()
-    val = Fraction(n1, n * n)
-    for j, nj in enumerate(lab.type):
-        if nj >= 2:
-            r = char_ratio_transposition(lab.lambdas[j])
-            val += Fraction(nj * (nj - 1), n * n) * r / dims[j]
-    return val
+    slots = 1 if measure.kind == "independent" else len(lab.type)
+    return Fraction(lab.type[0], n * n) + sum(
+        Fraction(content_sum(lab.lambdas[j]), n * n * dims[j]) for j in range(slots))
 
 
 def fourier_class_function(measure: WalkMeasure, label):
@@ -137,29 +137,20 @@ def fourier_class_function(measure: WalkMeasure, label):
         lam = label
         if n == 1:
             return Fraction(1)
-        d = dim_partition(lam)
-        chi_tau = d * char_ratio_transposition(lam)
+        # chi(tau) / d is the character ratio r(lambda)
         return measure.class_probs[("id",)] + measure.class_probs[("tau",)] * Fraction(
             n * (n - 1), 2
-        ) * chi_tau / d
+        ) * char_ratio_transposition(lam)
     g = measure.base
     sc = support_characters(g, n, label)
     d = sc.dim
     acc = measure.class_probs[("id",)] * d  # chi(id) = d
     for tag, _, size in measure.support:
-        if tag[0] == "u":
-            acc = acc + _times(measure.class_probs[tag] * size, sc.chi_u[tag[1]])
-        elif tag[0] == "v":
-            p = measure.class_probs[tag]
-            if p:
-                acc = acc + _times(p * size, sc.chi_v[tag[1]])
-    return _times(Fraction(1, d), acc)
-
-
-def _times(coeff: Fraction, value):
-    if isinstance(value, complex):
-        return float(coeff) * value
-    return coeff * value
+        p = measure.class_probs[tag]
+        if tag[0] in ("u", "v") and p:
+            chi = sc.chi_u if tag[0] == "u" else sc.chi_v
+            acc = acc + _scale(p * size, chi[tag[1]])
+    return _scale(Fraction(1, d), acc)
 
 
 @dataclass(frozen=True)
@@ -177,20 +168,22 @@ class Spectrum:
     group_order: int     # |G wr S_n| (or n! for sym)
     lines: list          # SpectralLine, descending by value
 
-    def trivial_line(self) -> SpectralLine:
-        return self.lines[0]
-
     def multiplicity_total(self) -> int:
         return sum(l.multiplicity for l in self.lines)
 
 
 def spectrum(kind: str, n: int, g: GroupTable | None = None,
              max_labels: int | None = None) -> Spectrum:
-    """Deduplicated exact spectrum of the walk's transition operator."""
+    """Deduplicated exact spectrum of the walk's transition operator.
+    max_labels (default MAX_LABELS) caps the labels, or for sym the
+    partitions of n, before any is built."""
     measure = build_measure(kind, n, g)
     acc: dict[Fraction, int] = {}
     witness: dict[Fraction, object] = {}
     if kind == "sym":
+        cap = MAX_LABELS if max_labels is None else max_labels
+        if partition_count(n) > cap:
+            raise ValueError(f"partition count {partition_count(n)} exceeds cap {cap}")
         for lam in enumerate_partitions(n):
             val = eigenvalue(measure, lam)
             d = dim_partition(lam)
@@ -226,20 +219,16 @@ def return_probability(spec: Spectrum, k: int) -> Fraction:
     return acc / spec.group_order
 
 
+def spectral_atoms(spec: Spectrum) -> Atoms:
+    """The nontrivial lines as (multiplicity, value) atoms."""
+    lines = spec.lines[1:]
+    return exact_atoms([line.multiplicity for line in lines], [line.value for line in lines])
+
+
 def l2n_sq_spectral(spec: Spectrum, k: int):
     """|G| * ||P^{*k} - U||_2^2 = sum over nontrivial lines of
-    multiplicity * value^{2k}.  Exact Fraction for k <= 64, float beyond."""
+    multiplicity * value^{2k}.  Exact Fraction for k <= EXACT_K_MAX, float
+    beyond."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k <= 64:
-        acc = Fraction(0)
-        for line in spec.lines[1:]:
-            acc += line.multiplicity * line.value ** (2 * k)
-        return acc
-    acc = 0.0
-    for line in spec.lines[1:]:
-        if line.value == 0:
-            continue
-        ln = math.log(line.multiplicity) + 2 * k * math.log(abs(line.value))
-        acc += math.exp(ln) if ln > -745 else 0.0
-    return acc
+    return l2_column(spectral_atoms(spec), [k])[0]

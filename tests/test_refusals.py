@@ -1,0 +1,49 @@
+"""Bad input is refused before any work, with an error naming the problem."""
+import time
+
+import pytest
+
+from wreathwalk.bounds import classify_base, distance_curve
+from wreathwalk.cli import main
+from wreathwalk.groups import build_group
+from wreathwalk.walks import spectrum
+
+
+def run_cli(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_distance_curve_needs_base_group():
+    with pytest.raises(ValueError, match="base group"):
+        distance_curve("independent", 400, None, ks=[1])
+    with pytest.raises(ValueError, match="base group"):
+        distance_curve("paired", 3, None, ks=[1])
+
+
+def test_sym_spectrum_honours_max_labels(capsys):
+    rc, out, err = run_cli(capsys, ["spectrum", "--walk", "sym", "--n", "3", "--max-labels", "1"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "cap 1" in err
+    rc, out, _ = run_cli(capsys, ["spectrum", "--walk", "sym", "--n", "3", "--max-labels", "3"])
+    assert rc == 0 and len(out.strip().split("\n")) == 4
+
+
+def test_sym_spectrum_refuses_large_n_at_once(capsys):
+    t0 = time.monotonic()
+    rc, out, err = run_cli(capsys, ["spectrum", "--walk", "sym", "--n", "100"])
+    assert rc == 1 and out == ""
+    assert "partition count 190569292 exceeds cap 2000000" in err
+    assert time.monotonic() - t0 < 1.0
+    with pytest.raises(ValueError):
+        spectrum("sym", 12, max_labels=76)
+
+
+def test_trivial_base_group_refused(capsys):
+    with pytest.raises(ValueError, match="trivial"):
+        classify_base(build_group("Z:1"))
+    rc, out, err = run_cli(capsys, ["threshold", "--group", "Z:1", "--n", "5",
+                                    "--walk", "independent"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "order >= 2" in err
