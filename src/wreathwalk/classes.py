@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .groups import GroupTable
-from .partitions import partition_count
+from .partitions import partition_counts
 from .wreath import WreathElement
 
 TypeMatrix = frozenset
@@ -63,7 +63,7 @@ def class_count(g: GroupTable, n: int) -> int:
     s = g.num_classes
     # s-fold convolution of the partition-count vector
     vec = [1] + [0] * n
-    pvec = [partition_count(m) for m in range(n + 1)]
+    pvec = partition_counts(n)
     for _ in range(s):
         nxt = [0] * (n + 1)
         for total in range(n + 1):
@@ -91,7 +91,7 @@ def class_size(g: GroupTable, n: int, tm: TypeMatrix) -> int:
 
 
 def identity_type(g: GroupTable, n: int) -> TypeMatrix:
-    return frozenset({((0, 0), n)}.__iter__())
+    return frozenset({((0, 0), n)})
 
 
 def u_type(g: GroupTable, n: int, k: int) -> TypeMatrix:

@@ -147,9 +147,24 @@ def cyclic_group(m: int) -> GroupTable:
     )
 
 
-def _perm_compose(a: tuple, b: tuple) -> tuple:
-    # (a b)(i) = a(b(i))
-    return tuple(a[b[i]] for i in range(len(a)))
+def perm_rank(perms: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each permutation along the last axis (its
+    Lehmer code read in the factorial base)."""
+    m = perms.shape[-1]
+    rank = np.zeros(perms.shape[:-1], dtype=np.int64)
+    for i in range(m):
+        smaller = (perms[..., i + 1:] < perms[..., i:i + 1]).sum(axis=-1)
+        rank = rank * (m - i) + smaller
+    return rank
+
+
+def permutation_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m! permutations of range(m) as rows, in lexicographic order
+    (identity first), and their product table mult[a, b] = rank of a o b,
+    where (a o b)(i) = a(b(i))."""
+    # int8 keeps the m! x m! x m array of composites below the size of mult
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+    return perms, perm_rank(perms[:, perms])
 
 
 def _cycle_type(perm: tuple) -> tuple:
@@ -172,13 +187,8 @@ def symmetric_group(m: int) -> GroupTable:
     """S_m with elements in lexicographic tuple order (identity first)."""
     if not 1 <= m <= 6:
         raise ValueError("built-in symmetric groups limited to 1 <= m <= 6")
-    perms = list(itertools.permutations(range(m)))
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    mult = np.empty((order, order), dtype=np.int64)
-    for i, a in enumerate(perms):
-        for j, b in enumerate(perms):
-            mult[i, j] = index[_perm_compose(a, b)]
+    rows, mult = permutation_table(m)
+    perms = [tuple(p) for p in rows.tolist()]
     inv = _inverses(mult)
     classes, class_of = conjugacy_classes(mult, inv)
     # characters from the Murnaghan-Nakayama table, columns matched by cycle type

@@ -1,16 +1,18 @@
 """Brute-force oracle on explicit group tables: exact transition matrices,
 convolution powers, and distances.
 
-Everything is exact rational arithmetic.  Matrices are stored as an integer
-matrix over a common denominator so powers stay cheap; no code here touches
-the spectral modules, so agreement between the two routes is evidence, not
-circularity.
+Everything is exact rational arithmetic.  Matrices and convolution powers
+are integer numerators over a common denominator, so powers stay cheap; no
+code here touches the spectral modules, so agreement between the two routes
+is evidence, not circularity.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .groups import GroupTable
 from .walks import WalkMeasure
@@ -53,20 +55,11 @@ def build_transition_matrix(g: GroupTable, measure: WalkMeasure) -> TransitionMa
     """M[i][j] = P(e_j * e_i^{-1}): row = current state, column = next."""
     probs = measure_on_table(measure, g)
     den = math.lcm(*(p.denominator for p in probs.values()))
-    order = g.order
-    row_of_identity = [0] * order
+    row_of_identity = np.zeros(g.order, dtype=np.int64)
     for idx, p in probs.items():
         row_of_identity[idx] = int(p * den)
-    num = []
-    mult = g.mult
-    inv = g.inv
-    for i in range(order):
-        # e_j e_i^{-1} for all j, via one table row
-        gi = int(inv[i])
-        row = [0] * order
-        for j in range(order):
-            row[j] = row_of_identity[int(mult[j, gi])]
-        num.append(row)
+    # mult[j, inv[i]] = e_j e_i^{-1}, indexed [j, i]
+    num = row_of_identity[g.mult[:, g.inv]].T.tolist()
     return TransitionMatrix(group=g, num=num, den=den)
 
 
@@ -90,48 +83,36 @@ def matrix_power_traces(m: TransitionMatrix, k_max: int) -> list[Fraction]:
     return traces
 
 
-def _convolve_once(dist: list, support: dict, mult, order: int) -> list:
-    nxt = [Fraction(0)] * order
-    for s, ps in support.items():
-        srow = mult[s]
-        for x in range(order):
-            if dist[x]:
-                nxt[int(srow[x])] += ps * dist[x]
-    return nxt
-
-
 def convolution_power(g: GroupTable, measure: WalkMeasure, k: int) -> list[Fraction]:
     """P^{*k} as a dense vector over the table, by k sparse convolutions."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    order = g.order
-    support = measure_on_table(measure, g)
-    dist = [Fraction(0)] * order
-    dist[0] = Fraction(1)
-    for _ in range(k):
-        dist = _convolve_once(dist, support, g.mult, order)
-    assert sum(dist) == 1
-    return dist
+    return next(convolution_curve(g, measure, [k]))[1]
 
 
 def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
     """Yield (k, P^{*k}) at the requested k values in one incremental pass.
-    ks must be sorted ascending and nonnegative."""
+    ks must be sorted ascending and nonnegative.  Fractions are built only
+    for the yielded vectors."""
     if ks and ks[0] < 0:
         raise ValueError("k must be >= 0")
-    order = g.order
     support = measure_on_table(measure, g)
-    dist = [Fraction(0)] * order
-    dist[0] = Fraction(1)
+    den = math.lcm(*(p.denominator for p in support.values()))
+    # (P * Q)(y) = sum_s P(s) Q(s^{-1} y); row inv[s] of the table maps y to s^{-1} y
+    steps = [(int(p * den), g.mult[g.inv[s]]) for s, p in support.items()]
+    num = np.zeros(g.order, dtype=object)   # Python ints: num[i] / scale = P^{*k}(e_i)
+    num[0] = 1
+    scale = 1
     cur = 0
     for k in ks:
         if k < cur:
             raise ValueError("ks must be ascending")
         while cur < k:
-            dist = _convolve_once(dist, support, g.mult, order)
+            num = sum(w * num[row] for w, row in steps)
+            scale *= den
             cur += 1
-        assert sum(dist) == 1
-        yield k, dist
+        assert num.sum() == scale
+        yield k, [Fraction(x, scale) for x in num]
 
 
 def exact_distances(dist: list, order: int) -> dict:

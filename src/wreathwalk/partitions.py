@@ -44,22 +44,31 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return list(partitions_of(n))
 
 
-@lru_cache(maxsize=None)
-def _partition_count_table(n: int) -> tuple[int, ...]:
+_PARTITION_COUNTS = [1]    # p(0), p(1), ...: one table, rebuilt only to reach a larger n
+
+
+def _partition_count_table(n: int) -> list[int]:
     # p(k) for k = 0..n via the standard coin-style DP
     table = [0] * (n + 1)
     table[0] = 1
     for part in range(1, n + 1):
         for total in range(part, n + 1):
             table[total] += table[total - part]
-    return tuple(table)
+    return table
+
+
+def partition_counts(n: int) -> list[int]:
+    """[p(0), ..., p(n)], exact."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if len(_PARTITION_COUNTS) <= n:
+        _PARTITION_COUNTS[:] = _partition_count_table(n)
+    return _PARTITION_COUNTS[:n + 1]
 
 
 def partition_count(n: int) -> int:
     """p(n), exact."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _partition_count_table(n)[n]
+    return partition_counts(n)[n]
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import GroupTable
-from .wreath import WreathElement
+from .wreath import WreathElement, encode_states
 
 RNG_ALGORITHM = "PCG64"
 
@@ -134,22 +134,6 @@ def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     perms = np.empty_like(pinv)
     np.put_along_axis(perms, pinv, np.broadcast_to(np.arange(n), (T, n)), axis=1)
     return coords, perms
-
-
-def encode_states(coords: np.ndarray, perms: np.ndarray, g_order: int) -> np.ndarray:
-    """Element indices in the explicit-table order: coords major (first
-    coordinate most significant), permutations in lexicographic rank."""
-    T, n = coords.shape
-    idx = np.zeros(T, dtype=np.int64)
-    for i in range(n):
-        idx = idx * g_order + coords[:, i]
-    rank = np.zeros(T, dtype=np.int64)
-    for i in range(n):
-        smaller = np.zeros(T, dtype=np.int64)
-        for j in range(i + 1, n):
-            smaller += perms[:, j] < perms[:, i]
-        rank = rank * (n - i) + smaller
-    return idx * math.factorial(n) + rank
 
 
 def run_walk_indices(cfg: SimConfig) -> np.ndarray:

@@ -103,11 +103,7 @@ def build_measure(kind: str, n: int, g: GroupTable | None = None) -> WalkMeasure
                 probs[("v", k)] = Fraction(2, a * n * n) if k == 1 else Fraction(0)
     support = support_classes(g, n)
     m = WalkMeasure(kind=kind, n=n, base=g, class_probs=probs, support=support)
-    if n >= 2:
-        assert m.total_mass() == 1
-    else:
-        # n = 1: no transpositions; mass sits on the u/id classes alone
-        assert m.total_mass() == 1
+    assert m.total_mass() == 1
     return m
 
 

@@ -7,6 +7,15 @@ permutation tuple with perm[i] the image of position i.  Multiplication:
 
 so the identity is ((0,...,0), (0,1,...,n-1)) and
 (x; pi)^{-1} = (x_{pi(i)}^{-1}; pi^{-1}).
+
+Element encoding, the one used everywhere: the index of (coords; perm) is
+
+    (coords as base-|G| digits, first coordinate most significant) * n!
+        + lexicographic rank of perm.
+
+`encode_states` computes it; explicit tables are built in this order and
+the simulator encodes its states with the same function, so an encoded
+sample is a row index of the table.
 """
 from __future__ import annotations
 
@@ -16,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import GroupTable, conjugacy_classes
+from .groups import GroupTable, _inverses, conjugacy_classes, perm_rank, permutation_table
 
 MAX_WREATH_ORDER = 5000
 
@@ -24,10 +33,6 @@ MAX_WREATH_ORDER = 5000
 class WreathElement(NamedTuple):
     coords: tuple
     perm: tuple
-
-
-def wreath_identity(n: int) -> WreathElement:
-    return WreathElement((0,) * n, tuple(range(n)))
 
 
 def perm_inverse(perm: tuple) -> tuple:
@@ -47,13 +52,6 @@ def wreath_multiply(g: GroupTable, a: WreathElement, b: WreathElement) -> Wreath
     return WreathElement(coords, perm)
 
 
-def wreath_inverse(g: GroupTable, a: WreathElement) -> WreathElement:
-    x, pi = a
-    inv = g.inv
-    coords = tuple(int(inv[x[pi[i]]]) for i in range(len(x)))
-    return WreathElement(coords, perm_inverse(pi))
-
-
 def wreath_order(g_order: int, n: int) -> int:
     return g_order ** n * math.factorial(n)
 
@@ -64,6 +62,16 @@ def enumerate_wreath_elements(g: GroupTable, n: int):
     for coords in itertools.product(range(g.order), repeat=n):
         for perm in itertools.permutations(range(n)):
             yield WreathElement(coords, perm)
+
+
+def encode_states(coords: np.ndarray, perms: np.ndarray, g_order: int) -> np.ndarray:
+    """Element indices of (coords; perms) in the encoding above.  coords
+    and perms have shape (..., n) and broadcast against each other."""
+    n = coords.shape[-1]
+    digits = np.zeros(coords.shape[:-1], dtype=np.int64)
+    for i in range(n):
+        digits = digits * g_order + coords[..., i]
+    return digits * math.factorial(n) + perm_rank(perms)
 
 
 class WreathTable(NamedTuple):
@@ -82,16 +90,20 @@ def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER)
     order = wreath_order(g.order, n)
     if order > max_order:
         raise ValueError(f"wreath order {order} exceeds cap {max_order}")
+    perms, sn_mult = permutation_table(n)
+    coords = np.array(list(itertools.product(range(g.order), repeat=n)), dtype=np.int64)
+    y = np.repeat(coords, len(perms), axis=0)                 # coords of each element
+    sigma = np.tile(np.arange(len(perms)), len(coords))       # its permutation's rank
+    sigma_inv = np.argsort(perms, axis=1)[sigma]
+    # (y; sigma)(x; pi) = (z; sigma pi) with z_i = y_i x_{sigma^-1(i)}.  z does
+    # not depend on pi, so it is encoded once per (element, coords of x), as
+    # index(z; identity); adding rank(sigma pi) gives index(z; sigma pi).
+    z_index = encode_states(g.mult[y[:, None, :], coords[:, sigma_inv].swapaxes(0, 1)],
+                            perms[:1], g.order)
+    mult = (z_index[:, :, None] + sn_mult[sigma][:, None, :]).reshape(order, order)
+    inv = _inverses(mult)
     elements = list(enumerate_wreath_elements(g, n))
     index = {e: i for i, e in enumerate(elements)}
-    assert elements[0] == wreath_identity(n)
-    mult = np.empty((order, order), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            mult[i, j] = index[wreath_multiply(g, a, b)]
-    inv = np.empty(order, dtype=np.int64)
-    for i, a in enumerate(elements):
-        inv[i] = index[wreath_inverse(g, a)]
     classes, class_of = conjugacy_classes(mult, inv)
     table = GroupTable(
         name=f"{g.name} wr S_{n}",

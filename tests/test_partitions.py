@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreathwalk import partitions
+from wreathwalk.classes import class_count
+from wreathwalk.groups import build_group
 from wreathwalk.partitions import (
     char_ratio_transposition,
     conjugate,
@@ -155,3 +158,20 @@ def test_dim_rejects_garbage():
         dim_partition((1, 2))
     with pytest.raises(ValueError):
         dim_partition(())
+
+
+def test_partition_counts_grow_one_shared_table(monkeypatch):
+    # reference: the coin-style DP, p(k) for k <= 200
+    ref = [1] + [0] * 200
+    for part in range(1, 201):
+        for total in range(part, 201):
+            ref[total] += ref[total - part]
+    builds = []
+    build = partitions._partition_count_table
+    monkeypatch.setattr(partitions, "_PARTITION_COUNTS", [1])
+    monkeypatch.setattr(partitions, "_partition_count_table",
+                        lambda n: builds.append(n) or build(n))
+    class_count(build_group("S:3"), 600)
+    assert builds == [600]
+    assert [partition_count(m) for m in range(201)] == ref
+    assert builds == [600]
