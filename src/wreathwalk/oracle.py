@@ -63,23 +63,22 @@ def build_transition_matrix(g: GroupTable, measure: WalkMeasure) -> TransitionMa
     return TransitionMatrix(group=g, num=num, den=den)
 
 
-def _mat_mult(a: list, b: list) -> list:
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def matrix_power_traces(m: TransitionMatrix, k_max: int) -> list[Fraction]:
-    """tr(M^k) for k = 0..k_max via repeated multiplication, exact."""
+    """tr(M^k) for k = 0..k_max via repeated multiplication, exact.  Entries
+    of num^k are nonnegative with row sums den^k, so every partial sum and
+    the trace stay below order * den^k: int64 while that fits, Python ints
+    past it."""
     order = m.order
+    dtype = np.int64 if order * m.den ** k_max < 2 ** 63 else object
+    num = np.array(m.num, dtype=dtype)
     traces = [Fraction(order)]
-    power = m.num
+    power = num
     den = m.den
     for k in range(1, k_max + 1):
         if k > 1:
-            power = _mat_mult(power, m.num)
+            power = power @ num
             den *= m.den
-        traces.append(Fraction(sum(power[i][i] for i in range(order)), den))
+        traces.append(Fraction(int(power.trace()), den))
     return traces
 
 
@@ -116,14 +115,14 @@ def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
 
 
 def exact_distances(dist: list, order: int) -> dict:
-    """tv, l1, l2 squared, and |G|*l2^2 of dist against uniform; exact."""
-    u = Fraction(1, order)
-    l1 = Fraction(0)
-    l2_sq = Fraction(0)
-    for p in dist:
-        diff = p - u
-        l1 += abs(diff)
-        l2_sq += diff * diff
+    """tv, l1, l2 squared, and |G|*l2^2 of dist against uniform; exact.
+    Sums integer numerators over one common denominator."""
+    den = math.lcm(*{p.denominator for p in dist})
+    # p - 1/order = (num * order - den) / (den * order)
+    diffs = [p.numerator * (den // p.denominator) * order - den for p in dist]
+    scale = den * order
+    l1 = Fraction(sum(map(abs, diffs)), scale)
+    l2_sq = Fraction(sum(d * d for d in diffs), scale * scale)
     return {
         "tv": l1 / 2,
         "l1": l1,

@@ -7,7 +7,10 @@ Randomness contract: everything goes through numpy's default_rng (PCG64),
 and every report records the seed.  Per step the sampler draws, in order,
 p, then q, then one batch of base-group indices (two for the independent
 walk, one for the paired walk, none for the bare permutation walk),
-regardless of whether p == q, so the stream layout is fixed.
+regardless of whether p == q, so the stream layout is fixed.  The coupling
+experiment draws, per chunk of trials, the uniform Prim keys (one (chunk,
+n-1) array, then one array per tree step for the keys that step reads),
+with the chunk size fixed by n; then one Exp(mean n) per trial for T*.
 """
 from __future__ import annotations
 
@@ -222,37 +225,40 @@ class CouplingReport:
     columns = ("c", "threshold", "empirical_tail", "limit", "stderr", "trials", "seed")
 
 
-def _connectivity_time(n: int, rng, chunk: int = 512) -> float:
-    """Time for the pair-event graph to connect.  Pair events form a
-    Poisson stream at aggregate rate (n-1)/n, each joining a uniform
-    unordered pair."""
-    parent = list(range(n))
+# Prim keys held per chunk of trials; fixes the chunk size for each n, so
+# peak memory depends on neither n nor the trial count
+_PRIM_KEYS = 1 << 18
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    comps = n
-    t = 0.0
-    mean_gap = n / (n - 1.0)
-    while True:
-        gaps = rng.exponential(mean_gap, size=chunk)
-        i_arr = rng.integers(0, n, size=chunk)
-        j_arr = rng.integers(0, n - 1, size=chunk)
-        for e in range(chunk):
-            t += gaps[e]
-            i = i_arr[e]
-            j = j_arr[e]
-            if j >= i:
-                j += 1
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-                comps -= 1
-                if comps == 1:
-                    return t
+def _connectivity_times(n: int, trials: int, rng) -> np.ndarray:
+    """Times for the pair-event graph to connect, one per trial.  Pair
+    events form a Poisson stream at aggregate rate (n-1)/n, each joining a
+    uniform unordered pair, so each pair first fires after an independent
+    Exp(rate 2/n^2) wait and the graph connects at the bottleneck (largest)
+    edge of the minimum spanning tree of those waits.
+
+    Prim's algorithm, batched over a chunk of trials: one key per vertex
+    outside the tree.  Prim reads each edge weight once, so a weight is
+    drawn when first read; weights are uniforms, mapped to Exp(mean n^2/2)
+    by an increasing map, which keeps the tree and its bottleneck, and only
+    the bottleneck is mapped."""
+    out = np.zeros(trials)
+    if n == 1:
+        return out                     # one vertex: connected at once
+    chunk = max(1, _PRIM_KEYS // (n - 1))
+    for start in range(0, trials, chunk):
+        m = min(chunk, trials - start)
+        rows = np.arange(m)
+        keys = rng.random((m, n - 1))  # edges from vertex 0
+        worst = np.zeros(m)
+        for width in range(n - 1, 0, -1):
+            j = keys[:, :width].argmin(axis=1)
+            np.maximum(worst, keys[rows, j], out=worst)
+            keys[rows, j] = keys[:, width - 1]
+            rest = keys[:, :width - 1]
+            np.minimum(rest, rng.random((m, width - 1)), out=rest)
+        out[start:start + m] = worst
+    return -(n * n / 2.0) * np.log1p(-out)
 
 
 def coupling_experiment(n: int, trials: int, c_values, seed: int) -> CouplingReport:
@@ -265,9 +271,7 @@ def coupling_experiment(n: int, trials: int, c_values, seed: int) -> CouplingRep
     if n > 10 ** 4 or trials > 10 ** 6:
         raise ValueError("caps: n <= 1e4, trials <= 1e6")
     rng = np.random.default_rng(seed)
-    ts = np.empty(trials)
-    for i in range(trials):
-        ts[i] = _connectivity_time(n, rng)
+    ts = _connectivity_times(n, trials, rng)
     tstars = ts + rng.exponential(float(n), size=trials)
     rows = []
     for c in c_values:

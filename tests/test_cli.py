@@ -199,3 +199,16 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.splitlines()[1].startswith("Sm,tv,sufficient,(1/2) n log n,false,")
+
+
+def test_coupling_n1_answers():
+    # one vertex is connected at T = 0: the command answers, it does not crash
+    out = subprocess.run(
+        [sys.executable, "-m", "wreathwalk", "coupling", "--n", "1", "--c", "0,1,2",
+         "--trials", "50", "--seed", "3"],
+        capture_output=True, text=True)
+    assert out.returncode == 0
+    assert "Traceback" not in out.stderr
+    lines = out.stdout.strip().split("\n")
+    assert lines[1] == "c,threshold,empirical_tail,limit,stderr,trials,seed"
+    assert len(lines) == 2 + 6

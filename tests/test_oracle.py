@@ -128,3 +128,22 @@ def test_matrix_power_traces_start_at_order():
     traces = matrix_power_traces(m, 3)
     assert traces[0] == 8
     assert traces[1] == m.trace()
+
+
+def test_trace_moments_past_the_int64_range():
+    # Z:2 wr S_2 independent: den = 8, order 8.  k_max = 19 is the last on
+    # the int64 path; at k_max = 24 the row sums den^k are past 2^64, so
+    # int64 products would wrap
+    g = build_group("Z:2")
+    wt = build_wreath_table(g, 2)
+    m = build_transition_matrix(wt.group, build_measure("independent", 2, g))
+    assert (m.order, m.den) == (8, 8)
+    assert m.order * m.den ** 19 < 2 ** 63 <= m.order * m.den ** 20
+    assert m.den ** 24 > 2 ** 64
+    spec = spectrum("independent", 2, g)
+    moments = [
+        sum(Fraction(l.multiplicity) * l.value ** k for l in spec.lines)
+        for k in range(25)
+    ]
+    assert trace_moment_check(m, moments, 24) == [Fraction(0)] * 25
+    assert matrix_power_traces(m, 24)[:20] == matrix_power_traces(m, 19)

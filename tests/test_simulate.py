@@ -185,6 +185,70 @@ def test_coupling_experiment_small():
         assert 0 <= r["empirical_tail"] <= 1
 
 
+def _event_connectivity_time(n, rng):
+    """Scalar reference for the batched sampler: run the pair-event stream
+    (aggregate rate (n-1)/n, uniform unordered pairs) through a union-find
+    until the graph connects."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comps, t = n, 0.0
+    while comps > 1:
+        t += rng.exponential(n / (n - 1.0))
+        i = int(rng.integers(n))
+        j = int(rng.integers(n - 1))
+        j += j >= i
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            comps -= 1
+    return t
+
+
+def test_connectivity_time_n2_is_exponential():
+    # one pair, first firing at rate 2/n^2 = 1/2
+    ts = coupling_experiment(2, 2 * 10 ** 4, [0.0], seed=21).t_samples
+    assert stats.kstest(ts, stats.expon(scale=2.0).cdf).pvalue > 1e-3
+
+
+def test_connectivity_time_n3_is_second_order_statistic():
+    # the triangle connects at its second-smallest of three Exp(2/9) waits
+    lam = 2.0 / 9.0
+
+    def cdf(t):
+        return (1 - np.exp(-3 * lam * t)
+                - 3 * (1 - np.exp(-lam * t)) * np.exp(-2 * lam * t))
+
+    ts = coupling_experiment(3, 2 * 10 ** 4, [0.0], seed=22).t_samples
+    assert stats.kstest(ts, cdf).pvalue > 1e-3
+
+
+def test_connectivity_time_matches_event_process():
+    n, trials = 30, 4000
+    rng = np.random.default_rng(23)
+    ref = [_event_connectivity_time(n, rng) for _ in range(trials)]
+    ts = coupling_experiment(n, trials, [0.0], seed=24).t_samples
+    assert stats.ks_2samp(ts, ref).pvalue > 1e-3
+
+
+def test_coupling_seeded_and_chunked():
+    # more trials than one chunk of Prim keys holds: the stream is fixed by
+    # (n, trials, seed), and a prefix of trials does not depend on the total
+    chunk = sim._PRIM_KEYS // 49
+    a = coupling_experiment(50, chunk + 7, [0.0], seed=25)
+    b = coupling_experiment(50, chunk + 7, [0.0], seed=25)
+    c = coupling_experiment(50, chunk, [0.0], seed=25)
+    assert np.array_equal(a.t_samples, b.t_samples)
+    assert np.array_equal(a.tstar_samples, b.tstar_samples)
+    assert np.array_equal(a.t_samples[:chunk], c.t_samples)
+    assert np.all(a.t_samples > 0)
+
+
 def test_coupling_caps():
     with pytest.raises(ValueError):
         coupling_experiment(20000, 10, [0.0], seed=1)
