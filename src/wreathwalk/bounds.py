@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .classes import class_count
 from .groups import GroupTable
 from .partitions import (
     char_ratio_transposition,
@@ -33,6 +34,7 @@ from .partitions import (
     partition_table,
     partitions_of,
 )
+from .reps import MAX_LABELS
 
 J_WINDOW = 12          # deficit window for large-n inner sums
 FULL_ENUM_MAX = 40     # below this, just enumerate all partitions
@@ -529,7 +531,7 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
     if mode == "auto":
         if kind == "sym":
             mode = "full-spectrum" if n <= 30 else "collapsed"
-        elif partition_count_bound(g, n, max_labels):
+        elif class_count(g, n) <= (MAX_LABELS if max_labels is None else max_labels):
             mode = "full-spectrum"
         else:
             mode = "collapsed" if kind == "independent" else "relaxed"
@@ -575,12 +577,3 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
         mode=mode,
         rows=rows,
     )
-
-
-def partition_count_bound(g: GroupTable, n: int, max_labels: int | None) -> bool:
-    """True when the full label set is small enough to enumerate."""
-    from .reps import MAX_LABELS
-    from .classes import class_count
-
-    cap = max_labels if max_labels is not None else MAX_LABELS
-    return class_count(g, n) <= cap

@@ -136,19 +136,3 @@ def support_classes(g: GroupTable, n: int) -> list[tuple[tuple, TypeMatrix, int]
             assert class_size(g, n, tm) == size
             out.append((("v", k), tm, size))
     return out
-
-
-def support_tag_of(g: GroupTable, w: WreathElement) -> tuple | None:
-    """Which walk-support class w belongs to, or None."""
-    n = len(w.perm)
-    tm = type_matrix(g, w)
-    if tm == identity_type(g, n):
-        return ("id",)
-    for k in range(2, g.num_classes + 1):
-        if tm == u_type(g, n, k):
-            return ("u", k)
-    if n >= 2:
-        for k in range(1, g.num_classes + 1):
-            if tm == v_type(g, n, k):
-                return ("v", k)
-    return None

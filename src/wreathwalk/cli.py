@@ -7,7 +7,7 @@ distance    distance curve with every bound column; optional oracle check
 threshold   mixing-time summary table rows for the chosen walk and group
 oracle      brute-force convolution powers on the explicit group table
 simulate    Monte Carlo walk runs with empirical TV against uniform
-coupling    event-skeleton coupling experiment (connectivity time tails)
+coupling    connectivity-time tails of the pair-event graph (MST sampler)
 selftest    run the acceptance test suite; nonzero exit on any failure
 
 Exit codes: 0 success, 1 validation failure or cap exceeded (the message
@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import classify_base, distance_curve, mixing_threshold, threshold_rows
-from .groups import build_group, symmetric_group
+from .groups import build_group, cyclic_group
 from .oracle import convolution_curve, exact_distances
 from .reps import MAX_LABELS
 from .simulate import (
@@ -158,12 +158,10 @@ def _group_name(g, n: int) -> str:
 
 
 def _exact_table(g, n: int, max_order: int):
-    """Explicit multiplication table for oracle work; caps apply."""
-    if g is None:
-        if math.factorial(n) > max_order:
-            raise ValueError(f"group order {math.factorial(n)} exceeds cap {max_order}")
-        return symmetric_group(n)
-    return build_wreath_table(g, n, max_order=max_order).group
+    """Explicit multiplication table for oracle work; caps apply.  The sym
+    walk's S_n is G wr S_n with G = 1."""
+    base = cyclic_group(1) if g is None else g
+    return build_wreath_table(base, n, max_order=max_order).group
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .partitions import sn_character_table
+
 MAX_INGEST_ORDER = 2000
 
 
@@ -162,9 +164,13 @@ def permutation_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m! permutations of range(m) as rows, in lexicographic order
     (identity first), and their product table mult[a, b] = rank of a o b,
     where (a o b)(i) = a(b(i))."""
-    # int8 keeps the m! x m! x m array of composites below the size of mult
     perms = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-    return perms, perm_rank(perms[:, perms])
+    mult = np.empty((len(perms), len(perms)), dtype=np.int64)
+    # composites a o b = a[b], ranked in m blocks of rows: a block's int8
+    # composites take m!^2 bytes, an eighth of mult
+    for rows in np.array_split(np.arange(len(perms)), m):
+        mult[rows] = perm_rank(perms[rows][:, perms])
+    return perms, mult
 
 
 def _cycle_type(perm: tuple) -> tuple:
@@ -192,7 +198,7 @@ def symmetric_group(m: int) -> GroupTable:
     inv = _inverses(mult)
     classes, class_of = conjugacy_classes(mult, inv)
     # characters from the Murnaghan-Nakayama table, columns matched by cycle type
-    parts, table = sn_table_cached(m)
+    parts, table = sn_character_table(m)
     col_of_type = {mu: c for c, mu in enumerate(parts)}
     class_cols = [col_of_type[_cycle_type(perms[cls[0]])] for cls in classes]
     char_rows = [[Fraction(table[r][c]) for c in class_cols] for r in range(len(parts))]
@@ -207,12 +213,6 @@ def symmetric_group(m: int) -> GroupTable:
         exact_characters=True,
         elements=perms,
     )
-
-
-def sn_table_cached(m: int):
-    from .partitions import sn_character_table
-
-    return sn_character_table(m)
 
 
 def _validate_char_table(g: GroupTable, tol: float = 1e-9) -> None:

@@ -2,53 +2,71 @@
 convolution powers, and distances.
 
 Everything is exact rational arithmetic.  Matrices and convolution powers
-are integer numerators over a common denominator, so powers stay cheap; no
-code here touches the spectral modules, so agreement between the two routes
-is evidence, not circularity.
+are integer numerators over a common denominator, so powers stay cheap.
+The one-step law is counted from the walk's draws (measure_on_table), not
+read from the spectral side's class measure, so agreement between the two
+routes is evidence, not circularity.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .groups import GroupTable
-from .walks import WalkMeasure
+from .wreath import encode_states
+
+if TYPE_CHECKING:
+    from .walks import WalkMeasure
 
 
 @dataclass
 class TransitionMatrix:
     group: GroupTable
-    num: list            # order x order ints
+    num: np.ndarray      # (order, order) int64 numerators
     den: int             # shared denominator
 
     @property
     def order(self) -> int:
         return len(self.num)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i][j], self.den)
-
     def trace(self) -> Fraction:
-        return Fraction(sum(self.num[i][i] for i in range(self.order)), self.den)
+        return Fraction(int(self.num.trace()), self.den)
 
 
 def measure_on_table(measure: WalkMeasure, g: GroupTable) -> dict[int, Fraction]:
-    """Per-element masses of the measure on an explicit table; keys are
-    element indices with nonzero mass."""
-    if g.elements is None:
-        raise ValueError("table must carry decoded elements")
-    out = {}
-    for i, e in enumerate(g.elements):
-        p = measure.element_prob(e)
-        if p:
-            out[i] = p
-    total = sum(out.values())
-    if total != 1:
-        raise ValueError(f"measure sums to {total} on this table")
-    return out
+    """Per-element masses of the walk's one-step law on an explicit table in
+    the wreath encoding (S_n is the case G = 1); keys are element indices
+    with nonzero mass.
+
+    Counted from the walk's definition: each of the n^2 |G|^b equally likely
+    draws (positions p, q, then two independent base elements a, b, one pair
+    a, a^-1, or none for sym) is the step element with a at p, b at q and
+    the swap (p q), or a alone at p when p = q."""
+    n, base = measure.n, measure.base
+    go = 1 if base is None else base.order
+    if g.order != go ** n * math.factorial(n):
+        raise ValueError(f"table order {g.order} is not |G|^n n! = {go ** n * math.factorial(n)}")
+    if measure.kind == "independent":
+        a, b = np.divmod(np.arange(go * go), go)
+    elif measure.kind == "paired":
+        a = np.arange(go)
+        b = base.inv[a]
+    else:
+        a = b = np.zeros(1, dtype=np.int64)
+    p, q, j = (x.ravel() for x in np.indices((n, n, len(a))))
+    rows = np.arange(len(p))
+    coords = np.zeros((len(p), n), dtype=np.int64)
+    coords[rows, q] = b[j]
+    coords[rows, p] = a[j]               # overwrites b when p = q
+    perms = np.tile(np.arange(n), (len(p), 1))
+    perms[rows, p] = q
+    perms[rows, q] = p
+    counts = np.bincount(encode_states(coords, perms, go), minlength=g.order)
+    return {int(i): Fraction(int(counts[i]), len(p)) for i in np.flatnonzero(counts)}
 
 
 def build_transition_matrix(g: GroupTable, measure: WalkMeasure) -> TransitionMatrix:
@@ -59,7 +77,7 @@ def build_transition_matrix(g: GroupTable, measure: WalkMeasure) -> TransitionMa
     for idx, p in probs.items():
         row_of_identity[idx] = int(p * den)
     # mult[j, inv[i]] = e_j e_i^{-1}, indexed [j, i]
-    num = row_of_identity[g.mult[:, g.inv]].T.tolist()
+    num = row_of_identity[g.mult[:, g.inv]].T
     return TransitionMatrix(group=g, num=num, den=den)
 
 
@@ -69,8 +87,7 @@ def matrix_power_traces(m: TransitionMatrix, k_max: int) -> list[Fraction]:
     the trace stay below order * den^k: int64 while that fits, Python ints
     past it."""
     order = m.order
-    dtype = np.int64 if order * m.den ** k_max < 2 ** 63 else object
-    num = np.array(m.num, dtype=dtype)
+    num = m.num if order * m.den ** k_max < 2 ** 63 else m.num.astype(object)
     traces = [Fraction(order)]
     power = num
     den = m.den

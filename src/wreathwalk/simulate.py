@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import GroupTable
+from .groups import GroupTable, cyclic_group
 from .wreath import WreathElement, encode_states
 
 RNG_ALGORITHM = "PCG64"
@@ -57,28 +57,25 @@ def sample_step(g: GroupTable | None, state: WreathElement, kind: str,
     coords = list(state.coords)
     perm = list(state.perm)
     n = len(perm)
+    if g is None:
+        g = cyclic_group(1)                  # sym: G = 1
     p = int(rng.integers(n))
     q = int(rng.integers(n))
-    if kind == "sym":
-        a = b = 0
-    elif kind == "independent":
+    a = b = 0                                # sym: no base draws
+    if kind == "independent":
         a = int(rng.integers(g.order))
         b = int(rng.integers(g.order))
-    else:
+    elif kind == "paired":
         a = int(rng.integers(g.order))
         b = int(g.inv[a])
     if p == q:
-        if kind != "sym":
-            coords[p] = int(g.mult[a, coords[p]])
+        coords[p] = int(g.mult[a, coords[p]])
     else:
         # increment (v; tau_pq): new_x[p] = v_p x_q, new_x[q] = v_q x_p,
         # new_perm = tau o perm (swap the values p and q)
         xp, xq = coords[p], coords[q]
-        if kind == "sym":
-            coords[p], coords[q] = xq, xp
-        else:
-            coords[p] = int(g.mult[a, xq])
-            coords[q] = int(g.mult[b, xp])
+        coords[p] = int(g.mult[a, xq])
+        coords[q] = int(g.mult[b, xp])
         for i in range(n):
             if perm[i] == p:
                 perm[i] = q
@@ -93,11 +90,9 @@ def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     O(1) per trial."""
     rng = np.random.default_rng(cfg.seed)
     T, n = cfg.trials, cfg.n
-    wreath = cfg.kind != "sym"
-    if wreath:
-        go = cfg.g.order
-        mult = np.asarray(cfg.g.mult, dtype=np.int64)
-        ginv = np.asarray(cfg.g.inv, dtype=np.int64)
+    g = cyclic_group(1) if cfg.g is None else cfg.g    # sym: G = 1
+    mult = np.asarray(g.mult, dtype=np.int64)
+    ident = np.broadcast_to(np.int64(0), T)      # identity base draws, zero-stride
     coords = np.zeros((T, n), dtype=np.int64)
     pinv = np.tile(np.arange(n, dtype=np.int64), (T, 1))
     if cfg.mode == "continuized":
@@ -110,30 +105,26 @@ def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     for step in range(kmax):
         p = rng.integers(0, n, size=T)
         q = rng.integers(0, n, size=T)
-        if wreath:
-            a = rng.integers(0, go, size=T)
-            b = ginv[a] if cfg.kind == "paired" else rng.integers(0, go, size=T)
+        if cfg.kind == "sym":
+            a = b = ident                    # no base draws
+        else:
+            a = rng.integers(0, g.order, size=T)
+            b = g.inv[a] if cfg.kind == "paired" else rng.integers(0, g.order, size=T)
         active = steps > step
         swap = active & (p != q)
         r = rows[swap]
         pp, qq = p[swap], q[swap]
-        if wreath:
-            xp = coords[r, pp].copy()
-            xq = coords[r, qq]
-            coords[r, pp] = mult[a[swap], xq]
-            coords[r, qq] = mult[b[swap], xp]
-        else:
-            xp = coords[r, pp].copy()
-            coords[r, pp] = coords[r, qq]
-            coords[r, qq] = xp
+        xp = coords[r, pp].copy()
+        xq = coords[r, qq]
+        coords[r, pp] = mult[a[swap], xq]
+        coords[r, qq] = mult[b[swap], xp]
         tmp = pinv[r, pp].copy()
         pinv[r, pp] = pinv[r, qq]
         pinv[r, qq] = tmp
-        if wreath:
-            stay = active & (p == q)
-            r2 = rows[stay]
-            pp2 = p[stay]
-            coords[r2, pp2] = mult[a[stay], coords[r2, pp2]]
+        stay = active & (p == q)
+        r2 = rows[stay]
+        pp2 = p[stay]
+        coords[r2, pp2] = mult[a[stay], coords[r2, pp2]]
     perms = np.empty_like(pinv)
     np.put_along_axis(perms, pinv, np.broadcast_to(np.arange(n), (T, n)), axis=1)
     return coords, perms
@@ -228,6 +219,10 @@ class CouplingReport:
 # Prim keys held per chunk of trials; fixes the chunk size for each n, so
 # peak memory depends on neither n nor the trial count
 _PRIM_KEYS = 1 << 18
+# Prim reads O(n^2) keys per trial, a few ns each: n^2 * trials is capped so
+# a request is refused before it runs for minutes (n = 1000 with 10^4 trials
+# is the largest that fits)
+COUPLING_WORK_CAP = 10 ** 10
 
 
 def _connectivity_times(n: int, trials: int, rng) -> np.ndarray:
@@ -270,6 +265,8 @@ def coupling_experiment(n: int, trials: int, c_values, seed: int) -> CouplingRep
     threshold = (1/2) n log n + c n in continuous time."""
     if n > 10 ** 4 or trials > 10 ** 6:
         raise ValueError("caps: n <= 1e4, trials <= 1e6")
+    if n * n * trials > COUPLING_WORK_CAP:
+        raise ValueError(f"n^2 * trials = {n * n * trials} exceeds cap {COUPLING_WORK_CAP}")
     rng = np.random.default_rng(seed)
     ts = _connectivity_times(n, trials, rng)
     tstars = ts + rng.exponential(float(n), size=trials)

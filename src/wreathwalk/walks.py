@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import Atoms, exact_atoms, l2_column
-from .classes import support_classes, support_tag_of
+from .classes import support_classes
 from .groups import GroupTable
 from .partitions import (
     char_ratio_transposition,
@@ -60,23 +60,6 @@ class WalkMeasure:
         if self.kind == "sym":
             return self.class_probs[("id",)] + Fraction(self.n * (self.n - 1), 2) * self.class_probs[("tau",)]
         return sum(self.class_probs[tag] * size for tag, _, size in self.support)
-
-    def element_prob(self, w) -> Fraction:
-        """Mass of a single element; WreathElement for wreath walks, a
-        permutation tuple for sym."""
-        if self.kind == "sym":
-            perm = w
-            n = len(perm)
-            fixed = sum(1 for i in range(n) if perm[i] == i)
-            if fixed == n:
-                return self.class_probs[("id",)]
-            if fixed == n - 2:
-                return self.class_probs[("tau",)]
-            return Fraction(0)
-        tag = support_tag_of(self.base, w)
-        if tag is None:
-            return Fraction(0)
-        return self.class_probs.get(tag, Fraction(0))
 
 
 def build_measure(kind: str, n: int, g: GroupTable | None = None) -> WalkMeasure:

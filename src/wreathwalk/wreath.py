@@ -100,7 +100,9 @@ def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER)
     # index(z; identity); adding rank(sigma pi) gives index(z; sigma pi).
     z_index = encode_states(g.mult[y[:, None, :], coords[:, sigma_inv].swapaxes(0, 1)],
                             perms[:1], g.order)
-    mult = (z_index[:, :, None] + sn_mult[sigma][:, None, :]).reshape(order, order)
+    # rows run coords-major, so row (y, sigma) adds row sigma of sn_mult
+    mult = (z_index.reshape(len(coords), len(perms), len(coords), 1)
+            + sn_mult[None, :, None, :]).reshape(order, order)
     inv = _inverses(mult)
     elements = list(enumerate_wreath_elements(g, n))
     index = {e: i for i, e in enumerate(elements)}

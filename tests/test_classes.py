@@ -14,12 +14,13 @@ from wreathwalk.classes import (
     class_size,
     cycle_products,
     support_classes,
-    support_tag_of,
     type_matrix,
     u_type,
     v_type,
 )
 from wreathwalk.groups import build_group
+from wreathwalk.oracle import measure_on_table
+from wreathwalk.walks import build_measure
 from wreathwalk.wreath import WreathElement, build_wreath_table, wreath_order
 
 INSTANCES = [("Z:2", 2), ("Z:2", 3), ("Z:3", 2), ("S:3", 2), ("Z:2", 4), ("S:3", 3)]
@@ -107,18 +108,29 @@ def test_support_sizes_sum_to_measure_support():
     assert sizes[("v", 3)] == 3 * 6 * 2
 
 
-@pytest.mark.parametrize("gspec,n", [("Z:2", 3), ("S:3", 2)])
-def test_support_tag_roundtrip(gspec, n):
+STEP_LAW_INSTANCES = ([("Z:2", n) for n in range(1, 6)] + [("Z:3", n) for n in range(1, 5)]
+                      + [("S:3", n) for n in range(1, 4)] + [("Z:4", 3)])
+
+
+@pytest.mark.parametrize("gspec,n", STEP_LAW_INSTANCES)
+def test_step_law_matches_support_classes(gspec, n):
+    # the one-step law counted from the draws is constant on each explicit
+    # conjugacy class, and its (mass, class size) pairs are the spectral
+    # side's class measure on the type-matrix support classes
     g = build_group(gspec)
-    wt = build_wreath_table(g, n)
-    sup = support_classes(g, n)
-    by_tag = {t: 0 for t, _, _ in sup}
-    for e in wt.elements:
-        tag = support_tag_of(g, e)
-        if tag is not None:
-            by_tag[tag] += 1
-    for t, _, sz in sup:
-        assert by_tag[t] == sz
+    table = build_wreath_table(g, n).group
+    for kind in ("independent", "paired"):
+        measure = build_measure(kind, n, g)
+        probs = measure_on_table(measure, table)
+        got = []
+        for cls in table.classes:
+            masses = {probs.get(i, 0) for i in cls}
+            assert len(masses) == 1
+            if masses != {0}:
+                got.append((masses.pop(), len(cls)))
+        want = [(measure.class_probs[tag], size) for tag, _, size in measure.support
+                if measure.class_probs[tag]]
+        assert sorted(got) == sorted(want)
 
 
 def test_u_v_types_disjoint():

@@ -110,14 +110,13 @@ def test_sym_walk_oracle():
             assert d["l2n_sq"] == l2n_sq_spectral(spec, k)
 
 
-def test_measure_on_table_requires_elements():
+def test_measure_on_table_refuses_wrong_order():
     g = build_group("Z:2")
-    wt = build_wreath_table(g, 2)
     meas = build_measure("independent", 2, g)
-    stripped = wt.group
-    stripped.elements = None
-    with pytest.raises(ValueError):
-        measure_on_table(meas, stripped)
+    with pytest.raises(ValueError, match="table order 48"):
+        measure_on_table(meas, build_wreath_table(g, 3).group)
+    with pytest.raises(ValueError, match="table order 6"):
+        measure_on_table(build_measure("sym", 2), symmetric_group(3))
 
 
 def test_matrix_power_traces_start_at_order():

@@ -1,12 +1,13 @@
 """Bad input is refused before any work, with an error naming the problem."""
 import time
+from fractions import Fraction
 
 import pytest
 
 from wreathwalk.bounds import classify_base, distance_curve
 from wreathwalk.cli import main
 from wreathwalk.groups import build_group
-from wreathwalk.walks import spectrum
+from wreathwalk.walks import l2n_sq_spectral, return_probability, spectrum
 
 
 def run_cli(capsys, argv):
@@ -47,3 +48,27 @@ def test_trivial_base_group_refused(capsys):
                                     "--walk", "independent"])
     assert rc == 1 and out == ""
     assert err.startswith("error:") and "order >= 2" in err
+
+
+def test_coupling_refuses_hours_of_work_at_once(capsys):
+    # inside the n and trial caps, but n^2 * trials is past the work cap
+    t0 = time.monotonic()
+    rc, out, err = run_cli(capsys, ["coupling", "--n", "5000", "--trials", "1000000"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "exceeds cap 10000000000" in err
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_sym_oracle_past_s6(capsys):
+    # S_7 is 1 wr S_7: refused only by the order cap, which it names
+    rc, out, err = run_cli(capsys, ["oracle", "--walk", "sym", "--n", "7"])
+    assert rc == 1 and out == "" and "order 5040 exceeds cap 5000" in err
+    rc, out, err = run_cli(capsys, ["oracle", "--walk", "sym", "--n", "7", "--max-order", "6000"])
+    assert rc == 0 and err == ""
+    lines = out.strip().split("\n")
+    assert lines[0] == "k,return_prob,l2n_sq,tv" and len(lines) == 12
+    spec = spectrum("sym", 7)
+    for line in lines[1:]:
+        k, ret, l2n_sq, _ = line.split(",")
+        assert Fraction(ret) == return_probability(spec, int(k))
+        assert Fraction(l2n_sq) == l2n_sq_spectral(spec, int(k))
