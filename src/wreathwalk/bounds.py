@@ -35,6 +35,7 @@ from .partitions import (
     partitions_of,
 )
 from .reps import MAX_LABELS
+from .wreath import walk_base
 
 J_WINDOW = 12          # deficit window for large-n inner sums
 FULL_ENUM_MAX = 40     # below this, just enumerate all partitions
@@ -243,11 +244,6 @@ def l2n_sq_collapsed_bounds(g_order: int, n: int, k: int,
         f = _float_or_inf(g_order ** n * math.factorial(n) - 1)
         return f, f
     return power_sums(_slot_atoms(g_order, n, (j_window, FULL_ENUM_MAX)), [k])[0]
-
-
-def sym_l2n_sq(n: int, k: int):
-    """Spectral sum for the transposition walk on S_n alone."""
-    return l2n_sq_collapsed(1, n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +481,7 @@ def mixing_threshold(g: GroupTable | None, n: int, kind: str, metric: str) -> fl
     base = 0.5 * n * math.log(n)
     if kind == "sym" or metric == "tv":
         return base
-    if g is None:
-        raise ValueError("wreath thresholds need the base group")
-    a = g.order
+    a = walk_base(kind, g).order
     if kind == "independent":
         return base + (0.25 * n * math.log(a - 1) if a > 1 else 0.0)
     if kind == "paired":
@@ -509,7 +503,6 @@ def mixing_threshold(g: GroupTable | None, n: int, kind: str, metric: str) -> fl
 @dataclass
 class DistanceCurve:
     kind: str
-    base_name: str
     n: int
     mode: str                 # full-spectrum | collapsed | relaxed
     rows: list                # dicts keyed by the csv columns (cli.DISTANCE_COLUMNS)
@@ -524,8 +517,7 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
     ones.  Each l2 column comes from one set of atoms for all ks."""
     from .walks import spectral_atoms, spectrum
 
-    if kind != "sym" and g is None:
-        raise ValueError("wreath walks need a base group")
+    g = walk_base(kind, g)
     if ks is None:
         ks = list(range(0, 2 * n + 1))
     if mode == "auto":
@@ -541,11 +533,10 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
         raise ValueError("the relaxed bound is paired-walk only")
     spec = None
     if mode == "full-spectrum":
-        spec = spectrum(kind, n, g, max_labels=max_labels) if kind != "sym" else spectrum(kind, n)
+        spec = spectrum(kind, n, g, max_labels=max_labels)
     rows = []
-    is_wreath = kind in ("independent", "paired")
-    dims = g.irrep_dims() if is_wreath else None
-    g_order = g.order if is_wreath else 1
+    dims = g.irrep_dims()
+    g_order = g.order
     if spec is not None:
         l2s = l2_column(spectral_atoms(spec), ks)
     elif mode == "collapsed":
@@ -565,15 +556,9 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
         if kind == "independent":
             sym_part = tv_upper_spectral(sym_l2s[i]) if sym_l2s else 0.0
             row["tv_upper_coupling"] = tv_upper_coupling(n, g_order, k, sym_part)
-        if is_wreath:
+        if kind != "sym":
             row["l2_lower_dominant"] = tv_lower_dominant(g_order, n, k, kind, dims=dims)
         if kind == "sym" and n >= 4:
             row["tv_lower_chebyshev"] = tv_lower_chebyshev_sym(n, k)
         rows.append(row)
-    return DistanceCurve(
-        kind=kind,
-        base_name=g.name if g is not None else f"S_{n}",
-        n=n,
-        mode=mode,
-        rows=rows,
-    )
+    return DistanceCurve(kind=kind, n=n, mode=mode, rows=rows)

@@ -10,6 +10,10 @@ simulate    Monte Carlo walk runs with empirical TV against uniform
 coupling    connectivity-time tails of the pair-event graph (MST sampler)
 selftest    run the acceptance test suite; nonzero exit on any failure
 
+--walk sym is the wreath walk on the trivial base (S_n is 1 wr S_n): it
+ignores --group and runs the same code on Z:1, reporting the group as S_n.
+The independent and paired walks need --group.
+
 Exit codes: 0 success, 1 validation failure or cap exceeded (the message
 names the cap), 2 usage error.
 
@@ -145,23 +149,17 @@ def _check_common(args) -> None:
 
 
 def _group_for(args):
-    """Base group for wreath walks; None for the sym walk."""
+    """Base group of the walk: --group for the wreath walks, Z:1 for sym
+    (S_n is 1 wr S_n)."""
     if args.walk == "sym":
-        return None
+        return cyclic_group(1)
     if not args.group:
         raise ValueError("wreath walks need --group (Z:m, S:m, or file:path)")
     return build_group(args.group)
 
 
-def _group_name(g, n: int) -> str:
-    return g.name if g is not None else f"S_{n}"
-
-
-def _exact_table(g, n: int, max_order: int):
-    """Explicit multiplication table for oracle work; caps apply.  The sym
-    walk's S_n is G wr S_n with G = 1."""
-    base = cyclic_group(1) if g is None else g
-    return build_wreath_table(base, n, max_order=max_order).group
+def _group_name(args, g) -> str:
+    return f"S_{args.n}" if args.walk == "sym" else g.name
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +169,11 @@ def cmd_spectrum(args) -> int:
     _check_common(args)
     g = _group_for(args)
     spec = spectrum(args.walk, args.n, g, max_labels=args.max_labels)
-    rows = []
-    for line in spec.lines:
-        if args.walk == "sym":
-            n1, lam1 = args.n, line.witness
-        else:
-            n1, lam1 = line.witness.type[0], line.witness.lambdas[0]
-        rows.append([line.value.numerator, line.value.denominator,
-                     line.multiplicity, n1, _fmt_partition(lam1)])
+    rows = [[line.value.numerator, line.value.denominator, line.multiplicity,
+             line.witness.type[0], _fmt_partition(line.witness.lambdas[0])]
+            for line in spec.lines]
     meta = {"subcommand": "spectrum", "walk": args.walk,
-            "group": _group_name(g, args.n), "n": args.n,
+            "group": _group_name(args, g), "n": args.n,
             "order": spec.group_order, "distinct_values": len(spec.lines)}
     emit(SPECTRUM_COLUMNS, rows, meta, args.format, args.out)
     return 0
@@ -195,10 +188,10 @@ def cmd_distance(args) -> int:
         rows.append([r["k"]] + [None if r[c] is None else float(r[c])
                                 for c in DISTANCE_COLUMNS[1:]])
     meta = {"subcommand": "distance", "walk": args.walk,
-            "group": _group_name(g, args.n), "n": args.n, "mode": curve.mode}
+            "group": _group_name(args, g), "n": args.n, "mode": curve.mode}
     rc = 0
     if args.check_oracle:
-        gt = _exact_table(g, args.n, args.max_order)
+        gt = build_wreath_table(g, args.n, max_order=args.max_order).group
         measure = build_measure(args.walk, args.n, g)
         want = {r["k"]: r["l2n_sq"] for r in curve.rows}
         worst = Fraction(0)
@@ -208,7 +201,7 @@ def cmd_distance(args) -> int:
             delta = abs(val - truth) if isinstance(val, Fraction) else abs(float(val) - float(truth))
             worst = max(worst, delta)
         ok = worst <= Fraction(1, 10 ** 9)
-        print(f"oracle-check: walk={args.walk} group={_group_name(g, args.n)} "
+        print(f"oracle-check: walk={args.walk} group={_group_name(args, g)} "
               f"n={args.n} max |l2n_sq delta| = {float(worst)!r} "
               f"({'ok' if ok else 'MISMATCH'})", file=sys.stderr)
         if not ok:
@@ -231,7 +224,7 @@ def cmd_threshold(args) -> int:
                  if r.direction == "sufficient" else None)
         rows.append([r.g_class, r.metric, r.direction, r.formula, r.asymptotic, value])
     meta = {"subcommand": "threshold", "walk": args.walk,
-            "group": _group_name(g, args.n), "n": args.n, "g_class": gclass}
+            "group": _group_name(args, g), "n": args.n, "g_class": gclass}
     emit(THRESHOLD_COLUMNS, rows, meta, args.format, args.out)
     return 0
 
@@ -239,14 +232,14 @@ def cmd_threshold(args) -> int:
 def cmd_oracle(args) -> int:
     _check_common(args)
     g = _group_for(args)
-    gt = _exact_table(g, args.n, args.max_order)
+    gt = build_wreath_table(g, args.n, max_order=args.max_order).group
     measure = build_measure(args.walk, args.n, g)
     rows = []
     for k, dist in convolution_curve(gt, measure, sorted(set(args.k))):
         d = exact_distances(dist, gt.order)
         rows.append([k, dist[0], d["l2n_sq"], d["tv"]])
     meta = {"subcommand": "oracle", "walk": args.walk,
-            "group": _group_name(g, args.n), "n": args.n, "order": gt.order}
+            "group": _group_name(args, g), "n": args.n, "order": gt.order}
     emit(ORACLE_COLUMNS, rows, meta, args.format, args.out)
     return 0
 
@@ -272,7 +265,7 @@ def _poisson_reference_tv(gt, measure, t: float, order: int) -> float | None:
 def cmd_simulate(args) -> int:
     _check_common(args)
     g = _group_for(args)
-    gt = _exact_table(g, args.n, args.max_order)   # order cap; exact column
+    gt = build_wreath_table(g, args.n, max_order=args.max_order).group  # order cap; exact column
     measure = build_measure(args.walk, args.n, g)
     order = gt.order
     rows = []
@@ -292,7 +285,7 @@ def cmd_simulate(args) -> int:
         tv, se = empirical_tv(run_walk_indices(cfg), None, order)
         rows.append([k, tv, se, ref, args.trials, args.seed])
     meta = {"subcommand": "simulate", "walk": args.walk,
-            "group": _group_name(g, args.n), "n": args.n, "mode": args.mode,
+            "group": _group_name(args, g), "n": args.n, "mode": args.mode,
             "trials": args.trials, "seed": args.seed, "rng": RNG_ALGORITHM}
     emit(SIMULATE_COLUMNS, rows, meta, args.format, args.out)
     return 0

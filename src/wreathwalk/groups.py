@@ -32,7 +32,7 @@ class GroupTable:
     class_of: np.ndarray       # element -> class index
     char_table: list[list] | None = None   # rows: irreps, cols: classes
     exact_characters: bool = False
-    elements: list | None = field(default=None, repr=False)  # decoded forms, optional
+    _dims: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -50,6 +50,10 @@ class GroupTable:
         return [len(c) for c in self.classes]
 
     def irrep_dims(self) -> list[int]:
+        """Irrep dimensions, row order of the character table; computed once
+        (read only)."""
+        if self._dims is not None:
+            return self._dims
         if self.char_table is None:
             raise ValueError(f"group {self.name} has no character table")
         dims = []
@@ -61,6 +65,7 @@ class GroupTable:
             if abs(float(d) - di) > 1e-9 or di < 1:
                 raise ValueError("character table has a non-integer dimension")
             dims.append(di)
+        self._dims = dims
         return dims
 
 
@@ -145,7 +150,6 @@ def cyclic_group(m: int) -> GroupTable:
         class_of=ar.astype(np.int64),
         char_table=char_table,
         exact_characters=exact,
-        elements=[k for k in range(m)],
     )
 
 
@@ -211,7 +215,6 @@ def symmetric_group(m: int) -> GroupTable:
         class_of=class_of,
         char_table=char_rows,
         exact_characters=True,
-        elements=perms,
     )
 
 

@@ -39,24 +39,22 @@ class TransitionMatrix:
 
 def measure_on_table(measure: WalkMeasure, g: GroupTable) -> dict[int, Fraction]:
     """Per-element masses of the walk's one-step law on an explicit table in
-    the wreath encoding (S_n is the case G = 1); keys are element indices
-    with nonzero mass.
+    the wreath encoding; keys are element indices with nonzero mass.
 
     Counted from the walk's definition: each of the n^2 |G|^b equally likely
-    draws (positions p, q, then two independent base elements a, b, one pair
-    a, a^-1, or none for sym) is the step element with a at p, b at q and
-    the swap (p q), or a alone at p when p = q."""
+    draws (positions p, q, then two independent base elements a, b, or one
+    pair a, a^-1 for paired) is the step element with a at p, b at q and
+    the swap (p q), or a alone at p when p = q.  Sym is the independent
+    case on G = 1: one draw (a, b) = (e, e)."""
     n, base = measure.n, measure.base
-    go = 1 if base is None else base.order
+    go = base.order
     if g.order != go ** n * math.factorial(n):
         raise ValueError(f"table order {g.order} is not |G|^n n! = {go ** n * math.factorial(n)}")
-    if measure.kind == "independent":
-        a, b = np.divmod(np.arange(go * go), go)
-    elif measure.kind == "paired":
+    if measure.kind == "paired":
         a = np.arange(go)
         b = base.inv[a]
     else:
-        a = b = np.zeros(1, dtype=np.int64)
+        a, b = np.divmod(np.arange(go * go), go)
     p, q, j = (x.ravel() for x in np.indices((n, n, len(a))))
     rows = np.arange(len(p))
     coords = np.zeros((len(p), n), dtype=np.int64)

@@ -12,8 +12,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
+from .classes import class_count
 from .groups import GroupTable
 from .partitions import (
     Partition,
@@ -25,7 +27,7 @@ from .partitions import (
 MAX_LABELS = 2 * 10 ** 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrrepLabel:
     type: tuple          # (n_1, ..., n_s)
     lambdas: tuple       # s partitions, lambdas[j] a partition of type[j]
@@ -45,29 +47,29 @@ def _compositions_desc(n: int, s: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def count_labels(g: GroupTable, n: int) -> int:
-    from .classes import class_count
-
-    return class_count(g, n)
-
-
 def enumerate_labels(g: GroupTable, n: int, max_labels: int = MAX_LABELS) -> list[IrrepLabel]:
     """All irrep labels, ordered by type composition (descending lex), then
     per-slot partition order.  The trivial label (n,0,...)[ [n], -,... ]
-    comes first."""
+    comes first.  On a one-class base (G = 1) the labels are the
+    partitions of n, and the refusal names them so."""
     s = g.num_classes
-    total = count_labels(g, n)
+    total = class_count(g, n)
     if total > max_labels:
-        raise ValueError(f"label count {total} exceeds cap {max_labels}")
-    parts_of = [enumerate_partitions(m) for m in range(n + 1)]
+        what = "partition" if s == 1 else "label"
+        raise ValueError(f"{what} count {total} exceeds cap {max_labels}")
+    parts_of: dict = {}          # m -> partitions of m, built when first used
     out = []
     for comp in _compositions_desc(n, s):
+        for m in comp:
+            if m not in parts_of:
+                parts_of[m] = enumerate_partitions(m)
         for lams in itertools.product(*(parts_of[m] for m in comp)):
-            out.append(IrrepLabel(type=comp, lambdas=tuple(lams)))
+            out.append(IrrepLabel(comp, lams))
     assert len(out) == total
     return out
 
 
+@lru_cache(maxsize=None)
 def multinomial(n: int, comp: tuple) -> int:
     out = math.factorial(n)
     for m in comp:
@@ -77,11 +79,10 @@ def multinomial(n: int, comp: tuple) -> int:
 
 def irrep_dimension(g: GroupTable, n: int, label: IrrepLabel) -> int:
     """multinomial(n; type) * prod d_{rho_j}^{n_j} * prod dim(lambda_j)."""
-    dims = g.irrep_dims()
     d = multinomial(n, label.type)
-    for j, nj in enumerate(label.type):
+    for dj, nj, lam in zip(g.irrep_dims(), label.type, label.lambdas):
         if nj:
-            d *= dims[j] ** nj * dim_partition(label.lambdas[j])
+            d *= dj ** nj * dim_partition(lam)
     return d
 
 

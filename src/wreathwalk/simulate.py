@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import GroupTable, cyclic_group
-from .wreath import WreathElement, encode_states
+from .groups import GroupTable
+from .wreath import WreathElement, encode_states, walk_base
 
 RNG_ALGORITHM = "PCG64"
 
@@ -30,7 +30,7 @@ RNG_ALGORITHM = "PCG64"
 class SimConfig:
     kind: str                      # sym | independent | paired
     n: int
-    g: GroupTable | None = None
+    g: GroupTable | None = None    # base group, resolved in __post_init__ (Z:1 for sym)
     k: int = 0                     # step count (discrete mode)
     t: float | None = None         # time horizon (continuized mode)
     trials: int = 1000
@@ -40,8 +40,7 @@ class SimConfig:
     def __post_init__(self):
         if self.kind not in ("sym", "independent", "paired"):
             raise ValueError(f"unknown walk kind {self.kind!r}")
-        if self.kind != "sym" and self.g is None:
-            raise ValueError("wreath walks need a base group")
+        self.g = walk_base(self.kind, self.g)
         if self.trials < 1:
             raise ValueError("trials >= 1")
         if self.mode not in ("discrete", "continuized"):
@@ -57,8 +56,7 @@ def sample_step(g: GroupTable | None, state: WreathElement, kind: str,
     coords = list(state.coords)
     perm = list(state.perm)
     n = len(perm)
-    if g is None:
-        g = cyclic_group(1)                  # sym: G = 1
+    g = walk_base(kind, g)
     p = int(rng.integers(n))
     q = int(rng.integers(n))
     a = b = 0                                # sym: no base draws
@@ -90,7 +88,7 @@ def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     O(1) per trial."""
     rng = np.random.default_rng(cfg.seed)
     T, n = cfg.trials, cfg.n
-    g = cyclic_group(1) if cfg.g is None else cfg.g    # sym: G = 1
+    g = cfg.g
     mult = np.asarray(g.mult, dtype=np.int64)
     ident = np.broadcast_to(np.int64(0), T)      # identity base draws, zero-stride
     coords = np.zeros((T, n), dtype=np.int64)
@@ -132,8 +130,7 @@ def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def run_walk_indices(cfg: SimConfig) -> np.ndarray:
     coords, perms = run_walk(cfg)
-    go = cfg.g.order if cfg.g is not None else 1
-    return encode_states(coords, perms, go)
+    return encode_states(coords, perms, cfg.g.order)
 
 
 def empirical_tv(samples: np.ndarray, reference, order: int,
@@ -170,9 +167,7 @@ def one_step_counts(kind: str, n: int, g: GroupTable | None, draws: int,
     goodness-of-fit checks against the exact measure."""
     cfg = SimConfig(kind=kind, n=n, g=g, k=1, trials=draws, seed=seed)
     idx = run_walk_indices(cfg)
-    go = g.order if g is not None else 1
-    order = go ** n * math.factorial(n)
-    return np.bincount(idx, minlength=order)
+    return np.bincount(idx, minlength=cfg.g.order ** n * math.factorial(n))
 
 
 # ---------------------------------------------------------------------------

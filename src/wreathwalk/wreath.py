@@ -25,7 +25,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import GroupTable, _inverses, conjugacy_classes, perm_rank, permutation_table
+from .groups import (
+    GroupTable,
+    _inverses,
+    conjugacy_classes,
+    cyclic_group,
+    perm_rank,
+    permutation_table,
+)
 
 MAX_WREATH_ORDER = 5000
 
@@ -33,6 +40,16 @@ MAX_WREATH_ORDER = 5000
 class WreathElement(NamedTuple):
     coords: tuple
     perm: tuple
+
+
+def walk_base(kind: str, g: GroupTable | None) -> GroupTable:
+    """The base group a walk runs on.  The sym walk is the wreath walk on
+    G = 1, so it gets Z:1 whatever g is; the wreath walks need g."""
+    if kind == "sym":
+        return cyclic_group(1)
+    if g is None:
+        raise ValueError("wreath walks need a base group")
+    return g
 
 
 def perm_inverse(perm: tuple) -> tuple:
@@ -78,8 +95,6 @@ class WreathTable(NamedTuple):
     group: GroupTable        # the wreath product as a plain GroupTable
     base: GroupTable
     n: int
-    elements: list           # index -> WreathElement
-    index: dict              # WreathElement -> index
 
 
 def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER) -> WreathTable:
@@ -104,16 +119,13 @@ def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER)
     mult = (z_index.reshape(len(coords), len(perms), len(coords), 1)
             + sn_mult[None, :, None, :]).reshape(order, order)
     inv = _inverses(mult)
-    elements = list(enumerate_wreath_elements(g, n))
-    index = {e: i for i, e in enumerate(elements)}
     classes, class_of = conjugacy_classes(mult, inv)
     table = GroupTable(
         name=f"{g.name} wr S_{n}",
         mult=mult,
         inv=inv,
-        labels=[f"{e.coords}|{e.perm}" for e in elements],
+        labels=[f"{c}|{p}" for c, p in enumerate_wreath_elements(g, n)],
         classes=classes,
         class_of=class_of,
-        elements=elements,
     )
-    return WreathTable(group=table, base=g, n=n, elements=elements, index=index)
+    return WreathTable(group=table, base=g, n=n)

@@ -36,7 +36,7 @@ from wreathwalk.partitions import (
     enumerate_partitions,
     sn_character_table,
 )
-from wreathwalk.reps import count_labels, enumerate_labels, irrep_dimension
+from wreathwalk.reps import enumerate_labels, irrep_dimension
 from wreathwalk.simulate import SimConfig, coupling_experiment, empirical_tv, run_walk_indices
 from wreathwalk.walks import (
     build_measure,
@@ -103,7 +103,7 @@ def test_criterion_04_counting_identities():
             order = wreath_order(g.order, n)
             spec = spectrum("independent", n, g)
             assert spec.multiplicity_total() == order
-            labels = count_labels(g, n)
+            labels = len(enumerate_labels(g, n))
             assert labels == class_count(g, n)
             brute = len({type_matrix(g, w) for w in enumerate_wreath_elements(g, n)})
             assert labels == brute

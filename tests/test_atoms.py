@@ -11,7 +11,6 @@ from wreathwalk.bounds import (
     l2n_sq_collapsed,
     paired_relaxed_bound,
     power_sums,
-    sym_l2n_sq,
     tv_lower_dominant,
     tv_upper_coupling,
     tv_upper_spectral,
@@ -54,7 +53,7 @@ def test_collapsed_columns_equal_per_k_calls(gname, n):
     ks = [0, 1, 40, 64, 65, 300]
     curve = distance_curve("independent", n, g, ks=ks, mode="collapsed")
     assert _column(curve, "l2n_sq") == [l2n_sq_collapsed(g.order, n, k) for k in ks]
-    coupling = [tv_upper_coupling(n, g.order, k, tv_upper_spectral(sym_l2n_sq(n, k))) for k in ks]
+    coupling = [tv_upper_coupling(n, g.order, k, tv_upper_spectral(l2n_sq_collapsed(1, n, k))) for k in ks]
     assert _column(curve, "tv_upper_coupling") == coupling
 
 
@@ -70,7 +69,7 @@ def test_sym_collapsed_column_equals_per_k_calls():
     ks = [0, 3, 64, 65, 150]
     curve = distance_curve("sym", 35, ks=ks)
     assert curve.mode == "collapsed"
-    assert _column(curve, "l2n_sq") == [sym_l2n_sq(35, k) for k in ks]
+    assert _column(curve, "l2n_sq") == [l2n_sq_collapsed(1, 35, k) for k in ks]
 
 
 def _paired(g, n):

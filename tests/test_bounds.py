@@ -17,7 +17,6 @@ from wreathwalk.bounds import (
     l2n_sq_collapsed_bounds,
     mixing_threshold,
     paired_relaxed_bound,
-    sym_l2n_sq,
     threshold_rows,
     tv_lower_chebyshev_sym,
     tv_lower_dominant,
@@ -58,7 +57,7 @@ def test_sym_degenerate_case():
     for n in (4, 7):
         spec = spectrum("sym", n)
         for k in (0, 1, 3, 8):
-            assert sym_l2n_sq(n, k) == l2n_sq_spectral(spec, k)
+            assert l2n_sq_collapsed(1, n, k) == l2n_sq_spectral(spec, k)
 
 
 @pytest.mark.parametrize("gname,n", [("Z:2", 6), ("Z:3", 5), ("S:3", 4)])

@@ -21,7 +21,7 @@ from wreathwalk.classes import (
 from wreathwalk.groups import build_group
 from wreathwalk.oracle import measure_on_table
 from wreathwalk.walks import build_measure
-from wreathwalk.wreath import WreathElement, build_wreath_table, wreath_order
+from wreathwalk.wreath import WreathElement, build_wreath_table, enumerate_wreath_elements, wreath_order
 
 INSTANCES = [("Z:2", 2), ("Z:2", 3), ("Z:3", 2), ("S:3", 2), ("Z:2", 4), ("S:3", 3)]
 
@@ -57,7 +57,7 @@ def test_type_matrix_matches_conjugation(gspec, n):
     # same partition of the group: (a) count matches the convolution formula,
     # (b) two elements share an orbit iff they share a type matrix
     assert len(orbits) == class_count(g, n)
-    fingerprint = [type_matrix(g, e) for e in wt.elements]
+    fingerprint = [type_matrix(g, e) for e in enumerate_wreath_elements(g, n)]
     for orbit in orbits:
         tms = {fingerprint[x] for x in orbit}
         assert len(tms) == 1

@@ -29,6 +29,10 @@ def test_sym_spectrum_honours_max_labels(capsys):
     assert err.startswith("error:") and "cap 1" in err
     rc, out, _ = run_cli(capsys, ["spectrum", "--walk", "sym", "--n", "3", "--max-labels", "3"])
     assert rc == 0 and len(out.strip().split("\n")) == 4
+    # the full-spectrum distance curve enumerates the same partitions
+    rc, out, err = run_cli(capsys, ["distance", "--walk", "sym", "--n", "3", "--k", "1",
+                                    "--max-labels", "1"])
+    assert rc == 1 and out == "" and "partition count 3 exceeds cap 1" in err
 
 
 def test_sym_spectrum_refuses_large_n_at_once(capsys):

@@ -3,24 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from wreathwalk.classes import class_count, support_classes
+from wreathwalk.classes import class_count, support_classes, type_matrix
 from wreathwalk.groups import build_group
 from wreathwalk.reps import (
     IrrepLabel,
-    count_labels,
     enumerate_labels,
     irrep_dimension,
     multinomial,
     support_characters,
 )
-from wreathwalk.wreath import wreath_order
+from wreathwalk.wreath import enumerate_wreath_elements, wreath_order
 
 
 def test_label_enumeration_counts():
     for gspec, n in [("Z:2", 3), ("Z:3", 2), ("S:3", 2), ("S:3", 3)]:
         g = build_group(gspec)
         labs = enumerate_labels(g, n)
-        assert len(labs) == count_labels(g, n) == class_count(g, n)
+        brute = len({type_matrix(g, w) for w in enumerate_wreath_elements(g, n)})
+        assert len(labs) == class_count(g, n) == brute
         assert len(set(labs)) == len(labs)
 
 

@@ -26,17 +26,18 @@ from wreathwalk.simulate import (
     sample_step,
 )
 from wreathwalk.walks import build_measure
-from wreathwalk.wreath import WreathElement, build_wreath_table
+from wreathwalk.wreath import WreathElement, build_wreath_table, enumerate_wreath_elements
 
 
 @pytest.mark.parametrize("gname,n", [("Z:2", 2), ("Z:2", 3), ("Z:3", 2), ("S:3", 2)])
 def test_encode_matches_table_order(gname, n):
     g = build_group(gname)
     wt = build_wreath_table(g, n)
-    coords = np.array([e.coords for e in wt.elements])
-    perms = np.array([e.perm for e in wt.elements])
+    elements = list(enumerate_wreath_elements(g, n))
+    coords = np.array([e.coords for e in elements])
+    perms = np.array([e.perm for e in elements])
     got = encode_states(coords, perms, g.order)
-    assert np.array_equal(got, np.arange(len(wt.elements)))
+    assert np.array_equal(got, np.arange(wt.group.order))
 
 
 def test_scalar_step_law():
@@ -46,7 +47,8 @@ def test_scalar_step_law():
     rng = np.random.default_rng(7)
     ident = WreathElement((0, 0), (0, 1))
     draws = 50000
-    cnt = Counter(wt.index[sample_step(g, ident, "paired", rng)] for _ in range(draws))
+    index = {e: i for i, e in enumerate(enumerate_wreath_elements(g, 2))}
+    cnt = Counter(index[sample_step(g, ident, "paired", rng)] for _ in range(draws))
     for i, p in probs.items():
         expect = float(p) * draws
         sd = math.sqrt(float(p) * (1 - float(p)) * draws)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathwalk.groups import build_group
+from wreathwalk.groups import build_group, cyclic_group
 from wreathwalk.reps import IrrepLabel, enumerate_labels
 from wreathwalk.walks import (
     build_measure,
@@ -19,7 +19,7 @@ from wreathwalk.walks import (
 def test_measure_masses_sym():
     m = build_measure("sym", 4)
     assert m.class_probs[("id",)] == Fraction(1, 4)
-    assert m.class_probs[("tau",)] == Fraction(2, 16)
+    assert m.class_probs[("v", 1)] == Fraction(2, 16)
     assert m.total_mass() == 1
 
 
@@ -53,6 +53,19 @@ def test_sym_spectrum_n3():
     spec = spectrum("sym", 3)
     got = {l.value: l.multiplicity for l in spec.lines}
     assert got == {Fraction(1): 1, Fraction(1, 3): 4, Fraction(-1, 3): 1}
+
+
+def test_sym_is_the_trivial_base_case():
+    # S_n is 1 wr S_n: the sym walk's spectrum, witnesses included, and its
+    # class measure are those of either wreath walk on G = 1
+    trivial = cyclic_group(1)
+    for n in range(1, 11):
+        spec = spectrum("sym", n)
+        assert all(isinstance(line.witness, IrrepLabel) for line in spec.lines)
+        for kind in ("independent", "paired"):
+            assert spectrum(kind, n, trivial).lines == spec.lines
+        assert (build_measure("sym", n).class_probs
+                == build_measure("independent", n, trivial).class_probs)
 
 
 def test_independent_spectrum_z2_s2():
