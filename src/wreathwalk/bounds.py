@@ -206,20 +206,18 @@ def _cmax_at_deficit(m, j):
     return w * (w - 1) + q * w * w - w * ((q + 1) ** 2 - 1) + r * r - (2 * q + 3) * r
 
 
-def l2n_sq_collapsed(g_order: int, n: int, k: int, exact: bool | None = None):
+def l2n_sq_collapsed(g_order: int, n: int, k: int, exact: bool = False):
     """sum over n_1 of C(n,n_1)(n!/n_1!)(|G|-1)^{n-n_1} sum over lambda|-n_1
     of d^2 [(n_1 + content)/n^2]^{2k}, trivial (n_1=n, [n]) excluded.
 
     Independent walk only; with g_order=1 it degenerates to the
     transposition walk's spectral sum on S_n.  Exact Fractions for
     n <= EXACT_N_MAX and k <= EXACT_K_MAX, float (windowed upper edge)
-    otherwise."""
+    otherwise; exact=True forces the Fraction at any k (n <= EXACT_N_MAX)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if exact is None:
-        return _column(g_order, n, [k])[0]
     if not exact:
-        return l2n_sq_collapsed_bounds(g_order, n, k)[1]
+        return _column(g_order, n, [k])[0]
     if n > EXACT_N_MAX:
         raise ValueError(f"exact path limited to n <= {EXACT_N_MAX}")
     return power_sums(_slot_atoms(g_order, n, None), [k], exact=True)[0]

@@ -322,10 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
-    def add_walk(sp, need_group=True):
-        if need_group:
-            sp.add_argument("--group", default=None,
-                            help="base group: Z:m, S:m (m <= 6), or file:path")
+    def add_walk(sp):
+        sp.add_argument("--group", default=None,
+                        help="base group: Z:m, S:m (m <= 6), or file:path")
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--walk", choices=("sym", "independent", "paired"), required=True)
 

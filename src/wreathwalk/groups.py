@@ -27,7 +27,6 @@ class GroupTable:
     name: str
     mult: np.ndarray           # (order, order) int, mult[a,b] = a*b
     inv: np.ndarray            # (order,) int
-    labels: list[str]
     classes: list[list[int]]   # class 0 = {identity}; ordered by min element
     class_of: np.ndarray       # element -> class index
     char_table: list[list] | None = None   # rows: irreps, cols: classes
@@ -145,7 +144,6 @@ def cyclic_group(m: int) -> GroupTable:
         name=f"Z:{m}",
         mult=mult.astype(np.int64),
         inv=inv.astype(np.int64),
-        labels=[str(k) for k in range(m)],
         classes=classes,
         class_of=ar.astype(np.int64),
         char_table=char_table,
@@ -210,7 +208,6 @@ def symmetric_group(m: int) -> GroupTable:
         name=f"S:{m}",
         mult=mult,
         inv=inv,
-        labels=["".join(str(x) for x in p) for p in perms],
         classes=classes,
         class_of=class_of,
         char_table=char_rows,
@@ -246,7 +243,8 @@ def _validate_char_table(g: GroupTable, tol: float = 1e-9) -> None:
 def group_from_file(path: str) -> GroupTable:
     """Ingest a group from JSON: {"order": N, "mult": [[...]...],
     "labels": [...], "char_table": [[[re, im], ...], ...]} (labels and
-    char_table optional).  Validation is strict."""
+    char_table optional; labels are only checked against the order).
+    Validation is strict."""
     with open(path) as fh:
         data = json.load(fh)
     if "order" not in data or "mult" not in data:
@@ -260,8 +258,8 @@ def group_from_file(path: str) -> GroupTable:
     _check_group_axioms(mult)
     inv = _inverses(mult)
     classes, class_of = conjugacy_classes(mult, inv)
-    labels = data.get("labels") or [str(i) for i in range(order)]
-    if len(labels) != order:
+    labels = data.get("labels")
+    if labels and len(labels) != order:
         raise ValueError("labels length must equal order")
     char_table = None
     exact = False
@@ -285,7 +283,6 @@ def group_from_file(path: str) -> GroupTable:
         name=f"file:{path}",
         mult=mult,
         inv=inv,
-        labels=list(labels),
         classes=classes,
         class_of=class_of,
         char_table=char_table,

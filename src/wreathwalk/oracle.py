@@ -3,7 +3,8 @@ convolution powers, and distances.
 
 Everything is exact rational arithmetic.  Matrices and convolution powers
 are integer numerators over a common denominator, so powers stay cheap.
-The one-step law is counted from the walk's draws (measure_on_table), not
+The one-step law is counted from the walk's draws (measure_on_table), each
+applied to the identity by the simulator's step `wreath.apply_steps`, not
 read from the spectral side's class measure, so agreement between the two
 routes is evidence, not circularity.
 """
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .groups import GroupTable
-from .wreath import encode_states
+from .wreath import apply_steps, encode_states
 
 if TYPE_CHECKING:
     from .walks import WalkMeasure
@@ -43,8 +44,8 @@ def measure_on_table(measure: WalkMeasure, g: GroupTable) -> dict[int, Fraction]
 
     Counted from the walk's definition: each of the n^2 |G|^b equally likely
     draws (positions p, q, then two independent base elements a, b, or one
-    pair a, a^-1 for paired) is the step element with a at p, b at q and
-    the swap (p q), or a alone at p when p = q.  Sym is the independent
+    pair a, a^-1 for paired) is applied to the identity with
+    `wreath.apply_steps`, the simulator's step.  Sym is the independent
     case on G = 1: one draw (a, b) = (e, e)."""
     n, base = measure.n, measure.base
     go = base.order
@@ -56,14 +57,11 @@ def measure_on_table(measure: WalkMeasure, g: GroupTable) -> dict[int, Fraction]
     else:
         a, b = np.divmod(np.arange(go * go), go)
     p, q, j = (x.ravel() for x in np.indices((n, n, len(a))))
-    rows = np.arange(len(p))
     coords = np.zeros((len(p), n), dtype=np.int64)
-    coords[rows, q] = b[j]
-    coords[rows, p] = a[j]               # overwrites b when p = q
-    perms = np.tile(np.arange(n), (len(p), 1))
-    perms[rows, p] = q
-    perms[rows, q] = p
-    counts = np.bincount(encode_states(coords, perms, go), minlength=g.order)
+    pinv = np.tile(np.arange(n), (len(p), 1))
+    apply_steps(coords, pinv, np.arange(len(p)), p, q, a[j], b[j], base.mult)
+    # from the identity, pinv is the transposition (p q), its own inverse
+    counts = np.bincount(encode_states(coords, pinv, go), minlength=g.order)
     return {int(i): Fraction(int(counts[i]), len(p)) for i in np.flatnonzero(counts)}
 
 

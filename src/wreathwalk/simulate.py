@@ -3,14 +3,17 @@ empirical TV with jackknife errors, and the two coupling experiments (the
 per-coordinate randomization tail and the pair-event graph connectivity
 time).
 
+Every walk step is one `wreath.apply_steps` call on row-aligned draws.
+
 Randomness contract: everything goes through numpy's default_rng (PCG64),
 and every report records the seed.  Per step the sampler draws, in order,
-p, then q, then one batch of base-group indices (two for the independent
-walk, one for the paired walk, none for the bare permutation walk),
-regardless of whether p == q, so the stream layout is fixed.  The coupling
-experiment draws, per chunk of trials, the uniform Prim keys (one (chunk,
-n-1) array, then one array per tree step for the keys that step reads),
-with the chunk size fixed by n; then one Exp(mean n) per trial for T*.
+p, then q, then a, then b (for the paired walk b = a^-1, not a draw),
+regardless of whether p == q, so the stream layout is fixed.  The sym walk
+draws a and b on Z:1, and integers(0, 1) consumes no random bits, so its
+stream is p and q alone.  The coupling experiment draws, per chunk of
+trials, the uniform Prim keys (one (chunk, n-1) array, then one array per
+tree step for the keys that step reads), with the chunk size fixed by n;
+then one Exp(mean n) per trial for T*.
 """
 from __future__ import annotations
 
@@ -21,9 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import GroupTable
-from .wreath import WreathElement, encode_states, walk_base
+from .wreath import apply_steps, encode_states, walk_base
 
 RNG_ALGORITHM = "PCG64"
+JACKKNIFE_BLOCKS = 100             # delete-one-block jackknife groups in empirical_tv
 
 
 @dataclass
@@ -49,80 +53,30 @@ class SimConfig:
             raise ValueError("continuized mode needs a time horizon t")
 
 
-def sample_step(g: GroupTable | None, state: WreathElement, kind: str,
-                rng) -> WreathElement:
-    """One left-multiplication by a draw from the walk measure, realized
-    procedurally.  Scalar reference for the vectorized runner."""
-    coords = list(state.coords)
-    perm = list(state.perm)
-    n = len(perm)
-    g = walk_base(kind, g)
-    p = int(rng.integers(n))
-    q = int(rng.integers(n))
-    a = b = 0                                # sym: no base draws
-    if kind == "independent":
-        a = int(rng.integers(g.order))
-        b = int(rng.integers(g.order))
-    elif kind == "paired":
-        a = int(rng.integers(g.order))
-        b = int(g.inv[a])
-    if p == q:
-        coords[p] = int(g.mult[a, coords[p]])
-    else:
-        # increment (v; tau_pq): new_x[p] = v_p x_q, new_x[q] = v_q x_p,
-        # new_perm = tau o perm (swap the values p and q)
-        xp, xq = coords[p], coords[q]
-        coords[p] = int(g.mult[a, xq])
-        coords[q] = int(g.mult[b, xp])
-        for i in range(n):
-            if perm[i] == p:
-                perm[i] = q
-            elif perm[i] == q:
-                perm[i] = p
-    return WreathElement(tuple(coords), tuple(perm))
-
-
 def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Simulate all trials; returns (coords, perms) arrays of shape
     (trials, n).  Tracks the inverse permutation internally so a step is
     O(1) per trial."""
     rng = np.random.default_rng(cfg.seed)
-    T, n = cfg.trials, cfg.n
-    g = cfg.g
-    mult = np.asarray(g.mult, dtype=np.int64)
-    ident = np.broadcast_to(np.int64(0), T)      # identity base draws, zero-stride
+    T, n, g = cfg.trials, cfg.n, cfg.g
     coords = np.zeros((T, n), dtype=np.int64)
     pinv = np.tile(np.arange(n, dtype=np.int64), (T, 1))
     if cfg.mode == "continuized":
         steps = rng.poisson(cfg.t, size=T)
         kmax = int(steps.max()) if T else 0
     else:
-        steps = np.full(T, cfg.k, dtype=np.int64)
         kmax = cfg.k
     rows = np.arange(T)
     for step in range(kmax):
         p = rng.integers(0, n, size=T)
         q = rng.integers(0, n, size=T)
-        if cfg.kind == "sym":
-            a = b = ident                    # no base draws
-        else:
-            a = rng.integers(0, g.order, size=T)
-            b = g.inv[a] if cfg.kind == "paired" else rng.integers(0, g.order, size=T)
-        active = steps > step
-        swap = active & (p != q)
-        r = rows[swap]
-        pp, qq = p[swap], q[swap]
-        xp = coords[r, pp].copy()
-        xq = coords[r, qq]
-        coords[r, pp] = mult[a[swap], xq]
-        coords[r, qq] = mult[b[swap], xp]
-        tmp = pinv[r, pp].copy()
-        pinv[r, pp] = pinv[r, qq]
-        pinv[r, qq] = tmp
-        stay = active & (p == q)
-        r2 = rows[stay]
-        pp2 = p[stay]
-        coords[r2, pp2] = mult[a[stay], coords[r2, pp2]]
+        a = rng.integers(0, g.order, size=T)
+        b = g.inv[a] if cfg.kind == "paired" else rng.integers(0, g.order, size=T)
+        r = rows
+        if cfg.mode == "continuized":        # the trials whose Poisson count exceeds step
+            on = steps > step
+            r, p, q, a, b = rows[on], p[on], q[on], a[on], b[on]
+        apply_steps(coords, pinv, r, p, q, a, b, g.mult)
     perms = np.empty_like(pinv)
     np.put_along_axis(perms, pinv, np.broadcast_to(np.arange(n), (T, n)), axis=1)
     return coords, perms
@@ -133,8 +87,7 @@ def run_walk_indices(cfg: SimConfig) -> np.ndarray:
     return encode_states(coords, perms, cfg.g.order)
 
 
-def empirical_tv(samples: np.ndarray, reference, order: int,
-                 blocks: int = 100) -> tuple[float, float]:
+def empirical_tv(samples: np.ndarray, reference, order: int) -> tuple[float, float]:
     """Plug-in TV between the empirical law of `samples` (element indices)
     and a reference distribution, with a grouped delete-one-block jackknife
     standard error.  reference: dict index -> prob, or None for uniform."""
@@ -148,7 +101,7 @@ def empirical_tv(samples: np.ndarray, reference, order: int,
             pi[i] = float(p)
     counts = np.bincount(samples, minlength=order).astype(np.float64)
     tv = 0.5 * np.abs(counts / m - pi).sum()
-    B = min(blocks, m)
+    B = min(JACKKNIFE_BLOCKS, m)
     edges = np.linspace(0, m, B + 1).astype(int)
     reps = []
     for b in range(B):

@@ -16,6 +16,11 @@ Element encoding, the one used everywhere: the index of (coords; perm) is
 `encode_states` computes it; explicit tables are built in this order and
 the simulator encodes its states with the same function, so an encoded
 sample is a row index of the table.
+
+The walk step, the one rule for every walk: draw positions p, q and base
+elements a, b, then left-multiply by the step element with a at p, b at q
+and the swap (p q).  `apply_steps` is its one array statement; the
+simulator and the oracle's one-step law both call it.
 """
 from __future__ import annotations
 
@@ -91,6 +96,18 @@ def encode_states(coords: np.ndarray, perms: np.ndarray, g_order: int) -> np.nda
     return digits * math.factorial(n) + perm_rank(perms)
 
 
+def apply_steps(coords: np.ndarray, pinv: np.ndarray, rows, p, q, a, b,
+                mult: np.ndarray) -> None:
+    """Left-multiply state rows[i] of (coords, pinv), pinv the inverse
+    permutations, by the step element with a[i] at p[i], b[i] at q[i] and
+    the swap (p[i] q[i]), in place: coordinate q becomes b x_p, then p
+    becomes a x_q (a x_p when p = q), and entries p and q of pinv swap."""
+    xp, xq = coords[rows, p], coords[rows, q]
+    coords[rows, q] = mult[b, xp]
+    coords[rows, p] = mult[a, xq]
+    pinv[rows, p], pinv[rows, q] = pinv[rows, q], pinv[rows, p]
+
+
 class WreathTable(NamedTuple):
     group: GroupTable        # the wreath product as a plain GroupTable
     base: GroupTable
@@ -124,7 +141,6 @@ def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER)
         name=f"{g.name} wr S_{n}",
         mult=mult,
         inv=inv,
-        labels=[f"{c}|{p}" for c, p in enumerate_wreath_elements(g, n)],
         classes=classes,
         class_of=class_of,
     )

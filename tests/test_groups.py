@@ -125,6 +125,10 @@ def test_file_ingestion_rejects_broken_tables(tmp_path):
     p.write_text(json.dumps({"order": 3}))
     with pytest.raises(ValueError):
         group_from_file(str(p))
+    # labels that do not name every element
+    p.write_text(json.dumps({"order": 3, "mult": g.mult.tolist(), "labels": ["e", "r"]}))
+    with pytest.raises(ValueError, match="labels length"):
+        group_from_file(str(p))
 
 
 def test_file_ingestion_rejects_bad_characters(tmp_path):

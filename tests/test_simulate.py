@@ -1,7 +1,6 @@
 """Sampler correctness: one-step laws, state encoding, reproducibility,
 empirical TV, and both coupling experiments."""
 import math
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +22,15 @@ from wreathwalk.simulate import (
     per_step_hit_probability,
     run_walk,
     run_walk_indices,
-    sample_step,
 )
 from wreathwalk.walks import build_measure
-from wreathwalk.wreath import WreathElement, build_wreath_table, enumerate_wreath_elements
+from wreathwalk.wreath import (
+    WreathElement,
+    apply_steps,
+    build_wreath_table,
+    enumerate_wreath_elements,
+    wreath_multiply,
+)
 
 
 @pytest.mark.parametrize("gname,n", [("Z:2", 2), ("Z:2", 3), ("Z:3", 2), ("S:3", 2)])
@@ -40,19 +44,40 @@ def test_encode_matches_table_order(gname, n):
     assert np.array_equal(got, np.arange(wt.group.order))
 
 
-def test_scalar_step_law():
-    g = build_group("Z:2")
-    wt = build_wreath_table(g, 2)
-    probs = measure_on_table(build_measure("paired", 2, g), wt.group)
-    rng = np.random.default_rng(7)
-    ident = WreathElement((0, 0), (0, 1))
-    draws = 50000
-    index = {e: i for i, e in enumerate(enumerate_wreath_elements(g, 2))}
-    cnt = Counter(index[sample_step(g, ident, "paired", rng)] for _ in range(draws))
-    for i, p in probs.items():
-        expect = float(p) * draws
-        sd = math.sqrt(float(p) * (1 - float(p)) * draws)
-        assert abs(cnt.get(i, 0) - expect) < 5 * sd
+@pytest.mark.parametrize("gname,n", [("Z:1", 3), ("Z:2", 3), ("Z:3", 2), ("S:3", 2)])
+def test_apply_steps_is_left_multiplication_by_the_step_element(gname, n):
+    # every draw (p, q, a, b), p = q included, on every state: the array
+    # update equals the scalar product with (a at p, b at q; (p q))
+    g = build_group(gname)
+    states = list(enumerate_wreath_elements(g, n))
+    draws = [(p, q, a, b) for p in range(n) for q in range(n)
+             for a in range(g.order) for b in range(g.order)]
+    pairs = [(d, s) for d in draws for s in states]
+    coords = np.array([s.coords for _, s in pairs], dtype=np.int64)
+    pinv = np.argsort(np.array([s.perm for _, s in pairs]), axis=1)
+    p, q, a, b = np.array([d for d, _ in pairs]).T
+    apply_steps(coords, pinv, np.arange(len(pairs)), p, q, a, b, g.mult)
+    perms = np.argsort(pinv, axis=1)
+    for i, ((p, q, a, b), state) in enumerate(pairs):
+        v = [0] * n
+        v[q] = b
+        v[p] = a                          # a alone at p when p = q
+        tau = list(range(n))
+        tau[p], tau[q] = q, p
+        want = wreath_multiply(g, WreathElement(tuple(v), tuple(tau)), state)
+        assert (tuple(coords[i]), tuple(perms[i])) == want
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuized"])
+def test_sym_samples_equal_the_trivial_base_walks(mode):
+    # sym runs on Z:1, whose base draws integers(0, 1) consume no random
+    # bits, so one seed gives sym and both wreath walks on Z:1 one stream
+    z1 = build_group("Z:1")
+    runs = [run_walk_indices(SimConfig(kind=kind, n=4, g=g, k=9, t=6.0, trials=3000,
+                                       seed=31, mode=mode))
+            for kind, g in (("sym", None), ("independent", z1), ("paired", z1))]
+    assert len(np.unique(runs[0])) > 1
+    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
 
 
 @pytest.mark.parametrize("gname", ["Z:2", "Z:3"])
