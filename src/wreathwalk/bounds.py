@@ -27,6 +27,7 @@ import numpy as np
 from .classes import class_count
 from .groups import GroupTable
 from .partitions import (
+    WORD_M_MAX,
     char_ratio_transposition,
     conjugate,
     content_rows,
@@ -519,9 +520,10 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
     if ks is None:
         ks = list(range(0, 2 * n + 1))
     if mode == "auto":
+        cap = MAX_LABELS if max_labels is None else max_labels
         if kind == "sym":
             mode = "full-spectrum" if n <= 30 else "collapsed"
-        elif class_count(g, n) <= (MAX_LABELS if max_labels is None else max_labels):
+        elif n <= WORD_M_MAX and class_count(g, n) <= cap:   # labels need the table
             mode = "full-spectrum"
         else:
             mode = "collapsed" if kind == "independent" else "relaxed"

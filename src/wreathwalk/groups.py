@@ -240,6 +240,18 @@ def _validate_char_table(g: GroupTable, tol: float = 1e-9) -> None:
                 raise ValueError("character table rows are not orthogonal")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_pair(entry, bound: int) -> bool:
+    # a JSON [re, im] of numbers; |x| <= bound also refuses inf, nan and
+    # ints too large for a float
+    return (isinstance(entry, list) and len(entry) == 2 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= bound
+        for x in entry))
+
+
 def group_from_file(path: str) -> GroupTable:
     """Ingest a group from JSON: {"order": N, "mult": [[...]...],
     "labels": [...], "char_table": [[[re, im], ...], ...]} (labels and
@@ -247,24 +259,35 @@ def group_from_file(path: str) -> GroupTable:
     Validation is strict."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("group file must hold a JSON object")
     if "order" not in data or "mult" not in data:
         raise ValueError("group file needs 'order' and 'mult'")
-    order = int(data["order"])
-    if order < 1 or order > MAX_INGEST_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_INGEST_ORDER}")
-    mult = np.array(data["mult"], dtype=np.int64)
-    if mult.shape != (order, order):
-        raise ValueError("'mult' must be an order x order table")
+    order, table = data["order"], data["mult"]
+    if not _is_int(order) or order < 1 or order > MAX_INGEST_ORDER:
+        raise ValueError(f"'order' must be an integer in 1..{MAX_INGEST_ORDER}")
+    if not (isinstance(table, list) and len(table) == order and all(
+            isinstance(row, list) and len(row) == order
+            and all(_is_int(x) and 0 <= x < order for x in row) for row in table)):
+        raise ValueError("'mult' must be an order x order table of integers in 0..order-1")
+    mult = np.array(table, dtype=np.int64)
     _check_group_axioms(mult)
     inv = _inverses(mult)
     classes, class_of = conjugacy_classes(mult, inv)
     labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError("'labels' must be a list")
     if labels and len(labels) != order:
         raise ValueError("labels length must equal order")
     char_table = None
     exact = False
-    if "char_table" in data and data["char_table"] is not None:
-        raw = data["char_table"]
+    raw = data.get("char_table")
+    if raw is not None:
+        if not (isinstance(raw, list) and all(
+                isinstance(row, list) and all(_is_pair(entry, order) for entry in row)
+                for row in raw)):
+            raise ValueError("'char_table' must be a list of rows of [re, im] number pairs, "
+                             "each at most the order in size")
         rows = []
         all_real_int = True
         for raw_row in raw:

@@ -3,6 +3,31 @@ eigenvalue functional r(lambda).
 
 Everything here is exact: Fractions for rationals, Python ints elsewhere.
 No floating point in this module.
+
+The shared partition table (partition_table, content_rows, and through it
+dim_partition) is grown one level m at a time in numpy.  A partition is its
+boundary word: the rim of its Young diagram (English notation) walked from
+bottom left to top right, N for a step up and E for a step right, between
+one padding N in front and one padding E at the end.  With N = 1 and the
+first letter most significant the word is one uint64 whose leading N is its
+own length sentinel.  It has lambda_1 + l + 2 <= m + 3 letters (l rows), so
+every partition of m <= WORD_M_MAX = 61 fits; the table refuses larger m.
+
+The addable corners are the NE pairs, the set bits of w & ~(w << 1).
+Adding a cell flips its NE to EN, w ^ (3 << (b - 1)) for the N at bit b,
+and the word is re-padded when the flip moved a padding letter.  Counting
+letters from the front (the padding N is letter 0), the cell added at
+letter p has content p - l, so the content sum grows by 2 (p - l).
+
+Each partition of m is made once, from the partition of m - 1 without the
+last cell of its last row, so a level needs no deduplication: parent by
+parent, the last row lengthened comes before a new row of one cell, which
+lists every level in reverse-lex order.  The branching rule
+dim(lam) = sum of dim(lam - corner) runs over the parents' corners one bit
+position at a time, finding each child by binary search in the sorted
+words.  Dimensions are base-2^30 limbs in int64: a dozen limbs sum far
+below 2^63, and a carry pass brings every limb back below 2^30.  They
+become Python ints only on the way out.
 """
 from __future__ import annotations
 
@@ -11,8 +36,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Tuple
 
+import numpy as np
+
 Partition = Tuple[int, ...]
-ENUM_N_MAX = 120       # partitions of n are enumerated only up to here
+WORD_M_MAX = 61        # the partition table: a partition of m is one uint64 up to here
+_LIMB = 30             # table dimensions are exact base-2^30 limbs
+_LIMB_MASK = (1 << _LIMB) - 1
 
 
 def is_partition(lam) -> bool:
@@ -39,8 +68,8 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
-    if n > ENUM_N_MAX:
-        raise ValueError(f"partition enumeration capped at n = {ENUM_N_MAX}")
+    """The partitions of n in reverse-lex order, for n up to the table's cap."""
+    _refuse_past_cap(n)
     return list(partitions_of(n))
 
 
@@ -122,43 +151,90 @@ def dim_hook(lam: Partition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the shared partition table: dimensions and content sums, one m at a time,
-# by the branching rule dim(lam) = sum of dim(lam - corner).
+# the shared partition table: one numpy level per m, grown from the level
+# m - 1 by adding one cell at every addable corner (see the module docstring).
 
 
-def _grow(level: dict) -> dict:
-    """{lam: (dim, content_sum)} over the partitions of m from the same
-    table for m - 1, adding one box to each partition every way."""
-    out: dict = {}
-    for mu, (d, c) in level.items():
-        for row in range(len(mu) + 1):
-            col = mu[row] if row < len(mu) else 0
-            if row == 0 or mu[row - 1] > col:
-                lam = mu[:row] + (col + 1,) + mu[row + 1:]
-                out[lam] = (out.get(lam, (0,))[0] + d, c + 2 * (col - row))
-    return out
+def _refuse_past_cap(m: int) -> None:
+    if m > WORD_M_MAX:
+        raise ValueError(f"n = {m} exceeds cap {WORD_M_MAX} of the partition table "
+                         "(64-bit boundary words)")
 
 
-def _levels(top: int) -> Iterator[dict]:
-    """{lam: (dim, content_sum)} over the partitions of m, for m = 0..top in
-    turn; each level is grown from the one before it."""
-    if top > ENUM_N_MAX:
-        raise ValueError(f"partition enumeration capped at n = {ENUM_N_MAX}")
-    level = {(): (1, 0)}
-    for m in range(top + 1):
-        level = _grow(level) if m else level
-        yield level
+def _add_cell(words: np.ndarray, b) -> np.ndarray:
+    """The boundary words with one cell added at the corner whose N is bit
+    b: NE becomes EN, then a padding letter the flip moved is put back."""
+    one = np.uint64(1)
+    child = words ^ (np.uint64(3) << (b - one))
+    child |= ((words >> (b + one)) == 0).astype(np.uint64) << (b + one)   # padding N
+    return child << (b == one).astype(np.uint64)                         # padding E
+
+
+def _word_levels(top: int) -> Iterator[tuple]:
+    """(contents, limbs) for m = 0..top in turn: the content sums of the
+    partitions of m in reverse-lex order, and their dimensions as base-2^30
+    limbs (one row per limb, least significant first)."""
+    _refuse_past_cap(top)
+    one = np.uint64(1)
+    words = np.array([0b10], dtype=np.uint64)          # the empty partition: N E
+    lam1, ell, last, contents = (np.zeros(1, dtype=np.int64) for _ in range(4))
+    limbs = np.ones((1, 1), dtype=np.int64)
+    yield contents, limbs
+    for _ in range(top):
+        length = lam1 + ell + 2
+        corners = words & ~(words << one)
+        # each partition of m once, from the one partition of m - 1 that
+        # lacks the last cell of its last row: parent by parent, first the
+        # last row lengthened (where that is a corner), then a new row of
+        # one cell; this is reverse-lex order
+        grow_b = length - 2 - last
+        grow = ((corners >> grow_b.astype(np.uint64)) & one).astype(bool)
+        parent, new_row = np.nonzero(np.column_stack([grow, np.ones_like(grow)]))
+        b = np.where(new_row, length[parent] - 1, grow_b[parent])
+        children = _add_cell(words[parent], b.astype(np.uint64))
+        # the added cell's content is its letter position minus l
+        contents = contents[parent] + 2 * (lam1[parent] + 1 - b)
+        lam1 = lam1[parent] + (b == 1)
+        ell = ell[parent] + new_row
+        last = np.where(new_row, 1, last[parent] + 1)
+        # branching rule, one corner position at a time: the parents with a
+        # corner at bit b reach distinct children, found by binary search
+        order = np.argsort(children)
+        sorted_children = children[order]
+        sums = np.zeros((len(limbs) + 1, children.size), dtype=np.int64)
+        for bit in range(1, int(length.max())):
+            sel = np.flatnonzero((corners >> np.uint64(bit)) & one)
+            found = np.searchsorted(sorted_children, _add_cell(words[sel], np.uint64(bit)))
+            sums[:-1, order[found]] += limbs[:, sel]
+        for i in range(len(sums) - 1):                  # carries: limbs back below 2^30
+            sums[i + 1] += sums[i] >> _LIMB
+            sums[i] &= _LIMB_MASK
+        limbs = sums if sums[-1].any() else sums[:-1]
+        words = children
+        yield contents, limbs
+
+
+def _level_dims(limbs: np.ndarray) -> list[int]:
+    """Exact dimensions, one Python int per partition, from their limbs
+    (paired into 60-bit words first, so Python sees half as many)."""
+    if len(limbs) % 2:
+        limbs = np.vstack([limbs, np.zeros_like(limbs[:1])])
+    pairs = limbs[0::2] | (limbs[1::2] << _LIMB)
+    dims = pairs[-1].tolist()
+    for pair in pairs[-2::-1]:
+        dims = [(d << 2 * _LIMB) | x for d, x in zip(dims, pair.tolist())]
+    return dims
 
 
 @lru_cache(maxsize=None)
 def partition_table(m: int) -> dict:
-    """{lam: (dim, content_sum)} for every partition of m (read only).
-    Only the requested levels are kept."""
+    """{lam: (dim, content_sum)} for every partition of m (read only), in
+    reverse-lex order.  Only the requested levels are kept."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    for level in _levels(m):
+    for contents, limbs in _word_levels(m):
         pass
-    return level
+    return dict(zip(partitions_of(m), zip(_level_dims(limbs), contents.tolist())))
 
 
 def dim_partition(lam: Partition) -> int:
@@ -171,11 +247,12 @@ def dim_partition(lam: Partition) -> int:
 @lru_cache(maxsize=None)
 def content_rows(top: int) -> tuple:
     """Per m = 0..top, one pair (c, sum of dim^2) per distinct content sum c
-    of the partitions of m; the per-partition levels are not kept."""
+    of the partitions of m, in order of first appearance in reverse-lex
+    order; the per-partition levels are not kept."""
     out = []
-    for level in _levels(top):
+    for contents, limbs in _word_levels(top):
         rows: dict = {}
-        for d, c in level.values():
+        for d, c in zip(_level_dims(limbs), contents.tolist()):
             rows[c] = rows.get(c, 0) + d * d
         out.append(tuple(rows.items()))
     return tuple(out)

@@ -212,3 +212,25 @@ def test_coupling_n1_answers():
     lines = out.stdout.strip().split("\n")
     assert lines[1] == "c,threshold,empirical_tail,limit,stderr,trials,seed"
     assert len(lines) == 2 + 6
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": 2, "mult": [[0, 1], [1, 0]], "labels": 5}',
+    '{"order": 2, "mult": [[0, 1], [1, 0]], "char_table": 7}',
+    '5',
+    '{"order": 2.5, "mult": [[0, 1], [1, 0]]}',
+    '{"order": 1e999, "mult": [[0]]}',
+    '{"order": 2, "mult": [[0, 1], [1, 1.5]]}',
+    '{"order": 2, "mult": [[0, 1], [1, 100000000000000000000]]}',
+    '{"order": 2, "mult": [[0, 1], [1, 0]], "char_table": [[[1, 0], [1, 0]], [[1, 0], [1e999, 0]]]}',
+], ids=["labels-not-a-list", "char-table-not-a-list", "not-an-object", "float-order",
+        "huge-order", "float-mult-entry", "huge-mult-entry", "huge-character"])
+def test_malformed_group_file_refused(tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    out = subprocess.run(
+        [sys.executable, "-m", "wreathwalk", "spectrum", "--group", f"file:{path}",
+         "--n", "2", "--walk", "independent"],
+        capture_output=True, text=True)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr

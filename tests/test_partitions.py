@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +12,16 @@ from wreathwalk import partitions
 from wreathwalk.classes import class_count
 from wreathwalk.groups import build_group
 from wreathwalk.partitions import (
+    WORD_M_MAX,
     char_ratio_transposition,
     conjugate,
+    content_rows,
     dim_hook,
     dim_partition,
     enumerate_partitions,
     mn_character,
     partition_count,
+    partition_table,
     sn_character_table,
 )
 
@@ -175,3 +179,81 @@ def test_partition_counts_grow_one_shared_table(monkeypatch):
     assert builds == [600]
     assert [partition_count(m) for m in range(201)] == ref
     assert builds == [600]
+
+
+# ---------------------------------------------------------------------------
+# the shared partition table against the scalar branching rule
+
+
+def _grow(level: dict) -> dict:
+    """{lam: (dim, content_sum)} over the partitions of m from the same
+    table for m - 1, adding one box to each partition every way."""
+    out: dict = {}
+    for mu, (d, c) in level.items():
+        for row in range(len(mu) + 1):
+            col = mu[row] if row < len(mu) else 0
+            if row == 0 or mu[row - 1] > col:
+                lam = mu[:row] + (col + 1,) + mu[row + 1:]
+                out[lam] = (out.get(lam, (0,))[0] + d, c + 2 * (col - row))
+    return out
+
+
+def _reference_levels(top: int):
+    level = {(): (1, 0)}
+    for m in range(top + 1):
+        level = _grow(level) if m else level
+        yield level
+
+
+def test_table_matches_scalar_branching():
+    # same partitions, dims and content sums, in the same (reverse-lex) order
+    for m, level in enumerate(_reference_levels(25)):
+        assert list(partition_table(m).items()) == list(level.items())
+        assert list(level) == enumerate_partitions(m)
+
+
+def test_content_rows_match_scalar_branching():
+    rows = content_rows(30)
+    for m, level in enumerate(_reference_levels(30)):
+        want: dict = {}
+        for d, c in level.values():
+            want[c] = want.get(c, 0) + d * d
+        assert dict(rows[m]) == want
+        assert rows[m] == tuple(want.items())      # first-appearance order: fixed atom order
+
+
+def test_table_invariants_at_m40():
+    # p(m) partitions, sum d^2 = m!, and sum d = number of involutions of m
+    # (an independent check of the limb carries: dims reach 76 bits)
+    involutions = [1, 1]
+    for m in range(2, 41):
+        involutions.append(involutions[-1] + (m - 1) * involutions[-2])
+    for m, (contents, limbs) in enumerate(partitions._word_levels(40)):
+        dims = partitions._level_dims(limbs)
+        assert len(dims) == len(contents) == partition_count(m)
+        assert all(type(d) is int for d in dims)
+        assert sum(d * d for d in dims) == math.factorial(m)
+        assert sum(dims) == involutions[m]
+    assert max(dims).bit_length() == 76
+
+
+def test_cells_added_at_the_cap_fill_the_word():
+    # the two longest words of m = 61, (61) and (1^61), fill all 64 bits:
+    # N E^61 N E and N E N^61 E; they grow from (60) at its top row (the
+    # padding E re-padded) and from (1^60) at a new row (the padding N)
+    parents = np.array([(1 << 62) | 0b10, (1 << 62) | (((1 << 60) - 1) << 1)], dtype=np.uint64)
+    children = [(1 << 63) | 0b10, (1 << 63) | (((1 << 61) - 1) << 1)]
+    for i, b in enumerate([1, 62]):
+        assert int(partitions._add_cell(parents[i:i + 1], np.uint64(b))[0]) == children[i]
+
+
+def test_table_refuses_past_the_word_cap():
+    assert WORD_M_MAX == 61
+    levels = partitions._word_levels(WORD_M_MAX + 1)
+    with pytest.raises(ValueError, match="exceeds cap 61"):
+        next(levels)                                   # refused before level 0
+    for build in (partition_table, content_rows, enumerate_partitions):
+        with pytest.raises(ValueError, match="exceeds cap 61 of the partition table"):
+            build(WORD_M_MAX + 1)
+    with pytest.raises(ValueError, match="exceeds cap 61"):
+        dim_partition((WORD_M_MAX + 1,))

@@ -1,4 +1,6 @@
 """Bad input is refused before any work, with an error naming the problem."""
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from wreathwalk.bounds import classify_base, distance_curve
 from wreathwalk.cli import main
 from wreathwalk.groups import build_group
+from wreathwalk.reps import enumerate_labels
 from wreathwalk.walks import l2n_sq_spectral, return_probability, spectrum
 
 
@@ -43,6 +46,27 @@ def test_sym_spectrum_refuses_large_n_at_once(capsys):
     assert time.monotonic() - t0 < 1.0
     with pytest.raises(ValueError):
         spectrum("sym", 12, max_labels=76)
+
+
+def test_labels_past_the_partition_table_cap_refused_at_once():
+    # p(62) = 1 300 156 labels fit the label cap, but no partition of 62
+    # fits a 64-bit boundary word: refused before any label is built
+    t0 = time.monotonic()
+    out = subprocess.run([sys.executable, "-m", "wreathwalk", "spectrum", "--walk", "sym",
+                          "--n", "62"], capture_output=True, text=True)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr == ("error: n = 62 exceeds cap 61 of the partition table "
+                          "(64-bit boundary words)\n")
+    assert time.monotonic() - t0 < 5.0
+    with pytest.raises(ValueError, match="exceeds cap 61"):
+        enumerate_labels(build_group("Z:2"), 62, max_labels=10 ** 20)
+
+
+def test_auto_distance_past_the_table_cap_answers():
+    # a raised label cap does not send auto mode to a spectrum past the cap
+    curve = distance_curve("independent", 62, build_group("Z:2"), ks=[200],
+                           max_labels=10 ** 20)
+    assert curve.mode == "collapsed" and curve.rows[0]["l2n_sq"] > 0
 
 
 def test_trivial_base_group_refused(capsys):
