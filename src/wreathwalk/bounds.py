@@ -510,35 +510,33 @@ class DistanceCurve:
 def distance_curve(kind: str, n: int, g: GroupTable | None = None,
                    ks: list[int] | None = None, mode: str = "auto",
                    max_labels: int | None = None) -> DistanceCurve:
-    """Distance/bound table over a k range.  mode=auto prefers the exact
-    spectrum when the label set is enumerable, the collapsed formula for
-    large independent instances, and the relaxed bound for large paired
-    ones.  Each l2 column comes from one set of atoms for all ks."""
+    """Distance/bound table over a k range.  Sym (|G| = 1) and independent
+    curves read the collapsed rows: every row, the exact spectrum, for
+    n <= FULL_ENUM_MAX, else a window.  Only paired curves read labels,
+    while they fit max_labels, else the relaxed bound.  Each l2 column
+    comes from one set of atoms for all ks."""
     from .walks import spectral_atoms, spectrum
 
     g = walk_base(kind, g)
     if ks is None:
         ks = list(range(0, 2 * n + 1))
-    if mode == "auto":
+    if mode == "auto" and kind != "paired":
+        mode = "full-spectrum" if n <= FULL_ENUM_MAX else "collapsed"
+    elif mode == "auto":
         cap = MAX_LABELS if max_labels is None else max_labels
-        if kind == "sym":
-            mode = "full-spectrum" if n <= 30 else "collapsed"
-        elif n <= WORD_M_MAX and class_count(g, n) <= cap:   # labels need the table
-            mode = "full-spectrum"
-        else:
-            mode = "collapsed" if kind == "independent" else "relaxed"
+        fits = n <= WORD_M_MAX and class_count(g, n) <= cap   # labels need the table
+        mode = "full-spectrum" if fits else "relaxed"
     if mode == "collapsed" and kind == "paired":
         raise ValueError("the collapsed sum only matches the independent walk; use relaxed")
     if mode == "relaxed" and kind != "paired":
         raise ValueError("the relaxed bound is paired-walk only")
-    spec = None
-    if mode == "full-spectrum":
-        spec = spectrum(kind, n, g, max_labels=max_labels)
     rows = []
     dims = g.irrep_dims()
     g_order = g.order
-    if spec is not None:
-        l2s = l2_column(spectral_atoms(spec), ks)
+    if mode == "full-spectrum" and kind == "paired":
+        l2s = l2_column(spectral_atoms(spectrum(kind, n, g, max_labels=max_labels)), ks)
+    elif mode == "full-spectrum":
+        l2s = l2_column(_slot_atoms(g_order, n, None), ks)
     elif mode == "collapsed":
         l2s = _column(g_order, n, ks)
     else:

@@ -132,8 +132,8 @@ def parse_krange(text: str) -> list[int]:
 
 def parse_clist(text: str) -> list[float]:
     vals = [float(x) for x in text.split(",") if x.strip() != ""]
-    if not vals:
-        raise ValueError("empty c list")
+    if not vals or not all(map(math.isfinite, vals)):
+        raise ValueError(f"bad c list {text!r}")
     return vals
 
 
@@ -264,6 +264,8 @@ def _poisson_reference_tv(gt, measure, t: float, order: int) -> float | None:
 
 def cmd_simulate(args) -> int:
     _check_common(args)
+    if args.trials < 2:
+        raise ValueError("simulate needs --trials >= 2 for its stderr column")
     g = _group_for(args)
     gt = build_wreath_table(g, args.n, max_order=args.max_order).group  # order cap; exact column
     measure = build_measure(args.walk, args.n, g)

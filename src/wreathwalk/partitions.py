@@ -44,15 +44,6 @@ _LIMB = 30             # table dimensions are exact base-2^30 limbs
 _LIMB_MASK = (1 << _LIMB) - 1
 
 
-def is_partition(lam) -> bool:
-    """True if lam is a weakly decreasing tuple of positive ints (or empty)."""
-    if not isinstance(lam, tuple):
-        return False
-    if any((not isinstance(p, int)) or p < 1 for p in lam):
-        return False
-    return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-
-
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """Yield partitions of n in reverse-lexicographic order: [n] first, [1^n] last."""
     if n < 0:
@@ -238,10 +229,15 @@ def partition_table(m: int) -> dict:
 
 
 def dim_partition(lam: Partition) -> int:
-    """dim of the S_n irrep for lam, from the shared partition table."""
-    if not is_partition(lam) or sum(lam) < 1:
+    """dim of the S_n irrep for lam, from the shared partition table: lam
+    must be a key, with an int sum ((2.0, 1) hashes like the key (2, 1))."""
+    try:
+        m = sum(lam) if isinstance(lam, tuple) else None
+    except TypeError:
+        m = None
+    if type(m) is not int or m < 1 or lam not in partition_table(m):
         raise ValueError("need a valid partition of n >= 1")
-    return partition_table(sum(lam))[lam][0]
+    return partition_table(m)[lam][0]
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,7 @@ def _column(curve, name):
 
 @pytest.mark.parametrize("kind,gname,n", [
     ("independent", "Z:2", 3), ("paired", "Z:3", 3), ("sym", None, 5),
+    ("sym", None, 12), ("independent", "S:3", 5),
 ])
 def test_full_spectrum_column_equals_per_k_calls(kind, gname, n):
     g = build_group(gname) if gname else None
@@ -67,9 +68,20 @@ def test_relaxed_column_equals_per_k_calls(gname, n):
 
 def test_sym_collapsed_column_equals_per_k_calls():
     ks = [0, 3, 64, 65, 150]
-    curve = distance_curve("sym", 35, ks=ks)
+    curve = distance_curve("sym", 45, ks=ks)
     assert curve.mode == "collapsed"
-    assert _column(curve, "l2n_sq") == [l2n_sq_collapsed(1, 35, k) for k in ks]
+    assert _column(curve, "l2n_sq") == [l2n_sq_collapsed(1, 45, k) for k in ks]
+
+
+@pytest.mark.parametrize("n", [5, 31, 45])
+def test_sym_is_the_independent_walk_on_z1(n):
+    # one walk, two spellings: the same route and the same columns
+    ks = [1, 30, 60, 90]
+    sym = distance_curve("sym", n, ks=ks)
+    z1 = distance_curve("independent", n, build_group("Z:1"), ks=ks)
+    assert sym.mode == z1.mode
+    for name in ("l2n_sq", "tv_upper_spectral"):
+        assert _column(sym, name) == _column(z1, name)
 
 
 def _paired(g, n):

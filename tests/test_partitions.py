@@ -162,6 +162,12 @@ def test_dim_rejects_garbage():
         dim_partition((1, 2))
     with pytest.raises(ValueError):
         dim_partition(())
+    # equal to the key (2, 1) and hashing like it, but not a partition
+    with pytest.raises(ValueError):
+        dim_partition((2.0, 1))
+    for not_a_tuple in ([2, 1], "21", 3, None):
+        with pytest.raises(ValueError):
+            dim_partition(not_a_tuple)
 
 
 def test_partition_counts_grow_one_shared_table(monkeypatch):

@@ -32,10 +32,10 @@ def test_sym_spectrum_honours_max_labels(capsys):
     assert err.startswith("error:") and "cap 1" in err
     rc, out, _ = run_cli(capsys, ["spectrum", "--walk", "sym", "--n", "3", "--max-labels", "3"])
     assert rc == 0 and len(out.strip().split("\n")) == 4
-    # the full-spectrum distance curve enumerates the same partitions
-    rc, out, err = run_cli(capsys, ["distance", "--walk", "sym", "--n", "3", "--k", "1",
-                                    "--max-labels", "1"])
-    assert rc == 1 and out == "" and "partition count 3 exceeds cap 1" in err
+    # the sym distance curve reads the collapsed rows, not labels: no cap
+    argv = ["distance", "--walk", "sym", "--n", "3", "--k", "1"]
+    rc, out, _ = run_cli(capsys, argv + ["--max-labels", "1"])
+    assert rc == 0 and out == run_cli(capsys, argv)[1]
 
 
 def test_sym_spectrum_refuses_large_n_at_once(capsys):
@@ -84,6 +84,28 @@ def test_coupling_refuses_hours_of_work_at_once(capsys):
     rc, out, err = run_cli(capsys, ["coupling", "--n", "5000", "--trials", "1000000"])
     assert rc == 1 and out == ""
     assert err.startswith("error:") and "exceeds cap 10000000000" in err
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_simulate_refuses_one_trial_before_the_table(capsys):
+    # one trial has no stderr; the refusal comes before k = 0..1500 is run
+    t0 = time.monotonic()
+    rc, out, err = run_cli(capsys, ["simulate", "--group", "Z:2", "--n", "4", "--walk",
+                                    "independent", "--k", "0..1500", "--trials", "1"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "--trials >= 2" in err
+    assert time.monotonic() - t0 < 1.0
+
+
+@pytest.mark.parametrize("c", ["nan", "0,inf", "-inf"])
+def test_coupling_refuses_non_finite_c(capsys, c):
+    # a usage error (exit 2) from the parser, not an exception from the sampler
+    t0 = time.monotonic()
+    with pytest.raises(SystemExit) as stop:
+        main(["coupling", "--n", "10", f"--c={c}", "--trials", "10"])
+    captured = capsys.readouterr()
+    assert stop.value.code == 2 and captured.out == ""
+    assert "invalid parse_clist value" in captured.err
     assert time.monotonic() - t0 < 1.0
 
 
