@@ -10,8 +10,12 @@ collapsed and relaxed atoms are one per (n_1, content) row of the shared
 partition table; above FULL_ENUM_MAX an n_1 gets a deficit window (first
 row n_1 - j, j <= J_WINDOW) plus one tail majorant per larger deficit.
 
-A sum is exact iff k <= EXACT_K_MAX, and for the collapsed and relaxed
-sums also n <= EXACT_N_MAX.  l2n_sq(k) always means
+Exactness is a property of the atoms, decided once in _atoms: the
+collapsed (sym, independent) atoms are exact, every row as ints and
+Fractions, iff n <= FULL_ENUM_MAX; the relaxed bound's iff
+n <= EXACT_N_MAX, because exact relaxed sums are slow above that.  Every
+evaluator then gives a Fraction iff the atoms are exact and
+k <= EXACT_K_MAX, else a float.  l2n_sq(k) always means
 |group| * ||P^{*k} - U||_2^2 with the trivial line excluded.
 """
 from __future__ import annotations
@@ -39,8 +43,8 @@ from .reps import MAX_LABELS
 from .wreath import walk_base
 
 J_WINDOW = 12          # deficit window for large-n inner sums
-FULL_ENUM_MAX = 40     # below this, just enumerate all partitions
-EXACT_N_MAX = 12       # exact Fraction path of the collapsed/relaxed sums
+FULL_ENUM_MAX = 40     # every partition, exactly: the collapsed sums' exact atoms
+EXACT_N_MAX = 12       # exact atoms of the relaxed bound
 EXACT_K_MAX = 64       # exact Fraction path of every l2 sum
 
 
@@ -82,18 +86,26 @@ def exact_atoms(weights, values) -> Atoms:
 def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
     """sum_i w_i y_i^{2k} for every k in ks.
 
-    exact: Fractions, over one common denominator, from the exact atoms.
-    Otherwise certified (lower, upper) floats by log-sum-exp: the lower
-    edge sums the atoms, the upper edge adds the tail majorants."""
+    exact: Fractions, over one common denominator, from the exact atoms;
+    atoms with equal y^2 share one weight, and the powers step up from one
+    k to the next.  Otherwise certified (lower, upper) floats by
+    log-sum-exp: the lower edge sums the atoms, the upper edge adds the
+    tail majorants."""
     if exact:
         if atoms.weights is None:
             raise ValueError("these atoms have no exact form")
         wd = math.lcm(*(Fraction(w).denominator for w in atoms.weights))
         yd = math.lcm(*(Fraction(y).denominator for y in atoms.values))
-        ws = [int(w * wd) for w in atoms.weights]
-        ys = [int(y * yd) for y in atoms.values]
-        return [Fraction(sum(w * y ** (2 * k) for w, y in zip(ws, ys)), wd * yd ** (2 * k))
-                for k in ks]
+        by_y2 = {}
+        for w, y in zip(atoms.weights, atoms.values):
+            y2 = int(y * yd) ** 2
+            by_y2[y2] = by_y2.get(y2, 0) + int(w * wd)
+        y2s, ws = list(by_y2), list(by_y2.values())
+        pows, at, got = [1] * len(y2s), 0, {}
+        for k in sorted(set(ks)):
+            pows = [p * y2 ** (k - at) for p, y2 in zip(pows, y2s)]
+            got[k], at = Fraction(sum(w * p for w, p in zip(ws, pows)), wd * yd ** (2 * k)), k
+        return [got[k] for k in ks]
     main = ~atoms.tail
     out = []
     for k in ks:
@@ -112,11 +124,11 @@ def _exp_sum(t: np.ndarray) -> float:
         return float(np.exp(top + math.log(np.exp(t - top).sum())))
 
 
-def l2_column(atoms: Atoms, ks, exact_ok: bool = True, at_zero: float | None = None) -> list:
-    """One l2 value per k: an exact Fraction where exact_ok and
+def l2_column(atoms: Atoms, ks, at_zero: float | None = None) -> list:
+    """One l2 value per k: an exact Fraction where the atoms are exact and
     k <= EXACT_K_MAX, else the float upper edge (at k = 0 the closed form
     at_zero, when given)."""
-    exact = [k for k in ks if exact_ok and k <= EXACT_K_MAX]
+    exact = [k for k in ks if atoms.weights is not None and k <= EXACT_K_MAX]
     got = dict(zip(exact, power_sums(atoms, exact, exact=True) if exact else []))
     rest = [k for k in ks if k not in got]
     got.update((k, at_zero if k == 0 and at_zero is not None else hi)
@@ -213,36 +225,40 @@ def l2n_sq_collapsed(g_order: int, n: int, k: int, exact: bool = False):
 
     Independent walk only; with g_order=1 it degenerates to the
     transposition walk's spectral sum on S_n.  Exact Fractions for
-    n <= EXACT_N_MAX and k <= EXACT_K_MAX, float (windowed upper edge)
-    otherwise; exact=True forces the Fraction at any k (n <= EXACT_N_MAX)."""
+    n <= FULL_ENUM_MAX and k <= EXACT_K_MAX, float (windowed upper edge
+    above FULL_ENUM_MAX) otherwise; exact=True forces the Fraction at any
+    k (n <= FULL_ENUM_MAX)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if not exact:
-        return _column(g_order, n, [k])[0]
-    if n > EXACT_N_MAX:
-        raise ValueError(f"exact path limited to n <= {EXACT_N_MAX}")
-    return power_sums(_slot_atoms(g_order, n, None), [k], exact=True)[0]
+    if exact and n > FULL_ENUM_MAX:
+        raise ValueError(f"exact path limited to n <= {FULL_ENUM_MAX}")
+    return power_sums(_atoms(g_order, n), [k], exact=True)[0] if exact else _column(g_order, n, [k])[0]
+
+
+def _atoms(g_order: int, n: int, paired: tuple | None = None) -> Atoms:
+    """The collapsed atoms (paired = (s, delta_n): the relaxed bound's)
+    under the one exactness rule: every row exactly for
+    n <= FULL_ENUM_MAX (relaxed: EXACT_N_MAX), else windowed logs."""
+    exact = n <= (EXACT_N_MAX if paired else FULL_ENUM_MAX)
+    return _slot_atoms(g_order, n, None if exact else (J_WINDOW, FULL_ENUM_MAX), paired)
 
 
 def _column(g_order: int, n: int, ks, paired: tuple | None = None) -> list:
-    """The collapsed sum (paired = (s, delta_n): the relaxed bound) at every
-    k under the exactness rule, from one set of atoms."""
-    exact = n <= EXACT_N_MAX
-    atoms = _slot_atoms(g_order, n, None if exact else (J_WINDOW, FULL_ENUM_MAX), paired)
+    """The collapsed sum (or the relaxed bound) at every k, from one set of
+    atoms."""
     at_zero = g_order ** n * math.factorial(n) - 1
     if paired:
         at_zero = Fraction(paired[0], 2) * at_zero + Fraction(paired[1], 4)
-    return l2_column(atoms, ks, exact, _float_or_inf(at_zero))
+    return l2_column(_atoms(g_order, n, paired), ks, _float_or_inf(at_zero))
 
 
-def l2n_sq_collapsed_bounds(g_order: int, n: int, k: int,
-                            j_window: int = J_WINDOW) -> tuple[float, float]:
+def l2n_sq_collapsed_bounds(g_order: int, n: int, k: int) -> tuple[float, float]:
     """Certified (lower, upper) floats for the collapsed sum.  They coincide
-    whenever every inner sum is fully enumerated (n <= FULL_ENUM_MAX)."""
+    whenever the atoms are exact (n <= FULL_ENUM_MAX)."""
     if k == 0:
         f = _float_or_inf(g_order ** n * math.factorial(n) - 1)
         return f, f
-    return power_sums(_slot_atoms(g_order, n, (j_window, FULL_ENUM_MAX)), [k])[0]
+    return power_sums(_atoms(g_order, n), [k])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +279,8 @@ def paired_relaxed_bound(g: GroupTable, n: int, k: int):
     The inner power majorizes every per-slot eigenvalue (the true ones
     carry an extra 1/d_j decay), so the bound is loose but safe on
     nonabelian bases.  Exact Fraction for n <= EXACT_N_MAX and
-    k <= EXACT_K_MAX."""
+    k <= EXACT_K_MAX, float otherwise: unlike the collapsed sum's, exact
+    relaxed atoms are slow past n = 12 (1.8 s at n = 40 on S:3)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     return _column(g.order, n, [k], (g.num_classes, delta_n(g, n)))[0]
@@ -280,7 +297,7 @@ def tv_upper_spectral(l2n_sq_value) -> float:
     return min(1.0, 0.5 * math.sqrt(max(0.0, v)))
 
 
-def tv_upper_coupling(n: int, g_order: int, k: int, sym_tv_upper: float) -> float:
+def tv_upper_coupling(n: int, k: int, sym_tv_upper: float) -> float:
     """TV of the independent wreath walk <= TV of the bare permutation walk
     plus the chance some coordinate was never touched: exact tail
     n (1 - 1/n)^{2k}."""
@@ -288,23 +305,22 @@ def tv_upper_coupling(n: int, g_order: int, k: int, sym_tv_upper: float) -> floa
     return min(1.0, sym_tv_upper + tail)
 
 
-def tv_lower_dominant(g_order: int, n: int, k: int, kind: str,
-                      dims: list[int] | None = None) -> float:
+def tv_lower_dominant(dims: list[int], n: int, k: int, kind: str) -> float:
     """(1/2) sqrt of the dominant spectral summand: a certified lower bound
     on (1/2) sqrt(l2n_sq), i.e. on the normalized l2 distance scale (not a
-    TV lower bound).
+    TV lower bound).  dims are the base group's irrep dimensions, trivial
+    first; |G| = sum d^2.
 
     independent: n^2 (|G|-1) (1-1/n)^{4k}.
-    paired: max of that and the all-in-one-slot family; on an abelian base
-    the family sums to (|G|-1)((n-1)/n)^{2k}, with base irrep dims supplied
-    each slot decays as ((n-1)/(n d_j))^{2k}, which is what the true
-    spectrum does.
+    paired: max of that and the all-in-one-slot family: d_j^{2n} lines
+    at (n-1)/(n d_j) per nontrivial base irrep j, which is what the true
+    spectrum has ((|G|-1)((n-1)/n)^{2k} in all on an abelian base).
     """
     if kind not in ("independent", "paired"):
         raise ValueError("dominant term applies to the wreath walks")
-    term = n * n * (g_order - 1) * (1.0 - 1.0 / n) ** (4 * k)
+    term = n * n * (sum(d * d for d in dims) - 1) * (1.0 - 1.0 / n) ** (4 * k)
     if kind == "paired":
-        slots = dims[1:] if dims is not None else [1] * (g_order - 1)
+        slots = dims[1:]
         atoms = exact_atoms([d ** (2 * n) for d in slots], [Fraction(n - 1, n * d) for d in slots])
         term = max(term, power_sums(atoms, [k])[0][0])
     return 0.5 * math.sqrt(term)
@@ -508,7 +524,7 @@ class DistanceCurve:
 
 
 def distance_curve(kind: str, n: int, g: GroupTable | None = None,
-                   ks: list[int] | None = None, mode: str = "auto",
+                   ks: list[int] | None = None,
                    max_labels: int | None = None) -> DistanceCurve:
     """Distance/bound table over a k range.  Sym (|G| = 1) and independent
     curves read the collapsed rows: every row, the exact spectrum, for
@@ -520,43 +536,25 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
     g = walk_base(kind, g)
     if ks is None:
         ks = list(range(0, 2 * n + 1))
-    if mode == "auto" and kind != "paired":
+    cap = MAX_LABELS if max_labels is None else max_labels
+    if kind != "paired":
         mode = "full-spectrum" if n <= FULL_ENUM_MAX else "collapsed"
-    elif mode == "auto":
-        cap = MAX_LABELS if max_labels is None else max_labels
-        fits = n <= WORD_M_MAX and class_count(g, n) <= cap   # labels need the table
-        mode = "full-spectrum" if fits else "relaxed"
-    if mode == "collapsed" and kind == "paired":
-        raise ValueError("the collapsed sum only matches the independent walk; use relaxed")
-    if mode == "relaxed" and kind != "paired":
-        raise ValueError("the relaxed bound is paired-walk only")
-    rows = []
-    dims = g.irrep_dims()
-    g_order = g.order
-    if mode == "full-spectrum" and kind == "paired":
+        l2s = _column(g.order, n, ks)
+    elif n <= WORD_M_MAX and class_count(g, n) <= cap:      # labels need the table
+        mode = "full-spectrum"
         l2s = l2_column(spectral_atoms(spectrum(kind, n, g, max_labels=max_labels)), ks)
-    elif mode == "full-spectrum":
-        l2s = l2_column(_slot_atoms(g_order, n, None), ks)
-    elif mode == "collapsed":
-        l2s = _column(g_order, n, ks)
     else:
-        l2s = [4.0 * float(v) for v in _column(g_order, n, ks, (g.num_classes, delta_n(g, n)))]
-    sym_l2s = _column(1, n, ks) if kind == "independent" and n >= 2 else None
-    for i, (k, l2) in enumerate(zip(ks, l2s)):
-        row = {
-            "k": k,
-            "l2n_sq": l2,
-            "tv_upper_spectral": tv_upper_spectral(l2),
-            "tv_upper_coupling": None,
-            "l2_lower_dominant": None,
-            "tv_lower_chebyshev": None,
-        }
-        if kind == "independent":
-            sym_part = tv_upper_spectral(sym_l2s[i]) if sym_l2s else 0.0
-            row["tv_upper_coupling"] = tv_upper_coupling(n, g_order, k, sym_part)
-        if kind != "sym":
-            row["l2_lower_dominant"] = tv_lower_dominant(g_order, n, k, kind, dims=dims)
-        if kind == "sym" and n >= 4:
-            row["tv_lower_chebyshev"] = tv_lower_chebyshev_sym(n, k)
-        rows.append(row)
+        mode = "relaxed"
+        l2s = [4.0 * float(v) for v in _column(g.order, n, ks, (g.num_classes, delta_n(g, n)))]
+    dims = g.irrep_dims()
+    sym_l2s = _column(1, n, ks) if kind == "independent" and n >= 2 else [0] * len(ks)
+    rows = [{
+        "k": k,
+        "l2n_sq": l2,
+        "tv_upper_spectral": tv_upper_spectral(l2),
+        "tv_upper_coupling": (tv_upper_coupling(n, k, tv_upper_spectral(sym_l2))
+                              if kind == "independent" else None),
+        "l2_lower_dominant": tv_lower_dominant(dims, n, k, kind) if kind != "sym" else None,
+        "tv_lower_chebyshev": tv_lower_chebyshev_sym(n, k) if kind == "sym" and n >= 4 else None,
+    } for k, l2, sym_l2 in zip(ks, l2s, sym_l2s)]
     return DistanceCurve(kind=kind, n=n, mode=mode, rows=rows)

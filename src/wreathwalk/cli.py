@@ -194,15 +194,19 @@ def cmd_distance(args) -> int:
         gt = build_wreath_table(g, args.n, max_order=args.max_order).group
         measure = build_measure(args.walk, args.n, g)
         want = {r["k"]: r["l2n_sq"] for r in curve.rows}
+        bound = curve.mode != "full-spectrum"     # an upper bound: only a shortfall fails
         worst = Fraction(0)
         for k, dist in convolution_curve(gt, measure, sorted(want)):
             truth = exact_distances(dist, gt.order)["l2n_sq"]
             val = want[k]
-            delta = abs(val - truth) if isinstance(val, Fraction) else abs(float(val) - float(truth))
-            worst = max(worst, delta)
+            if not isinstance(val, Fraction):
+                val, truth = float(val), float(truth)
+            worst = max(worst, truth - val if bound else abs(val - truth))
         ok = worst <= Fraction(1, 10 ** 9)
+        what = (f"one-sided, mode {curve.mode} is an upper bound: max l2n_sq shortfall"
+                if bound else "max |l2n_sq delta|")
         print(f"oracle-check: walk={args.walk} group={_group_name(args, g)} "
-              f"n={args.n} max |l2n_sq delta| = {float(worst)!r} "
+              f"n={args.n} {what} = {float(worst)!r} "
               f"({'ok' if ok else 'MISMATCH'})", file=sys.stderr)
         if not ok:
             rc = 1
@@ -390,6 +394,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
 
 

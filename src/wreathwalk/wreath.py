@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -117,11 +118,17 @@ class WreathTable(NamedTuple):
 def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER) -> WreathTable:
     """Materialize G wr S_n as an explicit multiplication table.
 
-    Refuses orders above max_order (default 5000).
+    Refuses orders above max_order (default 5000), and, before allocating
+    anything, tables whose order^2 int64 entries exceed physical memory.
     """
     order = wreath_order(g.order, n)
     if order > max_order:
         raise ValueError(f"wreath order {order} exceeds cap {max_order}")
+    need, have = 8 * order * order, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"wreath order {order} needs a {need / 2 ** 30:.1f} GiB table "
+                         f"(order^2 int64 entries), more than the {have / 2 ** 30:.1f} GiB "
+                         f"of physical memory")
     perms, sn_mult = permutation_table(n)
     coords = np.array(list(itertools.product(range(g.order), repeat=n)), dtype=np.int64)
     y = np.repeat(coords, len(perms), axis=0)                 # coords of each element

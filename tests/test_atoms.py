@@ -48,13 +48,18 @@ def test_full_spectrum_column_equals_per_k_calls(kind, gname, n):
     assert [type(v) for v in _column(curve, "l2n_sq")] == [type(v) for v in want]
 
 
-@pytest.mark.parametrize("gname,n", [("Z:2", 6), ("Z:3", 60)])
+@pytest.mark.parametrize("gname,n", [("Z:2", 6), ("Z:2", 20), ("Z:3", 60)])
 def test_collapsed_columns_equal_per_k_calls(gname, n):
+    # through FULL_ENUM_MAX the curve, the per-k sums and the coupling
+    # column's sym part all read the exact rows; above it, the window
     g = build_group(gname)
     ks = [0, 1, 40, 64, 65, 300]
-    curve = distance_curve("independent", n, g, ks=ks, mode="collapsed")
-    assert _column(curve, "l2n_sq") == [l2n_sq_collapsed(g.order, n, k) for k in ks]
-    coupling = [tv_upper_coupling(n, g.order, k, tv_upper_spectral(l2n_sq_collapsed(1, n, k))) for k in ks]
+    curve = distance_curve("independent", n, g, ks=ks)
+    want = [l2n_sq_collapsed(g.order, n, k) for k in ks]
+    assert _column(curve, "l2n_sq") == want
+    exact = n <= bounds.FULL_ENUM_MAX
+    assert [isinstance(v, Fraction) for v in want] == [exact and k <= bounds.EXACT_K_MAX for k in ks]
+    coupling = [tv_upper_coupling(n, k, tv_upper_spectral(l2n_sq_collapsed(1, n, k))) for k in ks]
     assert _column(curve, "tv_upper_coupling") == coupling
 
 
@@ -62,7 +67,8 @@ def test_collapsed_columns_equal_per_k_calls(gname, n):
 def test_relaxed_column_equals_per_k_calls(gname, n):
     g = build_group(gname)
     ks = [0, 1, 64, 65, 400]
-    curve = distance_curve("paired", n, g, ks=ks, mode="relaxed")
+    curve = distance_curve("paired", n, g, ks=ks, max_labels=0 if n == 4 else None)
+    assert curve.mode == "relaxed"
     assert _column(curve, "l2n_sq") == [4.0 * float(paired_relaxed_bound(g, n, k)) for k in ks]
 
 
@@ -119,8 +125,12 @@ def test_exact_path_switches_at_exact_k_max():
     spec = spectrum("independent", 3, build_group("Z:2"))
     assert isinstance(l2n_sq_spectral(spec, bounds.EXACT_K_MAX), Fraction)
     assert isinstance(l2n_sq_spectral(spec, bounds.EXACT_K_MAX + 1), float)
-    assert isinstance(l2n_sq_collapsed(2, bounds.EXACT_N_MAX, bounds.EXACT_K_MAX), Fraction)
-    assert isinstance(l2n_sq_collapsed(2, bounds.EXACT_N_MAX + 1, 1), float)
+    # collapsed sums: exact through FULL_ENUM_MAX; relaxed: through EXACT_N_MAX
+    assert isinstance(l2n_sq_collapsed(2, bounds.FULL_ENUM_MAX, bounds.EXACT_K_MAX), Fraction)
+    assert isinstance(l2n_sq_collapsed(2, bounds.FULL_ENUM_MAX + 1, 1), float)
+    g = build_group("Z:2")
+    assert isinstance(paired_relaxed_bound(g, bounds.EXACT_N_MAX, bounds.EXACT_K_MAX), Fraction)
+    assert isinstance(paired_relaxed_bound(g, bounds.EXACT_N_MAX + 1, 1), float)
     with pytest.raises(ValueError):
         power_sums(bounds._slot_atoms(2, 30, (bounds.J_WINDOW, bounds.FULL_ENUM_MAX)),
                    [1], exact=True)
@@ -149,9 +159,9 @@ def test_relaxed_windowed_upper_edge_covers_exact(monkeypatch, gname):
 def test_sums_past_the_float_range_answer():
     # the k = 0 closed form and a slot sum with d^{2n} = 2^1200 used to
     # raise OverflowError; now they come out as inf and as a finite value
-    curve = distance_curve("paired", 200, build_group("S:3"), ks=[0], mode="relaxed")
-    assert curve.rows[0]["l2n_sq"] == math.inf
-    got = tv_lower_dominant(6, 600, 4000, "paired", dims=[1, 2, 1])
+    curve = distance_curve("paired", 200, build_group("S:3"), ks=[0])
+    assert curve.mode == "relaxed" and curve.rows[0]["l2n_sq"] == math.inf
+    got = tv_lower_dominant([1, 2, 1], 600, 4000, "paired")
     # the d = 2 slot, 2^1200 (599/1200)^8000, is below e^-4700
     want = 0.5 * math.sqrt(max(600 ** 2 * 5 * (599 / 600) ** 16000, (599 / 600) ** 8000))
     assert got == pytest.approx(want, rel=1e-9)

@@ -80,7 +80,8 @@ def test_multiplicity_collapse_identity(gname, n):
 
 
 def test_float_path_matches_exact():
-    for go, n in [(2, 6), (3, 5)]:
+    # exact atoms through FULL_ENUM_MAX: the bracket closes on the exact sum
+    for go, n in [(2, 6), (3, 5), (2, bounds.FULL_ENUM_MAX)]:
         for k in (1, 4, 10, 25):
             ex = float(l2n_sq_collapsed(go, n, k, exact=True))
             lo, hi = l2n_sq_collapsed_bounds(go, n, k)
@@ -95,18 +96,21 @@ def test_k0_closed_form():
 
 
 def test_windowed_bounds_sandwich_exact(monkeypatch):
-    # shrink the full-enumeration cutoff so the deficit window is exercised
-    # at a size where the exact value is still computable
+    # shrink the full-enumeration cutoff and the window so the deficit
+    # window is exercised at a size where the exact value is computable;
+    # the exact references come first, while n = 12 is still exact
+    cases = [(go, 12, k) for go in (2, 3) for k in (8, 12, 20, 40)]
+    exact = [float(l2n_sq_collapsed(go, n, k, exact=True)) for go, n, k in cases]
     monkeypatch.setattr(bounds, "FULL_ENUM_MAX", 10)
-    for go, n in [(2, 12), (3, 12)]:
-        for k in (8, 12, 20, 40):
-            ex = float(l2n_sq_collapsed(go, n, k, exact=True))
-            lo, hi = l2n_sq_collapsed_bounds(go, n, k, j_window=4)
-            assert lo <= ex * (1 + 1e-9)
-            assert hi >= ex * (1 - 1e-9)
-            if k >= 20:
-                # window majorants are tight once the small eigenvalues decay
-                assert hi <= ex * 1.001
+    monkeypatch.setattr(bounds, "J_WINDOW", 4)
+    for (go, n, k), ex in zip(cases, exact):
+        assert bounds._atoms(go, n).tail.any()  # the windowed atoms
+        lo, hi = l2n_sq_collapsed_bounds(go, n, k)
+        assert lo <= ex * (1 + 1e-9)
+        assert hi >= ex * (1 - 1e-9)
+        if k >= 20:
+            # window majorants are tight once the small eigenvalues decay
+            assert hi <= ex * 1.001
 
 
 def test_window_dimension_recursion():
@@ -197,28 +201,29 @@ def test_chebyshev_pins():
 def test_coupling_upper_pin():
     k = math.ceil(0.5 * 100 * math.log(100) + 200)
     assert k == 431
-    assert tv_upper_coupling(100, 2, k, 0.25) == pytest.approx(0.2672797614663848, rel=1e-14)
-    assert tv_upper_coupling(5, 2, 0, 0.9) == 1.0  # clamped
+    assert tv_upper_coupling(100, k, 0.25) == pytest.approx(0.2672797614663848, rel=1e-14)
+    assert tv_upper_coupling(5, 0, 0.9) == 1.0  # clamped
 
 
 def test_dominant_pins_and_soundness():
-    assert tv_lower_dominant(2, 50, 98, "independent") == pytest.approx(
+    assert tv_lower_dominant([1, 1], 50, 98, "independent") == pytest.approx(
         0.47670624834126707, rel=1e-12
     )
-    assert tv_lower_dominant(2, 100, 231, "independent") == pytest.approx(
+    assert tv_lower_dominant([1, 1], 100, 231, "independent") == pytest.approx(
         0.48131556731477393, rel=1e-12
     )
-    assert tv_lower_dominant(6, 50, 118, "independent") == pytest.approx(
+    assert tv_lower_dominant([1, 2, 1], 50, 118, "independent") == pytest.approx(
         0.4750932654766864, rel=1e-12
     )
-    g = build_group("Z:2")
-    for kind in ("independent", "paired"):
-        spec = spectrum(kind, 3, g)
-        for k in range(1, 31):
-            dom = tv_lower_dominant(2, 3, k, kind, dims=g.irrep_dims())
-            assert dom <= 0.5 * math.sqrt(float(l2n_sq_spectral(spec, k))) + 1e-12
+    for gname in ("Z:2", "S:3"):
+        g = build_group(gname)
+        for kind in ("independent", "paired"):
+            spec = spectrum(kind, 3, g)
+            for k in range(1, 31):
+                dom = tv_lower_dominant(g.irrep_dims(), 3, k, kind)
+                assert dom <= 0.5 * math.sqrt(float(l2n_sq_spectral(spec, k))) + 1e-12
     with pytest.raises(ValueError):
-        tv_lower_dominant(2, 5, 3, "sym")
+        tv_lower_dominant([1, 1], 5, 3, "sym")
 
 
 def test_dominant_paired_nonabelian_slots():
@@ -229,7 +234,7 @@ def test_dominant_paired_nonabelian_slots():
     vals = {line.value for line in spec.lines}
     assert Fraction(1, 4) in vals and Fraction(1, 2) in vals
     k = 6
-    got = tv_lower_dominant(6, 2, k, "paired", dims=g.irrep_dims())
+    got = tv_lower_dominant(g.irrep_dims(), 2, k, "paired")
     # dims [1, 2, 1]: nontrivial slots contribute 2^4 (1/4)^{2k} and (1/2)^{2k}
     by_hand = max(
         4 * 5 * (1 - 0.5) ** (4 * k),
@@ -311,8 +316,6 @@ def test_distance_curve_modes():
     assert 0 <= dc_big.rows[0]["tv_upper_spectral"] <= 1
     dc_rel = distance_curve("paired", 50, build_group("S:3"), ks=[100])
     assert dc_rel.mode == "relaxed"
-    with pytest.raises(ValueError):
-        distance_curve("paired", 4, build_group("Z:2"), ks=[1], mode="collapsed")
 
 
 def test_tv_upper_spectral_clamp():

@@ -67,6 +67,35 @@ def test_distance_check_oracle(capsys):
     assert lines[1].startswith("0,47.0,1.0,1.0,")
 
 
+FULL_Z2 = ["--group", "Z:2", "--n", "3", "--walk", "independent", "--k", "0..3"]
+RELAXED_S3 = ["--group", "S:3", "--n", "3", "--walk", "paired", "--k", "0..3",
+              "--max-labels", "10"]
+
+
+@pytest.mark.parametrize("argv,shift,ok", [
+    (FULL_Z2, lambda v: v + 1, False),        # full spectrum: two-sided
+    (FULL_Z2, lambda v: v - 1, False),
+    (RELAXED_S3, lambda v: v, True),          # a bound: only a shortfall fails
+    (RELAXED_S3, lambda v: v + 1, True),
+    (RELAXED_S3, lambda v: v - 1e4, False),
+], ids=["full-above", "full-below", "bound", "bound-above", "bound-below"])
+def test_check_oracle_sides(capsys, monkeypatch, argv, shift, ok):
+    real = cli.distance_curve
+
+    def shifted(*args, **kw):
+        curve = real(*args, **kw)
+        for row in curve.rows:
+            row["l2n_sq"] = shift(row["l2n_sq"])
+        return curve
+
+    monkeypatch.setattr(cli, "distance_curve", shifted)
+    rc, _, err = run_cli(capsys, ["distance", "--check-oracle"] + argv)
+    assert (rc, err.endswith("(ok)\n")) == ((0, True) if ok else (1, False))
+    assert ok or "MISMATCH" in err
+    one_sided = "one-sided, mode relaxed is an upper bound: max l2n_sq shortfall" in err
+    assert one_sided == (argv is RELAXED_S3)
+
+
 def test_oracle_rows_are_exact(capsys):
     rc, out, _ = run_cli(capsys, ["oracle", "--group", "Z:2", "--n", "2",
                                   "--walk", "paired", "--k", "0..3"])

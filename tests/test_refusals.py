@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wreathwalk import cli
 from wreathwalk.bounds import classify_base, distance_curve
 from wreathwalk.cli import main
 from wreathwalk.groups import build_group
@@ -122,3 +123,25 @@ def test_sym_oracle_past_s6(capsys):
         k, ret, l2n_sq, _ = line.split(",")
         assert Fraction(ret) == return_probability(spec, int(k))
         assert Fraction(l2n_sq) == l2n_sq_spectral(spec, int(k))
+
+
+def test_table_past_physical_memory_refused(capsys):
+    # S_9: 362880^2 int64 entries are about 981 GiB; refused before any
+    # allocation, with both sizes named, instead of a numpy MemoryError
+    t0 = time.monotonic()
+    rc, out, err = run_cli(capsys, ["oracle", "--walk", "sym", "--n", "9",
+                                    "--max-order", "1000000"])
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: wreath order 362880 needs a 981.1 GiB table")
+    assert "GiB of physical memory" in err
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_memory_error_is_an_error_line(capsys, monkeypatch):
+    def exhausted(*args, **kw):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(cli, "build_wreath_table", exhausted)
+    rc, out, err = run_cli(capsys, ["oracle", "--walk", "sym", "--n", "3"])
+    assert rc == 1 and out == ""
+    assert err == "error: out of memory: Unable to allocate 1.00 TiB\n"
