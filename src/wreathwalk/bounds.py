@@ -528,10 +528,10 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
                    max_labels: int | None = None) -> DistanceCurve:
     """Distance/bound table over a k range.  Sym (|G| = 1) and independent
     curves read the collapsed rows: every row, the exact spectrum, for
-    n <= FULL_ENUM_MAX, else a window.  Only paired curves read labels,
-    while they fit max_labels, else the relaxed bound.  Each l2 column
-    comes from one set of atoms for all ks."""
-    from .walks import spectral_atoms, spectrum
+    n <= FULL_ENUM_MAX, else a window.  Paired curves read the slot
+    convolution while the label count fits max_labels, else the relaxed
+    bound.  Each l2 column comes from one set of atoms for all ks."""
+    from .walks import slot_convolution
 
     g = walk_base(kind, g)
     if ks is None:
@@ -540,9 +540,11 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
     if kind != "paired":
         mode = "full-spectrum" if n <= FULL_ENUM_MAX else "collapsed"
         l2s = _column(g.order, n, ks)
-    elif n <= WORD_M_MAX and class_count(g, n) <= cap:      # labels need the table
+    elif n <= WORD_M_MAX and class_count(g, n) <= cap:      # content_rows needs the table
         mode = "full-spectrum"
-        l2s = l2_column(spectral_atoms(spectrum(kind, n, g, max_labels=max_labels)), ks)
+        den, mults = slot_convolution(n, g)
+        nums = sorted(mults, reverse=True)[1:]              # the nontrivial lines
+        l2s = l2_column(exact_atoms([mults[v] for v in nums], [Fraction(v, den) for v in nums]), ks)
     else:
         mode = "relaxed"
         l2s = [4.0 * float(v) for v in _column(g.order, n, ks, (g.num_classes, delta_n(g, n)))]

@@ -46,6 +46,7 @@ from .simulate import (
     coupling_experiment,
     empirical_tv,
     run_walk_indices,
+    tv_curve,
 )
 from .walks import build_measure, spectrum
 from .wreath import MAX_WREATH_ORDER, build_wreath_table
@@ -275,21 +276,21 @@ def cmd_simulate(args) -> int:
     measure = build_measure(args.walk, args.n, g)
     order = gt.order
     rows = []
-    exact = {}
     if args.mode == "discrete":
-        for k, dist in convolution_curve(gt, measure, sorted(set(args.k))):
-            exact[k] = float(exact_distances(dist, order)["tv"])
-    for k in args.k:
-        if args.mode == "discrete":
-            cfg = SimConfig(kind=args.walk, n=args.n, g=g, k=k,
-                            trials=args.trials, seed=args.seed)
-            ref = exact.get(k)
-        else:
+        # one run to the largest k, each row read off it (see tv_curve)
+        exact = {k: float(exact_distances(dist, order)["tv"])
+                 for k, dist in convolution_curve(gt, measure, sorted(set(args.k)))}
+        cfg = SimConfig(kind=args.walk, n=args.n, g=g, k=max(args.k),
+                        trials=args.trials, seed=args.seed)
+        for k, (tv, se) in zip(args.k, tv_curve(cfg, args.k)):
+            rows.append([k, tv, se, exact[k], args.trials, args.seed])
+    else:
+        for k in args.k:
             cfg = SimConfig(kind=args.walk, n=args.n, g=g, t=float(k),
                             trials=args.trials, seed=args.seed, mode="continuized")
+            tv, se = empirical_tv(run_walk_indices(cfg), None, order)
             ref = _poisson_reference_tv(gt, measure, float(k), order)
-        tv, se = empirical_tv(run_walk_indices(cfg), None, order)
-        rows.append([k, tv, se, ref, args.trials, args.seed])
+            rows.append([k, tv, se, ref, args.trials, args.seed])
     meta = {"subcommand": "simulate", "walk": args.walk,
             "group": _group_name(args, g), "n": args.n, "mode": args.mode,
             "trials": args.trials, "seed": args.seed, "rng": RNG_ALGORITHM}

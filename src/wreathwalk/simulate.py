@@ -53,38 +53,74 @@ class SimConfig:
             raise ValueError("continuized mode needs a time horizon t")
 
 
-def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate all trials; returns (coords, perms) arrays of shape
-    (trials, n).  Tracks the inverse permutation internally so a step is
-    O(1) per trial."""
+def _walk(cfg: SimConfig, ks: list, keep) -> list:
+    """keep(coords, perms) after each step count in ks (discrete mode; one
+    entry, ignored, in continuized mode), in ks order.  Tracks the inverse
+    permutation internally so a step is O(1) per trial."""
     rng = np.random.default_rng(cfg.seed)
-    T, n, g = cfg.trials, cfg.n, cfg.g
+    T, n = cfg.trials, cfg.n
     coords = np.zeros((T, n), dtype=np.int64)
     pinv = np.tile(np.arange(n, dtype=np.int64), (T, 1))
     if cfg.mode == "continuized":
         steps = rng.poisson(cfg.t, size=T)
         kmax = int(steps.max()) if T else 0
+        ks = [kmax]
     else:
         kmax = cfg.k
-    rows = np.arange(T)
-    for step in range(kmax):
-        p = rng.integers(0, n, size=T)
-        q = rng.integers(0, n, size=T)
-        a = rng.integers(0, g.order, size=T)
-        b = g.inv[a] if cfg.kind == "paired" else rng.integers(0, g.order, size=T)
-        r = rows
-        if cfg.mode == "continuized":        # the trials whose Poisson count exceeds step
-            on = steps > step
-            r, p, q, a, b = rows[on], p[on], q[on], a[on], b[on]
-        apply_steps(coords, pinv, r, p, q, a, b, g.mult)
+    if any(k < 0 or k > kmax for k in ks):
+        raise ValueError(f"step counts must lie in 0..{kmax}")
+    wanted, kept = set(ks), {}
+    for step in range(kmax + 1):
+        if step in wanted:
+            kept[step] = keep(coords, _inverse_rows(pinv))
+        if step < kmax:                      # continuized: the trials whose count exceeds step
+            _step(cfg, rng, coords, pinv, steps > step if cfg.mode == "continuized" else None)
+    return [kept[k] for k in ks]
+
+
+def _inverse_rows(pinv: np.ndarray) -> np.ndarray:
+    """The permutations whose inverses are the rows of pinv."""
     perms = np.empty_like(pinv)
-    np.put_along_axis(perms, pinv, np.broadcast_to(np.arange(n), (T, n)), axis=1)
-    return coords, perms
+    np.put_along_axis(perms, pinv, np.broadcast_to(np.arange(pinv.shape[1]), pinv.shape), axis=1)
+    return perms
+
+
+def _step(cfg: SimConfig, rng, coords: np.ndarray, pinv: np.ndarray, on) -> None:
+    """One step of every trial, or of the trials that the mask on selects,
+    in place; p, q, a and b are drawn for every trial (the stream layout)."""
+    T, n, g = len(coords), cfg.n, cfg.g
+    p = rng.integers(0, n, size=T)
+    q = rng.integers(0, n, size=T)
+    a = rng.integers(0, g.order, size=T)
+    b = g.inv[a] if cfg.kind == "paired" else rng.integers(0, g.order, size=T)
+    rows = np.arange(T)
+    if on is not None:
+        rows, p, q, a, b = rows[on], p[on], q[on], a[on], b[on]
+    apply_steps(coords, pinv, rows, p, q, a, b, g.mult)
+
+
+def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate all trials; returns (coords, perms) arrays of shape
+    (trials, n)."""
+    return _walk(cfg, [cfg.k], lambda coords, perms: (coords, perms))[0]
 
 
 def run_walk_indices(cfg: SimConfig) -> np.ndarray:
     coords, perms = run_walk(cfg)
     return encode_states(coords, perms, cfg.g.order)
+
+
+def tv_curve(cfg: SimConfig, ks: list) -> list[tuple[float, float]]:
+    """empirical_tv against the uniform law after k steps, for each k in
+    ks (discrete mode, each k in 0..cfg.k), from one run to cfg.k.  The
+    draws of a step do not depend on the step count, so each entry is that
+    of a run of k steps from the same seed.  Each state is reduced to its
+    (tv, se) when it is reached, so the run holds one state per trial."""
+    if cfg.mode != "discrete":
+        raise ValueError("step-count snapshots need discrete mode")
+    order = cfg.g.order ** cfg.n * math.factorial(cfg.n)
+    return _walk(cfg, list(ks), lambda coords, perms: empirical_tv(
+        encode_states(coords, perms, cfg.g.order), None, order))
 
 
 def empirical_tv(samples: np.ndarray, reference, order: int) -> tuple[float, float]:

@@ -31,7 +31,11 @@ from fractions import Fraction
 from .bounds import Atoms, exact_atoms, l2_column
 from .classes import support_classes
 from .groups import GroupTable
-from .partitions import content_sum, dim_partition  # noqa: F401  (unused; the tracer test reads it)
+from .partitions import (  # noqa: F401  (dim_partition unused; the tracer test reads it)
+    content_rows,
+    content_sum,
+    dim_partition,
+)
 from .reps import (
     MAX_LABELS,
     IrrepLabel,
@@ -127,6 +131,39 @@ class Spectrum:
 
     def multiplicity_total(self) -> int:
         return sum(l.multiplicity for l in self.lines)
+
+
+def slot_convolution(n: int, g: GroupTable) -> tuple[int, dict]:
+    """The paired walk's spectrum without labels: (denominator,
+    {numerator: multiplicity}) over the denominator n^2 lcm(d_j).
+
+    An eigenvalue depends only on n_1 and the per-slot content sums (see
+    eigenvalue), so the base irreps are added as slots, left to right,
+    over content_rows(n).  Slot j maps a partition of m with content c to
+    the numerator offset ((m if j = 1 else 0) + c) lcm / d_j and the weight
+    d_j^{2m} dim^2.  A state (size a, numerator v) holds the weight sum
+    over its partial labels, and adding m to it multiplies by
+    C(a + m, m)^2, which restores the multinomial of the label dimension:
+    every weight stays an int."""
+    dims = g.irrep_dims()
+    lcm = math.lcm(*dims)
+    rows = content_rows(n)
+    states = [{0: 1}] + [{} for _ in range(n)]       # per size a: {v: weight}
+    for j, dj in enumerate(dims):
+        step = lcm // dj
+        table = [[(((m if j == 0 else 0) + c) * step, dj ** (2 * m) * d2) for c, d2 in rows[m]]
+                 for m in range(n + 1)]
+        new = [{} for _ in range(n + 1)]
+        for a in range(n + 1):
+            for m in ([n - a] if j == len(dims) - 1 else range(n - a + 1)):
+                f = math.comb(a + m, m) ** 2
+                into = new[a + m]
+                for v, w in states[a].items():
+                    fw = f * w
+                    for dv, w2 in table[m]:
+                        into[v + dv] = into.get(v + dv, 0) + fw * w2
+        states = new
+    return n * n * lcm, states[n]
 
 
 def spectrum(kind: str, n: int, g: GroupTable | None = None,

@@ -115,20 +115,38 @@ class WreathTable(NamedTuple):
     n: int
 
 
+def build_bytes(g_order: int, n: int) -> int:
+    """Peak bytes of build_wreath_table.  With C = g_order^n coordinate
+    tuples, the build first holds two (order, C, n) int64 arrays (the
+    gathered coordinates and their products), or the (order, C) digit
+    arrays of encode_states next to the first; then the order^2 int64
+    table, the (order, C) z_index and the bool mask that finds the
+    inverses; the S_n table, a few (order, n) arrays and 256 KiB of Python
+    objects throughout.  That is about 2.1 times the table on S_n, 1.1 to
+    1.3 times on a nontrivial base at n >= 3, 2.5 times at n = 2 and 4
+    times at n = 1."""
+    order = wreath_order(g_order, n)
+    pairs = 8 * order * g_order ** n
+    return (8 * math.factorial(n) ** 2 + 24 * order * n + 2 ** 18
+            + max(pairs * max(2 * n, n + 3), 8 * order * order + pairs + order * order))
+
+
 def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER) -> WreathTable:
     """Materialize G wr S_n as an explicit multiplication table.
 
     Refuses orders above max_order (default 5000), and, before allocating
-    anything, tables whose order^2 int64 entries exceed physical memory.
+    anything, tables whose build (build_bytes) would exceed physical
+    memory.
     """
     order = wreath_order(g.order, n)
     if order > max_order:
         raise ValueError(f"wreath order {order} exceeds cap {max_order}")
-    need, have = 8 * order * order, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    table, need = 8 * order * order, build_bytes(g.order, n)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValueError(f"wreath order {order} needs a {need / 2 ** 30:.1f} GiB table "
-                         f"(order^2 int64 entries), more than the {have / 2 ** 30:.1f} GiB "
-                         f"of physical memory")
+        raise ValueError(f"wreath order {order} needs a {table / 2 ** 30:.1f} GiB table "
+                         f"(order^2 int64 entries) and {need / 2 ** 30:.1f} GiB to build it, "
+                         f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
     perms, sn_mult = permutation_table(n)
     coords = np.array(list(itertools.product(range(g.order), repeat=n)), dtype=np.int64)
     y = np.repeat(coords, len(perms), axis=0)                 # coords of each element

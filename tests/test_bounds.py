@@ -322,3 +322,19 @@ def test_tv_upper_spectral_clamp():
     assert tv_upper_spectral(Fraction(47)) == 1.0
     assert tv_upper_spectral(0.04) == pytest.approx(0.1)
     assert tv_upper_spectral(float("inf")) == 1.0
+
+
+def test_relaxed_bound_covers_the_exact_paired_sum():
+    # the exact paired sum straight from the slot convolution, past any
+    # label cap: 4 x the relaxed bound stays above it through n = 40
+    from wreathwalk.walks import slot_convolution
+
+    ks = [0, 1, 40, 80, 160]
+    for gspec in ("S:3", "Z:2"):
+        g = build_group(gspec)
+        for n in (13, 20, 30, 40):
+            den, mults = slot_convolution(n, g)
+            lines = [(w, Fraction(v, den)) for v, w in mults.items() if v != den]
+            exact = bounds.power_sums(bounds.exact_atoms(*zip(*lines)), ks, exact=True)
+            for k, e in zip(ks, exact):
+                assert 4 * paired_relaxed_bound(g, n, k) >= e, (gspec, n, k)

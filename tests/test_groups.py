@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -163,3 +165,17 @@ def test_zm_character_orthogonality_floats():
             )
             want = g.order if i == j else 0
             assert abs(dot - want) < 1e-9
+
+
+def test_first_group_builds_skip_numpy_ma():
+    # np.unique imports numpy.ma (about 14 ms) on first use; the class and
+    # table builders of a spectrum and an oracle run need neither
+    code = ("import sys\n"
+            "from wreathwalk.cli import main\n"
+            "assert main(['spectrum', '--group', 'S:3', '--n', '8', '--walk', 'paired']) == 0\n"
+            "assert main(['oracle', '--group', 'S:3', '--n', '3', '--walk', 'paired',"
+            " '--k', '0..2']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"

@@ -145,3 +145,19 @@ def test_memory_error_is_an_error_line(capsys, monkeypatch):
     rc, out, err = run_cli(capsys, ["oracle", "--walk", "sym", "--n", "3"])
     assert rc == 1 and out == ""
     assert err == "error: out of memory: Unable to allocate 1.00 TiB\n"
+
+
+def test_memory_check_counts_the_build_peak(monkeypatch):
+    # S_6: a 720^2 int64 table of 3.96 MiB; building it also holds the S_6
+    # table itself, about 2.1 x in all.  Memory between the two is refused.
+    from wreathwalk import wreath
+
+    table = 8 * 720 ** 2
+    for have, refused in ((table + 1, True), (2 * table, True), (3 * table, False)):
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+        monkeypatch.setattr(wreath.os, "sysconf", pages.__getitem__)
+        if refused:
+            with pytest.raises(ValueError, match="to build it, more than the"):
+                wreath.build_wreath_table(build_group("Z:1"), 6)
+        else:
+            assert wreath.build_wreath_table(build_group("Z:1"), 6).group.order == 720

@@ -22,6 +22,7 @@ from wreathwalk.simulate import (
     per_step_hit_probability,
     run_walk,
     run_walk_indices,
+    tv_curve,
 )
 from wreathwalk.walks import build_measure
 from wreathwalk.wreath import (
@@ -292,3 +293,39 @@ def test_config_validation():
         SimConfig(kind="sym", n=3, trials=0)
     with pytest.raises(ValueError):
         SimConfig(kind="sym", n=3, mode="continuized")   # missing t
+
+
+@pytest.mark.parametrize("kind,gspec", [("sym", None), ("independent", "Z:3"), ("paired", "S:3")])
+def test_one_run_tv_curve_equals_per_k_runs(kind, gspec):
+    g = build_group(gspec) if gspec else None
+    ks = [7, 0, 3, 7, 12, 3]                       # unsorted, repeated
+    cfg = SimConfig(kind=kind, n=3, g=g, k=max(ks), trials=500, seed=11)
+    got = tv_curve(cfg, ks)
+    assert len(got) == len(ks)
+    for k, tv_se in zip(ks, got):
+        idx = run_walk_indices(SimConfig(kind=kind, n=3, g=g, k=k, trials=500, seed=11))
+        assert tv_se == empirical_tv(idx, None, cfg.g.order ** 3 * 6)
+    with pytest.raises(ValueError, match="0..12"):
+        tv_curve(cfg, [13])
+    with pytest.raises(ValueError, match="discrete"):
+        tv_curve(SimConfig(kind=kind, n=3, g=g, t=2.0, trials=10, mode="continuized"), [1])
+
+
+def test_simulate_rows_come_from_one_run(capsys, monkeypatch):
+    # the CLI walks once, to the largest k, and prints what per-k runs print
+    from wreathwalk import cli
+
+    argv = ["simulate", "--group", "Z:2", "--n", "3", "--walk", "paired",
+            "--k", "0..12:4", "--trials", "400", "--seed", "5"]
+    calls = []
+    real = cli.tv_curve
+    monkeypatch.setattr(cli, "tv_curve", lambda cfg, ks: calls.append(cfg.k) or real(cfg, ks))
+    assert cli.main(argv) == 0
+    assert calls == [12]
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 4
+    g = build_group("Z:2")
+    for k, row in zip(range(0, 13, 4), rows):
+        idx = run_walk_indices(SimConfig(kind="paired", n=3, g=g, k=k, trials=400, seed=5))
+        tv, se = empirical_tv(idx, None, 48)
+        assert row.split(",")[:3] == [str(k), repr(tv), repr(se)]

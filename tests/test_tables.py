@@ -2,6 +2,7 @@
 the scalar arithmetic (wreath_multiply, permutation composition) and, for
 the larger instances, against the spectral route through the oracle."""
 import itertools
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -14,6 +15,7 @@ from wreathwalk.simulate import encode_states
 from wreathwalk.walks import build_measure, l2n_sq_spectral, spectrum
 from wreathwalk.wreath import (
     WreathElement,
+    build_bytes,
     build_wreath_table,
     enumerate_wreath_elements,
     wreath_multiply,
@@ -80,3 +82,17 @@ def test_oracle_matches_spectral_l2_on_larger_tables(gname, n, kind):
     measure = build_measure(kind, n, wt.base)
     for k, dist in convolution_curve(wt.group, measure, [0, 1, 2, 3]):
         assert exact_distances(dist, wt.group.order)["l2n_sq"] == l2n_sq_spectral(spec, k)
+
+
+@pytest.mark.parametrize("gname,n", [("Z:1", 6), ("Z:20", 2), ("Z:500", 1), ("S:3", 3)])
+def test_build_bytes_is_the_build_peak(gname, n):
+    # from S_6 (the S_n table is as large as the wreath table) to n <= 2,
+    # where the (order, |G|^n, n) gathers outgrow the table
+    g = build_group(gname)
+    tracemalloc.start()
+    try:
+        build_wreath_table(g, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= build_bytes(g.order, n) <= 1.05 * peak

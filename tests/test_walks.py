@@ -12,6 +12,7 @@ from wreathwalk.walks import (
     fourier_class_function,
     l2n_sq_spectral,
     return_probability,
+    slot_convolution,
     spectrum,
 )
 
@@ -170,3 +171,37 @@ def test_l2_monotone_nonincreasing(k):
 def test_bad_kind_rejected():
     with pytest.raises(ValueError):
         build_measure("swap", 3, build_group("Z:2"))
+
+
+# the instances of acceptance criteria 1-4, then larger and edge cases
+SLOT_CASES = sorted(
+    {(gspec, n) for gspec, n_max in [("Z:2", 6), ("Z:3", 5), ("S:3", 4)]
+     for n in range(1, n_max + 1)}
+    | {("Z:3", 10), ("S:3", 8), ("S:4", 4), ("S:4", 2), ("Z:5", 6), ("Z:4", 5),
+       ("Z:1", 1), ("Z:1", 6)})
+
+
+@pytest.mark.parametrize("gspec,n", SLOT_CASES)
+def test_slot_convolution_equals_labels(gspec, n):
+    # spectrum is the label route: every label's eigenvalue and dimension
+    g = build_group(gspec)
+    den, mults = slot_convolution(n, g)
+    got = [(Fraction(v, den), mults[v]) for v in sorted(mults, reverse=True)]
+    assert got == [(l.value, l.multiplicity) for l in spectrum("paired", n, g).lines]
+
+
+def test_distance_builds_no_labels(monkeypatch):
+    from wreathwalk import bounds, reps, walks
+
+    def refused(*args, **kw):
+        raise AssertionError("label path called")
+
+    for mod in (reps, walks):
+        for name in ("enumerate_labels", "irrep_dimension"):
+            monkeypatch.setattr(mod, name, refused)
+    for name in ("eigenvalue", "spectrum"):
+        monkeypatch.setattr(walks, name, refused)
+    for kind, gspec, n in (("sym", None, 9), ("independent", "S:3", 5), ("paired", "Z:3", 7),
+                           ("paired", "S:3", 6)):
+        g = build_group(gspec) if gspec else None
+        assert bounds.distance_curve(kind, n, g, ks=[0, 3, 80]).mode == "full-spectrum"
