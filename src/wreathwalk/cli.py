@@ -7,7 +7,7 @@ distance    distance curve with every bound column; optional oracle check
 threshold   mixing-time summary table rows for the chosen walk and group
 oracle      brute-force convolution powers on the explicit group table
 simulate    Monte Carlo walk runs with empirical TV against uniform
-coupling    connectivity-time tails of the pair-event graph (MST sampler)
+coupling    connectivity-time tails of the pair-event graph (component-size chain)
 selftest    run the acceptance test suite; nonzero exit on any failure
 
 --walk sym is the wreath walk on the trivial base (S_n is 1 wr S_n): it

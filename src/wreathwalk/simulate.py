@@ -10,10 +10,10 @@ and every report records the seed.  Per step the sampler draws, in order,
 p, then q, then a, then b (for the paired walk b = a^-1, not a draw),
 regardless of whether p == q, so the stream layout is fixed.  The sym walk
 draws a and b on Z:1, and integers(0, 1) consumes no random bits, so its
-stream is p and q alone.  The coupling experiment draws, per chunk of
-trials, the uniform Prim keys (one (chunk, n-1) array, then one array per
-tree step for the keys that step reads), with the chunk size fixed by n;
-then one Exp(mean n) per trial for T*.
+stream is p and q alone.  The coupling experiment runs chunks of trials,
+the chunk size fixed by n; per chunk, each merge step draws one standard
+exponential per trial, then the first class's integer, then the second's.
+After all chunks it draws one Exp(mean n) per trial for T*.
 """
 from __future__ import annotations
 
@@ -200,44 +200,58 @@ class CouplingReport:
     columns = ("c", "threshold", "empirical_tail", "limit", "stderr", "trials", "seed")
 
 
-# Prim keys held per chunk of trials; fixes the chunk size for each n, so
+# (class, trial) cells per chunk of trials: the chunk size is fixed by n, so
 # peak memory depends on neither n nor the trial count
-_PRIM_KEYS = 1 << 18
-# Prim reads O(n^2) keys per trial, a few ns each: n^2 * trials is capped so
-# a request is refused before it runs for minutes (n = 1000 with 10^4 trials
-# is the largest that fits)
+_CLASS_CELLS = 1 << 18
+# the chain costs O(n^1.5) per trial (n - 1 merges over at most sqrt(2n) rows),
+# but n^2 * trials stays capped so a request is refused before it runs for
+# minutes (n = 1000 with 10^4 trials, about 2 s, is the largest that fits)
 COUPLING_WORK_CAP = 10 ** 10
 
 
-def _connectivity_times(n: int, trials: int, rng) -> np.ndarray:
-    """Times for the pair-event graph to connect, one per trial.  Pair
-    events form a Poisson stream at aggregate rate (n-1)/n, each joining a
-    uniform unordered pair, so each pair first fires after an independent
-    Exp(rate 2/n^2) wait and the graph connects at the bottleneck (largest)
-    edge of the minimum spanning tree of those waits.
+def _pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per column, the first row whose running weight sum exceeds u (weights becomes the sums)."""
+    for r in range(1, len(weights)):
+        weights[r] += weights[r - 1]
+    return (weights <= u).view(np.uint8).sum(0, dtype=np.uint8).astype(np.intp)
 
-    Prim's algorithm, batched over a chunk of trials: one key per vertex
-    outside the tree.  Prim reads each edge weight once, so a weight is
-    drawn when first read; weights are uniforms, mapped to Exp(mean n^2/2)
-    by an increasing map, which keeps the tree and its bottleneck, and only
-    the bottleneck is mapped."""
+
+def _connectivity_times(n: int, trials: int, rng) -> np.ndarray:
+    """Times for the pair-event graph to connect, one per trial, by the
+    component-size chain.  With Q the sum of squared sizes, each of the
+    n - 1 merges (none at n = 1) comes at rate (n^2 - Q)/n^2 and joins two
+    components with odds s_i s_j: a first class of equal sizes drawn with
+    weight count*s*(n-s) of n^2 - Q, a second with count*s of n - s_a.  Rows
+    hold a class's size and mass (count * size); a merged size joins its
+    row, live or emptied, else the first empty one, so the sizes held are
+    distinct, at most K = floor((sqrt(8n+1) - 1)/2) < 256 of them."""
     out = np.zeros(trials)
-    if n == 1:
-        return out                     # one vertex: connected at once
-    chunk = max(1, _PRIM_KEYS // (n - 1))
+    k, nn = (math.isqrt(8 * n + 1) - 1) // 2, n * n
+    chunk, rows = _CLASS_CELLS // k, np.arange(k, dtype=np.int32)[:, None]
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
-        rows = np.arange(m)
-        keys = rng.random((m, n - 1))  # edges from vertex 0
-        worst = np.zeros(m)
-        for width in range(n - 1, 0, -1):
-            j = keys[:, :width].argmin(axis=1)
-            np.maximum(worst, keys[rows, j], out=worst)
-            keys[rows, j] = keys[:, width - 1]
-            rest = keys[:, :width - 1]
-            np.minimum(rest, rng.random((m, width - 1)), out=rest)
-        out[start:start + m] = worst
-    return -(n * n / 2.0) * np.log1p(-out)
+        cols, t, q = np.arange(m), out[start:start + m], np.full(m, n, dtype=np.int32)
+        size, mass = np.zeros((2, k, m), dtype=np.int32)
+        size[0], mass[0] = 1, n
+        sf, mf = size.reshape(-1), mass.reshape(-1)     # flat views: row * m + col
+        w = 1                          # rows >= w are still unused
+        for _ in range(n - 1):
+            t += rng.standard_exponential(m) * (nn / (nn - q))
+            s, c = size[:w + 1], mass[:w + 1]
+            ia = _pick(c * (n - s), rng.integers(0, nn - q, dtype=np.int32)) * m + cols
+            sa = sf[ia]
+            mf[ia] -= sa
+            ib = _pick(c.copy(), rng.integers(0, n - sa, dtype=np.int32)) * m + cols
+            sb = sf[ib]
+            mf[ib] -= sb
+            q += 2 * sa * sb
+            miss = s != sa + sb
+            key = (miss.astype(np.int32) + (miss & (c > 0))) * k + rows[:w + 1]
+            slot = key.min(0) % k
+            sf[slot * m + cols] = sa + sb
+            mf[slot * m + cols] += sa + sb
+            w = max(w, int(slot.max()) + 1)
+    return out
 
 
 def coupling_experiment(n: int, trials: int, c_values, seed: int) -> CouplingReport:

@@ -102,11 +102,13 @@ def apply_steps(coords: np.ndarray, pinv: np.ndarray, rows, p, q, a, b,
     """Left-multiply state rows[i] of (coords, pinv), pinv the inverse
     permutations, by the step element with a[i] at p[i], b[i] at q[i] and
     the swap (p[i] q[i]), in place: coordinate q becomes b x_p, then p
-    becomes a x_q (a x_p when p = q), and entries p and q of pinv swap."""
-    xp, xq = coords[rows, p], coords[rows, q]
-    coords[rows, q] = mult[b, xp]
-    coords[rows, p] = mult[a, xq]
-    pinv[rows, p], pinv[rows, q] = pinv[rows, q], pinv[rows, p]
+    becomes a x_q (a x_p when p = q), and entries p and q of pinv swap.
+    coords and pinv must be C-contiguous: the step indexes their flat views."""
+    x, inv = coords.reshape(-1), pinv.reshape(-1)
+    ip, iq = rows * coords.shape[1] + p, rows * coords.shape[1] + q
+    xp, xq = x[ip], x[iq]
+    x[iq], x[ip] = mult[b, xp], mult[a, xq]
+    inv[ip], inv[iq] = inv[iq], inv[ip]
 
 
 class WreathTable(NamedTuple):

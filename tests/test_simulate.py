@@ -1,5 +1,6 @@
 """Sampler correctness: one-step laws, state encoding, reproducibility,
 empirical TV, and both coupling experiments."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -264,10 +265,43 @@ def test_connectivity_time_matches_event_process():
     assert stats.ks_2samp(ts, ref).pvalue > 1e-3
 
 
+def _exact_mean_connectivity_time(n):
+    """E[T] by a DP over the partitions of n the component sizes pass
+    through: the sum over the n - 1 merges of the mean wait n^2/(n^2 - Q),
+    Q the sum of squared sizes, with parts i < j merging with probability
+    2 s_i s_j / (n^2 - Q)."""
+    law, mean = {(1,) * n: Fraction(1)}, Fraction(0)
+    for _ in range(n - 1):
+        after = {}
+        for parts, pr in law.items():
+            free = n * n - sum(s * s for s in parts)
+            mean += pr * Fraction(n * n, free)
+            for i, j in itertools.combinations(range(len(parts)), 2):
+                rest = parts[:i] + parts[i + 1:j] + parts[j + 1:]
+                key = tuple(sorted(rest + (parts[i] + parts[j],)))
+                after[key] = after.get(key, 0) + pr * Fraction(2 * parts[i] * parts[j], free)
+        law = after
+    return mean
+
+
+def test_exact_mean_connectivity_time_small_cases():
+    # n = 2: one Exp(mean 2) wait; n = 3: waits of mean 9/6, then 9/4
+    assert _exact_mean_connectivity_time(2) == 2
+    assert _exact_mean_connectivity_time(3) == Fraction(15, 4)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_connectivity_time_mean_is_exact(n):
+    ts = coupling_experiment(n, 2 * 10 ** 5, [0.0], seed=40 + n).t_samples
+    se = ts.std(ddof=1) / math.sqrt(len(ts))
+    assert abs(ts.mean() - float(_exact_mean_connectivity_time(n))) < 4 * se
+
+
 def test_coupling_seeded_and_chunked():
-    # more trials than one chunk of Prim keys holds: the stream is fixed by
-    # (n, trials, seed), and a prefix of trials does not depend on the total
-    chunk = sim._PRIM_KEYS // 49
+    # more trials than one chunk of (class, trial) cells holds (K = 9 size
+    # classes at n = 50): the stream is fixed by (n, trials, seed), and a
+    # prefix of trials does not depend on the total
+    chunk = sim._CLASS_CELLS // 9
     a = coupling_experiment(50, chunk + 7, [0.0], seed=25)
     b = coupling_experiment(50, chunk + 7, [0.0], seed=25)
     c = coupling_experiment(50, chunk, [0.0], seed=25)
