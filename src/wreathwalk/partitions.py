@@ -5,29 +5,32 @@ Everything here is exact: Fractions for rationals, Python ints elsewhere.
 No floating point in this module.
 
 The shared partition table (partition_table, content_rows, and through it
-dim_partition) is grown one level m at a time in numpy.  A partition is its
-boundary word: the rim of its Young diagram (English notation) walked from
-bottom left to top right, N for a step up and E for a step right, between
-one padding N in front and one padding E at the end.  With N = 1 and the
-first letter most significant the word is one uint64 whose leading N is its
-own length sentinel.  It has lambda_1 + l + 2 <= m + 3 letters (l rows), so
-every partition of m <= WORD_M_MAX = 61 fits; the table refuses larger m.
-
-The addable corners are the NE pairs, the set bits of w & ~(w << 1).
-Adding a cell flips its NE to EN, w ^ (3 << (b - 1)) for the N at bit b,
-and the word is re-padded when the flip moved a padding letter.  Counting
-letters from the front (the padding N is letter 0), the cell added at
-letter p has content p - l, so the content sum grows by 2 (p - l).
+dim_partition) is grown one level m at a time in numpy.  Per partition a
+level keeps its content sum, its row count l, the length of its last row,
+the length of the row above that one (row 0, above the top row and the only
+row of the empty partition, is endless), and its number of corners (cells
+that end a row longer than the next).
 
 Each partition of m is made once, from the partition of m - 1 without the
 last cell of its last row, so a level needs no deduplication: parent by
-parent, the last row lengthened comes before a new row of one cell, which
-lists every level in reverse-lex order.  The branching rule
-dim(lam) = sum of dim(lam - corner) runs over the parents' corners one bit
-position at a time, finding each child by binary search in the sorted
-words.  Dimensions are base-2^30 limbs in int64: a dozen limbs sum far
-below 2^63, and a carry pass brings every limb back below 2^30.  They
-become Python ints only on the way out.
+parent, the last row lengthened (allowed iff it is shorter than the row
+above) comes before a new row of one cell, which lists every level in
+reverse-lex order.  A parent q's children are adjacent: the lengthened one
+at start[q], the new row at start[q] + grow[q].  A cell added at row i and
+column j has content j - i, so the content sum grows by 2 (j - i).
+
+The branching rule dim(lam) = sum of dim(lam - corner) reads an index map:
+R[k, lam] is the index at level m - 1 of lam without its k-th corner,
+counted from the top.  The last corner ends the last row and gives the
+parent p.  Every other corner c of lam is the same corner of p, and
+lam - c is made from p - c by the same step as lam from p, so
+R[k, lam] = child(R[k, p], step): a gather, with nothing searched.
+Dimensions are base-2^30 limbs in int64: a dozen limbs sum far below 2^63,
+and a carry pass brings every limb back below 2^30.  They become Python ints
+only on the way out; content_rows squares and sums them per content in
+limbs first, so it builds one int per (m, content) row.  The table refuses
+m > WORD_M_MAX = 61, where a cold build costs seconds and a level holds
+p(61) = 1 121 505 partitions.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 Partition = Tuple[int, ...]
-WORD_M_MAX = 61        # the partition table: a partition of m is one uint64 up to here
+WORD_M_MAX = 61        # the partition table's cap: p(61) = 1 121 505 partitions a level
 _LIMB = 30             # table dimensions are exact base-2^30 limbs
 _LIMB_MASK = (1 << _LIMB) - 1
 
@@ -149,60 +152,70 @@ def dim_hook(lam: Partition) -> int:
 def _refuse_past_cap(m: int) -> None:
     if m > WORD_M_MAX:
         raise ValueError(f"n = {m} exceeds cap {WORD_M_MAX} of the partition table "
-                         "(64-bit boundary words)")
+                         "(p(61) = 1121505 partitions a level)")
 
 
-def _add_cell(words: np.ndarray, b) -> np.ndarray:
-    """The boundary words with one cell added at the corner whose N is bit
-    b: NE becomes EN, then a padding letter the flip moved is put back."""
-    one = np.uint64(1)
-    child = words ^ (np.uint64(3) << (b - one))
-    child |= ((words >> (b + one)) == 0).astype(np.uint64) << (b + one)   # padding N
-    return child << (b == one).astype(np.uint64)                         # padding E
+def _carry(sums: np.ndarray) -> np.ndarray:
+    """Limbs back below 2^30, in place; the top limb takes the rest."""
+    for i in range(len(sums) - 1):
+        sums[i + 1] += sums[i] >> _LIMB
+        sums[i] &= _LIMB_MASK
+    return sums
 
 
-def _word_levels(top: int) -> Iterator[tuple]:
-    """(contents, limbs) for m = 0..top in turn: the content sums of the
-    partitions of m in reverse-lex order, and their dimensions as base-2^30
-    limbs (one row per limb, least significant first)."""
+def _indexed_levels(top: int) -> Iterator[tuple]:
+    """(contents, limbs, R) for m = 0..top in turn: the content sums of the
+    partitions of m in reverse-lex order, their dimensions as base-2^30
+    limbs (one row per limb, least significant first), and the index map
+    R[k, lam] of the module docstring (rows past lam's corners hold p(m - 1),
+    the index of a zero column)."""
+    if top < 0:
+        raise ValueError("m must be nonnegative")
     _refuse_past_cap(top)
-    one = np.uint64(1)
-    words = np.array([0b10], dtype=np.uint64)          # the empty partition: N E
-    lam1, ell, last, contents = (np.zeros(1, dtype=np.int64) for _ in range(4))
-    limbs = np.ones((1, 1), dtype=np.int64)
-    yield contents, limbs
+    endless = 1 << 30
+    last, above = np.full((2, 1), endless, dtype=np.int32)    # the empty partition
+    ell, corners = np.zeros((2, 1), dtype=np.int32)
+    contents = np.zeros(1, dtype=np.int64)
+    limbs = np.array([[1, 0]], dtype=np.int64)      # a zero column past the level
+    index = np.zeros((0, 1), dtype=np.int32)
+    yield contents, limbs[:, :-1], index
+    start = grow = None
     for _ in range(top):
-        length = lam1 + ell + 2
-        corners = words & ~(words << one)
-        # each partition of m once, from the one partition of m - 1 that
-        # lacks the last cell of its last row: parent by parent, first the
-        # last row lengthened (where that is a corner), then a new row of
-        # one cell; this is reverse-lex order
-        grow_b = length - 2 - last
-        grow = ((corners >> grow_b.astype(np.uint64)) & one).astype(bool)
-        parent, new_row = np.nonzero(np.column_stack([grow, np.ones_like(grow)]))
-        b = np.where(new_row, length[parent] - 1, grow_b[parent])
-        children = _add_cell(words[parent], b.astype(np.uint64))
-        # the added cell's content is its letter position minus l
-        contents = contents[parent] + 2 * (lam1[parent] + 1 - b)
-        lam1 = lam1[parent] + (b == 1)
-        ell = ell[parent] + new_row
-        last = np.where(new_row, 1, last[parent] + 1)
-        # branching rule, one corner position at a time: the parents with a
-        # corner at bit b reach distinct children, found by binary search
-        order = np.argsort(children)
-        sorted_children = children[order]
-        sums = np.zeros((len(limbs) + 1, children.size), dtype=np.int64)
-        for bit in range(1, int(length.max())):
-            sel = np.flatnonzero((corners >> np.uint64(bit)) & one)
-            found = np.searchsorted(sorted_children, _add_cell(words[sel], np.uint64(bit)))
-            sums[:-1, order[found]] += limbs[:, sel]
-        for i in range(len(sums) - 1):                  # carries: limbs back below 2^30
-            sums[i + 1] += sums[i] >> _LIMB
-            sums[i] &= _LIMB_MASK
+        size = len(last)
+        prev_start, prev_grow = start, grow
+        grow = (last < above).astype(np.int32)
+        start = np.cumsum(grow + 1, dtype=np.int32) - grow - 1
+        parent = np.repeat(np.arange(size, dtype=np.int32), grow + 1)
+        # 1 for a new row, 0 to lengthen: the new row comes after a lengthened one
+        step = (np.arange(len(parent)) - start[parent] == grow[parent]).astype(np.int32)
+        row_len, rows = last[parent], ell[parent]
+        contents = contents[parent] + 2 * np.where(step, -rows, row_len - rows + 1)
+        filled = (above[parent] == row_len + 1).astype(np.int32)   # the corner above goes
+        corners = corners[parent] + np.where(step, row_len > 1, -filled)
+        above = np.where(step, row_len, above[parent])
+        ell = rows + step
+        last = np.where(step, 1, row_len + 1)
+        # R, one row k at a time: the parent at the last corner, the others
+        # from the parent's own row k; then dim(lam) = sum over k of dims[R]
+        index_rows = np.full((int(corners.max()), len(parent)), size, dtype=np.int32)
+        index_rows[corners - 1, np.arange(len(parent))] = parent
+        for k in range(len(index_rows) - 1):
+            sel = np.flatnonzero(corners > k + 1)
+            q = index[k, parent[sel]]
+            index_rows[k, sel] = prev_start[q] + step[sel] * prev_grow[q]
+        sums = np.zeros((len(limbs) + 1, len(parent) + 1), dtype=np.int64)
+        for k_row in index_rows:
+            for i, limb in enumerate(limbs):
+                sums[i, :-1] += limb[k_row]
+        _carry(sums)
         limbs = sums if sums[-1].any() else sums[:-1]
-        words = children
-        yield contents, limbs
+        index = index_rows
+        yield contents, limbs[:, :-1], index
+
+
+def _levels(top: int) -> Iterator[tuple]:
+    """(contents, limbs) for m = 0..top, as _indexed_levels gives them."""
+    return ((contents, limbs) for contents, limbs, _ in _indexed_levels(top))
 
 
 def _level_dims(limbs: np.ndarray) -> list[int]:
@@ -221,9 +234,7 @@ def _level_dims(limbs: np.ndarray) -> list[int]:
 def partition_table(m: int) -> dict:
     """{lam: (dim, content_sum)} for every partition of m (read only), in
     reverse-lex order.  Only the requested levels are kept."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    for contents, limbs in _word_levels(m):
+    for contents, limbs in _levels(m):
         pass
     return dict(zip(partitions_of(m), zip(_level_dims(limbs), contents.tolist())))
 
@@ -240,18 +251,31 @@ def dim_partition(lam: Partition) -> int:
     return partition_table(m)[lam][0]
 
 
+def _content_row(contents: np.ndarray, limbs: np.ndarray) -> tuple:
+    """((c, sum of dim^2), ...) over the distinct content sums c of one level,
+    in order of first appearance: dim^2 in limbs (each 60-bit product split
+    into 30-bit halves), summed per c after a stable sort by c."""
+    order = np.argsort(contents, kind="stable")
+    ordered = contents[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=ordered[0] - 1))
+    limbs = limbs[:, order]
+    # a sum is at most m! < p(m) * max dim^2: one limb past 2 len(limbs) holds the rest
+    squares = np.zeros((2 * len(limbs) + 1, len(starts)), dtype=np.int64)
+    for i in range(len(limbs)):
+        for j in range(i, len(limbs)):
+            product = limbs[i] * limbs[j] << int(i != j)      # below 2^61
+            squares[i + j] += np.add.reduceat(product & _LIMB_MASK, starts)
+            squares[i + j + 1] += np.add.reduceat(product >> _LIMB, starts)
+    first = np.argsort(order[starts])
+    return tuple(zip(ordered[starts][first].tolist(), _level_dims(_carry(squares)[:, first])))
+
+
 @lru_cache(maxsize=None)
 def content_rows(top: int) -> tuple:
     """Per m = 0..top, one pair (c, sum of dim^2) per distinct content sum c
     of the partitions of m, in order of first appearance in reverse-lex
     order; the per-partition levels are not kept."""
-    out = []
-    for contents, limbs in _word_levels(top):
-        rows: dict = {}
-        for d, c in zip(_level_dims(limbs), contents.tolist()):
-            rows[c] = rows.get(c, 0) + d * d
-        out.append(tuple(rows.items()))
-    return tuple(out)
+    return tuple(_content_row(contents, limbs) for contents, limbs in _levels(top))
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,11 @@ class CouplingReport:
 # peak memory depends on neither n nor the trial count
 _CLASS_CELLS = 1 << 18
 # the chain costs O(n^1.5) per trial (n - 1 merges over at most sqrt(2n) rows),
-# but n^2 * trials stays capped so a request is refused before it runs for
-# minutes (n = 1000 with 10^4 trials, about 2 s, is the largest that fits)
-COUPLING_WORK_CAP = 10 ** 10
+# so n * isqrt(n) * trials is capped and a request is refused before it runs
+# for minutes; on a 2-vCPU machine the largest that fit took about 15 s
+# (n = 100, 10^6 trials: the most time per unit) and 4 s (n = 10^4, 10^3
+# trials), and n = 2000 with 10^4 trials about 5 s
+COUPLING_WORK_CAP = 10 ** 9
 
 
 def _pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -263,8 +265,9 @@ def coupling_experiment(n: int, trials: int, c_values, seed: int) -> CouplingRep
     threshold = (1/2) n log n + c n in continuous time."""
     if n > 10 ** 4 or trials > 10 ** 6:
         raise ValueError("caps: n <= 1e4, trials <= 1e6")
-    if n * n * trials > COUPLING_WORK_CAP:
-        raise ValueError(f"n^2 * trials = {n * n * trials} exceeds cap {COUPLING_WORK_CAP}")
+    work = n * math.isqrt(n) * trials
+    if work > COUPLING_WORK_CAP:
+        raise ValueError(f"n * isqrt(n) * trials = {work} exceeds cap {COUPLING_WORK_CAP}")
     rng = np.random.default_rng(seed)
     ts = _connectivity_times(n, trials, rng)
     tstars = ts + rng.exponential(float(n), size=trials)

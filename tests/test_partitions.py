@@ -234,7 +234,7 @@ def test_table_invariants_at_m40():
     involutions = [1, 1]
     for m in range(2, 41):
         involutions.append(involutions[-1] + (m - 1) * involutions[-2])
-    for m, (contents, limbs) in enumerate(partitions._word_levels(40)):
+    for m, (contents, limbs) in enumerate(partitions._levels(40)):
         dims = partitions._level_dims(limbs)
         assert len(dims) == len(contents) == partition_count(m)
         assert all(type(d) is int for d in dims)
@@ -243,19 +243,44 @@ def test_table_invariants_at_m40():
     assert max(dims).bit_length() == 76
 
 
-def test_cells_added_at_the_cap_fill_the_word():
-    # the two longest words of m = 61, (61) and (1^61), fill all 64 bits:
-    # N E^61 N E and N E N^61 E; they grow from (60) at its top row (the
-    # padding E re-padded) and from (1^60) at a new row (the padding N)
-    parents = np.array([(1 << 62) | 0b10, (1 << 62) | (((1 << 60) - 1) << 1)], dtype=np.uint64)
-    children = [(1 << 63) | 0b10, (1 << 63) | (((1 << 61) - 1) << 1)]
-    for i, b in enumerate([1, 62]):
-        assert int(partitions._add_cell(parents[i:i + 1], np.uint64(b))[0]) == children[i]
+def test_index_map_matches_corner_lookups():
+    # R[k, lam] is lam without its k-th corner from the top, looked up in
+    # level m - 1; rows past lam's corners point at the zero column p(m - 1)
+    prev: dict = {}
+    for m, (_, _, index) in enumerate(partitions._indexed_levels(15)):
+        level = list(partitions.partitions_of(m))
+        assert index.dtype == np.int32 and index.shape[1] == len(level)
+        for i, lam in enumerate(level):
+            rows = [r for r in range(len(lam)) if lam[r] > (lam[r + 1] if r + 1 < len(lam) else 0)]
+            want = [prev[tuple(p for p in lam[:r] + (lam[r] - 1,) + lam[r + 1:] if p)]
+                    for r in rows]
+            assert index[:, i].tolist() == want + [len(prev)] * (len(index) - len(want))
+        prev = {lam: i for i, lam in enumerate(level)}
+
+
+def test_content_rows_invariants_through_m45():
+    # sum d^2 = m!, sum c d^2 = 0 and conjugation c -> -c on every level:
+    # the squared limbs and their carries run past 150 bits
+    for m, rows in enumerate(content_rows(45)):
+        level = dict(rows)
+        assert len(level) == len(rows)
+        assert sum(level.values()) == math.factorial(m)
+        assert sum(c * d for c, d in rows) == 0
+        assert all(level[-c] == d for c, d in rows)
+    assert max(d for _, d in rows).bit_length() > 150
+
+
+def test_levels_refuse_negative_m():
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        next(partitions._levels(-1))
+    for build in (partition_table, content_rows):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            build(-1)
 
 
 def test_table_refuses_past_the_word_cap():
     assert WORD_M_MAX == 61
-    levels = partitions._word_levels(WORD_M_MAX + 1)
+    levels = partitions._levels(WORD_M_MAX + 1)
     with pytest.raises(ValueError, match="exceeds cap 61"):
         next(levels)                                   # refused before level 0
     for build in (partition_table, content_rows, enumerate_partitions):

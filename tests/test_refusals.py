@@ -50,14 +50,14 @@ def test_sym_spectrum_refuses_large_n_at_once(capsys):
 
 
 def test_labels_past_the_partition_table_cap_refused_at_once():
-    # p(62) = 1 300 156 labels fit the label cap, but no partition of 62
-    # fits a 64-bit boundary word: refused before any label is built
+    # p(62) = 1 300 156 labels fit the label cap, but the partition table
+    # stops at m = 61: refused before any label is built
     t0 = time.monotonic()
     out = subprocess.run([sys.executable, "-m", "wreathwalk", "spectrum", "--walk", "sym",
                           "--n", "62"], capture_output=True, text=True)
     assert out.returncode == 1 and out.stdout == ""
     assert out.stderr == ("error: n = 62 exceeds cap 61 of the partition table "
-                          "(64-bit boundary words)\n")
+                          "(p(61) = 1121505 partitions a level)\n")
     assert time.monotonic() - t0 < 5.0
     with pytest.raises(ValueError, match="exceeds cap 61"):
         enumerate_labels(build_group("Z:2"), 62, max_labels=10 ** 20)
@@ -80,11 +80,11 @@ def test_trivial_base_group_refused(capsys):
 
 
 def test_coupling_refuses_hours_of_work_at_once(capsys):
-    # inside the n and trial caps, but n^2 * trials is past the work cap
+    # inside the n and trial caps, but n * isqrt(n) * trials is past the work cap
     t0 = time.monotonic()
     rc, out, err = run_cli(capsys, ["coupling", "--n", "5000", "--trials", "1000000"])
     assert rc == 1 and out == ""
-    assert err.startswith("error:") and "exceeds cap 10000000000" in err
+    assert err.startswith("error:") and "exceeds cap 1000000000\n" in err
     assert time.monotonic() - t0 < 1.0
 
 

@@ -318,6 +318,18 @@ def test_coupling_caps():
         coupling_experiment(10, 2 * 10 ** 6, [0.0], seed=1)
 
 
+def test_coupling_cap_accepts_n2000_with_1e4_trials(monkeypatch):
+    # the cap prices the component-size chain, n^1.5 per trial: n = 2000
+    # with 10^4 trials (a few seconds of sampling, stubbed here) is accepted
+    calls = []
+    monkeypatch.setattr(sim, "_connectivity_times",
+                        lambda n, trials, rng: calls.append((n, trials)) or np.ones(trials))
+    rep = coupling_experiment(2000, 10 ** 4, [0.0], seed=1)
+    assert calls == [(2000, 10 ** 4)] and rep.trials == 10 ** 4
+    with pytest.raises(ValueError, match="exceeds cap"):
+        coupling_experiment(10 ** 4, 10 ** 4, [0.0], seed=1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(kind="bogus", n=3)
