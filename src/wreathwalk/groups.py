@@ -163,6 +163,21 @@ def perm_rank(perms: np.ndarray) -> np.ndarray:
     return rank
 
 
+def perm_unrank(ranks: np.ndarray, m: int) -> np.ndarray:
+    """The permutations of range(m) with the given lexicographic ranks, as
+    rows along a new last axis: the inverse of perm_rank.  The Lehmer code
+    is read off the factorial base, then built into a permutation from the
+    right, each digit shifting up the entries at or above it."""
+    r = np.array(ranks, dtype=np.int64)
+    perms = np.empty(r.shape + (m,), dtype=np.int64)
+    for i in range(m - 1, -1, -1):
+        r, perms[..., i] = np.divmod(r, m - i)
+    for i in range(m - 2, -1, -1):
+        tail = perms[..., i + 1:]
+        tail += tail >= perms[..., i:i + 1]
+    return perms
+
+
 def permutation_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m! permutations of range(m) as rows, in lexicographic order
     (identity first), and their product table mult[a, b] = rank of a o b,

@@ -4,8 +4,8 @@ convolution powers, and distances.
 Everything is exact rational arithmetic.  Matrices and convolution powers
 are integer numerators over a common denominator, so powers stay cheap.
 The one-step law is counted from the walk's draws (measure_on_table), each
-applied to the identity by the simulator's step `wreath.apply_steps`, not
-read from the spectral side's class measure, so agreement between the two
+applied to the identity by the walk's step `wreath.apply_steps`, not read
+from the spectral side's class measure, so agreement between the two
 routes is evidence, not circularity.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .groups import GroupTable
-from .wreath import apply_steps, encode_states
+from .wreath import apply_steps, encode_states, step_draws
 
 if TYPE_CHECKING:
     from .walks import WalkMeasure
@@ -44,22 +44,18 @@ def measure_on_table(measure: WalkMeasure, g: GroupTable) -> dict[int, Fraction]
 
     Counted from the walk's definition: each of the n^2 |G|^b equally likely
     draws (positions p, q, then two independent base elements a, b, or one
-    pair a, a^-1 for paired) is applied to the identity with
-    `wreath.apply_steps`, the simulator's step.  Sym is the independent
-    case on G = 1: one draw (a, b) = (e, e)."""
+    pair a, a^-1 for paired; `wreath.step_draws`, the draw list of the
+    simulator's step-row map) is applied to the identity with
+    `wreath.apply_steps`.  Sym is the independent case on G = 1: one draw
+    (a, b) = (e, e) per (p, q)."""
     n, base = measure.n, measure.base
     go = base.order
     if g.order != go ** n * math.factorial(n):
         raise ValueError(f"table order {g.order} is not |G|^n n! = {go ** n * math.factorial(n)}")
-    if measure.kind == "paired":
-        a = np.arange(go)
-        b = base.inv[a]
-    else:
-        a, b = np.divmod(np.arange(go * go), go)
-    p, q, j = (x.ravel() for x in np.indices((n, n, len(a))))
+    p, q, a, b = step_draws(measure.kind, n, base)
     coords = np.zeros((len(p), n), dtype=np.int64)
     pinv = np.tile(np.arange(n), (len(p), 1))
-    apply_steps(coords, pinv, np.arange(len(p)), p, q, a[j], b[j], base.mult)
+    apply_steps(coords, pinv, np.arange(len(p)), p, q, a, b, base.mult)
     # from the identity, pinv is the transposition (p q), its own inverse
     counts = np.bincount(encode_states(coords, pinv, go), minlength=g.order)
     return {int(i): Fraction(int(counts[i]), len(p)) for i in np.flatnonzero(counts)}

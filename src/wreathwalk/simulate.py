@@ -3,7 +3,10 @@ empirical TV with jackknife errors, and the two coupling experiments (the
 per-coordinate randomization tail and the pair-event graph connectivity
 time).
 
-Every walk step is one `wreath.apply_steps` call on row-aligned draws.
+A trial is one element index.  The walk's successor map
+`wreath.step_rows` (draws x order entries, built once per run or passed
+in) is R[d, x] = index of s_d x, so a step of every trial is one gather
+x = R[d, x] on the drawn d, and a snapshot is x itself.
 
 Randomness contract: everything goes through numpy's default_rng (PCG64),
 and every report records the seed.  Per step the sampler draws, in order,
@@ -24,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import GroupTable
-from .wreath import apply_steps, encode_states, walk_base
+from .wreath import decode_states, step_rows, walk_base
 
 RNG_ALGORITHM = "PCG64"
 JACKKNIFE_BLOCKS = 100             # delete-one-block jackknife groups in empirical_tv
@@ -53,14 +56,15 @@ class SimConfig:
             raise ValueError("continuized mode needs a time horizon t")
 
 
-def _walk(cfg: SimConfig, ks: list, keep) -> list:
-    """keep(coords, perms) after each step count in ks (discrete mode; one
-    entry, ignored, in continuized mode), in ks order.  Tracks the inverse
-    permutation internally so a step is O(1) per trial."""
+def _walk(cfg: SimConfig, ks: list, keep, rows) -> list:
+    """keep(x), x the (trials,) element indices, after each step count in
+    ks (discrete mode; one entry, ignored, in continuized mode), in ks
+    order.  rows is the walk's step_rows map, built here when None."""
+    if rows is None:
+        rows = step_rows(cfg.kind, cfg.n, cfg.g)
     rng = np.random.default_rng(cfg.seed)
-    T, n = cfg.trials, cfg.n
-    coords = np.zeros((T, n), dtype=np.int64)
-    pinv = np.tile(np.arange(n, dtype=np.int64), (T, 1))
+    T, order, flat = cfg.trials, rows.shape[1], rows.reshape(-1)
+    x = np.zeros(T, dtype=rows.dtype)
     if cfg.mode == "continuized":
         steps = rng.poisson(cfg.t, size=T)
         kmax = int(steps.max()) if T else 0
@@ -72,55 +76,58 @@ def _walk(cfg: SimConfig, ks: list, keep) -> list:
     wanted, kept = set(ks), {}
     for step in range(kmax + 1):
         if step in wanted:
-            kept[step] = keep(coords, _inverse_rows(pinv))
-        if step < kmax:                      # continuized: the trials whose count exceeds step
-            _step(cfg, rng, coords, pinv, steps > step if cfg.mode == "continuized" else None)
+            kept[step] = keep(x)
+        if step < kmax:
+            at = _draw(cfg, rng)
+            at *= order
+            if cfg.mode == "continuized":    # only the trials whose count exceeds step
+                on = steps > step
+                x[on] = flat.take(at[on] + x[on])
+            else:
+                at += x
+                x = flat.take(at)
     return [kept[k] for k in ks]
 
 
-def _inverse_rows(pinv: np.ndarray) -> np.ndarray:
-    """The permutations whose inverses are the rows of pinv."""
-    perms = np.empty_like(pinv)
-    np.put_along_axis(perms, pinv, np.broadcast_to(np.arange(pinv.shape[1]), pinv.shape), axis=1)
-    return perms
-
-
-def _step(cfg: SimConfig, rng, coords: np.ndarray, pinv: np.ndarray, on) -> None:
-    """One step of every trial, or of the trials that the mask on selects,
-    in place; p, q, a and b are drawn for every trial (the stream layout)."""
-    T, n, g = len(coords), cfg.n, cfg.g
-    p = rng.integers(0, n, size=T)
-    q = rng.integers(0, n, size=T)
-    a = rng.integers(0, g.order, size=T)
-    b = g.inv[a] if cfg.kind == "paired" else rng.integers(0, g.order, size=T)
-    rows = np.arange(T)
-    if on is not None:
-        rows, p, q, a, b = rows[on], p[on], q[on], a[on], b[on]
-    apply_steps(coords, pinv, rows, p, q, a, b, g.mult)
+def _draw(cfg: SimConfig, rng) -> np.ndarray:
+    """The draw index (wreath.step_draws order) of one step of every trial;
+    p, q, a and b are drawn for every trial, in that order (the stream
+    layout).  In place: fresh temporaries cost more than the arithmetic."""
+    T, n, go = cfg.trials, cfg.n, cfg.g.order
+    d = rng.integers(0, n, size=T)           # p
+    d *= n
+    d += rng.integers(0, n, size=T)          # q
+    d *= go
+    d += rng.integers(0, go, size=T)         # a
+    if cfg.kind != "paired":                 # b; paired has b = a^-1, no draw
+        d *= go
+        d += rng.integers(0, go, size=T)
+    return d
 
 
 def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Simulate all trials; returns (coords, perms) arrays of shape
     (trials, n)."""
-    return _walk(cfg, [cfg.k], lambda coords, perms: (coords, perms))[0]
+    return decode_states(run_walk_indices(cfg), cfg.g.order, cfg.n)
 
 
-def run_walk_indices(cfg: SimConfig) -> np.ndarray:
-    coords, perms = run_walk(cfg)
-    return encode_states(coords, perms, cfg.g.order)
+def run_walk_indices(cfg: SimConfig, rows: np.ndarray | None = None) -> np.ndarray:
+    """Element indices of all trials after the walk, shape (trials,).  rows:
+    the walk's wreath.step_rows map, built here when not given."""
+    return _walk(cfg, [cfg.k], lambda x: x, rows)[0]
 
 
-def tv_curve(cfg: SimConfig, ks: list) -> list[tuple[float, float]]:
+def tv_curve(cfg: SimConfig, ks: list, rows: np.ndarray | None = None) -> list[tuple[float, float]]:
     """empirical_tv against the uniform law after k steps, for each k in
     ks (discrete mode, each k in 0..cfg.k), from one run to cfg.k.  The
     draws of a step do not depend on the step count, so each entry is that
     of a run of k steps from the same seed.  Each state is reduced to its
-    (tv, se) when it is reached, so the run holds one state per trial."""
+    (tv, se) when it is reached, so the run holds one state per trial.
+    rows as in run_walk_indices."""
     if cfg.mode != "discrete":
         raise ValueError("step-count snapshots need discrete mode")
     order = cfg.g.order ** cfg.n * math.factorial(cfg.n)
-    return _walk(cfg, list(ks), lambda coords, perms: empirical_tv(
-        encode_states(coords, perms, cfg.g.order), None, order))
+    return _walk(cfg, list(ks), lambda x: empirical_tv(x, None, order), rows)
 
 
 def empirical_tv(samples: np.ndarray, reference, order: int) -> tuple[float, float]:

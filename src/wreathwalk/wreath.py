@@ -13,14 +13,17 @@ Element encoding, the one used everywhere: the index of (coords; perm) is
     (coords as base-|G| digits, first coordinate most significant) * n!
         + lexicographic rank of perm.
 
-`encode_states` computes it; explicit tables are built in this order and
-the simulator encodes its states with the same function, so an encoded
-sample is a row index of the table.
+`encode_states` computes it and `decode_states` inverts it; explicit
+tables are built in this order, so an element index is a row of the
+table.  Indices are int64: orders above 2^63 - 1 are refused.
 
 The walk step, the one rule for every walk: draw positions p, q and base
 elements a, b, then left-multiply by the step element with a at p, b at q
-and the swap (p q).  `apply_steps` is its one array statement; the
-simulator and the oracle's one-step law both call it.
+and the swap (p q).  `step_draws` lists the draws in the sampler's order
+and `apply_steps` is the step's one array statement.  The oracle's
+one-step law applies every draw to the identity with it; `step_rows`
+applies every draw to every state, once, into the successor map
+R[d, x] = index of s_d x (draws x order entries) that the simulator walks.
 """
 from __future__ import annotations
 
@@ -37,10 +40,13 @@ from .groups import (
     conjugacy_classes,
     cyclic_group,
     perm_rank,
+    perm_unrank,
     permutation_table,
 )
 
 MAX_WREATH_ORDER = 5000
+INDEX_MAX = 2 ** 63 - 1            # the largest order whose indices fit in int64
+STEP_ROW_CELLS = 1 << 14           # (draw, state) pairs per chunk of the step_rows build
 
 
 class WreathElement(NamedTuple):
@@ -87,14 +93,34 @@ def enumerate_wreath_elements(g: GroupTable, n: int):
             yield WreathElement(coords, perm)
 
 
+def _index_order(g_order: int, n: int) -> int:
+    """|G|^n n!, refused when its element indices do not fit in int64."""
+    order = wreath_order(g_order, n)
+    if order > INDEX_MAX:
+        raise ValueError(f"wreath order {order} exceeds 2^63 - 1, the int64 element indices")
+    return order
+
+
 def encode_states(coords: np.ndarray, perms: np.ndarray, g_order: int) -> np.ndarray:
     """Element indices of (coords; perms) in the encoding above.  coords
     and perms have shape (..., n) and broadcast against each other."""
     n = coords.shape[-1]
+    _index_order(g_order, n)
     digits = np.zeros(coords.shape[:-1], dtype=np.int64)
     for i in range(n):
         digits = digits * g_order + coords[..., i]
     return digits * math.factorial(n) + perm_rank(perms)
+
+
+def decode_states(index: np.ndarray, g_order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, perms) of element indices, each of shape index.shape + (n,):
+    the inverse of encode_states."""
+    _index_order(g_order, n)
+    digits, ranks = np.divmod(np.asarray(index, dtype=np.int64), math.factorial(n))
+    coords = np.empty(digits.shape + (n,), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        digits, coords[..., i] = np.divmod(digits, g_order)
+    return coords, perm_unrank(ranks, n)
 
 
 def apply_steps(coords: np.ndarray, pinv: np.ndarray, rows, p, q, a, b,
@@ -109,6 +135,76 @@ def apply_steps(coords: np.ndarray, pinv: np.ndarray, rows, p, q, a, b,
     xp, xq = x[ip], x[iq]
     x[iq], x[ip] = mult[b, xp], mult[a, xq]
     inv[ip], inv[iq] = inv[iq], inv[ip]
+
+
+def step_draws(kind: str, n: int, g: GroupTable | None):
+    """(p, q, a, b) of every equally likely draw of the walk's step, in the
+    sampler's draw order: d = ((p n + q) |G| + a) |G| + b for the
+    independent walk, (p n + q) |G| + a with b = a^-1 for paired, and
+    p n + q for sym (the independent walk on Z:1)."""
+    g = walk_base(kind, g)
+    if kind == "paired":
+        a = np.arange(g.order)
+        b = g.inv[a]
+    else:
+        a, b = np.divmod(np.arange(g.order ** 2), g.order)
+    p, q, j = (x.ravel() for x in np.indices((n, n, len(a))))
+    return p, q, a[j], b[j]
+
+
+def _index_dtype(order: int) -> np.dtype:
+    return np.dtype(np.int32 if order < 2 ** 31 else np.int64)
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def step_row_bytes(kind: str, n: int, g_order: int) -> tuple[int, int]:
+    """(bytes of the step_rows map, peak bytes of its build) on a base of
+    order g_order (1 for sym).  Besides the map, the build holds the draw
+    arrays, the decoded states with their inverses and, per chunk of
+    STEP_ROW_CELLS (draw, state) pairs (one draw when the order is larger),
+    the tiled states and the step's and the encoder's temporaries, about
+    32 n + 128 bytes a pair, and 64 KiB of Python objects."""
+    order = _index_order(g_order, n)
+    draws = n * n * (g_order if kind == "paired" else g_order ** 2)
+    size = draws * order * _index_dtype(order).itemsize
+    cells = min(max(STEP_ROW_CELLS // order, 1), draws) * order
+    return size, size + 64 * draws + 32 * n * order + (32 * n + 128) * cells + 2 ** 16
+
+
+def step_rows(kind: str, n: int, g: GroupTable | None) -> np.ndarray:
+    """The successor map R of the walk: R[d, x] is the index of s_d x, for
+    draw d in step_draws order and state x in the element encoding, so
+    R[d, 0] is the step element s_d.  int32 while the order is below 2^31.
+
+    Every state is decoded once, and each chunk of draws is applied to all
+    of them with apply_steps and encoded (step_row_bytes counts the peak).
+    Refuses orders past int64 and, before allocating anything, maps whose
+    build would exceed physical memory."""
+    g = walk_base(kind, g)
+    size, need = step_row_bytes(kind, n, g.order)       # refuses orders past int64
+    order = wreath_order(g.order, n)
+    dtype = _index_dtype(order)
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(f"wreath order {order} needs a {size}-byte step-row map "
+                         f"({size // dtype.itemsize // order} draws x {order} states) for the "
+                         f"{kind} walk and {need} bytes to build it, more than the {have} "
+                         f"bytes of physical memory")
+    p, q, a, b = step_draws(kind, n, g)
+    coords, perms = decode_states(np.arange(order), g.order, n)
+    pinv = np.argsort(perms, axis=1)
+    rows = np.empty((len(p), order), dtype=dtype)
+    chunk = max(1, STEP_ROW_CELLS // order)            # draws per chunk
+    for lo in range(0, len(p), chunk):
+        d = np.arange(lo, min(lo + chunk, len(p)))
+        x, xinv = np.tile(coords, (len(d), 1)), np.tile(pinv, (len(d), 1))
+        p_, q_, a_, b_ = (np.repeat(v[d], order) for v in (p, q, a, b))
+        apply_steps(x, xinv, np.arange(len(x)), p_, q_, a_, b_, g.mult)
+        rows[d] = encode_states(x, np.argsort(xinv, axis=1), g.order).reshape(len(d), order)
+    return rows
 
 
 class WreathTable(NamedTuple):
@@ -144,7 +240,7 @@ def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER)
     if order > max_order:
         raise ValueError(f"wreath order {order} exceeds cap {max_order}")
     table, need = 8 * order * order, build_bytes(g.order, n)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = _physical_memory()
     if need > have:
         raise ValueError(f"wreath order {order} needs a {table / 2 ** 30:.1f} GiB table "
                          f"(order^2 int64 entries) and {need / 2 ** 30:.1f} GiB to build it, "

@@ -18,7 +18,6 @@ from wreathwalk.simulate import (
     discrete_coupling_bound,
     discrete_coupling_tail,
     empirical_tv,
-    encode_states,
     one_step_counts,
     per_step_hit_probability,
     run_walk,
@@ -30,7 +29,10 @@ from wreathwalk.wreath import (
     WreathElement,
     apply_steps,
     build_wreath_table,
+    decode_states,
+    encode_states,
     enumerate_wreath_elements,
+    step_rows,
     wreath_multiply,
 )
 
@@ -365,7 +367,8 @@ def test_simulate_rows_come_from_one_run(capsys, monkeypatch):
             "--k", "0..12:4", "--trials", "400", "--seed", "5"]
     calls = []
     real = cli.tv_curve
-    monkeypatch.setattr(cli, "tv_curve", lambda cfg, ks: calls.append(cfg.k) or real(cfg, ks))
+    monkeypatch.setattr(cli, "tv_curve",
+                        lambda cfg, ks, rows: calls.append(cfg.k) or real(cfg, ks, rows))
     assert cli.main(argv) == 0
     assert calls == [12]
     rows = capsys.readouterr().out.splitlines()[2:]
@@ -375,3 +378,105 @@ def test_simulate_rows_come_from_one_run(capsys, monkeypatch):
         idx = run_walk_indices(SimConfig(kind="paired", n=3, g=g, k=k, trials=400, seed=5))
         tv, se = empirical_tv(idx, None, 48)
         assert row.split(",")[:3] == [str(k), repr(tv), repr(se)]
+
+
+def _reference_walk_indices(cfg):
+    """The walk before the step-row map, kept as the bit-for-bit reference:
+    each trial a (coords, pinv) pair, pinv its inverse permutation, and
+    each step one apply_steps on the draws p, q, a, b (b = a^-1 for
+    paired), restricted in continuized mode to the trials whose Poisson
+    count exceeds the step; the states are encoded at the end."""
+    rng = np.random.default_rng(cfg.seed)
+    T, n, g = cfg.trials, cfg.n, cfg.g
+    coords = np.zeros((T, n), dtype=np.int64)
+    pinv = np.tile(np.arange(n, dtype=np.int64), (T, 1))
+    steps = rng.poisson(cfg.t, size=T) if cfg.mode == "continuized" else None
+    kmax = cfg.k if steps is None else int(steps.max())
+    for step in range(kmax):
+        p = rng.integers(0, n, size=T)
+        q = rng.integers(0, n, size=T)
+        a = rng.integers(0, g.order, size=T)
+        b = g.inv[a] if cfg.kind == "paired" else rng.integers(0, g.order, size=T)
+        rows = np.arange(T)
+        if steps is not None:
+            on = steps > step
+            rows, p, q, a, b = rows[on], p[on], q[on], a[on], b[on]
+        apply_steps(coords, pinv, rows, p, q, a, b, g.mult)
+    return encode_states(coords, np.argsort(pinv, axis=1), g.order)
+
+
+REFERENCE_WALKS = [("paired", "Z:3", 3), ("independent", "Z:2", 4), ("paired", "S:3", 3),
+                   ("sym", None, 5)]
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuized"])
+@pytest.mark.parametrize("kind,gspec,n", REFERENCE_WALKS)
+def test_walk_equals_the_reference_walk(kind, gspec, n, mode):
+    g = build_group(gspec) if gspec else None
+    for seed in (3, 17):
+        cfg = SimConfig(kind=kind, n=n, g=g, k=25, t=9.0, trials=3000, seed=seed, mode=mode)
+        got = run_walk_indices(cfg)
+        assert len(np.unique(got)) > 1
+        assert np.array_equal(got, _reference_walk_indices(cfg))
+        assert np.array_equal(got, run_walk_indices(cfg, step_rows(kind, n, g)))
+
+
+@pytest.mark.parametrize("kind,gspec,n", REFERENCE_WALKS)
+def test_tv_curve_rows_equal_reference_runs_of_k_steps(kind, gspec, n):
+    g = build_group(gspec) if gspec else None
+    ks = [0, 1, 9, 4, 25]
+    cfg = SimConfig(kind=kind, n=n, g=g, k=max(ks), trials=3000, seed=5)
+    order = cfg.g.order ** n * math.factorial(n)
+    for k, tv_se in zip(ks, tv_curve(cfg, ks)):
+        ref = _reference_walk_indices(SimConfig(kind=kind, n=n, g=g, k=k, trials=3000, seed=5))
+        assert tv_se == empirical_tv(ref, None, order)
+
+
+def test_run_walk_decodes_the_indices():
+    g = build_group("S:3")
+    cfg = SimConfig(kind="independent", n=3, g=g, k=7, trials=500, seed=4)
+    coords, perms = run_walk(cfg)
+    assert coords.shape == perms.shape == (500, 3)
+    assert np.array_equal(encode_states(coords, perms, g.order), run_walk_indices(cfg))
+
+
+@pytest.mark.parametrize("kind,gspec,n,order", [
+    ("independent", "Z:9", 12, 9 ** 12 * math.factorial(12)),   # about 1.35e20
+    ("sym", None, 21, math.factorial(21)),                      # about 5.1e19
+    ("paired", "Z:11", 11, 11 ** 11 * math.factorial(11)),      # 1.23 * 2^63
+])
+def test_orders_past_int64_are_refused(kind, gspec, n, order):
+    # the indices would wrap (or overflow in encode_states): refused, with
+    # the order named, before anything is allocated
+    g = build_group(gspec) if gspec else None
+    cfg = SimConfig(kind=kind, n=n, g=g, k=60, trials=5, seed=1)
+    with pytest.raises(ValueError, match=f"wreath order {order} exceeds 2\\^63 - 1"):
+        run_walk_indices(cfg)
+    with pytest.raises(ValueError, match=f"wreath order {order} exceeds"):
+        encode_states(np.zeros((1, n), dtype=np.int64), np.arange(n)[None], cfg.g.order)
+    with pytest.raises(ValueError, match=f"wreath order {order} exceeds"):
+        step_rows(kind, n, g)
+
+
+def test_continuized_simulate_builds_the_map_once(capsys, monkeypatch):
+    # continuized rows are separate runs, all on one step-row map
+    from wreathwalk import cli
+
+    calls = []
+    real = cli.step_rows
+    monkeypatch.setattr(cli, "step_rows", lambda *a: calls.append(a) or real(*a))
+    argv = ["simulate", "--n", "3", "--walk", "sym", "--mode", "continuized",
+            "--k", "0..6:2", "--trials", "300", "--seed", "2"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 4
+
+
+def test_indices_reach_the_int64_edge():
+    # Z:1 at n = 20, order 20! (about 2.4e18): the last element, the
+    # reversed permutation, is index 20! - 1, and decodes back
+    n, order = 20, math.factorial(20)
+    last = np.arange(n)[::-1][None]
+    assert encode_states(np.zeros((1, n), dtype=np.int64), last, 1)[0] == order - 1
+    coords, perms = decode_states(np.array([order - 1]), 1, n)
+    assert not coords.any() and np.array_equal(perms, last)

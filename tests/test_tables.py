@@ -2,7 +2,9 @@
 the scalar arithmetic (wreath_multiply, permutation composition) and, for
 the larger instances, against the spectral route through the oracle."""
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -10,14 +12,18 @@ import pytest
 
 from wreathwalk.classes import class_count
 from wreathwalk.groups import build_group, permutation_table, symmetric_group
-from wreathwalk.oracle import convolution_curve, exact_distances
-from wreathwalk.simulate import encode_states
+from wreathwalk.oracle import convolution_curve, exact_distances, measure_on_table
 from wreathwalk.walks import build_measure, l2n_sq_spectral, spectrum
 from wreathwalk.wreath import (
     WreathElement,
     build_bytes,
     build_wreath_table,
+    decode_states,
+    encode_states,
     enumerate_wreath_elements,
+    step_draws,
+    step_row_bytes,
+    step_rows,
     wreath_multiply,
 )
 
@@ -96,3 +102,76 @@ def test_build_bytes_is_the_build_peak(gname, n):
     finally:
         tracemalloc.stop()
     assert peak <= build_bytes(g.order, n) <= 1.05 * peak
+
+
+MAP_INSTANCES = ([("Z:1", n) for n in range(1, 6)] + [("Z:2", n) for n in range(1, 5)]
+                 + [("Z:3", 3), ("S:3", 3)])
+# sym runs on Z:1 only; the wreath walks on every instance
+MAP_WALKS = [(kind, gname, n) for gname, n in MAP_INSTANCES
+             for kind in ("sym", "independent", "paired") if kind != "sym" or gname == "Z:1"]
+
+
+@pytest.mark.parametrize("gname,n", MAP_INSTANCES)
+def test_decode_states_inverts_encode_states(gname, n):
+    g = build_group(gname)
+    order = g.order ** n * math.factorial(n)
+    coords, perms = decode_states(np.arange(order), g.order, n)
+    assert coords.shape == perms.shape == (order, n)
+    assert coords.min() >= 0 and coords.max() < g.order
+    assert np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(n), (order, n)))
+    assert np.array_equal(encode_states(coords, perms, g.order), np.arange(order))
+
+
+@pytest.mark.parametrize("kind,gname,n", MAP_WALKS)
+def test_step_rows_are_table_rows_of_the_step_elements(kind, gname, n):
+    # R[d] is left multiplication by s_d = R[d, 0], and s_d is the scalar
+    # step element of draw d: a at p, b at q (a alone when p = q), (p q)
+    wt, elements = _table(gname, n), _elements(gname, n)
+    rows = step_rows(kind, n, wt.base)
+    assert rows.dtype == np.int32
+    assert np.array_equal(rows, wt.group.mult[rows[:, 0]])
+    for d, (p, q, a, b) in enumerate(zip(*step_draws(kind, n, wt.base))):
+        v = [0] * n
+        v[q] = b
+        v[p] = a
+        tau = list(range(n))
+        tau[p], tau[q] = q, p
+        assert elements[rows[d, 0]] == WreathElement(tuple(v), tuple(tau))
+
+
+@pytest.mark.parametrize("kind,gname,n", MAP_WALKS)
+def test_measure_on_table_counts_the_step_elements(kind, gname, n):
+    # the one-step law is the histogram of the step elements over the
+    # n^2 |G|^b draws, counted here from the scalar definition
+    wt, elements = _table(gname, n), _elements(gname, n)
+    g = wt.base
+    pairs = ([(a, int(g.inv[a])) for a in range(g.order)] if kind == "paired"
+             else list(itertools.product(range(g.order), repeat=2)))
+    counts = {}
+    for p, q, (a, b) in itertools.product(range(n), range(n), pairs):
+        v = [0] * n
+        v[q] = b
+        v[p] = a
+        tau = list(range(n))
+        tau[p], tau[q] = q, p
+        s = elements.index(WreathElement(tuple(v), tuple(tau)))
+        counts[s] = counts.get(s, 0) + 1
+    total = n * n * len(pairs)
+    want = {s: Fraction(c, total) for s, c in counts.items()}
+    assert measure_on_table(build_measure(kind, n, g), wt.group) == want
+
+
+@pytest.mark.parametrize("kind,gname,n", [("sym", "Z:1", 7), ("independent", "S:3", 3),
+                                          ("paired", "Z:3", 3), ("independent", "Z:70", 1)])
+def test_step_row_bytes_is_the_build_peak(kind, gname, n):
+    # the map plus a chunk of (draw, state) pairs and the decoded states
+    g = build_group(gname)
+    tracemalloc.start()
+    try:
+        rows = step_rows(kind, n, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size, need = step_row_bytes(kind, n, g.order)
+    assert size == rows.nbytes
+    assert peak <= need <= 1.5 * peak
