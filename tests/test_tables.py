@@ -111,6 +111,17 @@ MAP_WALKS = [(kind, gname, n) for gname, n in MAP_INSTANCES
              for kind in ("sym", "independent", "paired") if kind != "sym" or gname == "Z:1"]
 
 
+def _step_element(n, p, q, a, b):
+    """The step element of a draw: a at p, b at q (a alone when p = q), and
+    the swap (p q)."""
+    v = [0] * n
+    v[q] = b
+    v[p] = a
+    tau = list(range(n))
+    tau[p], tau[q] = q, p
+    return WreathElement(tuple(v), tuple(tau))
+
+
 @pytest.mark.parametrize("gname,n", MAP_INSTANCES)
 def test_decode_states_inverts_encode_states(gname, n):
     g = build_group(gname)
@@ -124,19 +135,14 @@ def test_decode_states_inverts_encode_states(gname, n):
 
 @pytest.mark.parametrize("kind,gname,n", MAP_WALKS)
 def test_step_rows_are_table_rows_of_the_step_elements(kind, gname, n):
-    # R[d] is left multiplication by s_d = R[d, 0], and s_d is the scalar
-    # step element of draw d: a at p, b at q (a alone when p = q), (p q)
+    # R[d] is left multiplication by s_d = R[d, 0], the scalar step
+    # element of draw d
     wt, elements = _table(gname, n), _elements(gname, n)
     rows = step_rows(kind, n, wt.base)
     assert rows.dtype == np.int32
     assert np.array_equal(rows, wt.group.mult[rows[:, 0]])
-    for d, (p, q, a, b) in enumerate(zip(*step_draws(kind, n, wt.base))):
-        v = [0] * n
-        v[q] = b
-        v[p] = a
-        tau = list(range(n))
-        tau[p], tau[q] = q, p
-        assert elements[rows[d, 0]] == WreathElement(tuple(v), tuple(tau))
+    for d, draw in enumerate(zip(*step_draws(kind, n, wt.base))):
+        assert elements[rows[d, 0]] == _step_element(n, *draw)
 
 
 @pytest.mark.parametrize("kind,gname,n", MAP_WALKS)
@@ -149,12 +155,7 @@ def test_measure_on_table_counts_the_step_elements(kind, gname, n):
              else list(itertools.product(range(g.order), repeat=2)))
     counts = {}
     for p, q, (a, b) in itertools.product(range(n), range(n), pairs):
-        v = [0] * n
-        v[q] = b
-        v[p] = a
-        tau = list(range(n))
-        tau[p], tau[q] = q, p
-        s = elements.index(WreathElement(tuple(v), tuple(tau)))
+        s = elements.index(_step_element(n, p, q, a, b))
         counts[s] = counts.get(s, 0) + 1
     total = n * n * len(pairs)
     want = {s: Fraction(c, total) for s, c in counts.items()}
