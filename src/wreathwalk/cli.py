@@ -49,7 +49,7 @@ from .simulate import (
     tv_curve,
 )
 from .walks import build_measure, spectrum
-from .wreath import MAX_WREATH_ORDER, build_wreath_table, step_rows
+from .wreath import MAX_WREATH_ORDER, build_wreath_table
 
 SPECTRUM_COLUMNS = ("value_num", "value_den", "multiplicity", "n1", "lambda1")
 DISTANCE_COLUMNS = ("k", "l2n_sq", "tv_upper_spectral", "tv_upper_coupling",
@@ -275,21 +275,20 @@ def cmd_simulate(args) -> int:
     gt = build_wreath_table(g, args.n, max_order=args.max_order).group  # order cap; exact column
     measure = build_measure(args.walk, args.n, g)
     order = gt.order
-    succ = step_rows(args.walk, args.n, g)          # one step-row map for every row
     rows = []
     if args.mode == "discrete":
         # one run to the largest k, each row read off it (see tv_curve)
         exact = {k: float(exact_distances(dist, order)["tv"])
                  for k, dist in convolution_curve(gt, measure, sorted(set(args.k)))}
         cfg = SimConfig(kind=args.walk, n=args.n, g=g, k=max(args.k),
-                        trials=args.trials, seed=args.seed)
-        for k, (tv, se) in zip(args.k, tv_curve(cfg, args.k, succ)):
+                        trials=args.trials, seed=args.seed, table=gt)
+        for k, (tv, se) in zip(args.k, tv_curve(cfg, args.k)):
             rows.append([k, tv, se, exact[k], args.trials, args.seed])
     else:
         for k in args.k:
-            cfg = SimConfig(kind=args.walk, n=args.n, g=g, t=float(k),
-                            trials=args.trials, seed=args.seed, mode="continuized")
-            tv, se = empirical_tv(run_walk_indices(cfg, succ), None, order)
+            cfg = SimConfig(kind=args.walk, n=args.n, g=g, t=float(k), trials=args.trials,
+                            seed=args.seed, mode="continuized", table=gt)
+            tv, se = empirical_tv(run_walk_indices(cfg), None, order)
             ref = _poisson_reference_tv(gt, measure, float(k), order)
             rows.append([k, tv, se, ref, args.trials, args.seed])
     meta = {"subcommand": "simulate", "walk": args.walk,

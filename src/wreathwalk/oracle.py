@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .groups import GroupTable
-from .wreath import apply_steps, encode_states, step_draws
+from .wreath import step_elements
 
 if TYPE_CHECKING:
     from .walks import WalkMeasure
@@ -44,21 +44,17 @@ def measure_on_table(measure: WalkMeasure, g: GroupTable) -> dict[int, Fraction]
 
     Counted from the walk's definition: each of the n^2 |G|^b equally likely
     draws (positions p, q, then two independent base elements a, b, or one
-    pair a, a^-1 for paired; `wreath.step_draws`, the draw list of the
-    simulator's step-row map) is applied to the identity with
-    `wreath.apply_steps`.  Sym is the independent case on G = 1: one draw
-    (a, b) = (e, e) per (p, q)."""
+    pair a, a^-1 for paired; `wreath.step_draws`, the simulator's draw
+    order) is applied to the identity with `wreath.apply_steps`
+    (`wreath.step_elements`).  Sym is the independent case on G = 1: one
+    draw (a, b) = (e, e) per (p, q)."""
     n, base = measure.n, measure.base
     go = base.order
     if g.order != go ** n * math.factorial(n):
         raise ValueError(f"table order {g.order} is not |G|^n n! = {go ** n * math.factorial(n)}")
-    p, q, a, b = step_draws(measure.kind, n, base)
-    coords = np.zeros((len(p), n), dtype=np.int64)
-    pinv = np.tile(np.arange(n), (len(p), 1))
-    apply_steps(coords, pinv, np.arange(len(p)), p, q, a, b, base.mult)
-    # from the identity, pinv is the transposition (p q), its own inverse
-    counts = np.bincount(encode_states(coords, pinv, go), minlength=g.order)
-    return {int(i): Fraction(int(counts[i]), len(p)) for i in np.flatnonzero(counts)}
+    steps = step_elements(measure.kind, n, base)
+    counts = np.bincount(steps, minlength=g.order)
+    return {int(i): Fraction(int(counts[i]), len(steps)) for i in np.flatnonzero(counts)}
 
 
 def build_transition_matrix(g: GroupTable, measure: WalkMeasure) -> TransitionMatrix:

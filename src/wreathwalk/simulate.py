@@ -3,10 +3,13 @@ empirical TV with jackknife errors, and the two coupling experiments (the
 per-coordinate randomization tail and the pair-event graph connectivity
 time).
 
-A trial is one element index.  The walk's successor map
-`wreath.step_rows` (draws x order entries, built once per run or passed
-in) is R[d, x] = index of s_d x, so a step of every trial is one gather
-x = R[d, x] on the drawn d, and a snapshot is x itself.
+A trial is one element index, and a step of every trial is one gather
+x = R[row_of[d], x] on the drawn d, R[row_of[d], x] the index of s_d x: R
+is the explicit table that the caller passes in SimConfig.table (the CLI
+has one), or the walk's `wreath.step_rows` map of its distinct step
+elements when that costs less than the walk.  A snapshot is x itself.
+Otherwise, as for orders too large to index, a trial is a (coords, pinv)
+pair stepped by `wreath.apply_steps` and encoded at each snapshot.
 
 Randomness contract: everything goes through numpy's default_rng (PCG64),
 and every report records the seed.  Per step the sampler draws, in order,
@@ -27,7 +30,16 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import GroupTable
-from .wreath import decode_states, step_rows, walk_base
+from .wreath import (
+    _index_order,
+    apply_steps,
+    decode_states,
+    encode_states,
+    step_elements,
+    step_rows,
+    walk_base,
+    wreath_order,
+)
 
 RNG_ALGORITHM = "PCG64"
 JACKKNIFE_BLOCKS = 100             # delete-one-block jackknife groups in empirical_tv
@@ -43,6 +55,9 @@ class SimConfig:
     trials: int = 1000
     seed: int = 0
     mode: str = "discrete"
+    # the wreath product's explicit table, when the caller holds one: the
+    # walk steps through its rows and builds no step-row map
+    table: GroupTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("sym", "independent", "paired"):
@@ -54,17 +69,22 @@ class SimConfig:
             raise ValueError("mode is discrete or continuized")
         if self.mode == "continuized" and self.t is None:
             raise ValueError("continuized mode needs a time horizon t")
+        if self.table is not None and self.table.order != wreath_order(self.g.order, self.n):
+            raise ValueError(f"table order {self.table.order} is not |G|^n n! = "
+                             f"{wreath_order(self.g.order, self.n)}")
 
 
-def _walk(cfg: SimConfig, ks: list, keep, rows) -> list:
-    """keep(x), x the (trials,) element indices, after each step count in
-    ks (discrete mode; one entry, ignored, in continuized mode), in ks
-    order.  rows is the walk's step_rows map, built here when None."""
-    if rows is None:
-        rows = step_rows(cfg.kind, cfg.n, cfg.g)
+def _walk(cfg: SimConfig, ks: list, keep, decoded: bool = False) -> list:
+    """keep(state) after each step count in ks (discrete mode; one entry,
+    ignored, in continuized mode), in ks order.  The state is the (trials,)
+    element indices, or their (coords, perms) arrays when decoded.
+
+    A trial is one element index stepped by one gather through the step
+    map (_step_map) when there is one, else a (coords, pinv) pair, pinv its
+    inverse permutation, stepped by apply_steps; a step is O(1) per trial
+    either way, and both take the same draws."""
     rng = np.random.default_rng(cfg.seed)
-    T, order, flat = cfg.trials, rows.shape[1], rows.reshape(-1)
-    x = np.zeros(T, dtype=rows.dtype)
+    T, n, go = cfg.trials, cfg.n, cfg.g.order
     if cfg.mode == "continuized":
         steps = rng.poisson(cfg.t, size=T)
         kmax = int(steps.max()) if T else 0
@@ -73,19 +93,38 @@ def _walk(cfg: SimConfig, ks: list, keep, rows) -> list:
         kmax = cfg.k
     if any(k < 0 or k > kmax for k in ks):
         raise ValueError(f"step counts must lie in 0..{kmax}")
+    if not decoded:
+        _index_order(go, n)                  # refuses indices past int64 before walking
+    succ = _step_map(cfg, kmax)
+    if succ is None:
+        coords = np.zeros((T, n), dtype=np.int64)
+        pinv = np.tile(np.arange(n, dtype=np.int64), (T, 1))
+    else:
+        flat, row_of = succ
+        order = wreath_order(go, n)
+        x = np.zeros(T, dtype=flat.dtype)
     wanted, kept = set(ks), {}
     for step in range(kmax + 1):
         if step in wanted:
-            kept[step] = keep(x)
-        if step < kmax:
-            at = _draw(cfg, rng)
-            at *= order
-            if cfg.mode == "continuized":    # only the trials whose count exceeds step
-                on = steps > step
-                x[on] = flat.take(at[on] + x[on])
+            if succ is None:
+                state = coords, _inverse_rows(pinv)
+                kept[step] = keep(state if decoded else encode_states(*state, go))
             else:
-                at += x
-                x = flat.take(at)
+                kept[step] = keep(decode_states(x, go, n) if decoded else x)
+        if step == kmax:
+            break
+        d = _draw(cfg, rng)
+        on = steps > step if cfg.mode == "continuized" else None   # the trials still stepping
+        if succ is None:
+            _step(cfg, d, coords, pinv, on)
+            continue
+        at = row_of.take(d)
+        at *= order
+        if on is None:
+            at += x
+            x = flat.take(at)
+        else:
+            x[on] = flat.take(at[on] + x[on])
     return [kept[k] for k in ks]
 
 
@@ -105,29 +144,68 @@ def _draw(cfg: SimConfig, rng) -> np.ndarray:
     return d
 
 
+def _step(cfg: SimConfig, d: np.ndarray, coords: np.ndarray, pinv: np.ndarray, on) -> None:
+    """Apply draw d[i] (wreath.step_draws order) to trial i of (coords,
+    pinv), or to the trials that the mask on selects, in place."""
+    g, rest = cfg.g, d
+    if cfg.kind != "paired":
+        rest, b = np.divmod(rest, g.order)
+    pq, a = np.divmod(rest, g.order)
+    p, q = np.divmod(pq, cfg.n)
+    if cfg.kind == "paired":
+        b = g.inv[a]
+    rows = np.arange(len(d))
+    if on is not None:
+        rows, p, q, a, b = rows[on], p[on], q[on], a[on], b[on]
+    apply_steps(coords, pinv, rows, p, q, a, b, g.mult)
+
+
+def _inverse_rows(pinv: np.ndarray) -> np.ndarray:
+    """The permutations whose inverses are the rows of pinv."""
+    perms = np.empty_like(pinv)
+    np.put_along_axis(perms, pinv, np.broadcast_to(np.arange(pinv.shape[1]), pinv.shape), axis=1)
+    return perms
+
+
+def _step_map(cfg: SimConfig, kmax: int):
+    """(flat, row_of), flat[row_of[d] * order + x] the index of s_d x, or
+    None when the walk carries (coords, pinv).  With cfg.table these are
+    the table's rows and wreath.step_elements, nothing built.  Without,
+    the wreath.step_rows map is built only when it has at most min(kmax, n)
+    cells per trial (bounding each by one row a draw): then its build costs
+    no more than the walk's steps, and it holds no more than the n
+    coordinates a trial would."""
+    if cfg.table is not None:
+        return cfg.table.mult.reshape(-1), step_elements(cfg.kind, cfg.n, cfg.g)
+    n, go = cfg.n, cfg.g.order
+    draws = n * n * (go if cfg.kind == "paired" else go * go)
+    if draws * wreath_order(go, n) > cfg.trials * min(kmax, n):
+        return None
+    rows, row_of = step_rows(cfg.kind, n, cfg.g)
+    return rows.reshape(-1), row_of
+
+
 def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Simulate all trials; returns (coords, perms) arrays of shape
     (trials, n)."""
-    return decode_states(run_walk_indices(cfg), cfg.g.order, cfg.n)
+    return _walk(cfg, [cfg.k], lambda state: state, decoded=True)[0]
 
 
-def run_walk_indices(cfg: SimConfig, rows: np.ndarray | None = None) -> np.ndarray:
-    """Element indices of all trials after the walk, shape (trials,).  rows:
-    the walk's wreath.step_rows map, built here when not given."""
-    return _walk(cfg, [cfg.k], lambda x: x, rows)[0]
+def run_walk_indices(cfg: SimConfig) -> np.ndarray:
+    """Element indices (int64) of all trials after the walk, shape (trials,)."""
+    return _walk(cfg, [cfg.k], lambda x: x.astype(np.int64, copy=False))[0]
 
 
-def tv_curve(cfg: SimConfig, ks: list, rows: np.ndarray | None = None) -> list[tuple[float, float]]:
+def tv_curve(cfg: SimConfig, ks: list) -> list[tuple[float, float]]:
     """empirical_tv against the uniform law after k steps, for each k in
     ks (discrete mode, each k in 0..cfg.k), from one run to cfg.k.  The
     draws of a step do not depend on the step count, so each entry is that
     of a run of k steps from the same seed.  Each state is reduced to its
-    (tv, se) when it is reached, so the run holds one state per trial.
-    rows as in run_walk_indices."""
+    (tv, se) when it is reached, so the run holds one state per trial."""
     if cfg.mode != "discrete":
         raise ValueError("step-count snapshots need discrete mode")
     order = cfg.g.order ** cfg.n * math.factorial(cfg.n)
-    return _walk(cfg, list(ks), lambda x: empirical_tv(x, None, order), rows)
+    return _walk(cfg, list(ks), lambda x: empirical_tv(x, None, order))
 
 
 def empirical_tv(samples: np.ndarray, reference, order: int) -> tuple[float, float]:

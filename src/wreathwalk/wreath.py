@@ -20,10 +20,12 @@ table.  Indices are int64: orders above 2^63 - 1 are refused.
 The walk step, the one rule for every walk: draw positions p, q and base
 elements a, b, then left-multiply by the step element with a at p, b at q
 and the swap (p q).  `step_draws` lists the draws in the sampler's order
-and `apply_steps` is the step's one array statement.  The oracle's
-one-step law applies every draw to the identity with it; `step_rows`
-applies every draw to every state, once, into the successor map
-R[d, x] = index of s_d x (draws x order entries) that the simulator walks.
+and `apply_steps` is the step's one array statement.  `step_elements`
+applies every draw to the identity with it (the oracle's one-step law
+counts them); `step_rows` applies each distinct step element to every
+state, once, into the successor map R[row_of[d], x] = index of s_d x
+(distinct step elements x order entries, at most the explicit table) that
+the simulator walks when it holds no table.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from .groups import (
 
 MAX_WREATH_ORDER = 5000
 INDEX_MAX = 2 ** 63 - 1            # the largest order whose indices fit in int64
-STEP_ROW_CELLS = 1 << 14           # (draw, state) pairs per chunk of the step_rows build
+STEP_ROW_CELLS = 1 << 14           # (row, state) pairs per chunk of the step_rows build
 
 
 class WreathElement(NamedTuple):
@@ -152,6 +154,18 @@ def step_draws(kind: str, n: int, g: GroupTable | None):
     return p, q, a[j], b[j]
 
 
+def step_elements(kind: str, n: int, g: GroupTable | None) -> np.ndarray:
+    """The element index of each draw's step element s_d, in step_draws
+    order: every draw applied to the identity with apply_steps."""
+    g = walk_base(kind, g)
+    p, q, a, b = step_draws(kind, n, g)
+    coords = np.zeros((len(p), n), dtype=np.int64)
+    pinv = np.tile(np.arange(n, dtype=np.int64), (len(p), 1))
+    apply_steps(coords, pinv, np.arange(len(p)), p, q, a, b, g.mult)
+    # from the identity, pinv is the transposition (p q), its own inverse
+    return encode_states(coords, pinv, g.order)
+
+
 def _index_dtype(order: int) -> np.dtype:
     return np.dtype(np.int32 if order < 2 ** 31 else np.int64)
 
@@ -160,51 +174,59 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def step_row_bytes(kind: str, n: int, g_order: int) -> tuple[int, int]:
-    """(bytes of the step_rows map, peak bytes of its build) on a base of
-    order g_order (1 for sym).  Besides the map, the build holds the draw
-    arrays, the decoded states with their inverses and, per chunk of
-    STEP_ROW_CELLS (draw, state) pairs (one draw when the order is larger),
-    the tiled states and the step's and the encoder's temporaries, about
-    32 n + 128 bytes a pair, and 64 KiB of Python objects."""
+def step_row_bytes(kind: str, n: int, g_order: int, rows: int) -> tuple[int, int]:
+    """(bytes of a step_rows map of `rows` rows, peak bytes of its build)
+    on a base of order g_order (1 for sym).  The build first finds the
+    distinct step elements, about 16 n + 96 bytes a draw; then it holds the
+    map, the draw -> row index, the decoded states with their inverses
+    and, per chunk of STEP_ROW_CELLS (row, state) pairs (one row when the
+    order is larger), the tiled states and the step's and the encoder's
+    temporaries, about 16 n + 128 bytes a pair; and 64 KiB of Python
+    objects throughout."""
     order = _index_order(g_order, n)
     draws = n * n * (g_order if kind == "paired" else g_order ** 2)
-    size = draws * order * _index_dtype(order).itemsize
-    cells = min(max(STEP_ROW_CELLS // order, 1), draws) * order
-    return size, size + 64 * draws + 32 * n * order + (32 * n + 128) * cells + 2 ** 16
+    size = rows * order * _index_dtype(order).itemsize
+    cells = min(max(STEP_ROW_CELLS // order, 1), rows) * order
+    build = size + 8 * draws + 24 * n * order + (16 * n + 128) * cells
+    return size, max(build, (16 * n + 96) * draws) + 2 ** 16
 
 
-def step_rows(kind: str, n: int, g: GroupTable | None) -> np.ndarray:
-    """The successor map R of the walk: R[d, x] is the index of s_d x, for
-    draw d in step_draws order and state x in the element encoding, so
-    R[d, 0] is the step element s_d.  int32 while the order is below 2^31.
+def step_rows(kind: str, n: int, g: GroupTable | None) -> tuple[np.ndarray, np.ndarray]:
+    """The walk's successor map on its distinct step elements: (R, row_of)
+    with R[row_of[d], x] the index of s_d x, for draw d in step_draws order
+    and state x in the element encoding, so R[row_of[d], 0] is s_d.  R has
+    one row per distinct step element (b is overwritten at p = q, and
+    (p, q, a, b) and (q, p, b, a) give one element), int32 while the order
+    is below 2^31: the rows s_d of the explicit table, built without it.
 
-    Every state is decoded once, and each chunk of draws is applied to all
-    of them with apply_steps and encoded (step_row_bytes counts the peak).
-    Refuses orders past int64 and, before allocating anything, maps whose
-    build would exceed physical memory."""
+    Every state is decoded once, and each chunk of rows is one draw of its
+    element applied to all states with apply_steps and encoded
+    (step_row_bytes counts the peak).  Refuses orders past int64 and, before
+    the map is allocated, maps whose build would exceed physical memory."""
     g = walk_base(kind, g)
-    size, need = step_row_bytes(kind, n, g.order)       # refuses orders past int64
-    order = wreath_order(g.order, n)
-    dtype = _index_dtype(order)
+    order = _index_order(g.order, n)
+    _, first, row_of = np.unique(step_elements(kind, n, g), return_index=True,
+                                 return_inverse=True)
+    size, need = step_row_bytes(kind, n, g.order, len(first))
     have = _physical_memory()
     if need > have:
         raise ValueError(f"wreath order {order} needs a {size}-byte step-row map "
-                         f"({size // dtype.itemsize // order} draws x {order} states) for the "
-                         f"{kind} walk and {need} bytes to build it, more than the {have} "
-                         f"bytes of physical memory")
-    p, q, a, b = step_draws(kind, n, g)
+                         f"({len(first)} step elements x {order} states) for the {kind} walk "
+                         f"and {need} bytes to build it, more than the {have} bytes of "
+                         f"physical memory")
+    p, q, a, b = (v[first] for v in step_draws(kind, n, g))
     coords, perms = decode_states(np.arange(order), g.order, n)
     pinv = np.argsort(perms, axis=1)
-    rows = np.empty((len(p), order), dtype=dtype)
-    chunk = max(1, STEP_ROW_CELLS // order)            # draws per chunk
-    for lo in range(0, len(p), chunk):
-        d = np.arange(lo, min(lo + chunk, len(p)))
+    del perms
+    rows = np.empty((len(first), order), dtype=_index_dtype(order))
+    chunk = max(1, STEP_ROW_CELLS // order)            # rows per chunk
+    for lo in range(0, len(first), chunk):
+        d = np.arange(lo, min(lo + chunk, len(first)))
         x, xinv = np.tile(coords, (len(d), 1)), np.tile(pinv, (len(d), 1))
         p_, q_, a_, b_ = (np.repeat(v[d], order) for v in (p, q, a, b))
         apply_steps(x, xinv, np.arange(len(x)), p_, q_, a_, b_, g.mult)
         rows[d] = encode_states(x, np.argsort(xinv, axis=1), g.order).reshape(len(d), order)
-    return rows
+    return rows, row_of
 
 
 class WreathTable(NamedTuple):

@@ -18,6 +18,7 @@ from wreathwalk.simulate import (
     discrete_coupling_bound,
     discrete_coupling_tail,
     empirical_tv,
+    encode_states,
     one_step_counts,
     per_step_hit_probability,
     run_walk,
@@ -30,9 +31,9 @@ from wreathwalk.wreath import (
     apply_steps,
     build_wreath_table,
     decode_states,
-    encode_states,
     enumerate_wreath_elements,
     step_rows,
+    walk_base,
     wreath_multiply,
 )
 
@@ -367,8 +368,7 @@ def test_simulate_rows_come_from_one_run(capsys, monkeypatch):
             "--k", "0..12:4", "--trials", "400", "--seed", "5"]
     calls = []
     real = cli.tv_curve
-    monkeypatch.setattr(cli, "tv_curve",
-                        lambda cfg, ks, rows: calls.append(cfg.k) or real(cfg, ks, rows))
+    monkeypatch.setattr(cli, "tv_curve", lambda cfg, ks: calls.append(cfg.k) or real(cfg, ks))
     assert cli.main(argv) == 0
     assert calls == [12]
     rows = capsys.readouterr().out.splitlines()[2:]
@@ -381,8 +381,8 @@ def test_simulate_rows_come_from_one_run(capsys, monkeypatch):
 
 
 def _reference_walk_indices(cfg):
-    """The walk before the step-row map, kept as the bit-for-bit reference:
-    each trial a (coords, pinv) pair, pinv its inverse permutation, and
+    """The walk as it was before element indices, kept as the bit-for-bit
+    reference: each trial a (coords, pinv) pair, pinv its inverse permutation, and
     each step one apply_steps on the draws p, q, a, b (b = a^-1 for
     paired), restricted in continuized mode to the trials whose Poisson
     count exceeds the step; the states are encoded at the end."""
@@ -409,27 +409,59 @@ REFERENCE_WALKS = [("paired", "Z:3", 3), ("independent", "Z:2", 4), ("paired", "
                    ("sym", None, 5)]
 
 
+def _spy_step_rows(monkeypatch):
+    """Record the step_rows builds of the simulator."""
+    built, real = [], sim.step_rows
+    monkeypatch.setattr(sim, "step_rows", lambda *a: built.append(a) or real(*a))
+    return built
+
+
+@pytest.mark.parametrize("route", ["table", "map", "coords"])
 @pytest.mark.parametrize("mode", ["discrete", "continuized"])
 @pytest.mark.parametrize("kind,gspec,n", REFERENCE_WALKS)
-def test_walk_equals_the_reference_walk(kind, gspec, n, mode):
+def test_walk_equals_the_reference_walk(kind, gspec, n, mode, route, monkeypatch):
+    # through the wreath table, through a step_rows map (25000 trials make
+    # it cheaper than the walk on every instance), and as (coords, pinv)
     g = build_group(gspec) if gspec else None
+    table = build_wreath_table(walk_base(kind, g), n).group if route == "table" else None
+    built = _spy_step_rows(monkeypatch)
+    if route == "coords":
+        monkeypatch.setattr(sim, "_step_map", lambda cfg, kmax: None)
     for seed in (3, 17):
-        cfg = SimConfig(kind=kind, n=n, g=g, k=25, t=9.0, trials=3000, seed=seed, mode=mode)
+        cfg = SimConfig(kind=kind, n=n, g=g, k=25, t=9.0, trials=25000, seed=seed, mode=mode,
+                        table=table)
         got = run_walk_indices(cfg)
-        assert len(np.unique(got)) > 1
+        assert got.dtype == np.int64 and len(np.unique(got)) > 1
         assert np.array_equal(got, _reference_walk_indices(cfg))
-        assert np.array_equal(got, run_walk_indices(cfg, step_rows(kind, n, g)))
+    assert len(built) == (2 if route == "map" else 0)
 
 
+@pytest.mark.parametrize("with_table", [False, True])
 @pytest.mark.parametrize("kind,gspec,n", REFERENCE_WALKS)
-def test_tv_curve_rows_equal_reference_runs_of_k_steps(kind, gspec, n):
+def test_tv_curve_rows_equal_reference_runs_of_k_steps(kind, gspec, n, with_table):
     g = build_group(gspec) if gspec else None
+    table = build_wreath_table(walk_base(kind, g), n).group if with_table else None
     ks = [0, 1, 9, 4, 25]
-    cfg = SimConfig(kind=kind, n=n, g=g, k=max(ks), trials=3000, seed=5)
+    cfg = SimConfig(kind=kind, n=n, g=g, k=max(ks), trials=3000, seed=5, table=table)
     order = cfg.g.order ** n * math.factorial(n)
     for k, tv_se in zip(ks, tv_curve(cfg, ks)):
         ref = _reference_walk_indices(SimConfig(kind=kind, n=n, g=g, k=k, trials=3000, seed=5))
         assert tv_se == empirical_tv(ref, None, order)
+
+
+def test_walk_builds_no_map_larger_than_its_steps(monkeypatch):
+    # sym n = 10: the map would have up to 100 x 10! cells; 200 trials of
+    # 30 steps carry (coords, pinv) instead, as do orders past int64.  Z:2
+    # at n = 2 has up to 16 x 8 cells: fewer than 20 trials' 30 steps, but
+    # more than their 2 coordinates each
+    built = _spy_step_rows(monkeypatch)
+    for cfg in (SimConfig(kind="sym", n=10, k=30, trials=200, seed=1),
+                SimConfig(kind="independent", n=2, g=build_group("Z:2"), k=30, trials=20, seed=1)):
+        idx = run_walk_indices(cfg)
+        assert idx.dtype == np.int64 and np.array_equal(idx, _reference_walk_indices(cfg))
+    coords, perms = run_walk(SimConfig(kind="sym", n=21, k=30, trials=200, seed=1))
+    assert coords.shape == perms.shape == (200, 21) and not coords.any()
+    assert built == []
 
 
 def test_run_walk_decodes_the_indices():
@@ -440,6 +472,12 @@ def test_run_walk_decodes_the_indices():
     assert np.array_equal(encode_states(coords, perms, g.order), run_walk_indices(cfg))
 
 
+def test_table_of_the_wrong_order_refused():
+    table = build_wreath_table(build_group("Z:2"), 2).group
+    with pytest.raises(ValueError, match="table order 8 is not"):
+        SimConfig(kind="paired", n=3, g=build_group("Z:2"), table=table)
+
+
 @pytest.mark.parametrize("kind,gspec,n,order", [
     ("independent", "Z:9", 12, 9 ** 12 * math.factorial(12)),   # about 1.35e20
     ("sym", None, 21, math.factorial(21)),                      # about 5.1e19
@@ -447,29 +485,40 @@ def test_run_walk_decodes_the_indices():
 ])
 def test_orders_past_int64_are_refused(kind, gspec, n, order):
     # the indices would wrap (or overflow in encode_states): refused, with
-    # the order named, before anything is allocated
+    # the order named, before the walk starts
     g = build_group(gspec) if gspec else None
     cfg = SimConfig(kind=kind, n=n, g=g, k=60, trials=5, seed=1)
     with pytest.raises(ValueError, match=f"wreath order {order} exceeds 2\\^63 - 1"):
         run_walk_indices(cfg)
+    with pytest.raises(ValueError, match=f"wreath order {order} exceeds"):
+        tv_curve(cfg, [60])
     with pytest.raises(ValueError, match=f"wreath order {order} exceeds"):
         encode_states(np.zeros((1, n), dtype=np.int64), np.arange(n)[None], cfg.g.order)
     with pytest.raises(ValueError, match=f"wreath order {order} exceeds"):
         step_rows(kind, n, g)
 
 
-def test_continuized_simulate_builds_the_map_once(capsys, monkeypatch):
-    # continuized rows are separate runs, all on one step-row map
+@pytest.mark.parametrize("mode", ["discrete", "continuized"])
+def test_simulate_walks_the_table_it_builds(capsys, monkeypatch, mode):
+    # the CLI holds the explicit table: no step-row map is built, and the
+    # rows are those of the reference walk.  Z:300 at n = 1 has a 300^2
+    # table; a map with a row per draw would have 300^3 cells
     from wreathwalk import cli
 
-    calls = []
-    real = cli.step_rows
-    monkeypatch.setattr(cli, "step_rows", lambda *a: calls.append(a) or real(*a))
-    argv = ["simulate", "--n", "3", "--walk", "sym", "--mode", "continuized",
-            "--k", "0..6:2", "--trials", "300", "--seed", "2"]
+    built = _spy_step_rows(monkeypatch)
+    argv = ["simulate", "--group", "Z:300", "--n", "1", "--walk", "independent",
+            "--mode", mode, "--k", "0..4:2", "--trials", "2000", "--seed", "3"]
     assert cli.main(argv) == 0
-    assert len(calls) == 1
-    assert len(capsys.readouterr().out.splitlines()) == 2 + 4
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 3 and built == []
+    g = build_group("Z:300")
+    for k, row in zip((0, 2, 4), rows):
+        cfg = (SimConfig(kind="independent", n=1, g=g, k=k, trials=2000, seed=3)
+               if mode == "discrete" else
+               SimConfig(kind="independent", n=1, g=g, t=float(k), trials=2000, seed=3,
+                         mode="continuized"))
+        tv, se = empirical_tv(_reference_walk_indices(cfg), None, 300)
+        assert row.split(",")[:3] == [str(k), repr(tv), repr(se)]
 
 
 def test_indices_reach_the_int64_edge():

@@ -13,15 +13,16 @@ import pytest
 from wreathwalk.classes import class_count
 from wreathwalk.groups import build_group, permutation_table, symmetric_group
 from wreathwalk.oracle import convolution_curve, exact_distances, measure_on_table
+from wreathwalk.simulate import encode_states
 from wreathwalk.walks import build_measure, l2n_sq_spectral, spectrum
 from wreathwalk.wreath import (
     WreathElement,
     build_bytes,
     build_wreath_table,
     decode_states,
-    encode_states,
     enumerate_wreath_elements,
     step_draws,
+    step_elements,
     step_row_bytes,
     step_rows,
     wreath_multiply,
@@ -135,14 +136,16 @@ def test_decode_states_inverts_encode_states(gname, n):
 
 @pytest.mark.parametrize("kind,gname,n", MAP_WALKS)
 def test_step_rows_are_table_rows_of_the_step_elements(kind, gname, n):
-    # R[d] is left multiplication by s_d = R[d, 0], the scalar step
-    # element of draw d
+    # R[row_of[d]] is left multiplication by s_d, the scalar step element
+    # of draw d, and R has one row per distinct step element
     wt, elements = _table(gname, n), _elements(gname, n)
-    rows = step_rows(kind, n, wt.base)
-    assert rows.dtype == np.int32
-    assert np.array_equal(rows, wt.group.mult[rows[:, 0]])
+    rows, row_of = step_rows(kind, n, wt.base)
+    steps = step_elements(kind, n, wt.base)
+    assert rows.dtype == np.int32 and steps.dtype == np.int64
+    assert len(rows) == len(set(steps.tolist())) and len(row_of) == len(steps)
+    assert np.array_equal(rows[row_of], wt.group.mult[steps])
     for d, draw in enumerate(zip(*step_draws(kind, n, wt.base))):
-        assert elements[rows[d, 0]] == _step_element(n, *draw)
+        assert elements[steps[d]] == _step_element(n, *draw)
 
 
 @pytest.mark.parametrize("kind,gname,n", MAP_WALKS)
@@ -163,16 +166,18 @@ def test_measure_on_table_counts_the_step_elements(kind, gname, n):
 
 
 @pytest.mark.parametrize("kind,gname,n", [("sym", "Z:1", 7), ("independent", "S:3", 3),
-                                          ("paired", "Z:3", 3), ("independent", "Z:70", 1)])
+                                          ("paired", "Z:3", 3), ("independent", "Z:70", 1),
+                                          ("independent", "Z:300", 1)])
 def test_step_row_bytes_is_the_build_peak(kind, gname, n):
-    # the map plus a chunk of (draw, state) pairs and the decoded states
+    # the distinct step elements (the peak at Z:300, n = 1: 300^2 draws),
+    # then the map with a chunk of (row, state) pairs and the decoded states
     g = build_group(gname)
     tracemalloc.start()
     try:
-        rows = step_rows(kind, n, g)
+        rows, _ = step_rows(kind, n, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size, need = step_row_bytes(kind, n, g.order)
+    size, need = step_row_bytes(kind, n, g.order, len(rows))
     assert size == rows.nbytes
     assert peak <= need <= 1.5 * peak
