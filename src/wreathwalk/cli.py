@@ -36,6 +36,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import classify_base, distance_curve, mixing_threshold, threshold_rows
 from .groups import build_group, cyclic_group
 from .oracle import convolution_curve, exact_distances
@@ -249,22 +251,30 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _poisson_reference_tv(gt, measure, t: float, order: int) -> float | None:
-    """TV of the continuized law P_t against uniform, via a Poisson mixture
-    of exact convolution powers truncated below 1e-12 tail mass."""
-    kcap = int(t + 12.0 * math.sqrt(t) + 30.0)
-    if kcap > 400:
-        return None
-    mix = [0.0] * order
-    lw = -t
-    for k, dist in convolution_curve(gt, measure, list(range(kcap + 1))):
-        w = math.exp(lw + k * math.log(t)) / math.factorial(k) if t > 0 else (1.0 if k == 0 else 0.0)
-        if w > 0:
-            for i, p in enumerate(dist):
-                if p:
-                    mix[i] += w * float(p)
-    u = 1.0 / order
-    return 0.5 * math.fsum(abs(m - u) for m in mix) + 0.5 * (1.0 - math.fsum(mix))
+def _poisson_weight(t: float, k: int) -> float:
+    """e^-t t^k / k!; past k = 170, where k! overflows a float, in log space."""
+    if t == 0:
+        return 1.0 if k == 0 else 0.0
+    lw = -t + k * math.log(t)
+    return math.exp(lw) / math.factorial(k) if k <= 170 else math.exp(lw - math.lgamma(k + 1))
+
+
+def _poisson_reference_tvs(gt, measure, ts: list, order: int) -> list:
+    """TV against uniform of the continuized law P_t for each t in ts, via
+    a Poisson mixture of exact convolution powers truncated below 1e-12
+    tail mass, from one pass to the largest truncation point; None where
+    that point exceeds 400."""
+    kcaps = [int(t + 12.0 * math.sqrt(t) + 30.0) for t in ts]
+    rows = [r for r, kcap in enumerate(kcaps) if kcap <= 400]
+    mix = np.zeros((len(rows), order))
+    kmax = max((kcaps[r] for r in rows), default=-1)
+    for k, dist in convolution_curve(gt, measure, list(range(kmax + 1))):
+        w = [_poisson_weight(ts[r], k) if k <= kcaps[r] else 0.0 for r in rows]
+        mix += np.array(w)[:, None] * np.array([float(p) for p in dist])
+    out, u = [None] * len(ts), 1.0 / order
+    for r, m in zip(rows, mix):
+        out[r] = 0.5 * math.fsum(np.abs(m - u)) + 0.5 * (1.0 - math.fsum(m))
+    return out
 
 
 def cmd_simulate(args) -> int:
@@ -281,15 +291,15 @@ def cmd_simulate(args) -> int:
         exact = {k: float(exact_distances(dist, order)["tv"])
                  for k, dist in convolution_curve(gt, measure, sorted(set(args.k)))}
         cfg = SimConfig(kind=args.walk, n=args.n, g=g, k=max(args.k),
-                        trials=args.trials, seed=args.seed, table=gt)
+                        trials=args.trials, seed=args.seed)
         for k, (tv, se) in zip(args.k, tv_curve(cfg, args.k)):
             rows.append([k, tv, se, exact[k], args.trials, args.seed])
     else:
-        for k in args.k:
+        refs = _poisson_reference_tvs(gt, measure, [float(k) for k in args.k], order)
+        for k, ref in zip(args.k, refs):
             cfg = SimConfig(kind=args.walk, n=args.n, g=g, t=float(k), trials=args.trials,
-                            seed=args.seed, mode="continuized", table=gt)
+                            seed=args.seed, mode="continuized")
             tv, se = empirical_tv(run_walk_indices(cfg), None, order)
-            ref = _poisson_reference_tv(gt, measure, float(k), order)
             rows.append([k, tv, se, ref, args.trials, args.seed])
     meta = {"subcommand": "simulate", "walk": args.walk,
             "group": _group_name(args, g), "n": args.n, "mode": args.mode,

@@ -4,12 +4,11 @@ per-coordinate randomization tail and the pair-event graph connectivity
 time).
 
 A trial is one element index, and a step of every trial is one gather
-x = R[row_of[d], x] on the drawn d, R[row_of[d], x] the index of s_d x: R
-is the explicit table that the caller passes in SimConfig.table (the CLI
-has one), or the walk's `wreath.step_rows` map of its distinct step
-elements when that costs less than the walk.  A snapshot is x itself.
-Otherwise, as for orders too large to index, a trial is a (coords, pinv)
-pair stepped by `wreath.apply_steps` and encoded at each snapshot.
+x = R[row_of[d], x] on the drawn d, R the walk's `wreath.step_rows` map of
+its distinct step elements, R[row_of[d], x] the index of s_d x, when the
+map costs no more than the walk.  A snapshot is x itself.  Otherwise, as
+for orders too large to index, a trial is a (coords, pinv) pair stepped by
+`wreath.apply_steps` and encoded at each snapshot.
 
 Randomness contract: everything goes through numpy's default_rng (PCG64),
 and every report records the seed.  Per step the sampler draws, in order,
@@ -35,7 +34,6 @@ from .wreath import (
     apply_steps,
     decode_states,
     encode_states,
-    step_elements,
     step_rows,
     walk_base,
     wreath_order,
@@ -55,9 +53,6 @@ class SimConfig:
     trials: int = 1000
     seed: int = 0
     mode: str = "discrete"
-    # the wreath product's explicit table, when the caller holds one: the
-    # walk steps through its rows and builds no step-row map
-    table: GroupTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("sym", "independent", "paired"):
@@ -69,9 +64,6 @@ class SimConfig:
             raise ValueError("mode is discrete or continuized")
         if self.mode == "continuized" and self.t is None:
             raise ValueError("continuized mode needs a time horizon t")
-        if self.table is not None and self.table.order != wreath_order(self.g.order, self.n):
-            raise ValueError(f"table order {self.table.order} is not |G|^n n! = "
-                             f"{wreath_order(self.g.order, self.n)}")
 
 
 def _walk(cfg: SimConfig, ks: list, keep, decoded: bool = False) -> list:
@@ -107,7 +99,7 @@ def _walk(cfg: SimConfig, ks: list, keep, decoded: bool = False) -> list:
     for step in range(kmax + 1):
         if step in wanted:
             if succ is None:
-                state = coords, _inverse_rows(pinv)
+                state = coords, np.argsort(pinv, axis=1)
                 kept[step] = keep(state if decoded else encode_states(*state, go))
             else:
                 kept[step] = keep(decode_states(x, go, n) if decoded else x)
@@ -160,23 +152,12 @@ def _step(cfg: SimConfig, d: np.ndarray, coords: np.ndarray, pinv: np.ndarray, o
     apply_steps(coords, pinv, rows, p, q, a, b, g.mult)
 
 
-def _inverse_rows(pinv: np.ndarray) -> np.ndarray:
-    """The permutations whose inverses are the rows of pinv."""
-    perms = np.empty_like(pinv)
-    np.put_along_axis(perms, pinv, np.broadcast_to(np.arange(pinv.shape[1]), pinv.shape), axis=1)
-    return perms
-
-
 def _step_map(cfg: SimConfig, kmax: int):
     """(flat, row_of), flat[row_of[d] * order + x] the index of s_d x, or
-    None when the walk carries (coords, pinv).  With cfg.table these are
-    the table's rows and wreath.step_elements, nothing built.  Without,
-    the wreath.step_rows map is built only when it has at most min(kmax, n)
-    cells per trial (bounding each by one row a draw): then its build costs
-    no more than the walk's steps, and it holds no more than the n
-    coordinates a trial would."""
-    if cfg.table is not None:
-        return cfg.table.mult.reshape(-1), step_elements(cfg.kind, cfg.n, cfg.g)
+    None when the walk carries (coords, pinv).  The wreath.step_rows map is
+    built only when it has at most min(kmax, n) cells per trial (bounding
+    each by one row a draw): then its build costs no more than the walk's
+    steps, and it holds no more than the n coordinates a trial would."""
     n, go = cfg.n, cfg.g.order
     draws = n * n * (go if cfg.kind == "paired" else go * go)
     if draws * wreath_order(go, n) > cfg.trials * min(kmax, n):
@@ -341,13 +322,21 @@ def _connectivity_times(n: int, trials: int, rng) -> np.ndarray:
     return out
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def coupling_experiment(n: int, trials: int, c_values, seed: int) -> CouplingReport:
     """Graph-connectivity coupling times for the paired walk's continuized
     chain.  T = connectivity time of the pair-event graph; T* adds an
     independent Exp(mean n) wait for the next single-coordinate event
     (aggregate rate 1/n, memoryless past T).  Emits, per c, a T row with
-    the limit 1 - exp(-e^{-2c}) and a T* row with the envelope 2e^{-c};
-    threshold = (1/2) n log n + c n in continuous time."""
+    the limit 1 - exp(-e^{-2c}) and a T* row with the envelope 2e^{-c}
+    (past the float range, 1.0 and inf); threshold = (1/2) n log n + c n
+    in continuous time."""
     if n > 10 ** 4 or trials > 10 ** 6:
         raise ValueError("caps: n <= 1e4, trials <= 1e6")
     work = n * math.isqrt(n) * trials
@@ -360,8 +349,8 @@ def coupling_experiment(n: int, trials: int, c_values, seed: int) -> CouplingRep
     for c in c_values:
         thr = 0.5 * n * math.log(n) + c * n
         for samples, limit in (
-            (ts, 1.0 - math.exp(-math.exp(-2.0 * c))),
-            (tstars, 2.0 * math.exp(-c)),
+            (ts, 1.0 - math.exp(-_exp_or_inf(-2.0 * c))),
+            (tstars, 2.0 * _exp_or_inf(-c)),
         ):
             tail = float(np.mean(samples > thr))
             se = math.sqrt(tail * (1.0 - tail) / trials)

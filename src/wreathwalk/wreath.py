@@ -25,7 +25,7 @@ applies every draw to the identity with it (the oracle's one-step law
 counts them); `step_rows` applies each distinct step element to every
 state, once, into the successor map R[row_of[d], x] = index of s_d x
 (distinct step elements x order entries, at most the explicit table) that
-the simulator walks when it holds no table.
+the simulator walks when it costs no more than the walk.
 """
 from __future__ import annotations
 

@@ -10,8 +10,14 @@ import pytest
 from wreathwalk import cli
 from wreathwalk.cli import main, parse_clist, parse_krange
 from wreathwalk.groups import build_group
-from wreathwalk.oracle import convolution_power, exact_distances, measure_on_table
+from wreathwalk.oracle import (
+    convolution_curve,
+    convolution_power,
+    exact_distances,
+    measure_on_table,
+)
 from wreathwalk.walks import build_measure
+from wreathwalk.wreath import build_wreath_table
 
 
 def run_cli(capsys, argv):
@@ -103,7 +109,6 @@ def test_oracle_rows_are_exact(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "k,return_prob,l2n_sq,tv"
     g = build_group("Z:2")
-    from wreathwalk.wreath import build_wreath_table
     gt = build_wreath_table(g, 2).group
     meas = build_measure("paired", 2, g)
     for row, k in zip(lines[1:], range(4)):
@@ -123,6 +128,50 @@ def test_simulate_byte_identical(capsys):
     assert lines[0] == "# rng=PCG64"
     assert lines[1] == "k,empirical_tv,stderr,exact_tv,trials,seed"
     assert lines[2] == "0,0.875,0.0,0.875,3000,17"
+
+
+def _per_row_poisson_reference_tv(gt, measure, t, order):
+    """The continuized exact column row by row, each row its own
+    convolution pass from k = 0: the reference for the one pass."""
+    kcap = int(t + 12.0 * math.sqrt(t) + 30.0)
+    if kcap > 400:
+        return None
+    mix = [0.0] * order
+    lw = -t
+    for k, dist in convolution_curve(gt, measure, list(range(kcap + 1))):
+        w = math.exp(lw + k * math.log(t)) / math.factorial(k) if t > 0 else (1.0 if k == 0 else 0.0)
+        if w > 0:
+            for i, p in enumerate(dist):
+                if p:
+                    mix[i] += w * float(p)
+    u = 1.0 / order
+    return 0.5 * math.fsum(abs(m - u) for m in mix) + 0.5 * (1.0 - math.fsum(mix))
+
+
+@pytest.mark.parametrize("kind,gspec,n", [("independent", "Z:2", 2), ("paired", "Z:3", 2),
+                                          ("sym", "Z:1", 3)])
+def test_one_pass_poisson_column_equals_per_row_mixtures(kind, gspec, n):
+    # every float the same; t = 260 (truncation past 400) has no exact cell
+    g = build_group(gspec)
+    gt = build_wreath_table(g, n).group
+    meas = build_measure(kind, n, g)
+    ts = [0.0, 53.0, 0.5, 3.0, 260.0, 10.0, 25.0]
+    got = cli._poisson_reference_tvs(gt, meas, ts, gt.order)
+    assert got == [_per_row_poisson_reference_tv(gt, meas, t, gt.order) for t in ts]
+    assert got[4] is None
+
+
+def test_poisson_weights_past_the_float_factorial():
+    # k! overflows a float past k = 170; the log-space weights agree with
+    # the direct ones where both exist, and at t = 200 (truncation at 399)
+    # the terms past 170 carry most of the mass
+    for t in (60.0, 150.0, 200.0):
+        direct = math.exp(-t + 170 * math.log(t)) / math.factorial(170)
+        logged = math.exp(-t + 170 * math.log(t) - math.lgamma(171))
+        assert cli._poisson_weight(t, 170) == direct == pytest.approx(logged, rel=1e-12)
+    assert cli._poisson_weight(200.0, 200) == pytest.approx(0.0282, abs=1e-4)
+    w = [cli._poisson_weight(200.0, k) for k in range(400)]
+    assert math.fsum(w) == pytest.approx(1.0, abs=1e-12) and math.fsum(w[171:]) > 0.9
 
 
 def test_coupling_csv_shape(capsys):

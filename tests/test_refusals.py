@@ -1,10 +1,14 @@
 """Bad input is refused before any work, with an error naming the problem."""
+import contextlib
+import io
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wreathwalk import cli
 from wreathwalk.bounds import classify_base, distance_curve
@@ -187,8 +191,9 @@ def test_step_row_map_past_physical_memory_refused(monkeypatch):
 
 
 def test_simulate_needs_no_memory_past_its_table(capsys, monkeypatch):
-    # Z:70 at n = 1: the 70^2 table fits in 10^6 bytes, and the CLI walks
-    # through it, so nothing else is checked against physical memory
+    # Z:70 at n = 1: the 70^2 table fits in 10^6 bytes, and a step-row map
+    # (70^3 cells) would cost more than the walk, so none is built or
+    # checked against physical memory
     from wreathwalk import wreath
 
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 10 ** 6}
@@ -196,3 +201,32 @@ def test_simulate_needs_no_memory_past_its_table(capsys, monkeypatch):
     rc, out, err = run_cli(capsys, ["simulate", "--group", "Z:70", "--n", "1",
                                     "--walk", "independent", "--k", "0..2"])
     assert rc == 0 and err == "" and len(out.splitlines()) == 2 + 3
+
+
+def _answers_without_traceback(argv):
+    """Run the CLI in this process: an exception escaping main() is the
+    traceback the command would print."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc == 0 and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=300))
+@example(60)
+@example(200)
+def test_continuized_horizons_answer(t):
+    # k! overflowed a float in the exact column's Poisson weights from t = 55
+    _answers_without_traceback(["simulate", "--group", "Z:2", "--n", "2", "--walk",
+                                "independent", "--mode", "continuized", "--k", str(t),
+                                "--trials", "100"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=-1000.0, max_value=1000.0))
+@example(-400.0)
+@example(-1000.0)
+def test_coupling_offsets_answer(c):
+    # exp(-2c) in the T limit overflowed below c = -354.9
+    _answers_without_traceback(["coupling", "--n", "10", f"--c={c!r}", "--trials", "100"])

@@ -416,33 +416,29 @@ def _spy_step_rows(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("route", ["table", "map", "coords"])
+@pytest.mark.parametrize("route", ["map", "coords"])
 @pytest.mark.parametrize("mode", ["discrete", "continuized"])
 @pytest.mark.parametrize("kind,gspec,n", REFERENCE_WALKS)
 def test_walk_equals_the_reference_walk(kind, gspec, n, mode, route, monkeypatch):
-    # through the wreath table, through a step_rows map (25000 trials make
-    # it cheaper than the walk on every instance), and as (coords, pinv)
+    # through a step_rows map (25000 trials make it cheaper than the walk
+    # on every instance), and as (coords, pinv)
     g = build_group(gspec) if gspec else None
-    table = build_wreath_table(walk_base(kind, g), n).group if route == "table" else None
     built = _spy_step_rows(monkeypatch)
     if route == "coords":
         monkeypatch.setattr(sim, "_step_map", lambda cfg, kmax: None)
     for seed in (3, 17):
-        cfg = SimConfig(kind=kind, n=n, g=g, k=25, t=9.0, trials=25000, seed=seed, mode=mode,
-                        table=table)
+        cfg = SimConfig(kind=kind, n=n, g=g, k=25, t=9.0, trials=25000, seed=seed, mode=mode)
         got = run_walk_indices(cfg)
         assert got.dtype == np.int64 and len(np.unique(got)) > 1
         assert np.array_equal(got, _reference_walk_indices(cfg))
     assert len(built) == (2 if route == "map" else 0)
 
 
-@pytest.mark.parametrize("with_table", [False, True])
 @pytest.mark.parametrize("kind,gspec,n", REFERENCE_WALKS)
-def test_tv_curve_rows_equal_reference_runs_of_k_steps(kind, gspec, n, with_table):
+def test_tv_curve_rows_equal_reference_runs_of_k_steps(kind, gspec, n):
     g = build_group(gspec) if gspec else None
-    table = build_wreath_table(walk_base(kind, g), n).group if with_table else None
     ks = [0, 1, 9, 4, 25]
-    cfg = SimConfig(kind=kind, n=n, g=g, k=max(ks), trials=3000, seed=5, table=table)
+    cfg = SimConfig(kind=kind, n=n, g=g, k=max(ks), trials=3000, seed=5)
     order = cfg.g.order ** n * math.factorial(n)
     for k, tv_se in zip(ks, tv_curve(cfg, ks)):
         ref = _reference_walk_indices(SimConfig(kind=kind, n=n, g=g, k=k, trials=3000, seed=5))
@@ -472,12 +468,6 @@ def test_run_walk_decodes_the_indices():
     assert np.array_equal(encode_states(coords, perms, g.order), run_walk_indices(cfg))
 
 
-def test_table_of_the_wrong_order_refused():
-    table = build_wreath_table(build_group("Z:2"), 2).group
-    with pytest.raises(ValueError, match="table order 8 is not"):
-        SimConfig(kind="paired", n=3, g=build_group("Z:2"), table=table)
-
-
 @pytest.mark.parametrize("kind,gspec,n,order", [
     ("independent", "Z:9", 12, 9 ** 12 * math.factorial(12)),   # about 1.35e20
     ("sym", None, 21, math.factorial(21)),                      # about 5.1e19
@@ -498,27 +488,50 @@ def test_orders_past_int64_are_refused(kind, gspec, n, order):
         step_rows(kind, n, g)
 
 
+def _assert_rows_of_reference_walks(rows, kind, g, n, ks, trials, seed, mode):
+    """The simulate CSV rows' (k, empirical_tv, stderr) are those of the
+    reference walk with the same seed, one per k."""
+    assert len(rows) == len(ks)
+    for k, row in zip(ks, rows):
+        cfg = (SimConfig(kind=kind, n=n, g=g, k=k, trials=trials, seed=seed)
+               if mode == "discrete" else
+               SimConfig(kind=kind, n=n, g=g, t=float(k), trials=trials, seed=seed,
+                         mode="continuized"))
+        order = cfg.g.order ** n * math.factorial(n)
+        tv, se = empirical_tv(_reference_walk_indices(cfg), None, order)
+        assert row.split(",")[:3] == [str(k), repr(tv), repr(se)]
+
+
 @pytest.mark.parametrize("mode", ["discrete", "continuized"])
 def test_simulate_walks_the_table_it_builds(capsys, monkeypatch, mode):
-    # the CLI holds the explicit table: no step-row map is built, and the
-    # rows are those of the reference walk.  Z:300 at n = 1 has a 300^2
-    # table; a map with a row per draw would have 300^3 cells
+    # Z:300 at n = 1: a map with a row per draw would have 300^3 cells, more
+    # than 2000 trials' one coordinate each, so the command's walk carries
+    # (coords, pinv) and builds no map; its 300^2 table serves the exact column
     from wreathwalk import cli
 
     built = _spy_step_rows(monkeypatch)
     argv = ["simulate", "--group", "Z:300", "--n", "1", "--walk", "independent",
             "--mode", mode, "--k", "0..4:2", "--trials", "2000", "--seed", "3"]
     assert cli.main(argv) == 0
-    rows = capsys.readouterr().out.splitlines()[2:]
-    assert len(rows) == 3 and built == []
-    g = build_group("Z:300")
-    for k, row in zip((0, 2, 4), rows):
-        cfg = (SimConfig(kind="independent", n=1, g=g, k=k, trials=2000, seed=3)
-               if mode == "discrete" else
-               SimConfig(kind="independent", n=1, g=g, t=float(k), trials=2000, seed=3,
-                         mode="continuized"))
-        tv, se = empirical_tv(_reference_walk_indices(cfg), None, 300)
-        assert row.split(",")[:3] == [str(k), repr(tv), repr(se)]
+    assert built == []
+    _assert_rows_of_reference_walks(capsys.readouterr().out.splitlines()[2:], "independent",
+                                    build_group("Z:300"), 1, (0, 2, 4), 2000, 3, mode)
+
+
+@pytest.mark.parametrize("mode,maps", [("discrete", 1), ("continuized", 3)])
+def test_simulate_builds_one_map_per_walk(capsys, monkeypatch, mode, maps):
+    # Z:3 paired at n = 3: 27 draws x 162 states fit in 2000 trials' three
+    # coordinates each, so the command takes the step_rows map by the rule
+    # library walks use: one map for the discrete run, one per continuized row
+    from wreathwalk import cli
+
+    built = _spy_step_rows(monkeypatch)
+    argv = ["simulate", "--group", "Z:3", "--n", "3", "--walk", "paired",
+            "--mode", mode, "--k", "2..6:2", "--trials", "2000", "--seed", "8"]
+    assert cli.main(argv) == 0
+    assert len(built) == maps
+    _assert_rows_of_reference_walks(capsys.readouterr().out.splitlines()[2:], "paired",
+                                    build_group("Z:3"), 3, (2, 4, 6), 2000, 8, mode)
 
 
 def test_indices_reach_the_int64_edge():
