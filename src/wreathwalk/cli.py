@@ -199,8 +199,8 @@ def cmd_distance(args) -> int:
         want = {r["k"]: r["l2n_sq"] for r in curve.rows}
         bound = curve.mode != "full-spectrum"     # an upper bound: only a shortfall fails
         worst = Fraction(0)
-        for k, dist in convolution_curve(gt, measure, sorted(want)):
-            truth = exact_distances(dist, gt.order)["l2n_sq"]
+        for k, num, scale in convolution_curve(gt, measure, sorted(want)):
+            truth = exact_distances(num, scale, gt.order)["l2n_sq"]
             val = want[k]
             if not isinstance(val, Fraction):
                 val, truth = float(val), float(truth)
@@ -242,9 +242,9 @@ def cmd_oracle(args) -> int:
     gt = build_wreath_table(g, args.n, max_order=args.max_order).group
     measure = build_measure(args.walk, args.n, g)
     rows = []
-    for k, dist in convolution_curve(gt, measure, sorted(set(args.k))):
-        d = exact_distances(dist, gt.order)
-        rows.append([k, dist[0], d["l2n_sq"], d["tv"]])
+    for k, num, scale in convolution_curve(gt, measure, sorted(set(args.k))):
+        d = exact_distances(num, scale, gt.order)
+        rows.append([k, Fraction(int(num[0]), scale), d["l2n_sq"], d["tv"]])
     meta = {"subcommand": "oracle", "walk": args.walk,
             "group": _group_name(args, g), "n": args.n, "order": gt.order}
     emit(ORACLE_COLUMNS, rows, meta, args.format, args.out)
@@ -259,6 +259,16 @@ def _poisson_weight(t: float, k: int) -> float:
     return math.exp(lw) / math.factorial(k) if k <= 170 else math.exp(lw - math.lgamma(k + 1))
 
 
+def _float_law(num: np.ndarray, scale: int) -> np.ndarray:
+    """num / scale as float64, each entry the correctly rounded quotient
+    (float(Fraction(x, scale))).  Up to 2^53 num and scale are exact
+    float64s and one IEEE division rounds once; past it each entry is a
+    Python-int true division, which also rounds once."""
+    if scale <= 2 ** 53:
+        return np.asarray(num, dtype=np.float64) / scale
+    return np.array([x / scale for x in num.tolist()])
+
+
 def _poisson_reference_tvs(gt, measure, ts: list, order: int) -> list:
     """TV against uniform of the continuized law P_t for each t in ts, via
     a Poisson mixture of exact convolution powers truncated below 1e-12
@@ -268,9 +278,9 @@ def _poisson_reference_tvs(gt, measure, ts: list, order: int) -> list:
     rows = [r for r, kcap in enumerate(kcaps) if kcap <= 400]
     mix = np.zeros((len(rows), order))
     kmax = max((kcaps[r] for r in rows), default=-1)
-    for k, dist in convolution_curve(gt, measure, list(range(kmax + 1))):
+    for k, num, scale in convolution_curve(gt, measure, list(range(kmax + 1))):
         w = [_poisson_weight(ts[r], k) if k <= kcaps[r] else 0.0 for r in rows]
-        mix += np.array(w)[:, None] * np.array([float(p) for p in dist])
+        mix += np.array(w)[:, None] * _float_law(num, scale)
     out, u = [None] * len(ts), 1.0 / order
     for r, m in zip(rows, mix):
         out[r] = 0.5 * math.fsum(np.abs(m - u)) + 0.5 * (1.0 - math.fsum(m))
@@ -288,8 +298,8 @@ def cmd_simulate(args) -> int:
     rows = []
     if args.mode == "discrete":
         # one run to the largest k, each row read off it (see tv_curve)
-        exact = {k: float(exact_distances(dist, order)["tv"])
-                 for k, dist in convolution_curve(gt, measure, sorted(set(args.k)))}
+        exact = {k: float(exact_distances(num, scale, order)["tv"])
+                 for k, num, scale in convolution_curve(gt, measure, sorted(set(args.k)))}
         cfg = SimConfig(kind=args.walk, n=args.n, g=g, k=max(args.k),
                         trials=args.trials, seed=args.seed)
         for k, (tv, se) in zip(args.k, tv_curve(cfg, args.k)):

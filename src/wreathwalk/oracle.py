@@ -1,8 +1,13 @@
 """Brute-force oracle on explicit group tables: exact transition matrices,
 convolution powers, and distances.
 
-Everything is exact rational arithmetic.  Matrices and convolution powers
-are integer numerators over a common denominator, so powers stay cheap.
+Everything is exact rational arithmetic, carried as integer numerators over
+one shared denominator; Fractions are built only for the cells a caller
+reads.  A transition matrix is int64 numerators over den, and its powers
+are numerators over den^k.  A convolution power P^{*k} is one integer
+vector num over scale = den^k: each step groups the support rows of the
+table by their integer weight and adds the weighted gather-sums, on int64
+while scale * den stays below 2^63 and on Python ints past it.
 The one-step law is counted from the walk's draws (measure_on_table), each
 applied to the identity by the walk's step `wreath.apply_steps`, not read
 from the spectral side's class measure, so agreement between the two
@@ -87,24 +92,36 @@ def matrix_power_traces(m: TransitionMatrix, k_max: int) -> list[Fraction]:
     return traces
 
 
-def convolution_power(g: GroupTable, measure: WalkMeasure, k: int) -> list[Fraction]:
-    """P^{*k} as a dense vector over the table, by k sparse convolutions."""
+def convolution_power(g: GroupTable, measure: WalkMeasure, k: int) -> tuple[np.ndarray, int]:
+    """P^{*k} as (num, scale) over the table, by k sparse convolutions:
+    P^{*k}(e_i) = num[i] / scale (see convolution_curve)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return next(convolution_curve(g, measure, [k]))[1]
+    _, num, scale = next(convolution_curve(g, measure, [k]))
+    return num, scale
 
 
 def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
-    """Yield (k, P^{*k}) at the requested k values in one incremental pass.
-    ks must be sorted ascending and nonnegative.  Fractions are built only
-    for the yielded vectors."""
+    """Yield (k, num, scale) with P^{*k}(e_i) = num[i] / scale at the
+    requested k values in one incremental pass; scale = den^k for the
+    one-step law's common denominator den.  ks must be sorted ascending and
+    nonnegative.  num is int64 while scale * den < 2^63 and an object array
+    of Python ints past that; no Fractions are built.
+
+    (P * Q)(y) = sum_s P(s) Q(s^-1 y), and row inv[s] of the table maps y to
+    s^-1 y, so one step is sum_w w * num[rows_w].sum(0), rows_w the stacked
+    rows of the support elements of integer weight w.  Entries are
+    nonnegative and sum to scale, and the rows of distinct s hold distinct
+    indices in every column, so no partial sum exceeds scale * den."""
     if ks and ks[0] < 0:
         raise ValueError("k must be >= 0")
     support = measure_on_table(measure, g)
     den = math.lcm(*(p.denominator for p in support.values()))
-    # (P * Q)(y) = sum_s P(s) Q(s^{-1} y); row inv[s] of the table maps y to s^{-1} y
-    steps = [(int(p * den), g.mult[g.inv[s]]) for s, p in support.items()]
-    num = np.zeros(g.order, dtype=object)   # Python ints: num[i] / scale = P^{*k}(e_i)
+    by_weight: dict[int, list[int]] = {}
+    for s, p in support.items():
+        by_weight.setdefault(int(p * den), []).append(s)
+    steps = [(w, g.mult[g.inv[ss]]) for w, ss in by_weight.items()]
+    num = np.zeros(g.order, dtype=np.int64)
     num[0] = 1
     scale = 1
     cur = 0
@@ -112,22 +129,23 @@ def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
         if k < cur:
             raise ValueError("ks must be ascending")
         while cur < k:
-            num = sum(w * num[row] for w, row in steps)
+            if num.dtype != object and scale * den >= 2 ** 63:
+                num = num.astype(object)
+            num = sum(w * num[rows].sum(0) for w, rows in steps)
             scale *= den
             cur += 1
         assert num.sum() == scale
-        yield k, [Fraction(x, scale) for x in num]
+        yield k, num, scale
 
 
-def exact_distances(dist: list, order: int) -> dict:
-    """tv, l1, l2 squared, and |G|*l2^2 of dist against uniform; exact.
-    Sums integer numerators over one common denominator."""
-    den = math.lcm(*{p.denominator for p in dist})
-    # p - 1/order = (num * order - den) / (den * order)
-    diffs = [p.numerator * (den // p.denominator) * order - den for p in dist]
-    scale = den * order
-    l1 = Fraction(sum(map(abs, diffs)), scale)
-    l2_sq = Fraction(sum(d * d for d in diffs), scale * scale)
+def exact_distances(num: np.ndarray, scale: int, order: int) -> dict:
+    """tv, l1, l2 squared, and |G|*l2^2 of the law num / scale against
+    uniform; exact.  Sums the integer deviations num_i * order - scale over
+    the common denominator scale * order."""
+    diffs = [x * order - scale for x in num.tolist()]
+    den = scale * order
+    l1 = Fraction(sum(map(abs, diffs)), den)
+    l2_sq = Fraction(sum(d * d for d in diffs), den * den)
     return {
         "tv": l1 / 2,
         "l1": l1,

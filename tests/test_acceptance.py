@@ -90,9 +90,9 @@ def test_criterion_03_convolution_oracle_equality():
     for kind in WREATH_WALKS:
         spec = spectrum(kind, n, g)
         measure = build_measure(kind, n, g)
-        for k, dist in convolution_curve(wt.group, measure, list(range(1, 21))):
-            assert return_probability(spec, k) == dist[0]
-            assert l2n_sq_spectral(spec, k) == exact_distances(dist, wt.group.order)["l2n_sq"]
+        for k, num, scale in convolution_curve(wt.group, measure, list(range(1, 21))):
+            assert return_probability(spec, k) == Fraction(int(num[0]), scale)
+            assert l2n_sq_spectral(spec, k) == exact_distances(num, scale, wt.group.order)["l2n_sq"]
 
 
 def test_criterion_04_counting_identities():
@@ -209,8 +209,8 @@ def test_criterion_10_monte_carlo_validation(tmp_path):
     n, k, trials, seed = 2, 20, 10 ** 5, 12345
     wt = build_wreath_table(g, n)
     measure = build_measure("independent", n, g)
-    (_, dist), = convolution_curve(wt.group, measure, [k])
-    exact_tv = float(exact_distances(dist, wt.group.order)["tv"])
+    (_, num, scale), = convolution_curve(wt.group, measure, [k])
+    exact_tv = float(exact_distances(num, scale, wt.group.order)["tv"])
     cfg = SimConfig(kind="independent", n=n, g=g, k=k, trials=trials, seed=seed)
     tv, se = empirical_tv(run_walk_indices(cfg), None, wt.group.order)
     assert abs(tv - exact_tv) <= 3 * se

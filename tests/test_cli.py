@@ -4,16 +4,20 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wreathwalk import cli
 from wreathwalk.cli import main, parse_clist, parse_krange
 from wreathwalk.groups import build_group
 from wreathwalk.oracle import (
+    build_transition_matrix,
     convolution_curve,
     convolution_power,
     exact_distances,
+    matrix_power_traces,
     measure_on_table,
 )
 from wreathwalk.walks import build_measure
@@ -112,9 +116,37 @@ def test_oracle_rows_are_exact(capsys):
     gt = build_wreath_table(g, 2).group
     meas = build_measure("paired", 2, g)
     for row, k in zip(lines[1:], range(4)):
-        dist = convolution_power(gt, meas, k)
-        d = exact_distances(dist, 8)
-        assert row == f"{k},{dist[0]},{d['l2n_sq']},{d['tv']}"
+        num, scale = convolution_power(gt, meas, k)
+        d = exact_distances(num, scale, 8)
+        assert row == f"{k},{Fraction(int(num[0]), scale)},{d['l2n_sq']},{d['tv']}"
+
+
+@pytest.mark.parametrize("gspec,n,kind", [("Z:2", 2, "independent"), ("Z:3", 2, "paired"),
+                                          ("S:3", 2, "paired")])
+def test_oracle_return_prob_is_the_dense_trace(capsys, gspec, n, kind):
+    # P^{*k}(e) = tr(M^k) / |G wr S_n|: the return_prob cell against the
+    # dense matrix route
+    rc, out, _ = run_cli(capsys, ["oracle", "--group", gspec, "--n", str(n),
+                                  "--walk", kind, "--k", "0..12"])
+    assert rc == 0
+    g = build_group(gspec)
+    gt = build_wreath_table(g, n).group
+    traces = matrix_power_traces(build_transition_matrix(gt, build_measure(kind, n, g)), 12)
+    cells = [line.split(",")[1] for line in out.strip().split("\n")[1:]]
+    assert cells == [str(traces[k] / gt.order) for k in range(13)]
+
+
+def test_continuized_floats_are_correctly_rounded_past_2_53():
+    # Z:3 wr S_2 paired, den = 12: at k = 16, 2^53 < scale = 12^16 < 2^63 and
+    # num is still int64, so casting it to float64 before dividing would
+    # round twice; four entries show it
+    g = build_group("Z:3")
+    gt = build_wreath_table(g, 2).group
+    (_, num, scale), = convolution_curve(gt, build_measure("paired", 2, g), [16])
+    assert 2 ** 53 < scale < 2 ** 63 and num.dtype == np.int64
+    want = [float(Fraction(int(x), scale)) for x in num]
+    assert cli._float_law(num, scale).tolist() == want
+    assert (num.astype(np.float64) / float(scale)).tolist() != want
 
 
 def test_simulate_byte_identical(capsys):
@@ -138,12 +170,12 @@ def _per_row_poisson_reference_tv(gt, measure, t, order):
         return None
     mix = [0.0] * order
     lw = -t
-    for k, dist in convolution_curve(gt, measure, list(range(kcap + 1))):
+    for k, num, scale in convolution_curve(gt, measure, list(range(kcap + 1))):
         w = math.exp(lw + k * math.log(t)) / math.factorial(k) if t > 0 else (1.0 if k == 0 else 0.0)
         if w > 0:
-            for i, p in enumerate(dist):
-                if p:
-                    mix[i] += w * float(p)
+            for i, x in enumerate(num.tolist()):
+                if x:
+                    mix[i] += w * float(Fraction(x, scale))
     u = 1.0 / order
     return 0.5 * math.fsum(abs(m - u) for m in mix) + 0.5 * (1.0 - math.fsum(mix))
 

@@ -2,13 +2,16 @@
 against the spectral route.  Nothing here imports the closed forms except to
 compare final numbers."""
 import math
+from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wreathwalk.groups import build_group, symmetric_group
 from wreathwalk.oracle import (
     build_transition_matrix,
+    convolution_curve,
     convolution_power,
     exact_distances,
     matrix_power_traces,
@@ -16,7 +19,12 @@ from wreathwalk.oracle import (
     trace_moment_check,
 )
 from wreathwalk.walks import build_measure, l2n_sq_spectral, return_probability, spectrum
-from wreathwalk.wreath import build_wreath_table
+from wreathwalk.wreath import (
+    WreathElement,
+    build_wreath_table,
+    enumerate_wreath_elements,
+    wreath_multiply,
+)
 
 INSTANCES = [("Z:2", 2), ("Z:2", 3), ("Z:3", 2), ("S:3", 2)]
 
@@ -61,13 +69,11 @@ def test_convolution_matches_spectral_l2():
     for kind in ("independent", "paired"):
         spec = spectrum(kind, 3, g)
         meas = build_measure(kind, 3, g)
-        dist = [Fraction(0)] * wt.group.order
-        dist[0] = Fraction(1)
         for k in range(1, 21):
-            dist = convolution_power(wt.group, meas, k)
-            d = exact_distances(dist, wt.group.order)
+            num, scale = convolution_power(wt.group, meas, k)
+            d = exact_distances(num, scale, wt.group.order)
             assert d["l2n_sq"] == l2n_sq_spectral(spec, k)
-            assert dist[0] == return_probability(spec, k)
+            assert Fraction(int(num[0]), scale) == return_probability(spec, k)
 
 
 def test_tv_l2_inequality():
@@ -77,8 +83,8 @@ def test_tv_l2_inequality():
     meas = build_measure("paired", 2, g)
     spec = spectrum("paired", 2, g)
     for k in (1, 3, 6, 10):
-        dist = convolution_power(wt.group, meas, k)
-        d = exact_distances(dist, wt.group.order)
+        num, scale = convolution_power(wt.group, meas, k)
+        d = exact_distances(num, scale, wt.group.order)
         assert d["tv"] ** 2 <= Fraction(1, 4) * d["l2n_sq"]
         assert d["l2n_sq"] == l2n_sq_spectral(spec, k)
 
@@ -87,9 +93,9 @@ def test_convolution_power_zero_is_point_mass():
     g = build_group("Z:2")
     wt = build_wreath_table(g, 2)
     meas = build_measure("independent", 2, g)
-    dist = convolution_power(wt.group, meas, 0)
-    assert dist[0] == 1
-    assert all(p == 0 for p in dist[1:])
+    num, scale = convolution_power(wt.group, meas, 0)
+    assert num[0] == scale == 1
+    assert all(p == 0 for p in num[1:])
 
 
 def test_sym_walk_oracle():
@@ -105,8 +111,8 @@ def test_sym_walk_oracle():
         ]
         assert trace_moment_check(m, moments, 5) == [Fraction(0)] * 6
         for k in (1, 5, 12):
-            dist = convolution_power(g, meas, k)
-            d = exact_distances(dist, g.order)
+            num, scale = convolution_power(g, meas, k)
+            d = exact_distances(num, scale, g.order)
             assert d["l2n_sq"] == l2n_sq_spectral(spec, k)
 
 
@@ -146,3 +152,56 @@ def test_trace_moments_past_the_int64_range():
     ]
     assert trace_moment_check(m, moments, 24) == [Fraction(0)] * 25
     assert matrix_power_traces(m, 24)[:20] == matrix_power_traces(m, 19)
+
+
+def _scalar_laws(g, n, kind, k_max):
+    """P^{*k} for k = 0..k_max as {element: Fraction}, by scalar convolution
+    with wreath_multiply and no table.  The one-step law is the walk's
+    definition: each draw (p, q, a, b), b = a^-1 for paired, is the element
+    with a at p, b at q (a alone when p = q) and the swap (p q)."""
+    if kind == "paired":
+        ab = [(a, int(g.inv[a])) for a in range(g.order)]
+    else:
+        ab = [(a, b) for a in range(g.order) for b in range(g.order)]
+    draws = [(p, q, a, b) for p in range(n) for q in range(n) for a, b in ab]
+    step = defaultdict(Fraction)
+    for p, q, a, b in draws:
+        v = [0] * n
+        v[q] = b
+        v[p] = a
+        tau = list(range(n))
+        tau[p], tau[q] = q, p
+        step[WreathElement(tuple(v), tuple(tau))] += Fraction(1, len(draws))
+    law = {WreathElement((0,) * n, tuple(range(n))): Fraction(1)}
+    yield law
+    for _ in range(k_max):
+        nxt = defaultdict(Fraction)
+        for s, ps in step.items():
+            for x, px in law.items():
+                nxt[wreath_multiply(g, s, x)] += ps * px
+        law = nxt
+        yield law
+
+
+@pytest.mark.parametrize("gspec,n,kind", [("Z:2", 2, "independent"), ("Z:3", 2, "paired"),
+                                          ("S:3", 2, "paired")])
+def test_integer_curve_matches_scalar_fraction_convolution(gspec, n, kind):
+    # every k through the int64 -> Python-int switch (k = 21, 18 and 14
+    # here) and past it; elements map to indices by the enumeration order,
+    # which is the element encoding
+    g = build_group(gspec)
+    wt = build_wreath_table(g, n)
+    index = {e: i for i, e in enumerate(enumerate_wreath_elements(g, n))}
+    k_max = 24
+    dtypes = []
+    curve = convolution_curve(wt.group, build_measure(kind, n, g), list(range(k_max + 1)))
+    for (k, num, scale), law in zip(curve, _scalar_laws(g, n, kind, k_max)):
+        want = [Fraction(0)] * wt.group.order
+        for e, p in law.items():
+            want[index[e]] = p
+        assert [Fraction(int(x), scale) for x in num] == want, k
+        dtypes.append(num.dtype)
+    assert dtypes[0] == np.int64 and dtypes[-1] == object
+    switch = dtypes.index(object)
+    assert all(d == np.int64 for d in dtypes[:switch])
+    assert all(d == object for d in dtypes[switch:])

@@ -119,9 +119,9 @@ def test_continuized_matches_poissonized_oracle():
     logw_total = 0.0
     for k in range(kcap + 1):
         w = math.exp(-t) * t ** k / math.factorial(k)
-        dk = convolution_power(wt.group, meas, k)
-        for i, p in enumerate(dk):
-            mix[i] += w * float(p)
+        num, scale = convolution_power(wt.group, meas, k)
+        for i, x in enumerate(num.tolist()):
+            mix[i] += w * float(Fraction(x, scale))
         logw_total += w
     mix /= logw_total
     cfg = SimConfig(kind="independent", n=2, g=g, t=t, trials=2 * 10 ** 5, seed=23,
@@ -153,7 +153,7 @@ def test_empirical_tv_three_sigma_of_oracle():
     g = build_group("Z:2")
     wt = build_wreath_table(g, 2)
     meas = build_measure("independent", 2, g)
-    exact_tv = float(exact_distances(convolution_power(wt.group, meas, 20), 8)["tv"])
+    exact_tv = float(exact_distances(*convolution_power(wt.group, meas, 20), 8)["tv"])
     cfg = SimConfig(kind="independent", n=2, g=g, k=20, trials=10 ** 5, seed=12345)
     tv, se = empirical_tv(run_walk_indices(cfg), None, 8)
     assert abs(tv - exact_tv) <= 3 * se
@@ -165,7 +165,8 @@ def test_empirical_tv_against_reference():
     g = build_group("Z:2")
     wt = build_wreath_table(g, 2)
     meas = build_measure("independent", 2, g)
-    dk = convolution_power(wt.group, meas, 2)
+    num, scale = convolution_power(wt.group, meas, 2)
+    dk = [Fraction(int(x), scale) for x in num]
     cfg = SimConfig(kind="independent", n=2, g=g, k=2, trials=10 ** 5, seed=8)
     idx = run_walk_indices(cfg)
     tv_ref, _ = empirical_tv(idx, dict(enumerate(dk)), 8)
