@@ -260,12 +260,8 @@ def _poisson_weight(t: float, k: int) -> float:
 
 
 def _float_law(num: np.ndarray, scale: int) -> np.ndarray:
-    """num / scale as float64, each entry the correctly rounded quotient
-    (float(Fraction(x, scale))).  Up to 2^53 num and scale are exact
-    float64s and one IEEE division rounds once; past it each entry is a
-    Python-int true division, which also rounds once."""
-    if scale <= 2 ** 53:
-        return np.asarray(num, dtype=np.float64) / scale
+    """num / scale as float64 by Python-int true division, which rounds
+    each entry once: float(Fraction(x, scale)), at any size of scale."""
     return np.array([x / scale for x in num.tolist()])
 
 

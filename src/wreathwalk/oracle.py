@@ -109,18 +109,18 @@ def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
     of Python ints past that; no Fractions are built.
 
     (P * Q)(y) = sum_s P(s) Q(s^-1 y), and row inv[s] of the table maps y to
-    s^-1 y, so one step is sum_w w * num[rows_w].sum(0), rows_w the stacked
-    rows of the support elements of integer weight w.  Entries are
+    s^-1 y, so one step is sum_w w * sum_s num[row inv[s]] over the support
+    elements s of integer weight w: one multiply per weight, and only
+    order-sized temporaries over row views of the table.  Entries are
     nonnegative and sum to scale, and the rows of distinct s hold distinct
     indices in every column, so no partial sum exceeds scale * den."""
     if ks and ks[0] < 0:
         raise ValueError("k must be >= 0")
     support = measure_on_table(measure, g)
     den = math.lcm(*(p.denominator for p in support.values()))
-    by_weight: dict[int, list[int]] = {}
+    rows_of: dict[int, list[np.ndarray]] = {}   # weight w -> rows inv[s], views
     for s, p in support.items():
-        by_weight.setdefault(int(p * den), []).append(s)
-    steps = [(w, g.mult[g.inv[ss]]) for w, ss in by_weight.items()]
+        rows_of.setdefault(int(p * den), []).append(g.mult[g.inv[s]])
     num = np.zeros(g.order, dtype=np.int64)
     num[0] = 1
     scale = 1
@@ -131,7 +131,7 @@ def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
         while cur < k:
             if num.dtype != object and scale * den >= 2 ** 63:
                 num = num.astype(object)
-            num = sum(w * num[rows].sum(0) for w, rows in steps)
+            num = sum(w * sum(num[row] for row in rows) for w, rows in rows_of.items())
             scale *= den
             cur += 1
         assert num.sum() == scale
