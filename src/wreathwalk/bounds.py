@@ -9,6 +9,8 @@ exact Fractions, or certified (lower, upper) floats by log-sum-exp.  The
 collapsed and relaxed atoms are one per (n_1, content) row of the shared
 partition table; above FULL_ENUM_MAX an n_1 gets a deficit window (first
 row n_1 - j, j <= J_WINDOW) plus one tail majorant per larger deficit.
+The window depends on n alone and is built once per n; |G| and the walk
+enter only as the per-slot offsets ln w(n_1) and ln scale(n_1).
 
 Exactness is a property of the atoms, decided once in _atoms: the
 collapsed (sym, independent) atoms are exact, every row as ints and
@@ -33,9 +35,9 @@ from .groups import GroupTable
 from .partitions import (
     WORD_M_MAX,
     char_ratio_transposition,
-    conjugate,
     content_rows,
     enumerate_partitions,
+    partition_counts,
     partition_table,
     partitions_of,
 )
@@ -109,19 +111,21 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
     main = ~atoms.tail
     out = []
     for k in ks:
-        t = atoms.ln_w + 2 * k * atoms.ln_y if k else atoms.ln_w
+        t = atoms.ln_y * (2 * k) if k else np.zeros_like(atoms.ln_w)    # 0 * ln 0 is nan
+        t += atoms.ln_w
         lo = _exp_sum(t[main])
         out.append((lo, lo + _exp_sum(t[atoms.tail])))
     return out
 
 
 def _exp_sum(t: np.ndarray) -> float:
-    """sum of e^t without overflow in the sum; inf past the float range."""
+    """sum of e^t (overwriting t) without overflow; inf past the float range."""
     top = t.max(initial=-math.inf)
     if top == -math.inf:
         return 0.0
+    t -= top
     with np.errstate(over="ignore"):
-        return float(np.exp(top + math.log(np.exp(t - top).sum())))
+        return float(np.exp(top + math.log(np.exp(t, out=t).sum())))
 
 
 def l2_column(atoms: Atoms, ks, at_zero: float | None = None) -> list:
@@ -149,7 +153,9 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
 
     window None: every lambda, exactly.  window (j_window, full_enum_max):
     logs only, and each n_1 above max(full_enum_max, 2 j_window + 2) gets
-    deficit-window atoms and tail majorants instead of all its partitions."""
+    deficit-window atoms and tail majorants instead of all its partitions.
+    Window atoms are _window_shape's (once per n) offset by ln w(n_1) and
+    -ln scale(n_1); |G| = 1 keeps only n_1 = n."""
     full = n if window is None else min(n, max(window[1], 2 * window[0] + 2))
     slots = range(n + 1) if g_order > 1 else [n]            # |G| = 1: n_1 = n only
     table = content_rows(max((m for m in slots if m <= full), default=0))
@@ -169,42 +175,72 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     ln_w = (_ln(half_s) + 2 * lnf[n] - 2 * lnf - lnf[::-1]
             + (n - ms) * math.log(max(g_order - 1, 1)))
     ln_scale = np.log(n * np.maximum(ms, 1)) if paired else np.full(n + 1, 2 * math.log(n))
-    parts = [exact_atoms(*extra)[:3]]
-
-    def add(m, ln_d2, top, tail=False):
-        # atoms at slot sizes m with d^2 = e^{ln_d2} and y = |top| / scale
-        with np.errstate(divide="ignore"):
-            ln_y = np.log(np.abs(top)) - ln_scale[m]
-        parts.append((ln_w[m] + ln_d2, ln_y, np.full(ln_y.shape, tail)))
-
+    # blocks (m, ln d^2, ln |top|) of atoms at slot sizes m with y = |top| / scale,
+    # written in place after the paired extra atom: table rows, window, tail majorants
     sizes = np.array([m for m, _, _ in rows], dtype=np.int64)
-    add(sizes, np.array([math.log(d2) for _, _, d2 in rows]),
-        sizes + np.array([c for _, c, _ in rows], dtype=np.int64))
+    with np.errstate(divide="ignore"):
+        blocks = [(sizes, np.array([math.log(d2) for _, _, d2 in rows]),
+                   np.log(np.abs(sizes + np.array([c for _, c, _ in rows], dtype=np.int64))))]
     big = np.array([m for m in slots if m > full], dtype=np.int64)
     if big.size:
-        j_window = window[0]
-        for j in range(j_window + 1):
-            # lambda = (m - j, mu): hooks of the first row by the strip formula
-            level = partition_table(j)
-            for mu in partitions_of(j):        # a fixed atom order for the float sums
-                d_mu, c_mu = level[mu]
-                mu1, conj = (mu[0] if mu else 0), conjugate(mu)
-                ln_d = (lnf[big] - lnf[big - j - mu1] - lnf[j] + math.log(d_mu)
-                        - sum(np.log(big - j - c + 1 + conj[c - 1]) for c in range(1, mu1 + 1)))
-                c_lam = (big - j) * (big - j - 1) + c_mu - 2 * j
-                own = big != n if j == 0 else slice(None)          # the trivial line [n]
-                add(big[own], 2 * ln_d[own], (big + c_lam)[own])
-                outside = big - 1 - len(mu) > j_window            # conjugate not in the window
-                add(big[outside], 2 * ln_d[outside], (big - c_lam)[outside])
+        shape = _window_shape(n, window[0], full)
         # each deficit j > j_window: at most 2 C(m,j)^2 j! of d^2, |y| <= (m + cmax)/scale
-        mm = np.repeat(big, big - 1 - j_window)
-        jj = np.concatenate([np.arange(j_window + 1, m) for m in big])
+        mm = np.repeat(big, big - 1 - window[0])
+        jj = np.concatenate([np.arange(window[0] + 1, m) for m in big])
         top = mm + _cmax_at_deficit(mm, jj)
-        ok = top > 0
-        mm, jj = mm[ok], jj[ok]
+        mm, jj, top = mm[top > 0], jj[top > 0], top[top > 0]
         ln_count = math.log(2.0) + 2 * (lnf[mm] - lnf[jj] - lnf[mm - jj]) + lnf[jj]
-        add(mm, ln_count, top[ok], tail=True)
-    return Atoms(*(np.concatenate(col) for col in zip(*parts)))
+        blocks += [shape if g_order > 1 else [col[shape[0] == n] for col in shape],
+                   (mm, ln_count, np.log(top))]
+        del jj, top                            # freed before the atoms are allocated
+    size = len(extra[0]) + sum(len(m) for m, _, _ in blocks)
+    out = Atoms(np.empty(size), np.empty(size), np.zeros(size, dtype=bool))
+    if paired:
+        out.ln_w[0], out.ln_y[0] = _ln(extra[0][0]), _ln(extra[1][0])
+    at = len(extra[0])
+    for i, (m, ln_d2, ln_top) in enumerate(blocks):
+        w, y = out.ln_w[at:at + len(m)], out.ln_y[at:at + len(m)]
+        np.take(ln_w, m, out=w, mode="clip")
+        w += ln_d2
+        np.take(ln_scale, m, out=y, mode="clip")
+        np.subtract(ln_top, y, out=y)
+        out.tail[at:at + len(m)] = i == 2                  # the tail majorants
+        at += len(m)
+    return out
+
+
+@lru_cache(maxsize=2)
+def _window_shape(n: int, j_window: int, full: int) -> tuple:
+    """The |G|-free window atoms (m, ln d^2, ln |m + content|) of the slot
+    sizes m = full+1..n: lambda = (m - j, mu) per mu |- j <= j_window in
+    reverse-lex order (a fixed order for the float sums), then its conjugate,
+    outside the window as m > 2 j_window + 2; the trivial line [n] left out."""
+    lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    lni = np.log(np.arange(n + 1).clip(1))                          # ln i for i >= 1
+    big = np.arange(full + 1, n + 1)
+    size = 2 * len(big) * sum(partition_counts(j_window)) - 1
+    shape, at = (np.empty(size, dtype=np.min_scalar_type(n)), np.empty(size), np.empty(size)), 0
+    for j in range(j_window + 1):
+        dims, contents = zip(*partition_table(j).values())
+        parts = np.array([mu + (0,) * (j - len(mu)) for mu in partitions_of(j)],
+                         dtype=np.int64).reshape(len(dims), j)      # mu, zero-padded
+        mu1 = parts.max(1, initial=0)[:, None]
+        # first-row hooks by the strip formula, column c of mu has (parts >= c).sum(1) cells
+        hooks = np.zeros((len(dims), len(big)))
+        for c in range(1, j + 1):
+            hooks += np.where(c <= mu1, lni[big - j - c + 1 + (parts >= c).sum(1)[:, None]], 0.0)
+        ln_d = (lnf[big] - lnf[big - j - mu1] - lnf[j]
+                + np.array([math.log(d) for d in dims])[:, None] - hooks)
+        c_lam = (big - j) * (big - j - 1) + np.array(contents)[:, None] - 2 * j
+        with np.errstate(divide="ignore"):       # one (mu, own | conjugate, m) block
+            block = (np.broadcast_to(big, (len(dims), 2, len(big))),
+                     np.repeat(2 * ln_d[:, None], 2, axis=1),
+                     np.log(np.abs(np.stack([big + c_lam, big - c_lam], axis=1))))
+        for col, part in zip(shape, block):
+            part = np.delete(part.ravel(), len(big) - 1) if j == 0 else part.ravel()
+            col[at:at + part.size] = part
+        at += part.size
+    return shape
 
 
 def _cmax_at_deficit(m, j):

@@ -270,12 +270,16 @@ def _content_row(contents: np.ndarray, limbs: np.ndarray) -> tuple:
     return tuple(zip(ordered[starts][first].tolist(), _level_dims(_carry(squares)[:, first])))
 
 
-@lru_cache(maxsize=None)
+_CONTENT_ROWS = [()]    # the largest content_rows build so far
+
+
 def content_rows(top: int) -> tuple:
     """Per m = 0..top, one pair (c, sum of dim^2) per distinct content sum c
     of the partitions of m, in order of first appearance in reverse-lex
-    order; the per-partition levels are not kept."""
-    return tuple(_content_row(contents, limbs) for contents, limbs in _levels(top))
+    order.  Only the largest build is kept, no level; a smaller top slices it."""
+    if top < 0 or top >= len(_CONTENT_ROWS[0]):
+        _CONTENT_ROWS[0] = tuple(_content_row(contents, limbs) for contents, limbs in _levels(top))
+    return _CONTENT_ROWS[0][:top + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ of power_sums, windowed upper edges, and the shared partition table."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wreathwalk import bounds
 from wreathwalk.bounds import (
     distance_curve,
     l2n_sq_collapsed,
+    l2n_sq_collapsed_bounds,
     paired_relaxed_bound,
     power_sums,
     tv_lower_dominant,
@@ -17,6 +19,7 @@ from wreathwalk.bounds import (
 )
 from wreathwalk.groups import build_group
 from wreathwalk.partitions import (
+    conjugate,
     content_rows,
     content_sum,
     dim_hook,
@@ -213,3 +216,96 @@ def test_sym_spectrum_lines_by_content():
             acc[val] = acc.get(val, 0) + dim_hook(lam) ** 2
         spec = spectrum("sym", n)
         assert {line.value: line.multiplicity for line in spec.lines} == acc
+
+
+def _reference_window_atoms(g_order, n, window, paired=None):
+    """The windowed collapsed atoms as they were built before the window
+    shape was shared across base orders, kept as the bit-for-bit reference:
+    one Python pass per mu |- j <= j_window with its first-row hooks summed
+    as a generator, every block a part of one final concatenate."""
+    full = min(n, max(window[1], 2 * window[0] + 2))
+    slots = range(n + 1) if g_order > 1 else [n]
+    table = content_rows(max((m for m in slots if m <= full), default=0))
+    rows = [(m, c, d2) for m in slots if m <= full for c, d2 in table[m]
+            if not (m == n and c == m * (m - 1))]
+    half_s = Fraction(paired[0], 2) if paired else 1
+    extra = ([Fraction(paired[1], 4)], [Fraction(n - 1, n)]) if paired else ([], [])
+    lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    ms = np.arange(n + 1)
+    ln_w = (bounds._ln(half_s) + 2 * lnf[n] - 2 * lnf - lnf[::-1]
+            + (n - ms) * math.log(max(g_order - 1, 1)))
+    ln_scale = np.log(n * np.maximum(ms, 1)) if paired else np.full(n + 1, 2 * math.log(n))
+    parts = [bounds.exact_atoms(*extra)[:3]]
+
+    def add(m, ln_d2, top, tail=False):
+        with np.errstate(divide="ignore"):
+            ln_y = np.log(np.abs(top)) - ln_scale[m]
+        parts.append((ln_w[m] + ln_d2, ln_y, np.full(ln_y.shape, tail)))
+
+    sizes = np.array([m for m, _, _ in rows], dtype=np.int64)
+    add(sizes, np.array([math.log(d2) for _, _, d2 in rows]),
+        sizes + np.array([c for _, c, _ in rows], dtype=np.int64))
+    big = np.array([m for m in slots if m > full], dtype=np.int64)
+    if big.size:
+        j_window = window[0]
+        for j in range(j_window + 1):
+            level = partition_table(j)
+            for mu in partitions_of(j):
+                d_mu, c_mu = level[mu]
+                mu1, conj = (mu[0] if mu else 0), conjugate(mu)
+                ln_d = (lnf[big] - lnf[big - j - mu1] - lnf[j] + math.log(d_mu)
+                        - sum(np.log(big - j - c + 1 + conj[c - 1]) for c in range(1, mu1 + 1)))
+                c_lam = (big - j) * (big - j - 1) + c_mu - 2 * j
+                own = big != n if j == 0 else slice(None)
+                add(big[own], 2 * ln_d[own], (big + c_lam)[own])
+                outside = big - 1 - len(mu) > j_window
+                add(big[outside], 2 * ln_d[outside], (big - c_lam)[outside])
+        mm = np.repeat(big, big - 1 - j_window)
+        jj = np.concatenate([np.arange(j_window + 1, m) for m in big])
+        top = mm + bounds._cmax_at_deficit(mm, jj)
+        ok = top > 0
+        mm, jj = mm[ok], jj[ok]
+        ln_count = math.log(2.0) + 2 * (lnf[mm] - lnf[jj] - lnf[mm - jj]) + lnf[jj]
+        add(mm, ln_count, top[ok], tail=True)
+    return bounds.Atoms(*(np.concatenate(col) for col in zip(*parts)))
+
+
+WINDOW = (bounds.J_WINDOW, bounds.FULL_ENUM_MAX)
+
+
+@pytest.mark.parametrize("g_order,n,window,gname", [
+    (2, 200, WINDOW, None), (1, 200, WINDOW, None), (720, 200, WINDOW, None),
+    (2, 1000, WINDOW, None), (6, 200, WINDOW, "S:3"), (2, 41, WINDOW, None),
+    (1, 45, WINDOW, None), (5, 45, WINDOW, "Z:5"), (2, 12, (4, 10), None),
+    (6, 12, (4, 10), "S:3"),
+])
+def test_window_atoms_equal_the_reference_bit_for_bit(g_order, n, window, gname):
+    paired = _paired(build_group(gname), n) if gname else None
+    got = bounds._slot_atoms(g_order, n, window, paired)
+    want = _reference_window_atoms(g_order, n, window, paired)
+    assert got.tail.any() and got.weights is None
+    for name in ("ln_w", "ln_y", "tail"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_window_shape_is_built_once_per_n():
+    # Z:2, sym, the S:3 relaxed bound and |G| = 720 share one n = 200 shape
+    bounds._slot_atoms.cache_clear()
+    bounds._window_shape.cache_clear()
+    l2n_sq_collapsed_bounds(2, 200, 600)
+    l2n_sq_collapsed_bounds(1, 200, 600)
+    paired_relaxed_bound(build_group("S:3"), 200, 1200)
+    l2n_sq_collapsed_bounds(720, 200, 1200)
+    assert bounds._slot_atoms.cache_info().misses == 4
+    assert bounds._window_shape.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n", [41, 45])
+@pytest.mark.parametrize("g_order", [1, 2, 720])
+def test_real_window_sandwiches_the_exact_sum(n, g_order):
+    # the windowed bracket at J_WINDOW, FULL_ENUM_MAX against every row exactly
+    ks = [n, 3 * n, 7 * n]
+    exact = power_sums(bounds._slot_atoms(g_order, n, None), ks, exact=True)
+    for k, ex, (lo, hi) in zip(ks, exact, power_sums(bounds._atoms(g_order, n), ks)):
+        assert lo <= float(ex) * (1 + 1e-9), k
+        assert hi >= float(ex) * (1 - 1e-9), k

@@ -26,7 +26,7 @@ from wreathwalk.bounds import (
 )
 from wreathwalk.groups import build_group, symmetric_group
 from wreathwalk.oracle import convolution_power, exact_distances
-from wreathwalk.partitions import content_sum, dim_hook, partitions_of
+from wreathwalk.partitions import conjugate, content_sum, dim_hook, partitions_of
 from wreathwalk.reps import enumerate_labels, irrep_dimension
 from wreathwalk.walks import build_measure, l2n_sq_spectral, spectrum
 
@@ -122,7 +122,7 @@ def test_window_dimension_recursion():
                 if mu and mu[0] > m - j:
                     continue
                 lam = (m - j,) + mu
-                conj = bounds.conjugate(mu)
+                conj = conjugate(mu)
                 mu1 = mu[0] if mu else 0
                 ln_d = (
                     math.lgamma(m + 1)

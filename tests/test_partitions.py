@@ -288,3 +288,16 @@ def test_table_refuses_past_the_word_cap():
             build(WORD_M_MAX + 1)
     with pytest.raises(ValueError, match="exceeds cap 61"):
         dim_partition((WORD_M_MAX + 1,))
+
+
+def test_content_rows_slice_the_largest_build(monkeypatch):
+    # a smaller top reads a prefix of the largest build so far, no level
+    # is built for it, and it equals a fresh build
+    content_rows(30)
+    built, real = [], partitions._levels
+    monkeypatch.setattr(partitions, "_levels", lambda top: built.append(top) or real(top))
+    got = [content_rows(20), content_rows(10)]
+    assert built == []
+    for top, rows in zip((20, 10), got):
+        fresh = tuple(partitions._content_row(c, limbs) for c, limbs in real(top))
+        assert rows == fresh and len(rows) == top + 1
