@@ -9,8 +9,9 @@ exact Fractions, or certified (lower, upper) floats by log-sum-exp.  The
 collapsed and relaxed atoms are one per (n_1, content) row of the shared
 partition table; above FULL_ENUM_MAX an n_1 gets a deficit window (first
 row n_1 - j, j <= J_WINDOW) plus one tail majorant per larger deficit.
-The window depends on n alone and is built once per n; |G| and the walk
-enter only as the per-slot offsets ln w(n_1) and ln scale(n_1).
+The window depends on n alone and is built once per n, the logged table
+rows below it once per cutoff; |G| and the walk enter only as the
+per-slot offsets ln w(n_1) and ln scale(n_1).
 
 Exactness is a property of the atoms, decided once in _atoms: the
 collapsed (sym, independent) atoms are exact, every row as ints and
@@ -154,13 +155,15 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     window None: every lambda, exactly.  window (j_window, full_enum_max):
     logs only, and each n_1 above max(full_enum_max, 2 j_window + 2) gets
     deficit-window atoms and tail majorants instead of all its partitions.
-    Window atoms are _window_shape's (once per n) offset by ln w(n_1) and
-    -ln scale(n_1); |G| = 1 keeps only n_1 = n."""
+    Window atoms are _window_shape's (once per n) and, for |G| > 1, table
+    rows at n_1 <= full are _table_logs' (once per full), each offset by
+    ln w(n_1) and -ln scale(n_1); |G| = 1 keeps only n_1 = n."""
     full = n if window is None else min(n, max(window[1], 2 * window[0] + 2))
     slots = range(n + 1) if g_order > 1 else [n]            # |G| = 1: n_1 = n only
-    table = content_rows(max((m for m in slots if m <= full), default=0))
-    rows = [(m, c, d2) for m in slots if m <= full for c, d2 in table[m]
-            if not (m == n and c == m * (m - 1))]
+    if window is None or g_order == 1:
+        table = content_rows(max((m for m in slots if m <= full), default=0))
+        rows = [(m, c, d2) for m in slots if m <= full for c, d2 in table[m]
+                if not (m == n and c == m * (m - 1))]
     half_s = Fraction(paired[0], 2) if paired else 1
     extra = ([Fraction(paired[1], 4)], [Fraction(n - 1, n)]) if paired else ([], [])
     if window is None:
@@ -177,10 +180,13 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     ln_scale = np.log(n * np.maximum(ms, 1)) if paired else np.full(n + 1, 2 * math.log(n))
     # blocks (m, ln d^2, ln |top|) of atoms at slot sizes m with y = |top| / scale,
     # written in place after the paired extra atom: table rows, window, tail majorants
-    sizes = np.array([m for m, _, _ in rows], dtype=np.int64)
-    with np.errstate(divide="ignore"):
-        blocks = [(sizes, np.array([math.log(d2) for _, _, d2 in rows]),
-                   np.log(np.abs(sizes + np.array([c for _, c, _ in rows], dtype=np.int64))))]
+    if g_order == 1:
+        blocks = [_row_logs(rows)]
+    else:
+        table = _table_logs(full)
+        if n == full:                  # the trivial line [n] is level n's first row
+            table = [np.delete(col, np.searchsorted(table[0], n)) for col in table]
+        blocks = [table]
     big = np.array([m for m in slots if m > full], dtype=np.int64)
     if big.size:
         shape = _window_shape(n, window[0], full)
@@ -207,6 +213,24 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
         out.tail[at:at + len(m)] = i == 2                  # the tail majorants
         at += len(m)
     return out
+
+
+def _row_logs(rows) -> tuple:
+    """(m, ln d^2, ln |m + content|) arrays of (m, content, d^2) table rows,
+    m in the smallest integer dtype that holds it."""
+    sizes = np.array([m for m, _, _ in rows], dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        return (sizes.astype(np.min_scalar_type(sizes.max(initial=0))),
+                np.array([math.log(d2) for _, _, d2 in rows]),
+                np.log(np.abs(sizes + np.array([c for _, c, _ in rows], dtype=np.int64))))
+
+
+@lru_cache(maxsize=2)
+def _table_logs(full: int) -> tuple:
+    """_row_logs of every content_rows row at m <= full, trivial lines
+    included: the |G|-free table atoms that every |G| > 1 reads."""
+    return _row_logs([(m, c, d2) for m, level in enumerate(content_rows(full))
+                      for c, d2 in level])
 
 
 @lru_cache(maxsize=2)

@@ -17,8 +17,9 @@ regardless of whether p == q, so the stream layout is fixed.  The sym walk
 draws a and b on Z:1, and integers(0, 1) consumes no random bits, so its
 stream is p and q alone.  The coupling experiment runs chunks of trials,
 the chunk size fixed by n; per chunk, each merge step draws one standard
-exponential per trial, then the first class's integer, then the second's.
-After all chunks it draws one Exp(mean n) per trial for T*.
+exponential per trial, then one (2, trials in the chunk) block of
+uniforms: row 0 picks the first class, row 1 the second.  After all chunks
+it draws one Exp(mean n) per trial for T*.
 """
 from __future__ import annotations
 
@@ -271,17 +272,18 @@ class CouplingReport:
 _CLASS_CELLS = 1 << 18
 # the chain costs O(n^1.5) per trial (n - 1 merges over at most sqrt(2n) rows),
 # so n * isqrt(n) * trials is capped and a request is refused before it runs
-# for minutes; on a 2-vCPU machine the largest that fit took about 15 s
+# for minutes; on a 2-vCPU machine the largest that fit took about 9 s
 # (n = 100, 10^6 trials: the most time per unit) and 4 s (n = 10^4, 10^3
-# trials), and n = 2000 with 10^4 trials about 5 s
+# trials), and n = 2000 with 10^4 trials about 3.4 s
 COUPLING_WORK_CAP = 10 ** 9
 
 
-def _pick(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per column, the first row whose running weight sum exceeds u (weights becomes the sums)."""
-    for r in range(1, len(weights)):
-        weights[r] += weights[r - 1]
-    return (weights <= u).view(np.uint8).sum(0, dtype=np.uint8).astype(np.intp)
+def _pick(sums: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per column, the first row whose running weight sum exceeds u (sums
+    holds the weights and becomes their running sums, in its own dtype)."""
+    for r in range(1, len(sums)):
+        sums[r] += sums[r - 1]
+    return (sums <= u).view(np.uint8).sum(0, dtype=np.uint8).astype(np.intp)
 
 
 def _connectivity_times(n: int, trials: int, rng) -> np.ndarray:
@@ -292,32 +294,49 @@ def _connectivity_times(n: int, trials: int, rng) -> np.ndarray:
     weight count*s*(n-s) of n^2 - Q, a second with count*s of n - s_a.  Rows
     hold a class's size and mass (count * size); a merged size joins its
     row, live or emptied, else the first empty one, so the sizes held are
-    distinct, at most K = floor((sqrt(8n+1) - 1)/2) < 256 of them."""
+    distinct, at most K = floor((sqrt(8n+1) - 1)/2) < 256 of them.
+
+    Both classes come from one block of uniforms u by inverse CDF,
+    floor(u * N) of N = n^2 - Q, then n - s_a (N < 2^52, so the product is
+    below N).  Sizes and masses are at most n, weights and their running
+    sums below n^2, and the slot key below 3K, each held in the narrowest
+    unsigned dtype that fits."""
     out = np.zeros(trials)
     k, nn = (math.isqrt(8 * n + 1) - 1) // 2, n * n
-    chunk, rows = _CLASS_CELLS // k, np.arange(k, dtype=np.int32)[:, None]
+    sd, wd, kd = (np.min_scalar_type(v) for v in (n, nn, 3 * k))
+    chunk, rows = _CLASS_CELLS // k, np.arange(k, dtype=kd)[:, None]
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
-        cols, t, q = np.arange(m), out[start:start + m], np.full(m, n, dtype=np.int32)
-        size, mass = np.zeros((2, k, m), dtype=np.int32)
+        cols, t, free = np.arange(m), out[start:start + m], np.full(m, nn - n, dtype=wd)
+        size, mass = np.zeros((2, k, m), dtype=sd)
         size[0], mass[0] = 1, n
         sf, mf = size.reshape(-1), mass.reshape(-1)     # flat views: row * m + col
+        weights = np.empty((k, m), dtype=wd)
         w = 1                          # rows >= w are still unused
         for _ in range(n - 1):
-            t += rng.standard_exponential(m) * (nn / (nn - q))
-            s, c = size[:w + 1], mass[:w + 1]
-            ia = _pick(c * (n - s), rng.integers(0, nn - q, dtype=np.int32)) * m + cols
+            t += rng.standard_exponential(m) * (nn / free)
+            u = rng.random((2, m))
+            s, c, sums = size[:w + 1], mass[:w + 1], weights[:w + 1]
+            np.subtract(n, s, out=sums)
+            sums *= c
+            ia = _pick(sums, (u[0] * free).astype(wd)) * m + cols
             sa = sf[ia]
             mf[ia] -= sa
-            ib = _pick(c.copy(), rng.integers(0, n - sa, dtype=np.int32)) * m + cols
+            np.copyto(sums, c)
+            ib = _pick(sums, (u[1] * (n - sa)).astype(wd)) * m + cols
             sb = sf[ib]
             mf[ib] -= sb
-            q += 2 * sa * sb
-            miss = s != sa + sb
-            key = (miss.astype(np.int32) + (miss & (c > 0))) * k + rows[:w + 1]
-            slot = key.min(0) % k
-            sf[slot * m + cols] = sa + sb
-            mf[slot * m + cols] += sa + sb
+            free -= 2 * np.multiply(sa, sb, dtype=wd)
+            sa += sb                   # the merged size
+            miss = s != sa
+            key = miss.astype(kd)
+            key += miss & (c > 0)
+            key *= k
+            key += rows[:w + 1]
+            slot = (key.min(0) % k).astype(np.intp)
+            at = slot * m + cols
+            sf[at] = sa
+            mf[at] += sa
             w = max(w, int(slot.max()) + 1)
     return out
 

@@ -300,6 +300,32 @@ def test_window_shape_is_built_once_per_n():
     assert bounds._window_shape.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("gname", ["Z:1", "Z:2", "S:3"])
+def test_relaxed_atoms_at_n_equal_to_full_equal_the_reference(gname):
+    # windowed relaxed atoms at n = 20 <= FULL_ENUM_MAX: table rows only, the
+    # trivial line [n] dropped from the shared table block
+    g = build_group(gname)
+    got = bounds._slot_atoms(g.order, 20, WINDOW, _paired(g, 20))
+    want = _reference_window_atoms(g.order, 20, WINDOW, _paired(g, 20))
+    for name in ("ln_w", "ln_y", "tail"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_table_rows_are_logged_once_per_full(monkeypatch):
+    # the windowed calls of the cutoff experiments (Z:2, the S:3 relaxed bound
+    # and |G| = 720 at n = 200, Z:2 at n = 1000) share one m <= 40 table block
+    tops = []
+    monkeypatch.setattr(bounds, "content_rows", lambda top: tops.append(top) or content_rows(top))
+    bounds._slot_atoms.cache_clear()
+    bounds._table_logs.cache_clear()
+    l2n_sq_collapsed_bounds(2, 200, 600)
+    paired_relaxed_bound(build_group("S:3"), 200, 1200)
+    l2n_sq_collapsed_bounds(720, 200, 1200)
+    l2n_sq_collapsed_bounds(2, 1000, 4000)
+    assert bounds._slot_atoms.cache_info().misses == 4
+    assert bounds._table_logs.cache_info().misses == 1 and tops == [bounds.FULL_ENUM_MAX]
+
+
 @pytest.mark.parametrize("n", [41, 45])
 @pytest.mark.parametrize("g_order", [1, 2, 720])
 def test_real_window_sandwiches_the_exact_sum(n, g_order):

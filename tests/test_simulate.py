@@ -334,6 +334,67 @@ def test_coupling_cap_accepts_n2000_with_1e4_trials(monkeypatch):
         coupling_experiment(10 ** 4, 10 ** 4, [0.0], seed=1)
 
 
+def _reference_connectivity_times(n, trials, rng):
+    """The component-size chain on int64 arrays, fresh weight arrays at
+    every merge and the same draws (one exponential per trial, then one
+    (2, trials in the chunk) block of uniforms), kept as the reference for
+    the narrow-dtype kernels of simulate._connectivity_times."""
+    out = np.zeros(trials)
+    k, nn = (math.isqrt(8 * n + 1) - 1) // 2, n * n
+    chunk, rows = sim._CLASS_CELLS // k, np.arange(k)[:, None]
+    for start in range(0, trials, chunk):
+        m = min(chunk, trials - start)
+        cols, t, q = np.arange(m), out[start:start + m], np.full(m, n, dtype=np.int64)
+        size, mass = np.zeros((2, k, m), dtype=np.int64)
+        size[0], mass[0] = 1, n
+        w = 1
+        for _ in range(n - 1):
+            t += rng.standard_exponential(m) * (nn / (nn - q))
+            u = rng.random((2, m))
+            s, c = size[:w + 1], mass[:w + 1]
+            ra = (np.cumsum(c * (n - s), axis=0) <= np.floor(u[0] * (nn - q))).sum(0)
+            sa = size[ra, cols]
+            mass[ra, cols] -= sa
+            rb = (np.cumsum(c, axis=0) <= np.floor(u[1] * (n - sa))).sum(0)
+            sb = size[rb, cols]
+            mass[rb, cols] -= sb
+            q += 2 * sa * sb
+            miss = s != sa + sb
+            slot = ((miss.astype(np.int64) + (miss & (c > 0))) * k + rows[:w + 1]).min(0) % k
+            size[slot, cols] = sa + sb
+            mass[slot, cols] += sa + sb
+            w = max(w, int(slot.max()) + 1)
+    return out
+
+
+@pytest.mark.parametrize("n,trials", [
+    (2, 300), (3, 300), (50, 300), (255, 40), (256, 40), (300, 40), (3740, 4), (3741, 4),
+    (10 ** 4, 3),
+])
+def test_connectivity_times_equal_the_int64_reference(n, trials):
+    # 255 | 256: weights switch from uint16 to uint32 and sizes from uint8 to
+    # uint16; 300: running sums past 2^16; 3740 | 3741: the slot key from
+    # uint8 to uint16; 10^4: the cap
+    got = sim._connectivity_times(n, trials, np.random.default_rng(n))
+    want = _reference_connectivity_times(n, trials, np.random.default_rng(n))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_pick_takes_the_first_running_sum_above_u(dtype):
+    top = int(np.iinfo(dtype).max)
+    # running sums C = 3, 3, 8, top - 1, top; u at C_r - 1 picks row r, u at
+    # C_r the next row of nonzero weight (the zero row 1 is never picked)
+    weights = np.array([3, 0, 5, top - 9, 1], dtype=dtype)
+    sums = np.array([3, 3, 8, top - 1, top], dtype=dtype)
+    u = [0, 2, 3, 7, 8, top - 2, top - 1]
+    want = [0, 0, 2, 2, 3, 3, 4]
+    cols = np.repeat(weights[:, None], len(u), axis=1)
+    got = sim._pick(cols, np.array(u, dtype=dtype))
+    assert got.dtype == np.intp and got.tolist() == want
+    assert np.array_equal(cols, np.repeat(sums[:, None], len(u), axis=1))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(kind="bogus", n=3)
