@@ -5,9 +5,11 @@ Everything is exact rational arithmetic, carried as integer numerators over
 one shared denominator; Fractions are built only for the cells a caller
 reads.  A transition matrix is int64 numerators over den, and its powers
 are numerators over den^k.  A convolution power P^{*k} is one integer
-vector num over scale = den^k: each step groups the support rows of the
-table by their integer weight and adds the weighted gather-sums, on int64
-while scale * den stays below 2^63 and on Python ints past it.
+vector num over scale = den^k.  The one-step law is a class function, so
+P^{*k} is one too and the walk lumps onto the table's conjugacy classes:
+each step multiplies the vector of class masses by an integer class
+kernel, on int64 while scale * den stays below 2^63 and on Python ints
+past it, and num is expanded to the elements only at the requested k.
 The one-step law is counted from the walk's draws (measure_on_table), each
 applied to the identity by the walk's step `wreath.apply_steps`, not read
 from the spectral side's class measure, so agreement between the two
@@ -27,6 +29,8 @@ from .wreath import step_elements
 
 if TYPE_CHECKING:
     from .walks import WalkMeasure
+
+KERNEL_CELLS = 1 << 20     # cells per temporary of the class kernel build
 
 
 @dataclass
@@ -101,6 +105,48 @@ def convolution_power(g: GroupTable, measure: WalkMeasure, k: int) -> tuple[np.n
     return num, scale
 
 
+def _class_kernel(g: GroupTable, support: dict[int, Fraction], den: int) -> np.ndarray:
+    """The transpose of the integer class kernel K[C, C'] = sum_s w_s
+    [s x_C in C'] of the one-step law: s runs over the support with weight
+    w_s = den * P(s) and x_C is one representative of class C.  Every row
+    of K (column of the result) sums to den.
+
+    Refuses (ValueError, naming the class) a law that is not constant on
+    the table's classes, checked in O(|support|) before K is built: each
+    class the support touches must lie wholly in it, with one weight."""
+    m = g.num_classes
+    s = np.fromiter(support, dtype=np.int64, count=len(support))
+    w = np.array([p.numerator * (den // p.denominator) for p in support.values()],
+                 dtype=np.int64)
+    cls = g.class_of[s]
+    in_support = np.bincount(cls, minlength=m)
+    weight_of = np.zeros(m, dtype=np.int64)
+    weight_of[cls] = w
+    sizes = np.array(g.class_sizes(), dtype=np.int64)
+    ok = (in_support[cls] == sizes[cls]) & (weight_of[cls] == w)
+    if not ok.all():
+        c = int(cls[np.argmin(ok)])
+        raise ValueError(f"the one-step law is not constant on conjugacy class {c} of "
+                         f"{g.name} ({sizes[c]} elements, {in_support[c]} in the support)")
+    reps = np.array([members[0] for members in g.classes], dtype=np.int64)
+    by_weight = [(weight, s[w == weight]) for weight in set(w.tolist())]
+    kernel_t = np.zeros((m, m), dtype=np.int64)     # kernel_t[C', C] = K[C, C']
+    # columns in blocks of representatives, so no temporary passes KERNEL_CELLS
+    # cells; in a block, kernel_t[C', lo + j] is bincount cell C' * width + j
+    width = max(1, KERNEL_CELLS // g.order)
+    cells = g.class_of * width
+    for lo in range(0, m, width):
+        block = reps[lo:lo + width]
+        j = np.arange(len(block))[:, None]
+        products = g.mult[block]                    # [j, y] = x_(lo + j) y
+        for weight, sel in by_weight:
+            # x s and s x are conjugate: the cell of the class of s_i x_(lo + j)
+            landed = cells[np.take(products, sel, axis=1)] + j
+            counts = np.bincount(landed.ravel(), minlength=m * width).reshape(m, width)
+            kernel_t[:, lo:lo + len(block)] += weight * counts[:, :len(block)]
+    return kernel_t
+
+
 def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
     """Yield (k, num, scale) with P^{*k}(e_i) = num[i] / scale at the
     requested k values in one incremental pass; scale = den^k for the
@@ -108,32 +154,35 @@ def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
     nonnegative.  num is int64 while scale * den < 2^63 and an object array
     of Python ints past that; no Fractions are built.
 
-    (P * Q)(y) = sum_s P(s) Q(s^-1 y), and row inv[s] of the table maps y to
-    s^-1 y, so one step is sum_w w * sum_s num[row inv[s]] over the support
-    elements s of integer weight w: one multiply per weight, and only
-    order-sized temporaries over row views of the table.  Entries are
-    nonnegative and sum to scale, and the rows of distinct s hold distinct
-    indices in every column, so no partial sum exceeds scale * den."""
+    The one-step law P is constant on conjugacy classes (checked, see
+    _class_kernel), so P^{*k} is too, and the walk is stepped on the
+    table's classes: with v[C] = scale * P^{*k}(C) the class masses,
+    (P * Q)(C') = sum_C Q(C) sum_s P(s) [s x_C in C'] for any x_C in C, so
+    one step is v <- v @ K = K^T v with the integer class kernel K.
+    Entries are nonnegative, each row of K sums to den and v sums to scale,
+    so no partial sum exceeds scale * den.  At a requested k the masses are
+    spread evenly over the elements: num = (v // |C|)[class_of]."""
     if ks and ks[0] < 0:
         raise ValueError("k must be >= 0")
     support = measure_on_table(measure, g)
     den = math.lcm(*(p.denominator for p in support.values()))
-    rows_of: dict[int, list[np.ndarray]] = {}   # weight w -> rows inv[s], views
-    for s, p in support.items():
-        rows_of.setdefault(int(p * den), []).append(g.mult[g.inv[s]])
-    num = np.zeros(g.order, dtype=np.int64)
-    num[0] = 1
+    kernel_t = _class_kernel(g, support, den)
+    sizes = np.array(g.class_sizes(), dtype=np.int64)
+    v = np.zeros(g.num_classes, dtype=np.int64)
+    v[g.class_of[0]] = 1
     scale = 1
     cur = 0
     for k in ks:
         if k < cur:
             raise ValueError("ks must be ascending")
         while cur < k:
-            if num.dtype != object and scale * den >= 2 ** 63:
-                num = num.astype(object)
-            num = sum(w * sum(num[row] for row in rows) for w, rows in rows_of.items())
+            if v.dtype != object and scale * den >= 2 ** 63:
+                v, kernel_t = v.astype(object), kernel_t.astype(object)
+            v = kernel_t @ v
             scale *= den
             cur += 1
+        assert not (v % sizes).any(), "a class mass does not divide by its class size"
+        num = (v // sizes)[g.class_of]
         assert num.sum() == scale
         yield k, num, scale
 

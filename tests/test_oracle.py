@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wreathwalk import oracle
 from wreathwalk.groups import build_group, symmetric_group
 from wreathwalk.oracle import (
     build_transition_matrix,
@@ -205,3 +206,82 @@ def test_integer_curve_matches_scalar_fraction_convolution(gspec, n, kind):
     switch = dtypes.index(object)
     assert all(d == np.int64 for d in dtypes[:switch])
     assert all(d == object for d in dtypes[switch:])
+
+
+def _element_convolution_curve(g, measure, ks):
+    """The element-wise reference for convolution_curve: one integer per
+    element, stepped by (P * Q)(y) = sum_s P(s) Q(s^-1 y).  Row inv[s] of
+    the table maps y to s^-1 y, so a step is sum_w w * sum_s num[row inv[s]]
+    over the support elements s of integer weight w, on int64 while
+    scale * den < 2^63 and on Python ints past it."""
+    support = measure_on_table(measure, g)
+    den = math.lcm(*(p.denominator for p in support.values()))
+    rows_of = {}   # weight w -> rows inv[s]
+    for s, p in support.items():
+        rows_of.setdefault(int(p * den), []).append(g.mult[g.inv[s]])
+    num = np.zeros(g.order, dtype=np.int64)
+    num[0] = 1
+    scale = 1
+    cur = 0
+    for k in ks:
+        while cur < k:
+            if num.dtype != object and scale * den >= 2 ** 63:
+                num = num.astype(object)
+            num = sum(w * sum(num[row] for row in rows) for w, rows in rows_of.items())
+            scale *= den
+            cur += 1
+        yield k, num, scale
+
+
+CLASS_STEP_INSTANCES = (
+    [("Z:2", n, kind) for n in range(1, 6) for kind in ("independent", "paired")]
+    + [("Z:3", n, kind) for n in range(1, 4) for kind in ("independent", "paired")]
+    + [("S:3", n, kind) for n in range(1, 4) for kind in ("independent", "paired")]
+    + [("Z:1", n, "sym") for n in range(1, 7)]
+    + [("Z:4", 3, "paired"), ("Z:5", 2, "independent"), ("Z:300", 1, "independent")]
+)
+
+
+@pytest.mark.parametrize("gspec,n,kind", CLASS_STEP_INSTANCES)
+def test_class_steps_match_the_element_steps(gspec, n, kind):
+    # S:3 n = 3 paired (den = 54) steps on Python ints from k = 11 on
+    g = build_group(gspec)
+    gt = build_wreath_table(g, n).group
+    measure = build_measure(kind, n, g)
+    ks = list(range(25))
+    for (k, num, scale), (k_ref, num_ref, scale_ref) in zip(
+            convolution_curve(gt, measure, ks), _element_convolution_curve(gt, measure, ks),
+            strict=True):
+        assert k == k_ref
+        assert scale == scale_ref, k
+        assert num.dtype == num_ref.dtype, k
+        assert np.array_equal(num, num_ref), k
+
+
+@pytest.mark.parametrize("weights", [(1,), (2, 1, 1)])
+def test_class_steps_refuse_a_law_that_is_not_a_class_function(weights, monkeypatch):
+    # on the transpositions of 1 wr S_3 (a class of 3 elements): a point
+    # mass on one of them, then all three with two different weights
+    gt = build_wreath_table(build_group("Z:1"), 3).group
+    c, members = next((c, m) for c, m in enumerate(gt.classes) if len(m) == 3)
+    law = {x: Fraction(w, sum(weights)) for x, w in zip(members, weights)}
+    monkeypatch.setattr(oracle, "measure_on_table", lambda measure, g: law)
+    with pytest.raises(ValueError, match=f"not constant on conjugacy class {c} "):
+        next(convolution_curve(gt, build_measure("sym", 3), [0, 1]))
+
+
+@pytest.mark.parametrize("gspec,n,kind", [("S:3", 2, "paired"), ("Z:5", 2, "independent"),
+                                          ("Z:1", 4, "sym")])
+def test_class_kernel_is_the_same_built_in_blocks(gspec, n, kind, monkeypatch):
+    # one representative per block (KERNEL_CELLS below the order) and a
+    # last block of one (m - 1 per block) against one block for all
+    g = build_group(gspec)
+    gt = build_wreath_table(g, n).group
+    support = measure_on_table(build_measure(kind, n, g), gt)
+    den = math.lcm(*(p.denominator for p in support.values()))
+    whole = oracle._class_kernel(gt, support, den)
+    assert (whole.sum(axis=0) == den).all()
+    assert gt.order < oracle.KERNEL_CELLS
+    for cells in (1, (gt.num_classes - 1) * gt.order):
+        monkeypatch.setattr(oracle, "KERNEL_CELLS", cells)
+        assert np.array_equal(oracle._class_kernel(gt, support, den), whole)
