@@ -10,8 +10,8 @@ trivial irrep and column k the k-th conjugacy class; entries are exact
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -158,8 +158,9 @@ def perm_rank(perms: np.ndarray) -> np.ndarray:
     m = perms.shape[-1]
     rank = np.zeros(perms.shape[:-1], dtype=np.int64)
     for i in range(m):
-        smaller = (perms[..., i + 1:] < perms[..., i:i + 1]).sum(axis=-1)
-        rank = rank * (m - i) + smaller
+        rank *= m - i
+        for j in range(i + 1, m):      # one pair at a time: a sum over the short axis is slow
+            rank += perms[..., j] < perms[..., i]
     return rank
 
 
@@ -178,16 +179,18 @@ def perm_unrank(ranks: np.ndarray, m: int) -> np.ndarray:
     return perms
 
 
-def permutation_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+def permutation_table(m: int, ranks=None) -> tuple[np.ndarray, np.ndarray]:
     """The m! permutations of range(m) as rows, in lexicographic order
-    (identity first), and their product table mult[a, b] = rank of a o b,
-    where (a o b)(i) = a(b(i))."""
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-    mult = np.empty((len(perms), len(perms)), dtype=np.int64)
+    (identity first), and rows `ranks` (default all) of their product
+    table: mult[i, b] = rank of a o b for a of rank ranks[i], where
+    (a o b)(i) = a(b(i))."""
+    perms = perm_unrank(np.arange(math.factorial(m)), m).astype(np.int8)
+    ranks = np.arange(len(perms)) if ranks is None else np.asarray(ranks)
+    mult = np.empty((len(ranks), len(perms)), dtype=np.int64)
     # composites a o b = a[b], ranked in m blocks of rows: a block's int8
-    # composites take m!^2 bytes, an eighth of mult
-    for rows in np.array_split(np.arange(len(perms)), m):
-        mult[rows] = perm_rank(perms[rows][:, perms])
+    # composites take len(ranks) m! bytes, an eighth of mult
+    for rows in np.array_split(np.arange(len(ranks)), m):
+        mult[rows] = perm_rank(perms[ranks[rows]][:, perms])
     return perms, mult
 
 

@@ -1,7 +1,6 @@
 """Monte Carlo side: vectorized walk sampling (discrete and continuized),
-empirical TV with jackknife errors, and the two coupling experiments (the
-per-coordinate randomization tail and the pair-event graph connectivity
-time).
+empirical TV with jackknife errors, and the coupling experiment (the
+pair-event graph connectivity time).
 
 A trial is one element index, and a step of every trial is one gather
 x = R[row_of[d], x] on the drawn d, R the walk's `wreath.step_rows` map of
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,6 +56,8 @@ class SimConfig:
     def __post_init__(self):
         if self.kind not in ("sym", "independent", "paired"):
             raise ValueError(f"unknown walk kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         self.g = walk_base(self.kind, self.g)
         if self.trials < 1:
             raise ValueError("trials >= 1")
@@ -217,43 +217,8 @@ def empirical_tv(samples: np.ndarray, reference, order: int) -> tuple[float, flo
     return float(tv), se
 
 
-def one_step_counts(kind: str, n: int, g: GroupTable | None, draws: int,
-                    seed: int) -> np.ndarray:
-    """Element-index histogram of single steps from the identity; for
-    goodness-of-fit checks against the exact measure."""
-    cfg = SimConfig(kind=kind, n=n, g=g, k=1, trials=draws, seed=seed)
-    idx = run_walk_indices(cfg)
-    return np.bincount(idx, minlength=cfg.g.order ** n * math.factorial(n))
-
-
 # ---------------------------------------------------------------------------
-# coupling experiments
-
-def per_step_hit_probability(n: int) -> Fraction:
-    """Chance a fixed coordinate is randomized in one independent-walk
-    step: p=q=i plus the 2(n-1) ordered pairs touching i."""
-    return Fraction(2 * n - 1, n * n)
-
-
-def discrete_coupling_tail(n: int, k: int, trials: int, seed: int) -> float:
-    """Empirical P{T > k} where T is the first step by which every
-    coordinate has been randomized (both endpoints count on p != q steps,
-    the single coordinate on p == q steps)."""
-    rng = np.random.default_rng(seed)
-    touched = np.zeros((trials, n), dtype=bool)
-    rows = np.arange(trials)
-    for _ in range(k):
-        p = rng.integers(0, n, size=trials)
-        q = rng.integers(0, n, size=trials)
-        touched[rows, p] = True
-        touched[rows, q] = True
-    return float(np.mean(~touched.all(axis=1)))
-
-
-def discrete_coupling_bound(n: int, k: int) -> float:
-    """Union bound n (1 - 1/n)^{2k} on the tail above."""
-    return n * (1.0 - 1.0 / n) ** (2 * k)
-
+# coupling experiment
 
 @dataclass
 class CouplingReport:

@@ -17,15 +17,19 @@ Element encoding, the one used everywhere: the index of (coords; perm) is
 tables are built in this order, so an element index is a row of the
 table.  Indices are int64: orders above 2^63 - 1 are refused.
 
+`table_rows(g, n, elements)`, the one builder of the product's rows, is
+mult[elements] by the rule above, with `build_bytes` its memory estimate:
+`build_wreath_table` takes every row, `step_rows` the rows of the walk's
+distinct step elements.
+
 The walk step, the one rule for every walk: draw positions p, q and base
 elements a, b, then left-multiply by the step element with a at p, b at q
 and the swap (p q).  `step_draws` lists the draws in the sampler's order
 and `apply_steps` is the step's one array statement.  `step_elements`
 applies every draw to the identity with it (the oracle's one-step law
-counts them); `step_rows` applies each distinct step element to every
-state, once, into the successor map R[row_of[d], x] = index of s_d x
-(distinct step elements x order entries, at most the explicit table) that
-the simulator walks when it costs no more than the walk.
+counts them); `step_rows` is the successor map R[row_of[d], x] = index of
+s_d x (distinct step elements x order entries, at most the explicit
+table) that the simulator walks when it costs no more than the walk.
 """
 from __future__ import annotations
 
@@ -48,7 +52,6 @@ from .groups import (
 
 MAX_WREATH_ORDER = 5000
 INDEX_MAX = 2 ** 63 - 1            # the largest order whose indices fit in int64
-STEP_ROW_CELLS = 1 << 14           # (row, state) pairs per chunk of the step_rows build
 
 
 class WreathElement(NamedTuple):
@@ -84,6 +87,9 @@ def wreath_multiply(g: GroupTable, a: WreathElement, b: WreathElement) -> Wreath
 
 
 def wreath_order(g_order: int, n: int) -> int:
+    """|G|^n n!, refusing n < 1: the order every builder starts from."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return g_order ** n * math.factorial(n)
 
 
@@ -166,29 +172,56 @@ def step_elements(kind: str, n: int, g: GroupTable | None) -> np.ndarray:
     return encode_states(coords, pinv, g.order)
 
 
-def _index_dtype(order: int) -> np.dtype:
-    return np.dtype(np.int32 if order < 2 ** 31 else np.int64)
-
-
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def step_row_bytes(kind: str, n: int, g_order: int, rows: int) -> tuple[int, int]:
-    """(bytes of a step_rows map of `rows` rows, peak bytes of its build)
-    on a base of order g_order (1 for sym).  The build first finds the
-    distinct step elements, about 16 n + 96 bytes a draw; then it holds the
-    map, the draw -> row index, the decoded states with their inverses
-    and, per chunk of STEP_ROW_CELLS (row, state) pairs (one row when the
-    order is larger), the tiled states and the step's and the encoder's
-    temporaries, about 16 n + 128 bytes a pair; and 64 KiB of Python
-    objects throughout."""
-    order = _index_order(g_order, n)
-    draws = n * n * (g_order if kind == "paired" else g_order ** 2)
-    size = rows * order * _index_dtype(order).itemsize
-    cells = min(max(STEP_ROW_CELLS // order, 1), rows) * order
-    build = size + 8 * draws + 24 * n * order + (16 * n + 128) * cells
-    return size, max(build, (16 * n + 96) * draws) + 2 ** 16
+def table_rows(g: GroupTable, n: int, elements) -> np.ndarray:
+    """mult[elements] of G wr S_n without the table: an (r, order) int64
+    array whose row i holds the index of elements[i] x for every x.  The
+    one builder of both build_wreath_table and step_rows."""
+    order, fact = _index_order(g.order, n), math.factorial(n)
+    elements = np.asarray(elements, dtype=np.int64)
+    y, sigma = decode_states(elements, g.order, n)
+    x = np.indices((g.order,) * n).reshape(n, -1)     # x[i, c]: coordinate i of coords c
+    # (y; sigma)(x; pi) = (z; sigma pi) with z_i = y_i x_{sigma^-1(i)}.  z does
+    # not depend on pi, so it is encoded once per (row, coords of x), as
+    # index(z; identity); adding rank(sigma pi) gives index(z; sigma pi)
+    z = g.mult[y[:, :, None], x[np.argsort(sigma, axis=1)]]                 # (rows, n, C)
+    z = encode_states(z.transpose(0, 2, 1), np.arange(n), g.order)
+    del y, sigma
+    # rank(sigma pi) for the distinct sigma among the rows only
+    ranks, at = np.unique(elements % fact, return_inverse=True)
+    sigma_rows = permutation_table(n, ranks)[1]
+    rows = np.empty((len(elements), x.shape[1], fact), dtype=np.int64)
+    # summed in at most 8 blocks of rows: a block's gathered sigma rows take
+    # about r n! bytes
+    step = len(elements) // 8 + 1
+    for lo in range(0, len(elements), step):
+        block = slice(lo, lo + step)
+        np.add(z[block, :, None], sigma_rows[at[block], None, :], out=rows[block])
+    return rows.reshape(len(elements), order)
+
+
+def build_bytes(g_order: int, n: int, rows: int, perms: int, held: int,
+                draws: int = 0) -> int:
+    """Peak bytes of table_rows on `rows` elements with `perms` distinct
+    permutations among them, then of `held` bytes next to its result (the
+    table's inverse search, the map's int32 copy), after a search of
+    `draws` step draws for their distinct elements (16 n + 96 bytes a
+    draw; its draw -> row index stays).  table_rows holds the decoded rows
+    (24 n bytes a row) and two (rows, n, C) int64 gathers, C = g_order^n,
+    or one next to encode_states' two digit arrays; then the (rows, C) z
+    index, the (perms, n!) permutation rows and the result with a block of
+    gathered permutation rows, rows n! bytes.  Python objects and numpy's
+    buffers take 8 KiB and half the result, at most 256 KiB."""
+    order, fact = wreath_order(g_order, n), math.factorial(n)
+    pairs, result = 8 * rows * g_order ** n, 8 * rows * order
+    return 8 * draws + min(2 ** 18, 2 ** 13 + result // 2) + max(
+        24 * rows * n + pairs * max(2 * n, n + 2),
+        pairs + 8 * rows + 8 * perms * fact + result + rows * fact,
+        result + held,
+        (16 * n + 96) * draws)
 
 
 def step_rows(kind: str, n: int, g: GroupTable | None) -> tuple[np.ndarray, np.ndarray]:
@@ -196,59 +229,31 @@ def step_rows(kind: str, n: int, g: GroupTable | None) -> tuple[np.ndarray, np.n
     with R[row_of[d], x] the index of s_d x, for draw d in step_draws order
     and state x in the element encoding, so R[row_of[d], 0] is s_d.  R has
     one row per distinct step element (b is overwritten at p = q, and
-    (p, q, a, b) and (q, p, b, a) give one element), int32 while the order
-    is below 2^31: the rows s_d of the explicit table, built without it.
+    (p, q, a, b) and (q, p, b, a) give one element): the table_rows of
+    those elements, int32 while the order is below 2^31.
 
-    Every state is decoded once, and each chunk of rows is one draw of its
-    element applied to all states with apply_steps and encoded
-    (step_row_bytes counts the peak).  Refuses orders past int64 and, before
-    the map is allocated, maps whose build would exceed physical memory."""
+    Refuses orders past int64 and, before the map is built, maps whose
+    build (build_bytes) would exceed physical memory."""
     g = walk_base(kind, g)
     order = _index_order(g.order, n)
-    _, first, row_of = np.unique(step_elements(kind, n, g), return_index=True,
-                                 return_inverse=True)
-    size, need = step_row_bytes(kind, n, g.order, len(first))
+    steps, row_of = np.unique(step_elements(kind, n, g), return_inverse=True)
+    dtype = np.dtype(np.int32 if order < 2 ** 31 else np.int64)
+    size = len(steps) * order * dtype.itemsize
+    # the step permutations: the identity and the n(n - 1)/2 transpositions
+    need = build_bytes(g.order, n, len(steps), 1 + n * (n - 1) // 2, size, len(row_of))
     have = _physical_memory()
     if need > have:
         raise ValueError(f"wreath order {order} needs a {size}-byte step-row map "
-                         f"({len(first)} step elements x {order} states) for the {kind} walk "
+                         f"({len(steps)} step elements x {order} states) for the {kind} walk "
                          f"and {need} bytes to build it, more than the {have} bytes of "
                          f"physical memory")
-    p, q, a, b = (v[first] for v in step_draws(kind, n, g))
-    coords, perms = decode_states(np.arange(order), g.order, n)
-    pinv = np.argsort(perms, axis=1)
-    del perms
-    rows = np.empty((len(first), order), dtype=_index_dtype(order))
-    chunk = max(1, STEP_ROW_CELLS // order)            # rows per chunk
-    for lo in range(0, len(first), chunk):
-        d = np.arange(lo, min(lo + chunk, len(first)))
-        x, xinv = np.tile(coords, (len(d), 1)), np.tile(pinv, (len(d), 1))
-        p_, q_, a_, b_ = (np.repeat(v[d], order) for v in (p, q, a, b))
-        apply_steps(x, xinv, np.arange(len(x)), p_, q_, a_, b_, g.mult)
-        rows[d] = encode_states(x, np.argsort(xinv, axis=1), g.order).reshape(len(d), order)
-    return rows, row_of
+    return table_rows(g, n, steps).astype(dtype, copy=False), row_of
 
 
 class WreathTable(NamedTuple):
     group: GroupTable        # the wreath product as a plain GroupTable
     base: GroupTable
     n: int
-
-
-def build_bytes(g_order: int, n: int) -> int:
-    """Peak bytes of build_wreath_table.  With C = g_order^n coordinate
-    tuples, the build first holds two (order, C, n) int64 arrays (the
-    gathered coordinates and their products), or the (order, C) digit
-    arrays of encode_states next to the first; then the order^2 int64
-    table, the (order, C) z_index and the bool mask that finds the
-    inverses; the S_n table, a few (order, n) arrays and 256 KiB of Python
-    objects throughout.  That is about 2.1 times the table on S_n, 1.1 to
-    1.3 times on a nontrivial base at n >= 3, 2.5 times at n = 2 and 4
-    times at n = 1."""
-    order = wreath_order(g_order, n)
-    pairs = 8 * order * g_order ** n
-    return (8 * math.factorial(n) ** 2 + 24 * order * n + 2 ** 18
-            + max(pairs * max(2 * n, n + 3), 8 * order * order + pairs + order * order))
 
 
 def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER) -> WreathTable:
@@ -261,25 +266,15 @@ def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER)
     order = wreath_order(g.order, n)
     if order > max_order:
         raise ValueError(f"wreath order {order} exceeds cap {max_order}")
-    table, need = 8 * order * order, build_bytes(g.order, n)
+    table = 8 * order * order
+    # every row and permutation, then the inverse search's order^2 bool mask
+    need = build_bytes(g.order, n, order, math.factorial(n), order * order)
     have = _physical_memory()
     if need > have:
         raise ValueError(f"wreath order {order} needs a {table / 2 ** 30:.1f} GiB table "
                          f"(order^2 int64 entries) and {need / 2 ** 30:.1f} GiB to build it, "
                          f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
-    perms, sn_mult = permutation_table(n)
-    coords = np.array(list(itertools.product(range(g.order), repeat=n)), dtype=np.int64)
-    y = np.repeat(coords, len(perms), axis=0)                 # coords of each element
-    sigma = np.tile(np.arange(len(perms)), len(coords))       # its permutation's rank
-    sigma_inv = np.argsort(perms, axis=1)[sigma]
-    # (y; sigma)(x; pi) = (z; sigma pi) with z_i = y_i x_{sigma^-1(i)}.  z does
-    # not depend on pi, so it is encoded once per (element, coords of x), as
-    # index(z; identity); adding rank(sigma pi) gives index(z; sigma pi).
-    z_index = encode_states(g.mult[y[:, None, :], coords[:, sigma_inv].swapaxes(0, 1)],
-                            perms[:1], g.order)
-    # rows run coords-major, so row (y, sigma) adds row sigma of sn_mult
-    mult = (z_index.reshape(len(coords), len(perms), len(coords), 1)
-            + sn_mult[None, :, None, :]).reshape(order, order)
+    mult = table_rows(g, n, np.arange(order))
     inv = _inverses(mult)
     classes, class_of = conjugacy_classes(mult, inv)
     table = GroupTable(

@@ -174,8 +174,10 @@ def test_step_row_map_past_physical_memory_refused(monkeypatch):
     from wreathwalk import wreath
 
     g = build_group("Z:3")
-    size, need = wreath.step_row_bytes("paired", 3, 3, 16)
-    assert size == 16 * 162 * 4
+    # 16 rows with 4 permutations (the identity and the 3 transpositions),
+    # the int32 map held next to them, after a search of 27 draws
+    size = 16 * 162 * 4
+    need = wreath.build_bytes(3, 3, 16, 4, size, 27)
     for have in (size, need - 1, need):
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
         monkeypatch.setattr(wreath.os, "sysconf", pages.__getitem__)
@@ -188,6 +190,29 @@ def test_step_row_map_past_physical_memory_refused(monkeypatch):
                 f"{have} bytes of physical memory")
         else:
             assert wreath.step_rows("paired", 3, g)[0].shape == (16, 162)
+
+
+def test_table_refuses_n_below_one():
+    from wreathwalk import wreath
+
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            wreath.build_wreath_table(build_group("Z:2"), n)
+
+
+def test_step_rows_refuses_n_below_one():
+    from wreathwalk import wreath
+
+    for kind, g in (("paired", build_group("Z:2")), ("sym", None)):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            wreath.step_rows(kind, 0, g)
+
+
+def test_sim_config_refuses_n_below_one():
+    from wreathwalk.simulate import SimConfig
+
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        SimConfig("independent", 0, build_group("Z:2"), k=3)
 
 
 def test_simulate_needs_no_memory_past_its_table(capsys, monkeypatch):

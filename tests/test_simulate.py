@@ -9,18 +9,15 @@ import pytest
 from scipy import stats
 
 from wreathwalk import simulate as sim
+from wreathwalk.bounds import tv_upper_coupling
 from wreathwalk.groups import build_group, symmetric_group
 from wreathwalk.oracle import convolution_power, exact_distances, measure_on_table
 from wreathwalk.simulate import (
     CouplingReport,
     SimConfig,
     coupling_experiment,
-    discrete_coupling_bound,
-    discrete_coupling_tail,
     empirical_tv,
     encode_states,
-    one_step_counts,
-    per_step_hit_probability,
     run_walk,
     run_walk_indices,
     tv_curve,
@@ -90,14 +87,11 @@ def test_sym_samples_equal_the_trivial_base_walks(mode):
 def test_one_step_chi2(gname, kind):
     # empirical one-step law equals the measure: chi^2 not rejected at 1e-4
     n = 2
-    g = build_group(gname)
-    if kind == "sym":
-        cfg = SimConfig(kind=kind, n=n, g=None, k=1, trials=10 ** 6, seed=11)
-        counts = np.bincount(run_walk_indices(cfg), minlength=math.factorial(n))
-        probs = measure_on_table(build_measure(kind, n), symmetric_group(n))
-    else:
-        counts = one_step_counts(kind, n, g, 10 ** 6, seed=11)
-        probs = measure_on_table(build_measure(kind, n, g), build_wreath_table(g, n).group)
+    g = None if kind == "sym" else build_group(gname)
+    cfg = SimConfig(kind=kind, n=n, g=g, k=1, trials=10 ** 6, seed=11)
+    counts = np.bincount(run_walk_indices(cfg), minlength=cfg.g.order ** n * math.factorial(n))
+    table = symmetric_group(n) if kind == "sym" else build_wreath_table(g, n).group
+    probs = measure_on_table(build_measure(kind, n, g), table)
     expect = np.zeros(len(counts))
     for i, p in probs.items():
         expect[i] = float(p) * counts.sum()
@@ -186,21 +180,29 @@ def test_sym_walk_marginal():
     assert pval > 1e-4
 
 
-def test_per_step_hit_probability():
-    for n in (2, 5, 10, 37):
-        hp = per_step_hit_probability(n)
-        assert hp == Fraction(2 * n - 1, n * n)
-        assert hp == 1 - (1 - Fraction(1, n)) ** 2
+def _untouched_tail(n, k, trials, seed):
+    """Empirical P{T > k}, T the first step by which the independent walk
+    has touched every coordinate (both positions on p != q steps, the one
+    on p == q steps)."""
+    rng = np.random.default_rng(seed)
+    touched = np.zeros((trials, n), dtype=bool)
+    rows = np.arange(trials)
+    for _ in range(k):
+        touched[rows, rng.integers(0, n, size=trials)] = True
+        touched[rows, rng.integers(0, n, size=trials)] = True
+    return float(np.mean(~touched.all(axis=1)))
 
 
 def test_discrete_coupling_tail():
-    assert discrete_coupling_tail(5, 0, 200, seed=1) == 1.0
+    # the tail term of tv_upper_coupling (its sym part set to 0) bounds the
+    # chance that some coordinate is still untouched
+    assert _untouched_tail(5, 0, 200, seed=1) == tv_upper_coupling(5, 0, 0.0) == 1.0
     n = 100
     k = math.ceil(0.5 * n * math.log(n) + n)
-    tail = discrete_coupling_tail(n, k, 10 ** 4, seed=3)
-    bound = discrete_coupling_bound(n, k)
+    tail = _untouched_tail(n, k, 10 ** 4, seed=3)
+    bound = tv_upper_coupling(n, k, 0.0)
     se = math.sqrt(max(tail * (1 - tail), 1e-9) / 10 ** 4)
-    assert tail <= bound + 4 * se
+    assert 0 < tail <= bound + 4 * se and bound < 1
 
 
 def test_coupling_experiment_small():

@@ -23,8 +23,9 @@ from wreathwalk.wreath import (
     enumerate_wreath_elements,
     step_draws,
     step_elements,
-    step_row_bytes,
     step_rows,
+    table_rows,
+    walk_base,
     wreath_multiply,
 )
 
@@ -98,11 +99,13 @@ def test_build_bytes_is_the_build_peak(gname, n):
     g = build_group(gname)
     tracemalloc.start()
     try:
-        build_wreath_table(g, n)
+        order = build_wreath_table(g, n).group.order
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= build_bytes(g.order, n) <= 1.05 * peak
+    # every row, every permutation, and the inverse search's order^2 bool mask
+    need = build_bytes(g.order, n, order, math.factorial(n), order * order)
+    assert peak <= need <= 1.05 * peak
 
 
 MAP_INSTANCES = ([("Z:1", n) for n in range(1, 6)] + [("Z:2", n) for n in range(1, 5)]
@@ -170,14 +173,49 @@ def test_measure_on_table_counts_the_step_elements(kind, gname, n):
                                           ("independent", "Z:300", 1)])
 def test_step_row_bytes_is_the_build_peak(kind, gname, n):
     # the distinct step elements (the peak at Z:300, n = 1: 300^2 draws),
-    # then the map with a chunk of (row, state) pairs and the decoded states
+    # then their table rows next to the int32 map
     g = build_group(gname)
     tracemalloc.start()
     try:
-        rows, _ = step_rows(kind, n, g)
+        rows, row_of = step_rows(kind, n, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size, need = step_row_bytes(kind, n, g.order, len(rows))
-    assert size == rows.nbytes
+    steps = np.unique(step_elements(kind, n, walk_base(kind, g)))
+    perms = len(set((steps % math.factorial(n)).tolist()))
+    assert perms == 1 + n * (n - 1) // 2            # the identity and the transpositions
+    need = build_bytes(g.order, n, len(rows), perms, rows.nbytes, len(row_of))
     assert peak <= need <= 1.5 * peak
+
+
+@pytest.mark.parametrize("gname,n", [("S:3", 3), ("Z:2", 5)])
+def test_table_rows_of_any_elements_are_the_table_rows(gname, n):
+    # a random subset, repeats and unsorted order included
+    wt = _table(gname, n)
+    elements = np.random.default_rng(21).integers(0, wt.group.order, size=300)
+    rows = table_rows(wt.base, n, elements)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, wt.group.mult[elements])
+
+
+@pytest.mark.parametrize("kind,gname,n", [("sym", "Z:1", 8), ("paired", "Z:2", 6)])
+def test_step_rows_past_the_table_cap_are_scalar_products(kind, gname, n):
+    # orders 40320 and 46080, past the 5000 table cap: a seeded sample of
+    # (row, state) entries against wreath_multiply on the decoded elements
+    g = walk_base(kind, build_group(gname))
+    order = g.order ** n * math.factorial(n)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        build_wreath_table(g, n)
+    rows, row_of = step_rows(kind, n, g)
+    steps = step_elements(kind, n, g)
+    assert rows.dtype == np.int32 and rows.shape[1] == order
+    assert np.array_equal(rows[row_of, 0], steps)
+    rng = np.random.default_rng(22)
+    d, x = rng.integers(0, len(steps), size=400), rng.integers(0, order, size=400)
+    s_coords, s_perms = decode_states(steps[d], g.order, n)
+    x_coords, x_perms = decode_states(x, g.order, n)
+    got_coords, got_perms = decode_states(rows[row_of[d], x], g.order, n)
+    for i in range(len(d)):
+        want = wreath_multiply(g, WreathElement(tuple(s_coords[i]), tuple(s_perms[i])),
+                               WreathElement(tuple(x_coords[i]), tuple(x_perms[i])))
+        assert (tuple(got_coords[i]), tuple(got_perms[i])) == want
