@@ -14,12 +14,12 @@ rows below it once per cutoff; |G| and the walk enter only as the
 per-slot offsets ln w(n_1) and ln scale(n_1).
 
 Exactness is a property of the atoms, decided once in _atoms: the
-collapsed (sym, independent) atoms are exact, every row as ints and
-Fractions, iff n <= FULL_ENUM_MAX; the relaxed bound's iff
-n <= EXACT_N_MAX, because exact relaxed sums are slow above that.  Every
-evaluator then gives a Fraction iff the atoms are exact and
-k <= EXACT_K_MAX, else a float.  l2n_sq(k) always means
-|group| * ||P^{*k} - U||_2^2 with the trivial line excluded.
+collapsed (sym, independent) atoms are exact, int weights and numerators
+over the one denominator n^2, iff n <= FULL_ENUM_MAX; the relaxed bound's
+values share no denominator and are never exact.  Every evaluator then
+gives a Fraction iff the atoms are exact and k <= EXACT_K_MAX, else a
+float.  l2n_sq(k) always means |group| * ||P^{*k} - U||_2^2 with the
+trivial line excluded.
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ from .wreath import walk_base
 
 J_WINDOW = 12          # deficit window for large-n inner sums
 FULL_ENUM_MAX = 40     # every partition, exactly: the collapsed sums' exact atoms
-EXACT_N_MAX = 12       # exact atoms of the relaxed bound
 EXACT_K_MAX = 64       # exact Fraction path of every l2 sum
 
 
@@ -56,18 +55,19 @@ EXACT_K_MAX = 64       # exact Fraction path of every l2 sum
 
 class Atoms(NamedTuple):
     """Terms w y^{2k} of an l2 sum as ln w and ln |y| per atom; atoms with
-    `tail` set are majorants for the upper edge only.  `weights` and
-    `values` repeat the atoms as ints/Fractions when they are exact."""
+    `tail` set are majorants for the upper edge only.  When the atoms are
+    exact, `weights` and `nums` repeat them as ints, y = num / den."""
     ln_w: np.ndarray
     ln_y: np.ndarray
     tail: np.ndarray
     weights: tuple | None = None
-    values: tuple | None = None
+    nums: tuple | None = None
+    den: int = 1
 
 
 def _ln(q) -> float:
     """ln |q| for an int or Fraction of any size; -inf at 0."""
-    q = abs(Fraction(q))
+    q = abs(q)
     return math.log(q.numerator) - math.log(q.denominator) if q else -math.inf
 
 
@@ -78,36 +78,33 @@ def _float_or_inf(x) -> float:
         return math.inf
 
 
-def exact_atoms(weights, values) -> Atoms:
-    """Atoms from exact weights and values (ints or Fractions)."""
-    weights, values = tuple(weights), tuple(values)
+def exact_atoms(weights, nums, den: int) -> Atoms:
+    """Atoms from int weights at values num / den, one int den for all."""
+    weights, nums = tuple(weights), tuple(nums)
     return Atoms(np.array([_ln(w) for w in weights], dtype=float),
-                 np.array([_ln(y) for y in values], dtype=float),
-                 np.zeros(len(weights), dtype=bool), weights, values)
+                 np.array([_ln(y) for y in nums], dtype=float) - math.log(den),
+                 np.zeros(len(weights), dtype=bool), weights, nums, den)
 
 
 def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
     """sum_i w_i y_i^{2k} for every k in ks.
 
-    exact: Fractions, over one common denominator, from the exact atoms;
-    atoms with equal y^2 share one weight, and the powers step up from one
-    k to the next.  Otherwise certified (lower, upper) floats by
+    exact: Fractions over den^{2k}, from the exact atoms' ints; atoms
+    with equal num^2 share one weight, and the powers step up from one k
+    to the next.  Otherwise certified (lower, upper) floats by
     log-sum-exp: the lower edge sums the atoms, the upper edge adds the
     tail majorants."""
     if exact:
         if atoms.weights is None:
             raise ValueError("these atoms have no exact form")
-        wd = math.lcm(*(Fraction(w).denominator for w in atoms.weights))
-        yd = math.lcm(*(Fraction(y).denominator for y in atoms.values))
         by_y2 = {}
-        for w, y in zip(atoms.weights, atoms.values):
-            y2 = int(y * yd) ** 2
-            by_y2[y2] = by_y2.get(y2, 0) + int(w * wd)
+        for w, y in zip(atoms.weights, atoms.nums):
+            by_y2[y * y] = by_y2.get(y * y, 0) + w
         y2s, ws = list(by_y2), list(by_y2.values())
         pows, at, got = [1] * len(y2s), 0, {}
         for k in sorted(set(ks)):
             pows = [p * y2 ** (k - at) for p, y2 in zip(pows, y2s)]
-            got[k], at = Fraction(sum(w * p for w, p in zip(ws, pows)), wd * yd ** (2 * k)), k
+            got[k], at = Fraction(sum(w * p for w, p in zip(ws, pows)), atoms.den ** (2 * k)), k
         return [got[k] for k in ks]
     main = ~atoms.tail
     out = []
@@ -152,27 +149,26 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     [n]) excluded.  paired = (s, delta_n) gives the relaxed bound instead:
     y = (n_1 + content)/(n n_1), weights times s/2, and delta_n/4 at (n-1)/n.
 
-    window None: every lambda, exactly.  window (j_window, full_enum_max):
-    logs only, and each n_1 above max(full_enum_max, 2 j_window + 2) gets
-    deficit-window atoms and tail majorants instead of all its partitions.
+    window None: every lambda, exactly, as ints over n^2 (a paired request
+    raises ValueError).  window (j_window, full_enum_max): logs only, and
+    each n_1 above max(full_enum_max, 2 j_window + 2) gets deficit-window
+    atoms and tail majorants instead of all its partitions.
     Window atoms are _window_shape's (once per n) and, for |G| > 1, table
     rows at n_1 <= full are _table_logs' (once per full), each offset by
     ln w(n_1) and -ln scale(n_1); |G| = 1 keeps only n_1 = n."""
+    if window is None and paired:
+        raise ValueError("the relaxed bound has no exact atoms: its values share no denominator")
     full = n if window is None else min(n, max(window[1], 2 * window[0] + 2))
     slots = range(n + 1) if g_order > 1 else [n]            # |G| = 1: n_1 = n only
     if window is None or g_order == 1:
         table = content_rows(max((m for m in slots if m <= full), default=0))
         rows = [(m, c, d2) for m in slots if m <= full for c, d2 in table[m]
                 if not (m == n and c == m * (m - 1))]
-    half_s = Fraction(paired[0], 2) if paired else 1
-    extra = ([Fraction(paired[1], 4)], [Fraction(n - 1, n)]) if paired else ([], [])
     if window is None:
-        w = [half_s * math.comb(n, m) * math.perm(n, n - m) * (g_order - 1) ** (n - m)
-             for m in range(n + 1)]
-        scale = [n * max(m, 1) if paired else n * n for m in range(n + 1)]
-        return exact_atoms([w[m] * d2 for m, _, d2 in rows] + extra[0],
-                           [Fraction(m + c, scale[m]) for m, c, _ in rows] + extra[1])
+        w = [math.comb(n, m) * math.perm(n, n - m) * (g_order - 1) ** (n - m) for m in range(n + 1)]
+        return exact_atoms([w[m] * d2 for m, _, d2 in rows], [m + c for m, c, _ in rows], n * n)
 
+    half_s = Fraction(paired[0], 2) if paired else 1
     lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])      # ln i!
     ms = np.arange(n + 1)
     ln_w = (_ln(half_s) + 2 * lnf[n] - 2 * lnf - lnf[::-1]
@@ -199,11 +195,11 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
         blocks += [shape if g_order > 1 else [col[shape[0] == n] for col in shape],
                    (mm, ln_count, np.log(top))]
         del jj, top                            # freed before the atoms are allocated
-    size = len(extra[0]) + sum(len(m) for m, _, _ in blocks)
+    at = 1 if paired else 0                        # the paired extra atom
+    size = at + sum(len(m) for m, _, _ in blocks)
     out = Atoms(np.empty(size), np.empty(size), np.zeros(size, dtype=bool))
     if paired:
-        out.ln_w[0], out.ln_y[0] = _ln(extra[0][0]), _ln(extra[1][0])
-    at = len(extra[0])
+        out.ln_w[0], out.ln_y[0] = _ln(Fraction(paired[1], 4)), _ln(Fraction(n - 1, n))
     for i, (m, ln_d2, ln_top) in enumerate(blocks):
         w, y = out.ln_w[at:at + len(m)], out.ln_y[at:at + len(m)]
         np.take(ln_w, m, out=w, mode="clip")
@@ -297,15 +293,14 @@ def l2n_sq_collapsed(g_order: int, n: int, k: int, exact: bool = False):
 
 def _atoms(g_order: int, n: int, paired: tuple | None = None) -> Atoms:
     """The collapsed atoms (paired = (s, delta_n): the relaxed bound's)
-    under the one exactness rule: every row exactly for
-    n <= FULL_ENUM_MAX (relaxed: EXACT_N_MAX), else windowed logs."""
-    exact = n <= (EXACT_N_MAX if paired else FULL_ENUM_MAX)
+    under the one exactness rule: exact, every row as ints over n^2, iff
+    they are collapsed atoms and n <= FULL_ENUM_MAX, else windowed logs."""
+    exact = not paired and n <= FULL_ENUM_MAX
     return _slot_atoms(g_order, n, None if exact else (J_WINDOW, FULL_ENUM_MAX), paired)
 
 
 def _column(g_order: int, n: int, ks, paired: tuple | None = None) -> list:
-    """The collapsed sum (or the relaxed bound) at every k, from one set of
-    atoms."""
+    """The collapsed sum (or the relaxed bound) at every k, from one set of atoms."""
     at_zero = g_order ** n * math.factorial(n) - 1
     if paired:
         at_zero = Fraction(paired[0], 2) * at_zero + Fraction(paired[1], 4)
@@ -338,9 +333,8 @@ def paired_relaxed_bound(g: GroupTable, n: int, k: int):
 
     The inner power majorizes every per-slot eigenvalue (the true ones
     carry an extra 1/d_j decay), so the bound is loose but safe on
-    nonabelian bases.  Exact Fraction for n <= EXACT_N_MAX and
-    k <= EXACT_K_MAX, float otherwise: unlike the collapsed sum's, exact
-    relaxed atoms are slow past n = 12 (1.8 s at n = 40 on S:3)."""
+    nonabelian bases.  The float upper edge at every n and k: the values
+    share no denominator, so the atoms have no exact form."""
     if k < 0:
         raise ValueError("k must be >= 0")
     return _column(g.order, n, [k], (g.num_classes, delta_n(g, n)))[0]
@@ -365,7 +359,7 @@ def tv_upper_coupling(n: int, k: int, sym_tv_upper: float) -> float:
     return min(1.0, sym_tv_upper + tail)
 
 
-def tv_lower_dominant(dims: list[int], n: int, k: int, kind: str) -> float:
+def l2_lower_dominant(dims: list[int], n: int, k: int, kind: str) -> float:
     """(1/2) sqrt of the dominant spectral summand: a certified lower bound
     on (1/2) sqrt(l2n_sq), i.e. on the normalized l2 distance scale (not a
     TV lower bound).  dims are the base group's irrep dimensions, trivial
@@ -373,15 +367,17 @@ def tv_lower_dominant(dims: list[int], n: int, k: int, kind: str) -> float:
 
     independent: n^2 (|G|-1) (1-1/n)^{4k}.
     paired: max of that and the all-in-one-slot family: d_j^{2n} lines
-    at (n-1)/(n d_j) per nontrivial base irrep j, which is what the true
-    spectrum has ((|G|-1)((n-1)/n)^{2k} in all on an abelian base).
+    at (n-1)/(n d_j) = (n-1)(L/d_j)/(n L), L = lcm(d_j), per nontrivial
+    base irrep j, which is what the true spectrum has
+    ((|G|-1)((n-1)/n)^{2k} in all on an abelian base).
     """
     if kind not in ("independent", "paired"):
         raise ValueError("dominant term applies to the wreath walks")
     term = n * n * (sum(d * d for d in dims) - 1) * (1.0 - 1.0 / n) ** (4 * k)
     if kind == "paired":
-        slots = dims[1:]
-        atoms = exact_atoms([d ** (2 * n) for d in slots], [Fraction(n - 1, n * d) for d in slots])
+        slots, lcm = dims[1:], math.lcm(*dims)
+        nums = [(n - 1) * lcm // d for d in slots]
+        atoms = exact_atoms([d ** (2 * n) for d in slots], nums, n * lcm)
         term = max(term, power_sums(atoms, [k])[0][0])
     return 0.5 * math.sqrt(term)
 
@@ -604,7 +600,7 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
         mode = "full-spectrum"
         den, mults = slot_convolution(n, g)
         nums = sorted(mults, reverse=True)[1:]              # the nontrivial lines
-        l2s = l2_column(exact_atoms([mults[v] for v in nums], [Fraction(v, den) for v in nums]), ks)
+        l2s = l2_column(exact_atoms([mults[v] for v in nums], nums, den), ks)
     else:
         mode = "relaxed"
         l2s = [4.0 * float(v) for v in _column(g.order, n, ks, (g.num_classes, delta_n(g, n)))]
@@ -616,7 +612,7 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
         "tv_upper_spectral": tv_upper_spectral(l2),
         "tv_upper_coupling": (tv_upper_coupling(n, k, tv_upper_spectral(sym_l2))
                               if kind == "independent" else None),
-        "l2_lower_dominant": tv_lower_dominant(dims, n, k, kind) if kind != "sym" else None,
+        "l2_lower_dominant": l2_lower_dominant(dims, n, k, kind) if kind != "sym" else None,
         "tv_lower_chebyshev": tv_lower_chebyshev_sym(n, k) if kind == "sym" and n >= 4 else None,
     } for k, l2, sym_l2 in zip(ks, l2s, sym_l2s)]
     return DistanceCurve(kind=kind, n=n, mode=mode, rows=rows)

@@ -185,6 +185,8 @@ def cmd_spectrum(args) -> int:
 def cmd_distance(args) -> int:
     _check_common(args)
     g = _group_for(args)
+    if args.check_oracle:                   # a table past its cap is refused before the curve
+        gt = build_wreath_table(g, args.n, max_order=args.max_order).group
     curve = distance_curve(args.walk, args.n, g, ks=args.k, max_labels=args.max_labels)
     rows = []
     for r in curve.rows:
@@ -194,7 +196,6 @@ def cmd_distance(args) -> int:
             "group": _group_name(args, g), "n": args.n, "mode": curve.mode}
     rc = 0
     if args.check_oracle:
-        gt = build_wreath_table(g, args.n, max_order=args.max_order).group
         measure = build_measure(args.walk, args.n, g)
         want = {r["k"]: r["l2n_sq"] for r in curve.rows}
         bound = curve.mode != "full-spectrum"     # an upper bound: only a shortfall fails

@@ -196,16 +196,17 @@ def return_probability(spec: Spectrum, k: int) -> Fraction:
     """P^{*k}(identity) = (1/|G|) sum multiplicity * value^k, exact."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    acc = Fraction(0)
-    for line in spec.lines:
-        acc += line.multiplicity * line.value ** k
-    return acc / spec.group_order
+    atoms = spectral_atoms(spec)
+    acc = atoms.den ** k + sum(w * v ** k for w, v in zip(atoms.weights, atoms.nums))
+    return Fraction(acc, atoms.den ** k * spec.group_order)
 
 
 def spectral_atoms(spec: Spectrum) -> Atoms:
-    """The nontrivial lines as (multiplicity, value) atoms."""
+    """The nontrivial lines as (multiplicity, numerator) atoms over one den."""
     lines = spec.lines[1:]
-    return exact_atoms([line.multiplicity for line in lines], [line.value for line in lines])
+    den = math.lcm(*(line.value.denominator for line in lines))
+    nums = [line.value.numerator * (den // line.value.denominator) for line in lines]
+    return exact_atoms([line.multiplicity for line in lines], nums, den)
 
 
 def l2n_sq_spectral(spec: Spectrum, k: int):

@@ -101,11 +101,15 @@ def enumerate_wreath_elements(g: GroupTable, n: int):
             yield WreathElement(coords, perm)
 
 
-def _index_order(g_order: int, n: int) -> int:
-    """|G|^n n!, refused when its element indices do not fit in int64."""
+def _index_order(g_order: int, n: int, cap: int = INDEX_MAX,
+                 what: str = "2^63 - 1, the int64 element indices") -> int:
+    """|G|^n n!, refused past cap (named by what), by default when its
+    element indices do not fit in int64.  The refusal names orders past 30
+    digits as about 10^d: str() of an int past 4300 digits raises."""
     order = wreath_order(g_order, n)
-    if order > INDEX_MAX:
-        raise ValueError(f"wreath order {order} exceeds 2^63 - 1, the int64 element indices")
+    if order > cap:
+        shown = order if order < 10 ** 30 else f"about 10^{math.log10(order):.0f}"
+        raise ValueError(f"wreath order {shown} exceeds {what}")
     return order
 
 
@@ -263,9 +267,7 @@ def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER)
     anything, tables whose build (build_bytes) would exceed physical
     memory.
     """
-    order = wreath_order(g.order, n)
-    if order > max_order:
-        raise ValueError(f"wreath order {order} exceeds cap {max_order}")
+    order = _index_order(g.order, n, max_order, f"cap {max_order}")
     table = 8 * order * order
     # every row and permutation, then the inverse search's order^2 bool mask
     need = build_bytes(g.order, n, order, math.factorial(n), order * order)

@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wreathwalk import bounds
 from wreathwalk.bounds import (
     distance_curve,
+    l2_lower_dominant,
     l2n_sq_collapsed,
     l2n_sq_collapsed_bounds,
     paired_relaxed_bound,
     power_sums,
-    tv_lower_dominant,
     tv_upper_coupling,
     tv_upper_spectral,
 )
@@ -119,37 +121,67 @@ def test_float_path_matches_exact_collapsed(g_order):
 
 
 @pytest.mark.parametrize("gname", ["Z:2", "S:3"])
-def test_float_path_matches_exact_relaxed(gname):
+def test_relaxed_atoms_have_no_exact_form(gname):
+    # (n_1 + content)/(n n_1) share no denominator: no exact relaxed atoms
     g = build_group(gname)
-    _assert_float_matches_exact(bounds._slot_atoms(g.order, 12, None, _paired(g, 12)))
+    with pytest.raises(ValueError, match="no exact atoms"):
+        bounds._slot_atoms(g.order, 12, None, _paired(g, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 200), st.integers(-1000, 1000)), max_size=12),
+       st.integers(1, 1000), st.lists(st.integers(0, 40), min_size=1, max_size=6))
+@example([(1, 0), (2 ** 200, 7), (3, -7), (5, 7)], 12, [3, 0, 3, 1, 0])
+def test_exact_power_sums_match_a_direct_fraction_sum(pairs, den, ks):
+    # ints over one den: zeros, negatives and repeated |num| merge by num^2
+    atoms = bounds.exact_atoms([w for w, _ in pairs], [v for _, v in pairs], den)
+    got = power_sums(atoms, ks, exact=True)
+    want = [sum((w * Fraction(v, den) ** (2 * k) for w, v in pairs), Fraction(0)) for k in ks]
+    assert got == want and all(isinstance(v, Fraction) for v in got)
+    for ex, (lo, hi) in zip(want, power_sums(atoms, ks)):
+        assert lo == hi                        # exact atoms carry no tail
+        if bounds._float_or_inf(ex) < math.inf:
+            assert abs(lo - float(ex)) <= 1e-12 * float(ex)
 
 
 def test_exact_path_switches_at_exact_k_max():
     spec = spectrum("independent", 3, build_group("Z:2"))
     assert isinstance(l2n_sq_spectral(spec, bounds.EXACT_K_MAX), Fraction)
     assert isinstance(l2n_sq_spectral(spec, bounds.EXACT_K_MAX + 1), float)
-    # collapsed sums: exact through FULL_ENUM_MAX; relaxed: through EXACT_N_MAX
+    # collapsed sums: exact through FULL_ENUM_MAX; relaxed: a float at every n
     assert isinstance(l2n_sq_collapsed(2, bounds.FULL_ENUM_MAX, bounds.EXACT_K_MAX), Fraction)
     assert isinstance(l2n_sq_collapsed(2, bounds.FULL_ENUM_MAX + 1, 1), float)
     g = build_group("Z:2")
-    assert isinstance(paired_relaxed_bound(g, bounds.EXACT_N_MAX, bounds.EXACT_K_MAX), Fraction)
-    assert isinstance(paired_relaxed_bound(g, bounds.EXACT_N_MAX + 1, 1), float)
+    for n in (1, 2, 12, 13, bounds.FULL_ENUM_MAX, bounds.FULL_ENUM_MAX + 1):
+        for k in (0, 1, bounds.EXACT_K_MAX):
+            assert isinstance(paired_relaxed_bound(g, n, k), float), (n, k)
     with pytest.raises(ValueError):
         power_sums(bounds._slot_atoms(2, 30, (bounds.J_WINDOW, bounds.FULL_ENUM_MAX)),
                    [1], exact=True)
 
 
+def _relaxed_sum(g, n, k):
+    """The full relaxed bound as one Fraction: (s/2) times every
+    (n_1, content) row at (n_1 + content)/(n n_1), plus delta_n/4 at (n-1)/n."""
+    s, delta = _paired(g, n)
+    rows = content_rows(n)
+    acc = Fraction(delta, 4) * Fraction(n - 1, n) ** (2 * k)
+    for m in range(n + 1):
+        w = Fraction(s, 2) * math.comb(n, m) * math.perm(n, n - m) * (g.order - 1) ** (n - m)
+        acc += sum(w * d2 * Fraction(m + c, n * max(m, 1)) ** (2 * k)
+                   for c, d2 in rows[m] if not (m == n and c == m * (m - 1)))
+    return acc
+
+
 @pytest.mark.parametrize("gname", ["Z:3", "S:3"])
 def test_relaxed_windowed_upper_edge_covers_exact(monkeypatch, gname):
-    # shrink the window so the n = 12 relaxed bound takes the windowed
-    # path, whose upper edge must still cover the exact relaxed sum
+    # shrink the window so the n = 12 relaxed bound takes a real window,
+    # whose upper edge must still cover the full relaxed sum
     g = build_group(gname)
     ks = [8, 12, 20, 40]
-    exact = [paired_relaxed_bound(g, 12, k) for k in ks]
-    assert all(isinstance(v, Fraction) for v in exact)
+    exact = [_relaxed_sum(g, 12, k) for k in ks]
     monkeypatch.setattr(bounds, "FULL_ENUM_MAX", 10)
     monkeypatch.setattr(bounds, "J_WINDOW", 4)
-    monkeypatch.setattr(bounds, "EXACT_N_MAX", 11)
     atoms = bounds._slot_atoms(g.order, 12, (4, 10), _paired(g, 12))
     assert atoms.tail.any() and atoms.weights is None
     for k, ex, (lo, hi) in zip(ks, exact, power_sums(atoms, ks)):
@@ -164,7 +196,7 @@ def test_sums_past_the_float_range_answer():
     # raise OverflowError; now they come out as inf and as a finite value
     curve = distance_curve("paired", 200, build_group("S:3"), ks=[0])
     assert curve.mode == "relaxed" and curve.rows[0]["l2n_sq"] == math.inf
-    got = tv_lower_dominant([1, 2, 1], 600, 4000, "paired")
+    got = l2_lower_dominant([1, 2, 1], 600, 4000, "paired")
     # the d = 2 slot, 2^1200 (599/1200)^8000, is below e^-4700
     want = 0.5 * math.sqrt(max(600 ** 2 * 5 * (599 / 600) ** 16000, (599 / 600) ** 8000))
     assert got == pytest.approx(want, rel=1e-9)
@@ -235,7 +267,9 @@ def _reference_window_atoms(g_order, n, window, paired=None):
     ln_w = (bounds._ln(half_s) + 2 * lnf[n] - 2 * lnf - lnf[::-1]
             + (n - ms) * math.log(max(g_order - 1, 1)))
     ln_scale = np.log(n * np.maximum(ms, 1)) if paired else np.full(n + 1, 2 * math.log(n))
-    parts = [bounds.exact_atoms(*extra)[:3]]
+    parts = [(np.array([bounds._ln(q) for q in extra[0]], dtype=float),
+              np.array([bounds._ln(q) for q in extra[1]], dtype=float),
+              np.zeros(len(extra[0]), dtype=bool))]
 
     def add(m, ln_d2, top, tail=False):
         with np.errstate(divide="ignore"):

@@ -13,13 +13,13 @@ from wreathwalk.bounds import (
     distance_curve,
     envelope_decay_certificate,
     independent_envelope_holds,
+    l2_lower_dominant,
     l2n_sq_collapsed,
     l2n_sq_collapsed_bounds,
     mixing_threshold,
     paired_relaxed_bound,
     threshold_rows,
     tv_lower_chebyshev_sym,
-    tv_lower_dominant,
     tv_upper_coupling,
     tv_upper_spectral,
     classify_base,
@@ -160,7 +160,6 @@ def test_paired_relaxed_dominates(gname, n):
     spec = spectrum("paired", n, g)
     for k in range(0, 26):
         rb = paired_relaxed_bound(g, n, k)
-        assert isinstance(rb, Fraction)
         assert rb >= Fraction(1, 4) * l2n_sq_spectral(spec, k)
 
 
@@ -206,13 +205,13 @@ def test_coupling_upper_pin():
 
 
 def test_dominant_pins_and_soundness():
-    assert tv_lower_dominant([1, 1], 50, 98, "independent") == pytest.approx(
+    assert l2_lower_dominant([1, 1], 50, 98, "independent") == pytest.approx(
         0.47670624834126707, rel=1e-12
     )
-    assert tv_lower_dominant([1, 1], 100, 231, "independent") == pytest.approx(
+    assert l2_lower_dominant([1, 1], 100, 231, "independent") == pytest.approx(
         0.48131556731477393, rel=1e-12
     )
-    assert tv_lower_dominant([1, 2, 1], 50, 118, "independent") == pytest.approx(
+    assert l2_lower_dominant([1, 2, 1], 50, 118, "independent") == pytest.approx(
         0.4750932654766864, rel=1e-12
     )
     for gname in ("Z:2", "S:3"):
@@ -220,10 +219,10 @@ def test_dominant_pins_and_soundness():
         for kind in ("independent", "paired"):
             spec = spectrum(kind, 3, g)
             for k in range(1, 31):
-                dom = tv_lower_dominant(g.irrep_dims(), 3, k, kind)
+                dom = l2_lower_dominant(g.irrep_dims(), 3, k, kind)
                 assert dom <= 0.5 * math.sqrt(float(l2n_sq_spectral(spec, k))) + 1e-12
     with pytest.raises(ValueError):
-        tv_lower_dominant([1, 1], 5, 3, "sym")
+        l2_lower_dominant([1, 1], 5, 3, "sym")
 
 
 def test_dominant_paired_nonabelian_slots():
@@ -234,7 +233,7 @@ def test_dominant_paired_nonabelian_slots():
     vals = {line.value for line in spec.lines}
     assert Fraction(1, 4) in vals and Fraction(1, 2) in vals
     k = 6
-    got = tv_lower_dominant(g.irrep_dims(), 2, k, "paired")
+    got = l2_lower_dominant(g.irrep_dims(), 2, k, "paired")
     # dims [1, 2, 1]: nontrivial slots contribute 2^4 (1/4)^{2k} and (1/2)^{2k}
     by_hand = max(
         4 * 5 * (1 - 0.5) ** (4 * k),
@@ -334,7 +333,8 @@ def test_relaxed_bound_covers_the_exact_paired_sum():
         g = build_group(gspec)
         for n in (13, 20, 30, 40):
             den, mults = slot_convolution(n, g)
-            lines = [(w, Fraction(v, den)) for v, w in mults.items() if v != den]
-            exact = bounds.power_sums(bounds.exact_atoms(*zip(*lines)), ks, exact=True)
+            nums = [v for v in mults if v != den]               # the nontrivial lines
+            atoms = bounds.exact_atoms([mults[v] for v in nums], nums, den)
+            exact = bounds.power_sums(atoms, ks, exact=True)
             for k, e in zip(ks, exact):
                 assert 4 * paired_relaxed_bound(g, n, k) >= e, (gspec, n, k)

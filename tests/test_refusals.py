@@ -1,6 +1,7 @@
 """Bad input is refused before any work, with an error naming the problem."""
 import contextlib
 import io
+import re
 import subprocess
 import sys
 import time
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wreathwalk import cli
+from wreathwalk import cli, wreath
 from wreathwalk.bounds import classify_base, distance_curve
 from wreathwalk.cli import main
 from wreathwalk.groups import build_group
 from wreathwalk.reps import enumerate_labels
+from wreathwalk.simulate import SimConfig, run_walk_indices
 from wreathwalk.walks import l2n_sq_spectral, return_probability, spectrum
 
 
@@ -127,6 +129,38 @@ def test_sym_oracle_past_s6(capsys):
         k, ret, l2n_sq, _ = line.split(",")
         assert Fraction(ret) == return_probability(spec, int(k))
         assert Fraction(l2n_sq) == l2n_sq_spectral(spec, int(k))
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--walk", "sym", "--n", "1600"],
+    ["oracle", "--group", "Z:2", "--n", "2000", "--walk", "independent"],
+    ["simulate", "--group", "Z:2", "--n", "2000", "--walk", "independent"],
+    ["distance", "--group", "Z:2", "--n", "3000", "--walk", "independent", "--k", "14000",
+     "--check-oracle"],
+])
+def test_orders_past_the_int_digit_limit_name_the_cap(capsys, argv):
+    # str() of an int past 4300 digits raises; the refusal names such an
+    # order as about 10^d, and the distance check refuses before its curve
+    t0 = time.monotonic()
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and out == ""
+    assert re.fullmatch(r"error: wreath order about 10\^\d+ exceeds cap 5000\n", err), err
+    assert "digits" not in err
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_index_refusal_past_the_int_digit_limit_names_the_cap():
+    with pytest.raises(ValueError, match=r"^wreath order about 10\^5736 exceeds 2\^63 - 1"):
+        run_walk_indices(SimConfig("sym", 2000, k=1, trials=2))
+    with pytest.raises(ValueError, match=r"^wreath order about 10\^4434 exceeds cap 5000$"):
+        wreath.build_wreath_table(build_group("Z:1"), 1600)
+
+
+def test_refused_orders_print_in_full_through_30_digits():
+    with pytest.raises(ValueError, match=f"^wreath order {10 ** 30 - 1} exceeds 2\\^63 - 1"):
+        wreath._index_order(10 ** 30 - 1, 1)
+    with pytest.raises(ValueError, match=r"^wreath order about 10\^30 exceeds 2\^63 - 1"):
+        wreath._index_order(10 ** 30, 1)
 
 
 def test_table_past_physical_memory_refused(capsys):
