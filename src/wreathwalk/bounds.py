@@ -43,11 +43,15 @@ from .partitions import (
     partitions_of,
 )
 from .reps import MAX_LABELS
-from .wreath import walk_base
+from .wreath import _physical_memory, walk_base
 
 J_WINDOW = 12          # deficit window for large-n inner sums
 FULL_ENUM_MAX = 40     # every partition, exactly: the collapsed sums' exact atoms
 EXACT_K_MAX = 64       # exact Fraction path of every l2 sum
+# peak bytes per window atom or tail majorant of a windowed bracket, from
+# the atoms' build to the evaluator's temporaries: tracemalloc peaks of
+# l2n_sq_collapsed_bounds run about 32 a window atom and 52 a majorant
+ATOM_BYTES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +163,13 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     if window is None and paired:
         raise ValueError("the relaxed bound has no exact atoms: its values share no denominator")
     full = n if window is None else min(n, max(window[1], 2 * window[0] + 2))
+    if window is not None:
+        need, atoms, tails = _window_bytes(g_order, n, window[0], full)
+        have = _physical_memory()
+        if need > have:
+            raise ValueError(f"the windowed brackets at n = {n} need about {need} bytes for "
+                             f"{atoms} window atoms and {tails} tail majorants, more than the "
+                             f"{have} bytes of physical memory")
     slots = range(n + 1) if g_order > 1 else [n]            # |G| = 1: n_1 = n only
     if window is None or g_order == 1:
         table = content_rows(max((m for m in slots if m <= full), default=0))
@@ -209,6 +220,17 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
         out.tail[at:at + len(m)] = i == 2                  # the tail majorants
         at += len(m)
     return out
+
+
+def _window_bytes(g_order: int, n: int, j_window: int, full: int) -> tuple[int, int, int]:
+    """(bytes, window atoms, tail majorants) of _slot_atoms' windowed atoms,
+    in closed form before any is built: _window_shape's 2 (n - full)
+    sum_{j <= j_window} p(j) - 1 atoms, and m - 1 - j_window majorants for
+    each slot size m > full (n alone when |G| = 1), ATOM_BYTES each."""
+    big = n - full if g_order > 1 else min(n - full, 1)          # the slot sizes m > full
+    atoms = 2 * (n - full) * sum(partition_counts(j_window)) - 1 if n > full else 0
+    tails = big * (2 * n - big - 1) // 2 - big * j_window          # sum of m - 1 - j_window
+    return ATOM_BYTES * (atoms + tails), atoms, tails
 
 
 def _row_logs(rows) -> tuple:

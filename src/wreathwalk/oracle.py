@@ -25,12 +25,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .groups import GroupTable
-from .wreath import step_elements
+from .wreath import draw_count, step_elements
 
 if TYPE_CHECKING:
     from .walks import WalkMeasure
 
 KERNEL_CELLS = 1 << 20     # cells per temporary of the class kernel build
+DRAW_CHUNK = 1 << 16       # draws applied to the identity at once by measure_on_table
 
 
 @dataclass
@@ -53,17 +54,21 @@ def measure_on_table(measure: WalkMeasure, g: GroupTable) -> dict[int, Fraction]
 
     Counted from the walk's definition: each of the n^2 |G|^b equally likely
     draws (positions p, q, then two independent base elements a, b, or one
-    pair a, a^-1 for paired; `wreath.step_draws`, the simulator's draw
-    order) is applied to the identity with `wreath.apply_steps`
-    (`wreath.step_elements`).  Sym is the independent case on G = 1: one
-    draw (a, b) = (e, e) per (p, q)."""
+    pair a, a^-1 for paired; `wreath.step_draws`, the list the simulator
+    draws from) is applied to the identity with `wreath.apply_steps`
+    (`wreath.step_elements`), DRAW_CHUNK draws at a time, and the step
+    elements are counted.  Sym is the independent case on G = 1: one draw
+    (a, b) = (e, e) per (p, q)."""
     n, base = measure.n, measure.base
     go = base.order
     if g.order != go ** n * math.factorial(n):
         raise ValueError(f"table order {g.order} is not |G|^n n! = {go ** n * math.factorial(n)}")
-    steps = step_elements(measure.kind, n, base)
-    counts = np.bincount(steps, minlength=g.order)
-    return {int(i): Fraction(int(counts[i]), len(steps)) for i in np.flatnonzero(counts)}
+    draws = draw_count(measure.kind, n, base)
+    counts = np.zeros(g.order, dtype=np.int64)
+    for lo in range(0, draws, DRAW_CHUNK):
+        chunk = np.arange(lo, min(lo + DRAW_CHUNK, draws))
+        counts += np.bincount(step_elements(measure.kind, n, base, chunk), minlength=g.order)
+    return {int(i): Fraction(int(counts[i]), draws) for i in np.flatnonzero(counts)}
 
 
 def build_transition_matrix(g: GroupTable, measure: WalkMeasure) -> TransitionMatrix:

@@ -2,23 +2,25 @@
 empirical TV with jackknife errors, and the coupling experiment (the
 pair-event graph connectivity time).
 
-A trial is one element index, and a step of every trial is one gather
-x = R[row_of[d], x] on the drawn d, R the walk's `wreath.step_rows` map of
-its distinct step elements, R[row_of[d], x] the index of s_d x, when the
-map costs no more than the walk.  A snapshot is x itself.  Otherwise, as
-for orders too large to index, a trial is a (coords, pinv) pair stepped by
-`wreath.apply_steps` and encoded at each snapshot.
+A step of every trial is one integer draw d, uniform on the walk's
+`wreath.step_draws` list, and one gather.  A trial is one element index x,
+and the step is x = S[d, x], S the walk's `wreath.step_rows` map gathered
+by draw (S[d, x] the index of s_d x), when the map costs no more than the
+walk.  A snapshot is x itself.  Otherwise, as for orders too large to
+index, a trial is a (coords, pinv) pair stepped by `wreath.apply_steps` on
+the draw's `wreath.decode_draws` digits, and encoded at each snapshot.
 
 Randomness contract: everything goes through numpy's default_rng (PCG64),
-and every report records the seed.  Per step the sampler draws, in order,
-p, then q, then a, then b (for the paired walk b = a^-1, not a draw),
-regardless of whether p == q, so the stream layout is fixed.  The sym walk
-draws a and b on Z:1, and integers(0, 1) consumes no random bits, so its
-stream is p and q alone.  The coupling experiment runs chunks of trials,
-the chunk size fixed by n; per chunk, each merge step draws one standard
-exponential per trial, then one (2, trials in the chunk) block of
-uniforms: row 0 picks the first class, row 1 the second.  After all chunks
-it draws one Exp(mean n) per trial for T*.
+and every report records the seed.  Per step the sampler draws one
+integer per trial, rng.integers(0, D) with D = n^2 |G|^b the length of
+step_draws (b = 2 independent, 1 paired; sym is the independent walk on
+Z:1, so D = n^2), whatever the route, so the stream layout is fixed.  Its
+mixed-radix digits are p, q, a and b (b = a^-1 for paired), so the law of
+a step is that of drawing them one by one.  The coupling experiment runs
+chunks of trials, the chunk size fixed by n; per chunk, each merge step
+draws one standard exponential per trial, then one (2, trials in the
+chunk) block of uniforms: row 0 picks the first class, row 1 the second.
+After all chunks it draws one Exp(mean n) per trial for T*.
 """
 from __future__ import annotations
 
@@ -31,7 +33,9 @@ from .groups import GroupTable
 from .wreath import (
     _index_order,
     apply_steps,
+    decode_draws,
     decode_states,
+    draw_count,
     encode_states,
     step_rows,
     walk_base,
@@ -88,14 +92,14 @@ def _walk(cfg: SimConfig, ks: list, keep, decoded: bool = False) -> list:
         raise ValueError(f"step counts must lie in 0..{kmax}")
     if not decoded:
         _index_order(go, n)                  # refuses indices past int64 before walking
+    draws = draw_count(cfg.kind, n, cfg.g)
     succ = _step_map(cfg, kmax)
     if succ is None:
         coords = np.zeros((T, n), dtype=np.int64)
         pinv = np.tile(np.arange(n, dtype=np.int64), (T, 1))
     else:
-        flat, row_of = succ
         order = wreath_order(go, n)
-        x = np.zeros(T, dtype=flat.dtype)
+        x = np.zeros(T, dtype=succ.dtype)
     wanted, kept = set(ks), {}
     for step in range(kmax + 1):
         if step in wanted:
@@ -106,65 +110,40 @@ def _walk(cfg: SimConfig, ks: list, keep, decoded: bool = False) -> list:
                 kept[step] = keep(decode_states(x, go, n) if decoded else x)
         if step == kmax:
             break
-        d = _draw(cfg, rng)
+        d = rng.integers(0, draws, size=T)
         on = steps > step if cfg.mode == "continuized" else None   # the trials still stepping
         if succ is None:
             _step(cfg, d, coords, pinv, on)
             continue
-        at = row_of.take(d)
-        at *= order
+        d *= order
         if on is None:
-            at += x
-            x = flat.take(at)
+            d += x
+            x = succ.take(d)
         else:
-            x[on] = flat.take(at[on] + x[on])
+            x[on] = succ.take(d[on] + x[on])
     return [kept[k] for k in ks]
-
-
-def _draw(cfg: SimConfig, rng) -> np.ndarray:
-    """The draw index (wreath.step_draws order) of one step of every trial;
-    p, q, a and b are drawn for every trial, in that order (the stream
-    layout).  In place: fresh temporaries cost more than the arithmetic."""
-    T, n, go = cfg.trials, cfg.n, cfg.g.order
-    d = rng.integers(0, n, size=T)           # p
-    d *= n
-    d += rng.integers(0, n, size=T)          # q
-    d *= go
-    d += rng.integers(0, go, size=T)         # a
-    if cfg.kind != "paired":                 # b; paired has b = a^-1, no draw
-        d *= go
-        d += rng.integers(0, go, size=T)
-    return d
 
 
 def _step(cfg: SimConfig, d: np.ndarray, coords: np.ndarray, pinv: np.ndarray, on) -> None:
     """Apply draw d[i] (wreath.step_draws order) to trial i of (coords,
     pinv), or to the trials that the mask on selects, in place."""
-    g, rest = cfg.g, d
-    if cfg.kind != "paired":
-        rest, b = np.divmod(rest, g.order)
-    pq, a = np.divmod(rest, g.order)
-    p, q = np.divmod(pq, cfg.n)
-    if cfg.kind == "paired":
-        b = g.inv[a]
     rows = np.arange(len(d))
     if on is not None:
-        rows, p, q, a, b = rows[on], p[on], q[on], a[on], b[on]
-    apply_steps(coords, pinv, rows, p, q, a, b, g.mult)
+        rows, d = rows[on], d[on]
+    p, q, a, b = decode_draws(cfg.kind, cfg.n, cfg.g, d)
+    apply_steps(coords, pinv, rows, p, q, a, b, cfg.g.mult)
 
 
 def _step_map(cfg: SimConfig, kmax: int):
-    """(flat, row_of), flat[row_of[d] * order + x] the index of s_d x, or
-    None when the walk carries (coords, pinv).  The wreath.step_rows map is
-    built only when it has at most min(kmax, n) cells per trial (bounding
-    each by one row a draw): then its build costs no more than the walk's
-    steps, and it holds no more than the n coordinates a trial would."""
-    n, go = cfg.n, cfg.g.order
-    draws = n * n * (go if cfg.kind == "paired" else go * go)
-    if draws * wreath_order(go, n) > cfg.trials * min(kmax, n):
+    """The flat map S, S[d * order + x] the index of s_d x (the
+    wreath.step_rows map gathered by draw), or None when the walk carries
+    (coords, pinv).  S is built only when it has at most min(kmax, n)
+    cells per trial: then its build costs no more than the walk's steps,
+    and it holds no more than the n coordinates a trial would."""
+    draws = draw_count(cfg.kind, cfg.n, cfg.g)
+    if draws * wreath_order(cfg.g.order, cfg.n) > cfg.trials * min(kmax, cfg.n):
         return None
-    rows, row_of = step_rows(cfg.kind, n, cfg.g)
-    return rows.reshape(-1), row_of
+    return step_rows(cfg.kind, cfg.n, cfg.g, True).reshape(-1)
 
 
 def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -24,12 +24,14 @@ distinct step elements.
 
 The walk step, the one rule for every walk: draw positions p, q and base
 elements a, b, then left-multiply by the step element with a at p, b at q
-and the swap (p q).  `step_draws` lists the draws in the sampler's order
-and `apply_steps` is the step's one array statement.  `step_elements`
-applies every draw to the identity with it (the oracle's one-step law
-counts them); `step_rows` is the successor map R[row_of[d], x] = index of
-s_d x (distinct step elements x order entries, at most the explicit
-table) that the simulator walks when it costs no more than the walk.
+and the swap (p q).  A draw is one index d in 0..draw_count - 1, and
+`decode_draws` is the one decoder of d into (p, q, a, b); `step_draws`
+decodes every d, and `apply_steps` is the step's one array statement.
+`step_elements` applies draws to the identity with it (the oracle's
+one-step law counts them); `step_rows` is the successor map
+R[row_of[d], x] = index of s_d x (distinct step elements x order
+entries, at most the explicit table), which the simulator gathers by
+draw and walks when it costs no more than the walk.
 """
 from __future__ import annotations
 
@@ -149,26 +151,40 @@ def apply_steps(coords: np.ndarray, pinv: np.ndarray, rows, p, q, a, b,
     inv[ip], inv[iq] = inv[iq], inv[ip]
 
 
+def draw_count(kind: str, n: int, g: GroupTable | None) -> int:
+    """n^2 |G|^b, the number of equally likely draws of the walk's step: b = 2
+    for the independent walk (and sym, on G = 1), b = 1 for paired."""
+    go = walk_base(kind, g).order
+    return n * n * (go if kind == "paired" else go * go)
+
+
+def decode_draws(kind: str, n: int, g: GroupTable | None, d) -> tuple:
+    """(p, q, a, b) of draw indices d, the mixed-radix digits of
+    d = ((p n + q) |G| + a) |G| + b for the independent walk,
+    (p n + q) |G| + a with b = a^-1 for paired, and p n + q for sym (the
+    independent walk on Z:1): the one decoder of the sampler's draws."""
+    g = walk_base(kind, g)
+    rest = np.asarray(d, dtype=np.int64)
+    if kind != "paired":
+        rest, b = np.divmod(rest, g.order)
+    pq, a = np.divmod(rest, g.order)
+    p, q = np.divmod(pq, n)
+    return p, q, a, (g.inv[a] if kind == "paired" else b)
+
+
 def step_draws(kind: str, n: int, g: GroupTable | None):
     """(p, q, a, b) of every equally likely draw of the walk's step, in the
-    sampler's draw order: d = ((p n + q) |G| + a) |G| + b for the
-    independent walk, (p n + q) |G| + a with b = a^-1 for paired, and
-    p n + q for sym (the independent walk on Z:1)."""
-    g = walk_base(kind, g)
-    if kind == "paired":
-        a = np.arange(g.order)
-        b = g.inv[a]
-    else:
-        a, b = np.divmod(np.arange(g.order ** 2), g.order)
-    p, q, j = (x.ravel() for x in np.indices((n, n, len(a))))
-    return p, q, a[j], b[j]
+    sampler's draw order: decode_draws of 0..draw_count - 1.  The sampler
+    draws one index per trial and step, uniform on this list."""
+    return decode_draws(kind, n, g, np.arange(draw_count(kind, n, g)))
 
 
-def step_elements(kind: str, n: int, g: GroupTable | None) -> np.ndarray:
-    """The element index of each draw's step element s_d, in step_draws
-    order: every draw applied to the identity with apply_steps."""
+def step_elements(kind: str, n: int, g: GroupTable | None, d=None) -> np.ndarray:
+    """The element index of the step element s_d of each draw d (default
+    every draw, in step_draws order): the draws applied to the identity
+    with apply_steps."""
     g = walk_base(kind, g)
-    p, q, a, b = step_draws(kind, n, g)
+    p, q, a, b = step_draws(kind, n, g) if d is None else decode_draws(kind, n, g, d)
     coords = np.zeros((len(p), n), dtype=np.int64)
     pinv = np.tile(np.arange(n, dtype=np.int64), (len(p), 1))
     apply_steps(coords, pinv, np.arange(len(p)), p, q, a, b, g.mult)
@@ -228,30 +244,36 @@ def build_bytes(g_order: int, n: int, rows: int, perms: int, held: int,
         (16 * n + 96) * draws)
 
 
-def step_rows(kind: str, n: int, g: GroupTable | None) -> tuple[np.ndarray, np.ndarray]:
+def step_rows(kind: str, n: int, g: GroupTable | None, by_draw: bool = False):
     """The walk's successor map on its distinct step elements: (R, row_of)
     with R[row_of[d], x] the index of s_d x, for draw d in step_draws order
     and state x in the element encoding, so R[row_of[d], 0] is s_d.  R has
     one row per distinct step element (b is overwritten at p = q, and
     (p, q, a, b) and (q, p, b, a) give one element): the table_rows of
-    those elements, int32 while the order is below 2^31.
+    those elements, int32 while the order is below 2^31.  by_draw: R[row_of]
+    alone, one row per draw (the simulator's map), gathered once.
 
     Refuses orders past int64 and, before the map is built, maps whose
-    build (build_bytes) would exceed physical memory."""
+    build (build_bytes, with the gather by draw held next to R) would
+    exceed physical memory."""
     g = walk_base(kind, g)
     order = _index_order(g.order, n)
     steps, row_of = np.unique(step_elements(kind, n, g), return_inverse=True)
     dtype = np.dtype(np.int32 if order < 2 ** 31 else np.int64)
     size = len(steps) * order * dtype.itemsize
+    gathered = len(row_of) * order * dtype.itemsize if by_draw else 0
     # the step permutations: the identity and the n(n - 1)/2 transpositions
-    need = build_bytes(g.order, n, len(steps), 1 + n * (n - 1) // 2, size, len(row_of))
+    need = build_bytes(g.order, n, len(steps), 1 + n * (n - 1) // 2, size + gathered,
+                       len(row_of))
     have = _physical_memory()
     if need > have:
+        also = f" and a {gathered}-byte gather of it by draw ({len(row_of)} draws)" if by_draw else ""
         raise ValueError(f"wreath order {order} needs a {size}-byte step-row map "
-                         f"({len(steps)} step elements x {order} states) for the {kind} walk "
-                         f"and {need} bytes to build it, more than the {have} bytes of "
+                         f"({len(steps)} step elements x {order} states){also} for the {kind} "
+                         f"walk and {need} bytes to build it, more than the {have} bytes of "
                          f"physical memory")
-    return table_rows(g, n, steps).astype(dtype, copy=False), row_of
+    rows = table_rows(g, n, steps).astype(dtype, copy=False)
+    return rows[row_of] if by_draw else (rows, row_of)
 
 
 class WreathTable(NamedTuple):

@@ -285,3 +285,20 @@ def test_class_kernel_is_the_same_built_in_blocks(gspec, n, kind, monkeypatch):
     for cells in (1, (gt.num_classes - 1) * gt.order):
         monkeypatch.setattr(oracle, "KERNEL_CELLS", cells)
         assert np.array_equal(oracle._class_kernel(gt, support, den), whole)
+
+
+@pytest.mark.parametrize("kind,gspec,n", [("independent", "Z:3", 2), ("paired", "S:3", 2),
+                                          ("sym", None, 4)])
+def test_measure_on_table_is_the_same_in_any_chunk_of_draws(kind, gspec, n, monkeypatch):
+    # chunks of one draw, of 7 (the last one short) and one chunk past all
+    # n^2 |G|^b draws count the same law
+    g = build_group(gspec) if gspec else None
+    meas = build_measure(kind, n, g)
+    table = build_wreath_table(meas.base, n).group
+    draws = n * n * meas.base.order ** (1 if kind == "paired" else 2)
+    laws = []
+    for chunk in (1, 7, draws + 1):
+        monkeypatch.setattr(oracle, "DRAW_CHUNK", chunk)
+        laws.append(measure_on_table(meas, table))
+    assert laws[0] == laws[1] == laws[2]
+    assert sum(laws[0].values()) == 1

@@ -5,13 +5,15 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wreathwalk import cli, wreath
+from wreathwalk import bounds, cli, wreath
 from wreathwalk.bounds import classify_base, distance_curve
 from wreathwalk.cli import main
 from wreathwalk.groups import build_group
@@ -67,6 +69,59 @@ def test_labels_past_the_partition_table_cap_refused_at_once():
     assert time.monotonic() - t0 < 5.0
     with pytest.raises(ValueError, match="exceeds cap 61"):
         enumerate_labels(build_group("Z:2"), 62, max_labels=10 ** 20)
+
+
+def test_sym_spectrum_far_past_the_partition_table_cap_refused_before_counting(capsys):
+    # p(0..5000) on big ints would take seconds; n past the partition
+    # table's cap is refused before the labels are counted
+    t0 = time.monotonic()
+    rc, out, err = run_cli(capsys, ["spectrum", "--walk", "sym", "--n", "5000"])
+    assert rc == 1 and out == ""
+    assert err == ("error: n = 5000 exceeds cap 61 of the partition table "
+                   "(p(61) = 1121505 partitions a level)\n")
+    assert time.monotonic() - t0 < 1.0
+
+
+def _cold_window():
+    for cached in (bounds._slot_atoms, bounds._window_shape, bounds._table_logs):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_window_bytes_bound_the_bracket_peak(n):
+    # the closed-form estimate against the traced peak of a windowed
+    # bracket from cold atom caches (the partition table rows stay warm)
+    bounds.content_rows(bounds.FULL_ENUM_MAX)
+    _cold_window()
+    tracemalloc.start()
+    try:
+        bounds.l2n_sq_collapsed_bounds(2, n, 5 * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _cold_window()
+    need = bounds._window_bytes(2, n, bounds.J_WINDOW, bounds.FULL_ENUM_MAX)[0]
+    assert peak <= need <= 2 * peak
+
+
+def test_windowed_brackets_past_physical_memory_refused(monkeypatch, capsys):
+    # Z:2 at n = 100: 2 * 60 * 272 - 1 window atoms and, for the slot sizes
+    # 41..100, sum of m - 13 majorants, refused before any is built
+    need, atoms, tails = bounds._window_bytes(2, 100, 12, 40)
+    assert (atoms, tails) == (32639, 3450) and need == bounds.ATOM_BYTES * (atoms + tails)
+    for have in (need - 1, need):
+        _cold_window()
+        monkeypatch.setattr(bounds, "_physical_memory", lambda: have)
+        argv = ["distance", "--group", "Z:2", "--n", "100", "--walk", "independent", "--k", "400"]
+        rc, out, err = run_cli(capsys, argv)
+        if have < need:
+            assert rc == 1 and out == ""
+            assert err == (f"error: the windowed brackets at n = 100 need about {need} bytes "
+                           f"for 32639 window atoms and 3450 tail majorants, more than the "
+                           f"{have} bytes of physical memory\n")
+        else:
+            assert rc == 0 and out
+    _cold_window()
 
 
 def test_auto_distance_past_the_table_cap_answers():
@@ -224,6 +279,29 @@ def test_step_row_map_past_physical_memory_refused(monkeypatch):
                 f"{have} bytes of physical memory")
         else:
             assert wreath.step_rows("paired", 3, g)[0].shape == (16, 162)
+
+
+def test_step_map_by_draw_counts_its_gather(monkeypatch):
+    # the simulator's map, R[row_of] of 27 draws x 162 states in int32, is
+    # held next to R, and the memory check counts it before either is built
+    g = build_group("Z:3")
+    size, gathered = 16 * 162 * 4, 27 * 162 * 4
+    need = wreath.build_bytes(3, 3, 16, 4, size + gathered, 27)
+    for have in (need - 1, need):
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+        monkeypatch.setattr(wreath.os, "sysconf", pages.__getitem__)
+        if have < need:
+            with pytest.raises(ValueError) as e:
+                wreath.step_rows("paired", 3, g, True)
+            assert str(e.value) == (
+                f"wreath order 162 needs a 10368-byte step-row map (16 step elements x 162 "
+                f"states) and a 17496-byte gather of it by draw (27 draws) for the paired "
+                f"walk and {need} bytes to build it, more than the {have} bytes of physical "
+                f"memory")
+        else:
+            rows, row_of = wreath.step_rows("paired", 3, g)
+            by_draw = wreath.step_rows("paired", 3, g, True)
+            assert by_draw.dtype == np.int32 and np.array_equal(by_draw, rows[row_of])
 
 
 def test_table_refuses_n_below_one():

@@ -447,20 +447,26 @@ def test_simulate_rows_come_from_one_run(capsys, monkeypatch):
 def _reference_walk_indices(cfg):
     """The walk as it was before element indices, kept as the bit-for-bit
     reference: each trial a (coords, pinv) pair, pinv its inverse permutation, and
-    each step one apply_steps on the draws p, q, a, b (b = a^-1 for
-    paired), restricted in continuized mode to the trials whose Poisson
-    count exceeds the step; the states are encoded at the end."""
+    each step one draw d uniform on the n^2 |G|^b draws, split by divmod
+    into p, q, a, b (b = a^-1 for paired), then one apply_steps,
+    restricted in continuized mode to the trials whose Poisson count
+    exceeds the step; the states are encoded at the end."""
     rng = np.random.default_rng(cfg.seed)
     T, n, g = cfg.trials, cfg.n, cfg.g
     coords = np.zeros((T, n), dtype=np.int64)
     pinv = np.tile(np.arange(n, dtype=np.int64), (T, 1))
     steps = rng.poisson(cfg.t, size=T) if cfg.mode == "continuized" else None
     kmax = cfg.k if steps is None else int(steps.max())
+    paired = cfg.kind == "paired"
+    draws = n * n * (g.order if paired else g.order ** 2)
     for step in range(kmax):
-        p = rng.integers(0, n, size=T)
-        q = rng.integers(0, n, size=T)
-        a = rng.integers(0, g.order, size=T)
-        b = g.inv[a] if cfg.kind == "paired" else rng.integers(0, g.order, size=T)
+        rest = rng.integers(0, draws, size=T)
+        if not paired:
+            rest, b = divmod(rest, g.order)
+        rest, a = divmod(rest, g.order)
+        p, q = divmod(rest, n)
+        if paired:
+            b = g.inv[a]
         rows = np.arange(T)
         if steps is not None:
             on = steps > step

@@ -19,7 +19,9 @@ from wreathwalk.wreath import (
     WreathElement,
     build_bytes,
     build_wreath_table,
+    decode_draws,
     decode_states,
+    draw_count,
     enumerate_wreath_elements,
     step_draws,
     step_elements,
@@ -149,6 +151,24 @@ def test_step_rows_are_table_rows_of_the_step_elements(kind, gname, n):
     assert np.array_equal(rows[row_of], wt.group.mult[steps])
     for d, draw in enumerate(zip(*step_draws(kind, n, wt.base))):
         assert elements[steps[d]] == _step_element(n, *draw)
+
+
+@pytest.mark.parametrize("kind,gname,n", MAP_WALKS + [("independent", "Z:300", 1),
+                                                   ("paired", "Z:70", 1)])
+def test_decode_draws_is_the_step_draws_list(kind, gname, n):
+    # the draws in the sampler's order, listed from the scalar definition:
+    # (p, q) major, then (a, b) with b = a^-1 for paired; decode_draws of
+    # any indices, shuffled here, are those entries of the list
+    g = walk_base(kind, build_group(gname))
+    pairs = ([(a, int(g.inv[a])) for a in range(g.order)] if kind == "paired"
+             else list(itertools.product(range(g.order), repeat=2)))
+    want = [(p, q, a, b) for p, q, (a, b) in itertools.product(range(n), range(n), pairs)]
+    assert draw_count(kind, n, g) == len(want)
+    listed = step_draws(kind, n, g)
+    assert list(zip(*(x.tolist() for x in listed))) == want
+    d = np.random.default_rng(23).permutation(len(want))
+    for got, col in zip(decode_draws(kind, n, g, d), listed):
+        assert np.array_equal(got, col[d])
 
 
 @pytest.mark.parametrize("kind,gname,n", MAP_WALKS)
