@@ -43,7 +43,7 @@ from .partitions import (
     partitions_of,
 )
 from .reps import MAX_LABELS
-from .wreath import _physical_memory, walk_base
+from .wreath import refuse_past_memory, walk_base
 
 J_WINDOW = 12          # deficit window for large-n inner sums
 FULL_ENUM_MAX = 40     # every partition, exactly: the collapsed sums' exact atoms
@@ -165,11 +165,8 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     full = n if window is None else min(n, max(window[1], 2 * window[0] + 2))
     if window is not None:
         need, atoms, tails = _window_bytes(g_order, n, window[0], full)
-        have = _physical_memory()
-        if need > have:
-            raise ValueError(f"the windowed brackets at n = {n} need about {need} bytes for "
-                             f"{atoms} window atoms and {tails} tail majorants, more than the "
-                             f"{have} bytes of physical memory")
+        refuse_past_memory(need, f"the windowed brackets at n = {n} need about {need} bytes "
+                                 f"for {atoms} window atoms and {tails} tail majorants")
     slots = range(n + 1) if g_order > 1 else [n]            # |G| = 1: n_1 = n only
     if window is None or g_order == 1:
         table = content_rows(max((m for m in slots if m <= full), default=0))

@@ -63,7 +63,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """The partitions of n in reverse-lex order, for n up to the table's cap."""
-    _refuse_past_cap(n)
+    refuse_past_cap(n)
     return list(partitions_of(n))
 
 
@@ -149,7 +149,8 @@ def dim_hook(lam: Partition) -> int:
 # m - 1 by adding one cell at every addable corner (see the module docstring).
 
 
-def _refuse_past_cap(m: int) -> None:
+def refuse_past_cap(m: int) -> None:
+    """Refuse m past the partition table's cap, WORD_M_MAX."""
     if m > WORD_M_MAX:
         raise ValueError(f"n = {m} exceeds cap {WORD_M_MAX} of the partition table "
                          "(p(61) = 1121505 partitions a level)")
@@ -171,7 +172,7 @@ def _indexed_levels(top: int) -> Iterator[tuple]:
     the index of a zero column)."""
     if top < 0:
         raise ValueError("m must be nonnegative")
-    _refuse_past_cap(top)
+    refuse_past_cap(top)
     endless = 1 << 30
     last, above = np.full((2, 1), endless, dtype=np.int32)    # the empty partition
     ell, corners = np.zeros((2, 1), dtype=np.int32)

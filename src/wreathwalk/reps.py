@@ -20,7 +20,7 @@ from .groups import GroupTable
 from .partitions import (
     WORD_M_MAX,
     Partition,
-    _refuse_past_cap,
+    refuse_past_cap,
     char_ratio_transposition,
     dim_partition,
     enumerate_partitions,
@@ -28,8 +28,11 @@ from .partitions import (
 
 MAX_LABELS = 2 * 10 ** 6
 # the exact label count (class_count) costs about s n^2 / 2 big-int products
-# on s base classes, 2.7 s for sym at n = 5000; past the partition table's
-# cap, where no label can be built, it is computed only below this work
+# on s base classes: 2.7 s for sym at n = 5000, and 26 ms (sym, n = 1000) to
+# 51 ms (S:3, n = 577) at this work.  Past the partition table's cap, where
+# no label can be built, it is computed only below this work, so that n up
+# to 1000 still names its label count; a temporary fork, to go once the cap
+# is checked first at every n
 LABEL_COUNT_WORK = 10 ** 6
 
 
@@ -62,7 +65,7 @@ def enumerate_labels(g: GroupTable, n: int, max_labels: int = MAX_LABELS) -> lis
     labels are counted."""
     s = g.num_classes
     if n > WORD_M_MAX and s * n * n > LABEL_COUNT_WORK:
-        _refuse_past_cap(n)
+        refuse_past_cap(n)
     total = class_count(g, n)
     if total > max_labels:
         what = "partition" if s == 1 else "label"

@@ -136,14 +136,16 @@ def _step(cfg: SimConfig, d: np.ndarray, coords: np.ndarray, pinv: np.ndarray, o
 
 def _step_map(cfg: SimConfig, kmax: int):
     """The flat map S, S[d * order + x] the index of s_d x (the
-    wreath.step_rows map gathered by draw), or None when the walk carries
-    (coords, pinv).  S is built only when it has at most min(kmax, n)
-    cells per trial: then its build costs no more than the walk's steps,
-    and it holds no more than the n coordinates a trial would."""
+    wreath.step_rows map gathered by draw, R[row_of]), or None when the
+    walk carries (coords, pinv).  S is built only when it has at most
+    min(kmax, n) cells per trial: then its build costs no more than the
+    walk's steps, and it holds no more than the n coordinates a trial
+    would (step_rows' memory check covers the build of R)."""
     draws = draw_count(cfg.kind, cfg.n, cfg.g)
     if draws * wreath_order(cfg.g.order, cfg.n) > cfg.trials * min(kmax, cfg.n):
         return None
-    return step_rows(cfg.kind, cfg.n, cfg.g, True).reshape(-1)
+    rows, row_of = step_rows(cfg.kind, cfg.n, cfg.g)
+    return rows[row_of].reshape(-1)
 
 
 def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,8 @@ decodes every d, and `apply_steps` is the step's one array statement.
 one-step law counts them); `step_rows` is the successor map
 R[row_of[d], x] = index of s_d x (distinct step elements x order
 entries, at most the explicit table), which the simulator gathers by
-draw and walks when it costs no more than the walk.
+draw and walks when it costs no more than the walk.  `refuse_past_memory`
+refuses, in bytes, a build whose estimate exceeds physical memory.
 """
 from __future__ import annotations
 
@@ -181,10 +182,12 @@ def step_draws(kind: str, n: int, g: GroupTable | None):
 
 def step_elements(kind: str, n: int, g: GroupTable | None, d=None) -> np.ndarray:
     """The element index of the step element s_d of each draw d (default
-    every draw, in step_draws order): the draws applied to the identity
-    with apply_steps."""
+    every draw, 0..draw_count - 1): the draws applied to the identity with
+    apply_steps."""
     g = walk_base(kind, g)
-    p, q, a, b = step_draws(kind, n, g) if d is None else decode_draws(kind, n, g, d)
+    if d is None:
+        d = np.arange(draw_count(kind, n, g))
+    p, q, a, b = decode_draws(kind, n, g, d)
     coords = np.zeros((len(p), n), dtype=np.int64)
     pinv = np.tile(np.arange(n, dtype=np.int64), (len(p), 1))
     apply_steps(coords, pinv, np.arange(len(p)), p, q, a, b, g.mult)
@@ -194,6 +197,15 @@ def step_elements(kind: str, n: int, g: GroupTable | None, d=None) -> np.ndarray
 
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def refuse_past_memory(need: int, what: str) -> None:
+    """Raise ValueError(f"{what}, more than the ... bytes of physical
+    memory") when need bytes, a build's estimate made before it allocates,
+    exceed physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(f"{what}, more than the {have} bytes of physical memory")
 
 
 def table_rows(g: GroupTable, n: int, elements) -> np.ndarray:
@@ -244,36 +256,27 @@ def build_bytes(g_order: int, n: int, rows: int, perms: int, held: int,
         (16 * n + 96) * draws)
 
 
-def step_rows(kind: str, n: int, g: GroupTable | None, by_draw: bool = False):
+def step_rows(kind: str, n: int, g: GroupTable | None) -> tuple[np.ndarray, np.ndarray]:
     """The walk's successor map on its distinct step elements: (R, row_of)
     with R[row_of[d], x] the index of s_d x, for draw d in step_draws order
     and state x in the element encoding, so R[row_of[d], 0] is s_d.  R has
     one row per distinct step element (b is overwritten at p = q, and
     (p, q, a, b) and (q, p, b, a) give one element): the table_rows of
-    those elements, int32 while the order is below 2^31.  by_draw: R[row_of]
-    alone, one row per draw (the simulator's map), gathered once.
+    those elements, int32 while the order is below 2^31.
 
     Refuses orders past int64 and, before the map is built, maps whose
-    build (build_bytes, with the gather by draw held next to R) would
-    exceed physical memory."""
+    build (build_bytes) would exceed physical memory."""
     g = walk_base(kind, g)
     order = _index_order(g.order, n)
     steps, row_of = np.unique(step_elements(kind, n, g), return_inverse=True)
     dtype = np.dtype(np.int32 if order < 2 ** 31 else np.int64)
     size = len(steps) * order * dtype.itemsize
-    gathered = len(row_of) * order * dtype.itemsize if by_draw else 0
     # the step permutations: the identity and the n(n - 1)/2 transpositions
-    need = build_bytes(g.order, n, len(steps), 1 + n * (n - 1) // 2, size + gathered,
-                       len(row_of))
-    have = _physical_memory()
-    if need > have:
-        also = f" and a {gathered}-byte gather of it by draw ({len(row_of)} draws)" if by_draw else ""
-        raise ValueError(f"wreath order {order} needs a {size}-byte step-row map "
-                         f"({len(steps)} step elements x {order} states){also} for the {kind} "
-                         f"walk and {need} bytes to build it, more than the {have} bytes of "
-                         f"physical memory")
-    rows = table_rows(g, n, steps).astype(dtype, copy=False)
-    return rows[row_of] if by_draw else (rows, row_of)
+    need = build_bytes(g.order, n, len(steps), 1 + n * (n - 1) // 2, size, len(row_of))
+    refuse_past_memory(need, f"wreath order {order} needs a {size}-byte step-row map "
+                             f"({len(steps)} step elements x {order} states) for the {kind} "
+                             f"walk and {need} bytes to build it")
+    return table_rows(g, n, steps).astype(dtype, copy=False), row_of
 
 
 class WreathTable(NamedTuple):

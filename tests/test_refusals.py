@@ -8,7 +8,6 @@ import time
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -111,7 +110,7 @@ def test_windowed_brackets_past_physical_memory_refused(monkeypatch, capsys):
     assert (atoms, tails) == (32639, 3450) and need == bounds.ATOM_BYTES * (atoms + tails)
     for have in (need - 1, need):
         _cold_window()
-        monkeypatch.setattr(bounds, "_physical_memory", lambda: have)
+        monkeypatch.setattr(wreath, "_physical_memory", lambda: have)
         argv = ["distance", "--group", "Z:2", "--n", "100", "--walk", "independent", "--k", "400"]
         rc, out, err = run_cli(capsys, argv)
         if have < need:
@@ -279,29 +278,6 @@ def test_step_row_map_past_physical_memory_refused(monkeypatch):
                 f"{have} bytes of physical memory")
         else:
             assert wreath.step_rows("paired", 3, g)[0].shape == (16, 162)
-
-
-def test_step_map_by_draw_counts_its_gather(monkeypatch):
-    # the simulator's map, R[row_of] of 27 draws x 162 states in int32, is
-    # held next to R, and the memory check counts it before either is built
-    g = build_group("Z:3")
-    size, gathered = 16 * 162 * 4, 27 * 162 * 4
-    need = wreath.build_bytes(3, 3, 16, 4, size + gathered, 27)
-    for have in (need - 1, need):
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
-        monkeypatch.setattr(wreath.os, "sysconf", pages.__getitem__)
-        if have < need:
-            with pytest.raises(ValueError) as e:
-                wreath.step_rows("paired", 3, g, True)
-            assert str(e.value) == (
-                f"wreath order 162 needs a 10368-byte step-row map (16 step elements x 162 "
-                f"states) and a 17496-byte gather of it by draw (27 draws) for the paired "
-                f"walk and {need} bytes to build it, more than the {have} bytes of physical "
-                f"memory")
-        else:
-            rows, row_of = wreath.step_rows("paired", 3, g)
-            by_draw = wreath.step_rows("paired", 3, g, True)
-            assert by_draw.dtype == np.int32 and np.array_equal(by_draw, rows[row_of])
 
 
 def test_table_refuses_n_below_one():
