@@ -13,6 +13,16 @@ The window depends on n alone and is built once per n, the logged table
 rows below it once per cutoff; |G| and the walk enter only as the
 per-slot offsets ln w(n_1) and ln scale(n_1).
 
+The float sums stream: windowed Atoms hold those |G|-free blocks by
+reference, the O(n) offsets, and the tail majorants as their slot sizes,
+about n^2/2 of them in closed form in (n_1, j).  atom_chunks builds
+(ln w, ln |y|) ATOM_CHUNK atoms at a time, and power_sums folds each chunk
+into a running log-sum-exp per k, one for the atoms and one for the tail.
+A windowed bracket so holds the window shape (18 bytes an atom) and one
+chunk, never a copy of the window or the tail; terms below 2^-1022 of a
+chunk's largest are left out, which no float sum can see.  Exact and
+spectral atoms are the one-block case: no offsets and no tail.
+
 Exactness is a property of the atoms, decided once in _atoms: the
 collapsed (sym, independent) atoms are exact, int weights and numerators
 over the one denominator n^2, iff n <= FULL_ENUM_MAX; the relaxed bound's
@@ -48,22 +58,32 @@ from .wreath import refuse_past_memory, walk_base
 J_WINDOW = 12          # deficit window for large-n inner sums
 FULL_ENUM_MAX = 40     # every partition, exactly: the collapsed sums' exact atoms
 EXACT_K_MAX = 64       # exact Fraction path of every l2 sum
-# peak bytes per window atom or tail majorant of a windowed bracket, from
-# the atoms' build to the evaluator's temporaries: tracemalloc peaks of
-# l2n_sq_collapsed_bounds run about 32 a window atom and 52 a majorant
-ATOM_BYTES = 64
+ATOM_CHUNK = 2 ** 15   # atoms per pass of the float evaluator
+LN_TINY = math.log(np.finfo(float).tiny)      # e^t is subnormal below this
+# peak bytes of the windowed brackets (tracemalloc peaks of a cold
+# l2n_sq_collapsed_bounds run 23 and 120): per window shape atom, its
+# (m, ln d^2, ln |top|), 18, and the build's per-deficit temporaries; per
+# atom of one chunk, the tail's closed form and the evaluator's arrays
+SHAPE_ATOM_BYTES = 24
+CHUNK_ATOM_BYTES = 128
 
 
 # ---------------------------------------------------------------------------
 # atoms and the one evaluator
 
 class Atoms(NamedTuple):
-    """Terms w y^{2k} of an l2 sum as ln w and ln |y| per atom; atoms with
-    `tail` set are majorants for the upper edge only.  When the atoms are
-    exact, `weights` and `nums` repeat them as ints, y = num / den."""
-    ln_w: np.ndarray
-    ln_y: np.ndarray
-    tail: np.ndarray
+    """Terms w y^{2k} of an l2 sum as blocks (m, ln d^2, ln |top|): an atom
+    at slot size m has ln w = ln_w[m] + ln d^2 and ln |y| = ln |top| -
+    ln_scale[m] (m None: no offsets, ln w = ln d^2 and ln |y| = ln |top|).
+    Each slot size m in `tail` adds one majorant per deficit j_window < j <
+    m, in closed form over lnf = ln i!, for the upper edge only.  When the
+    atoms are exact, `weights` and `nums` repeat them as ints, y = num / den."""
+    blocks: tuple
+    ln_w: np.ndarray | None = None
+    ln_scale: np.ndarray | None = None
+    tail: np.ndarray = np.zeros(0, dtype=np.int64)
+    j_window: int = 0
+    lnf: np.ndarray | None = None
     weights: tuple | None = None
     nums: tuple | None = None
     den: int = 1
@@ -83,11 +103,50 @@ def _float_or_inf(x) -> float:
 
 
 def exact_atoms(weights, nums, den: int) -> Atoms:
-    """Atoms from int weights at values num / den, one int den for all."""
+    """Atoms from int weights at values num / den, one int den for all:
+    one block, no offsets and no tail."""
     weights, nums = tuple(weights), tuple(nums)
-    return Atoms(np.array([_ln(w) for w in weights], dtype=float),
-                 np.array([_ln(y) for y in nums], dtype=float) - math.log(den),
-                 np.zeros(len(weights), dtype=bool), weights, nums, den)
+    ln_y = np.array([_ln(y) for y in nums], dtype=float) - math.log(den)
+    return Atoms(((None, np.array([_ln(w) for w in weights], dtype=float), ln_y),),
+                 weights=weights, nums=nums, den=den)
+
+
+def atom_chunks(atoms: Atoms):
+    """(ln w, ln |y|, tail) of the atoms in their fixed order, at most
+    ATOM_CHUNK at a time: each block's, then the tail majorants' (tail
+    True), whose (m, j) are counted off the slot sizes chunk by chunk."""
+    for m, ln_d2, ln_top in atoms.blocks:
+        for at in range(0, len(ln_d2), ATOM_CHUNK):
+            part = slice(at, at + ATOM_CHUNK)
+            if m is None:
+                yield ln_d2[part], ln_top[part], False
+            else:
+                yield *_offset(atoms, m[part], ln_d2[part], ln_top[part]), False
+    big, lnf = atoms.tail, atoms.lnf
+    counts = big - 1 - atoms.j_window                 # majorants per slot size
+    ends = np.cumsum(counts)
+    r = 0
+    while r < big.size:                               # whole slot sizes, about a chunk
+        rows = slice(r, max(r + 1, int(np.searchsorted(ends, ends[r] - counts[r] + ATOM_CHUNK,
+                                                       side="right"))))
+        r = rows.stop
+        first = ends[rows] - big[rows]                # majorant index of (m, j = 0)
+        mm = np.repeat(big[rows], counts[rows])
+        jj = np.arange(first[0] + atoms.j_window + 1, ends[r - 1]) - np.repeat(first, counts[rows])
+        top = mm + _cmax_at_deficit(mm, jj)
+        keep = top > 0
+        mm, jj, top = mm[keep], jj[keep], top[keep]
+        # each deficit j > j_window: at most 2 C(m,j)^2 j! of d^2, |y| <= (m + cmax)/scale
+        ln_count = math.log(2.0) + 2 * (lnf[mm] - lnf[jj] - lnf[mm - jj]) + lnf[jj]
+        yield *_offset(atoms, mm, ln_count, np.log(top)), True
+
+
+def _offset(atoms: Atoms, m, ln_d2, ln_top) -> tuple:
+    """(ln_w[m] + ln d^2, ln |top| - ln_scale[m])."""
+    w = np.take(atoms.ln_w, m)
+    w += ln_d2
+    y = np.take(atoms.ln_scale, m)
+    return w, np.subtract(ln_top, y, out=y)
 
 
 def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
@@ -96,8 +155,10 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
     exact: Fractions over den^{2k}, from the exact atoms' ints; atoms
     with equal num^2 share one weight, and the powers step up from one k
     to the next.  Otherwise certified (lower, upper) floats by
-    log-sum-exp: the lower edge sums the atoms, the upper edge adds the
-    tail majorants."""
+    log-sum-exp, one pass over the atom chunks for all ks: the lower edge
+    sums the atoms, the upper edge adds the tail majorants."""
+    if not ks:
+        return []
     if exact:
         if atoms.weights is None:
             raise ValueError("these atoms have no exact form")
@@ -110,24 +171,43 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
             pows = [p * y2 ** (k - at) for p, y2 in zip(pows, y2s)]
             got[k], at = Fraction(sum(w * p for w, p in zip(ws, pows)), atoms.den ** (2 * k)), k
         return [got[k] for k in ks]
-    main = ~atoms.tail
+    parts = [([], []) for _ in ks]           # per k: (max, sum) of each atom and tail chunk
+    for ln_w, ln_y, tail in atom_chunks(atoms):
+        t = np.empty_like(ln_w)
+        for k, got in zip(ks, parts):
+            if k:
+                np.multiply(ln_y, 2 * k, out=t)
+                t += ln_w
+            else:
+                np.copyto(t, ln_w)                         # 0 * ln 0 is nan
+            got[tail].append(_exp_sum(t))
     out = []
-    for k in ks:
-        t = atoms.ln_y * (2 * k) if k else np.zeros_like(atoms.ln_w)    # 0 * ln 0 is nan
-        t += atoms.ln_w
-        lo = _exp_sum(t[main])
-        out.append((lo, lo + _exp_sum(t[atoms.tail])))
+    for main, tail in parts:
+        lo = _total(main)
+        out.append((lo, lo + _total(tail)))
     return out
 
 
-def _exp_sum(t: np.ndarray) -> float:
-    """sum of e^t (overwriting t) without overflow; inf past the float range."""
+def _exp_sum(t: np.ndarray) -> tuple[float, float]:
+    """(top, sum of e^(t - top)) with top = max t, overwriting t.  Terms
+    below the smallest normal float, 2^-1022 of the top term's 1 each, are
+    left out: they cannot move the sum, and numpy's exp is 10-70 times
+    slower on them."""
     top = t.max(initial=-math.inf)
     if top == -math.inf:
-        return 0.0
+        return top, 0.0
     t -= top
+    keep = t >= LN_TINY
+    return top, float(np.exp(t, out=t, where=keep).sum(where=keep))
+
+
+def _total(parts) -> float:
+    """sum of e^t over chunks' (top, sum) without overflow; inf past the float range."""
+    top = max((p for p, _ in parts), default=-math.inf)
+    if top == -math.inf:
+        return 0.0
     with np.errstate(over="ignore"):
-        return float(np.exp(top + math.log(np.exp(t, out=t).sum())))
+        return float(np.exp(top + math.log(sum(s * math.exp(p - top) for p, s in parts))))
 
 
 def l2_column(atoms: Atoms, ks, at_zero: float | None = None) -> list:
@@ -135,7 +215,7 @@ def l2_column(atoms: Atoms, ks, at_zero: float | None = None) -> list:
     k <= EXACT_K_MAX, else the float upper edge (at k = 0 the closed form
     at_zero, when given)."""
     exact = [k for k in ks if atoms.weights is not None and k <= EXACT_K_MAX]
-    got = dict(zip(exact, power_sums(atoms, exact, exact=True) if exact else []))
+    got = dict(zip(exact, power_sums(atoms, exact, exact=True)))
     rest = [k for k in ks if k not in got]
     got.update((k, at_zero if k == 0 and at_zero is not None else hi)
                for k, (_, hi) in zip(rest, power_sums(atoms, rest)))
@@ -158,15 +238,16 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     each n_1 above max(full_enum_max, 2 j_window + 2) gets deficit-window
     atoms and tail majorants instead of all its partitions.
     Window atoms are _window_shape's (once per n) and, for |G| > 1, table
-    rows at n_1 <= full are _table_logs' (once per full), each offset by
-    ln w(n_1) and -ln scale(n_1); |G| = 1 keeps only n_1 = n."""
+    rows at n_1 <= full are _table_logs' (once per full), held by
+    reference and offset by ln w(n_1) and -ln scale(n_1) chunk by chunk;
+    |G| = 1 keeps only n_1 = n.  The tail majorants are their slot sizes."""
     if window is None and paired:
         raise ValueError("the relaxed bound has no exact atoms: its values share no denominator")
     full = n if window is None else min(n, max(window[1], 2 * window[0] + 2))
     if window is not None:
-        need, atoms, tails = _window_bytes(g_order, n, window[0], full)
+        need, atoms = _window_bytes(n, window[0], full)
         refuse_past_memory(need, f"the windowed brackets at n = {n} need about {need} bytes "
-                                 f"for {atoms} window atoms and {tails} tail majorants")
+                                 f"for {atoms} window atoms and a chunk of {ATOM_CHUNK} atoms")
     slots = range(n + 1) if g_order > 1 else [n]            # |G| = 1: n_1 = n only
     if window is None or g_order == 1:
         table = content_rows(max((m for m in slots if m <= full), default=0))
@@ -182,52 +263,31 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     ln_w = (_ln(half_s) + 2 * lnf[n] - 2 * lnf - lnf[::-1]
             + (n - ms) * math.log(max(g_order - 1, 1)))
     ln_scale = np.log(n * np.maximum(ms, 1)) if paired else np.full(n + 1, 2 * math.log(n))
-    # blocks (m, ln d^2, ln |top|) of atoms at slot sizes m with y = |top| / scale,
-    # written in place after the paired extra atom: table rows, window, tail majorants
+    # blocks (m, ln d^2, ln |top|) of atoms at slot sizes m with y = |top| / scale:
+    # the paired extra atom, table rows, window; then the tail majorants
+    blocks = [(None, np.array([_ln(Fraction(paired[1], 4))]),
+               np.array([_ln(Fraction(n - 1, n))]))] if paired else []
     if g_order == 1:
-        blocks = [_row_logs(rows)]
+        blocks.append(_row_logs(rows))
     else:
         table = _table_logs(full)
         if n == full:                  # the trivial line [n] is level n's first row
-            table = [np.delete(col, np.searchsorted(table[0], n)) for col in table]
-        blocks = [table]
+            table = tuple(np.delete(col, np.searchsorted(table[0], n)) for col in table)
+        blocks.append(table)
     big = np.array([m for m in slots if m > full], dtype=np.int64)
     if big.size:
         shape = _window_shape(n, window[0], full)
-        # each deficit j > j_window: at most 2 C(m,j)^2 j! of d^2, |y| <= (m + cmax)/scale
-        mm = np.repeat(big, big - 1 - window[0])
-        jj = np.concatenate([np.arange(window[0] + 1, m) for m in big])
-        top = mm + _cmax_at_deficit(mm, jj)
-        mm, jj, top = mm[top > 0], jj[top > 0], top[top > 0]
-        ln_count = math.log(2.0) + 2 * (lnf[mm] - lnf[jj] - lnf[mm - jj]) + lnf[jj]
-        blocks += [shape if g_order > 1 else [col[shape[0] == n] for col in shape],
-                   (mm, ln_count, np.log(top))]
-        del jj, top                            # freed before the atoms are allocated
-    at = 1 if paired else 0                        # the paired extra atom
-    size = at + sum(len(m) for m, _, _ in blocks)
-    out = Atoms(np.empty(size), np.empty(size), np.zeros(size, dtype=bool))
-    if paired:
-        out.ln_w[0], out.ln_y[0] = _ln(Fraction(paired[1], 4)), _ln(Fraction(n - 1, n))
-    for i, (m, ln_d2, ln_top) in enumerate(blocks):
-        w, y = out.ln_w[at:at + len(m)], out.ln_y[at:at + len(m)]
-        np.take(ln_w, m, out=w, mode="clip")
-        w += ln_d2
-        np.take(ln_scale, m, out=y, mode="clip")
-        np.subtract(ln_top, y, out=y)
-        out.tail[at:at + len(m)] = i == 2                  # the tail majorants
-        at += len(m)
-    return out
+        blocks.append(shape if g_order > 1 else tuple(col[shape[0] == n] for col in shape))
+    return Atoms(tuple(blocks), ln_w, ln_scale, big, window[0], lnf)
 
 
-def _window_bytes(g_order: int, n: int, j_window: int, full: int) -> tuple[int, int, int]:
-    """(bytes, window atoms, tail majorants) of _slot_atoms' windowed atoms,
-    in closed form before any is built: _window_shape's 2 (n - full)
-    sum_{j <= j_window} p(j) - 1 atoms, and m - 1 - j_window majorants for
-    each slot size m > full (n alone when |G| = 1), ATOM_BYTES each."""
-    big = n - full if g_order > 1 else min(n - full, 1)          # the slot sizes m > full
+def _window_bytes(n: int, j_window: int, full: int) -> tuple[int, int]:
+    """(bytes, window atoms) of the windowed brackets, in closed form before
+    any is built: _window_shape's 2 (n - full) sum_{j <= j_window} p(j) - 1
+    atoms at SHAPE_ATOM_BYTES, held once per n for every |G|, and one chunk
+    of ATOM_CHUNK atoms at CHUNK_ATOM_BYTES; the tail holds no array."""
     atoms = 2 * (n - full) * sum(partition_counts(j_window)) - 1 if n > full else 0
-    tails = big * (2 * n - big - 1) // 2 - big * j_window          # sum of m - 1 - j_window
-    return ATOM_BYTES * (atoms + tails), atoms, tails
+    return SHAPE_ATOM_BYTES * atoms + CHUNK_ATOM_BYTES * ATOM_CHUNK, atoms
 
 
 def _row_logs(rows) -> tuple:
@@ -271,14 +331,23 @@ def _window_shape(n: int, j_window: int, full: int) -> tuple:
         ln_d = (lnf[big] - lnf[big - j - mu1] - lnf[j]
                 + np.array([math.log(d) for d in dims])[:, None] - hooks)
         c_lam = (big - j) * (big - j - 1) + np.array(contents)[:, None] - 2 * j
-        with np.errstate(divide="ignore"):       # one (mu, own | conjugate, m) block
-            block = (np.broadcast_to(big, (len(dims), 2, len(big))),
-                     np.repeat(2 * ln_d[:, None], 2, axis=1),
-                     np.log(np.abs(np.stack([big + c_lam, big - c_lam], axis=1))))
-        for col, part in zip(shape, block):
-            part = np.delete(part.ravel(), len(big) - 1) if j == 0 else part.ravel()
-            col[at:at + part.size] = part
-        at += part.size
+        # one (mu, own | conjugate, m) block, written in place; at j = 0 the
+        # own atom at m = n, the trivial line, is dropped from a small copy
+        size = 2 * ln_d.size
+        block = [col[at:at + size].reshape(len(dims), 2, len(big)) if j
+                 else np.empty((1, 2, len(big)), dtype=col.dtype) for col in shape]
+        m, ln_d2, ln_top = block
+        m[...] = big
+        np.multiply(ln_d[:, None], 2, out=ln_d2)
+        np.add(big, c_lam, out=ln_top[:, 0])
+        np.subtract(big, c_lam, out=ln_top[:, 1])
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(ln_top, out=ln_top), out=ln_top)
+        if not j:
+            size -= 1
+            for col, part in zip(shape, block):
+                col[:size] = np.delete(part.ravel(), len(big) - 1)
+        at += size
     return shape
 
 
@@ -290,7 +359,7 @@ def _cmax_at_deficit(m, j):
     w = m - j
     if np.min(w) < 1:
         return None
-    q, r = j // w, j % w
+    q, r = np.divmod(j, w)
     return w * (w - 1) + q * w * w - w * ((q + 1) ** 2 - 1) + r * r - (2 * q + 3) * r
 
 

@@ -75,9 +75,10 @@ def class_count(g: GroupTable, n: int) -> int:
     return vec[n]
 
 
-def class_size(g: GroupTable, n: int, tm: TypeMatrix) -> int:
-    """|G|^n n! / prod_{i,j} ((j |G| / |C_i|)^{a_ij} a_ij!), exact."""
-    sizes = g.class_sizes()
+def class_size(g: GroupTable, n: int, tm: TypeMatrix, sizes: list[int] | None = None) -> int:
+    """|G|^n n! / prod_{i,j} ((j |G| / |C_i|)^{a_ij} a_ij!), exact; sizes
+    are g.class_sizes(), when the caller has them."""
+    sizes = g.class_sizes() if sizes is None else sizes
     total = sum((j + 1) * a for (_, j), a in tm)
     if total != n:
         raise ValueError("type matrix does not describe an n-element permutation")
@@ -127,12 +128,12 @@ def support_classes(g: GroupTable, n: int) -> list[tuple[tuple, TypeMatrix, int]
     for k in range(2, g.num_classes + 1):
         tm = u_type(g, n, k)
         size = n * sizes[k - 1]
-        assert class_size(g, n, tm) == size
+        assert class_size(g, n, tm, sizes) == size
         out.append((("u", k), tm, size))
     if n >= 2:
         for k in range(1, g.num_classes + 1):
             tm = v_type(g, n, k)
             size = n * (n - 1) // 2 * g.order * sizes[k - 1]
-            assert class_size(g, n, tm) == size
+            assert class_size(g, n, tm, sizes) == size
             out.append((("v", k), tm, size))
     return out

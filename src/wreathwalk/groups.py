@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -29,9 +31,17 @@ class GroupTable:
     inv: np.ndarray            # (order,) int
     classes: list[list[int]]   # class 0 = {identity}; ordered by min element
     class_of: np.ndarray       # element -> class index
-    char_table: list[list] | None = None   # rows: irreps, cols: classes
+    # rows: irreps, cols: classes; or a builder of them, run on first read
+    characters: list[list] | Callable[[], list[list]] | None = None
     exact_characters: bool = False
     _dims: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def char_table(self) -> list[list] | None:
+        """The character table, built on first read when given as a builder."""
+        if callable(self.characters):
+            self.characters = self.characters()
+        return self.characters
 
     @property
     def order(self) -> int:
@@ -117,20 +127,16 @@ def conjugacy_classes(mult: np.ndarray, inv: np.ndarray) -> tuple[list[list[int]
     return classes, class_of
 
 
-def _zm_character_table(m: int) -> tuple[list[list], bool]:
+def _zm_character_table(m: int) -> list[list]:
     # chi_j(class k) = exp(2 pi i j k / m); exact for m in {1, 2, 4}
     if m == 1:
-        return [[Fraction(1)]], True
+        return [[Fraction(1)]]
     if m == 2:
-        return [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]], True
+        return [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
     if m == 4:
         i = complex(0.0, 1.0)
-        rows = [[(i ** (j * k)) for k in range(4)] for j in range(4)]
-        return rows, True  # entries are exact Gaussian integers in IEEE floats
-    rows = []
-    for j in range(m):
-        rows.append([cmath.exp(2j * cmath.pi * j * k / m) for k in range(m)])
-    return rows, False
+        return [[(i ** (j * k)) for k in range(4)] for j in range(4)]   # exact Gaussian integers
+    return [[cmath.exp(2j * cmath.pi * j * k / m) for k in range(m)] for j in range(m)]
 
 
 def cyclic_group(m: int) -> GroupTable:
@@ -140,15 +146,14 @@ def cyclic_group(m: int) -> GroupTable:
     mult = (ar[:, None] + ar[None, :]) % m
     inv = (-ar) % m
     classes = [[k] for k in range(m)]
-    char_table, exact = _zm_character_table(m)
     return GroupTable(
         name=f"Z:{m}",
         mult=mult.astype(np.int64),
         inv=inv.astype(np.int64),
         classes=classes,
         class_of=ar.astype(np.int64),
-        char_table=char_table,
-        exact_characters=exact,
+        characters=partial(_zm_character_table, m),      # m x m entries: built on first read
+        exact_characters=m in (1, 2, 4),
     )
 
 
@@ -229,7 +234,7 @@ def symmetric_group(m: int) -> GroupTable:
         inv=inv,
         classes=classes,
         class_of=class_of,
-        char_table=char_rows,
+        characters=char_rows,
         exact_characters=True,
     )
 
@@ -327,7 +332,7 @@ def group_from_file(path: str) -> GroupTable:
         inv=inv,
         classes=classes,
         class_of=class_of,
-        char_table=char_table,
+        characters=char_table,
         exact_characters=exact,
     )
     _validate_char_table(g)

@@ -18,6 +18,7 @@ routes is evidence, not circularity.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -195,11 +196,12 @@ def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
 def exact_distances(num: np.ndarray, scale: int, order: int) -> dict:
     """tv, l1, l2 squared, and |G|*l2^2 of the law num / scale against
     uniform; exact.  Sums the integer deviations num_i * order - scale over
-    the common denominator scale * order."""
-    diffs = [x * order - scale for x in num.tolist()]
+    the common denominator scale * order, once per distinct numerator times
+    its count (a law constant on classes has at most one per class)."""
+    diffs = [(x * order - scale, c) for x, c in Counter(num.tolist()).items()]
     den = scale * order
-    l1 = Fraction(sum(map(abs, diffs)), den)
-    l2_sq = Fraction(sum(d * d for d in diffs), den * den)
+    l1 = Fraction(sum(c * abs(d) for d, c in diffs), den)
+    l2_sq = Fraction(sum(c * d * d for d, c in diffs), den * den)
     return {
         "tv": l1 / 2,
         "l1": l1,

@@ -18,7 +18,6 @@ from typing import Iterator
 from .classes import class_count
 from .groups import GroupTable
 from .partitions import (
-    WORD_M_MAX,
     Partition,
     refuse_past_cap,
     char_ratio_transposition,
@@ -27,13 +26,6 @@ from .partitions import (
 )
 
 MAX_LABELS = 2 * 10 ** 6
-# the exact label count (class_count) costs about s n^2 / 2 big-int products
-# on s base classes: 2.7 s for sym at n = 5000, and 26 ms (sym, n = 1000) to
-# 51 ms (S:3, n = 577) at this work.  Past the partition table's cap, where
-# no label can be built, it is computed only below this work, so that n up
-# to 1000 still names its label count; a temporary fork, to go once the cap
-# is checked first at every n
-LABEL_COUNT_WORK = 10 ** 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,12 +52,11 @@ def enumerate_labels(g: GroupTable, n: int, max_labels: int = MAX_LABELS) -> lis
     """All irrep labels, ordered by type composition (descending lex), then
     per-slot partition order.  The trivial label (n,0,...)[ [n], -,... ]
     comes first.  On a one-class base (G = 1) the labels are the
-    partitions of n, and the refusal names them so.  Past the partition
-    table's cap (WORD_M_MAX) and LABEL_COUNT_WORK, n is refused before the
-    labels are counted."""
+    partitions of n, and the refusal names them so.  n past the partition
+    table's cap (partitions.WORD_M_MAX) is refused first, before the labels are
+    counted."""
     s = g.num_classes
-    if n > WORD_M_MAX and s * n * n > LABEL_COUNT_WORK:
-        refuse_past_cap(n)
+    refuse_past_cap(n)
     total = class_count(g, n)
     if total > max_labels:
         what = "partition" if s == 1 else "label"

@@ -301,7 +301,13 @@ def _reference_window_atoms(g_order, n, window, paired=None):
         mm, jj = mm[ok], jj[ok]
         ln_count = math.log(2.0) + 2 * (lnf[mm] - lnf[jj] - lnf[mm - jj]) + lnf[jj]
         add(mm, ln_count, top[ok], tail=True)
-    return bounds.Atoms(*(np.concatenate(col) for col in zip(*parts)))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _streamed(atoms):
+    """(ln w, ln |y|, tail) of the atoms, their chunks concatenated."""
+    ln_w, ln_y, tail = zip(*((w, y, np.full(len(w), t)) for w, y, t in bounds.atom_chunks(atoms)))
+    return tuple(np.concatenate(col) for col in (ln_w, ln_y, tail))
 
 
 WINDOW = (bounds.J_WINDOW, bounds.FULL_ENUM_MAX)
@@ -315,11 +321,11 @@ WINDOW = (bounds.J_WINDOW, bounds.FULL_ENUM_MAX)
 ])
 def test_window_atoms_equal_the_reference_bit_for_bit(g_order, n, window, gname):
     paired = _paired(build_group(gname), n) if gname else None
-    got = bounds._slot_atoms(g_order, n, window, paired)
-    want = _reference_window_atoms(g_order, n, window, paired)
-    assert got.tail.any() and got.weights is None
-    for name in ("ln_w", "ln_y", "tail"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    atoms = bounds._slot_atoms(g_order, n, window, paired)
+    got, want = _streamed(atoms), _reference_window_atoms(g_order, n, window, paired)
+    assert atoms.tail.any() and atoms.weights is None
+    for name, a, b in zip(("ln_w", "ln_y", "tail"), got, want):
+        assert np.array_equal(a, b), name
 
 
 def test_window_shape_is_built_once_per_n():
@@ -339,10 +345,10 @@ def test_relaxed_atoms_at_n_equal_to_full_equal_the_reference(gname):
     # windowed relaxed atoms at n = 20 <= FULL_ENUM_MAX: table rows only, the
     # trivial line [n] dropped from the shared table block
     g = build_group(gname)
-    got = bounds._slot_atoms(g.order, 20, WINDOW, _paired(g, 20))
+    got = _streamed(bounds._slot_atoms(g.order, 20, WINDOW, _paired(g, 20)))
     want = _reference_window_atoms(g.order, 20, WINDOW, _paired(g, 20))
-    for name in ("ln_w", "ln_y", "tail"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name, a, b in zip(("ln_w", "ln_y", "tail"), got, want):
+        assert np.array_equal(a, b), name
 
 
 def test_table_rows_are_logged_once_per_full(monkeypatch):
@@ -369,3 +375,40 @@ def test_real_window_sandwiches_the_exact_sum(n, g_order):
     for k, ex, (lo, hi) in zip(ks, exact, power_sums(bounds._atoms(g_order, n), ks)):
         assert lo <= float(ex) * (1 + 1e-9), k
         assert hi >= float(ex) * (1 - 1e-9), k
+
+
+def _materialized_power_sums(atoms, ks):
+    """(lower, upper) per k in one log-sum-exp over whole (ln w, ln |y|,
+    tail) arrays, as the evaluator ran before it streamed its chunks."""
+    ln_w, ln_y, tail = atoms
+
+    def exp_sum(t):
+        top = t.max(initial=-math.inf)
+        return 0.0 if top == -math.inf else math.exp(top + math.log(np.exp(t - top).sum()))
+
+    out = []
+    for k in ks:
+        t = ln_y * (2 * k) + ln_w
+        lo = exp_sum(t[~tail])
+        out.append((lo, lo + exp_sum(t[tail])))
+    return out
+
+
+@pytest.mark.parametrize("g_order,n,gname", [
+    (2, 100, None), (720, 100, None), (2, 200, None), (720, 200, None),
+    (2, 1000, None), (720, 1000, None), (6, 200, "S:3"),
+])
+def test_streamed_power_sums_match_a_materialized_evaluation(g_order, n, gname):
+    # the chunked running sums against one pass over the reference atoms,
+    # at the cutoff-window offsets of the benchmark's brackets
+    paired = _paired(build_group(gname), n) if gname else None
+    extra = 0.25 * n * math.log(g_order - 1) if g_order > 1 else 0.0
+    ks = [math.ceil(0.5 * n * math.log(n) + extra + c * n) for c in (-0.5, 0.0, 1.0, 2.0)]
+    if paired:
+        ks = [2 * k for k in ks]
+    got = power_sums(bounds._slot_atoms(g_order, n, WINDOW, paired), ks)
+    want = _materialized_power_sums(_reference_window_atoms(g_order, n, WINDOW, paired), ks)
+    for k, (lo, hi), (lo_want, hi_want) in zip(ks, got, want):
+        assert 0 < lo_want <= hi_want < math.inf, k
+        assert abs(lo - lo_want) <= 1e-13 * lo_want, k
+        assert abs(hi - hi_want) <= 1e-13 * hi_want, k

@@ -144,3 +144,14 @@ def test_wreath_order_helper():
     assert wreath_order(2, 3) == 48
     assert wreath_order(6, 2) == 72
     assert wreath_order(6, 3) == 1296
+
+
+def test_support_classes_read_the_class_sizes_once():
+    # one list of base class sizes for all 2s - 1 support classes
+    g = build_group("Z:40")
+    calls = []
+    sizes = g.class_sizes
+    g.class_sizes = lambda: calls.append(1) or sizes()
+    got = support_classes(g, 3)
+    assert len(got) == 1 + 39 + 40 and len(calls) == 1
+    assert [size for _, _, size in got] == [1] + [3] * 39 + [3 * 40] * 40

@@ -1,3 +1,4 @@
+import cmath
 import json
 import subprocess
 import sys
@@ -179,3 +180,35 @@ def test_first_group_builds_skip_numpy_ma():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_cyclic_characters_are_built_on_first_read(monkeypatch):
+    # Z:m's m x m table is built when first read, once, with the entries and
+    # the exactness of an eager build
+    from wreathwalk import groups
+    calls = []
+    build = groups._zm_character_table
+    monkeypatch.setattr(groups, "_zm_character_table", lambda m: calls.append(m) or build(m))
+    for m in (1, 2, 3, 4, 5, 12):
+        g = cyclic_group(m)
+        assert calls == [] and g.exact_characters == (m in (1, 2, 4))
+        table = g.char_table
+        assert calls == [m] and g.char_table is table
+        calls.clear()
+        want = [[cmath.exp(2j * cmath.pi * j * k / m) for k in range(m)] for j in range(m)]
+        if g.exact_characters:                 # Fractions and Gaussian integers
+            assert all(abs(complex(a) - b) < 1e-15 for r, w in zip(table, want) for a, b in zip(r, w))
+        else:
+            assert table == want
+        assert g.irrep_dims() == [1] * m
+
+
+def test_oracle_on_a_cyclic_base_reads_no_character():
+    from wreathwalk.oracle import convolution_curve
+    from wreathwalk.walks import build_measure
+    from wreathwalk.wreath import build_wreath_table
+    g = cyclic_group(300)
+    table = build_wreath_table(g, 1).group
+    for kind in ("independent", "paired"):
+        list(convolution_curve(table, build_measure(kind, 1, g), [0, 1, 2]))
+    assert callable(g.characters)

@@ -302,3 +302,30 @@ def test_measure_on_table_is_the_same_in_any_chunk_of_draws(kind, gspec, n, monk
         laws.append(measure_on_table(meas, table))
     assert laws[0] == laws[1] == laws[2]
     assert sum(laws[0].values()) == 1
+
+
+def _per_element_distances(num, scale, order):
+    """exact_distances term by term: one integer deviation per element."""
+    diffs = [x * order - scale for x in num.tolist()]
+    den = scale * order
+    l1 = Fraction(sum(map(abs, diffs)), den)
+    l2_sq = Fraction(sum(d * d for d in diffs), den * den)
+    return {"tv": l1 / 2, "l1": l1, "l2_sq": l2_sq, "l2n_sq": order * l2_sq}
+
+
+def test_exact_distances_sum_once_per_distinct_numerator():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        order = int(rng.integers(1, 300))
+        num = rng.integers(0, 6, size=order) * int(rng.integers(1, 10 ** 6))
+        scale = int(num.sum()) or 1
+        big = num.astype(object) * (3 ** 70)        # past int64: an object array
+        assert exact_distances(num, scale, order) == _per_element_distances(num, scale, order)
+        assert (exact_distances(big, scale * 3 ** 70, order)
+                == _per_element_distances(big, scale * 3 ** 70, order))
+    # a class function on S:3 wr S_3: 1296 elements, at most 22 distinct numerators
+    g = build_group("S:3")
+    wt = build_wreath_table(g, 3)
+    for k, num, scale in convolution_curve(wt.group, build_measure("paired", 3, g), [1, 4, 12]):
+        assert len(set(num.tolist())) <= wt.group.num_classes == 22
+        assert exact_distances(num, scale, 1296) == _per_element_distances(num, scale, 1296), k

@@ -47,10 +47,12 @@ def test_sym_spectrum_honours_max_labels(capsys):
 
 
 def test_sym_spectrum_refuses_large_n_at_once(capsys):
+    # past the partition table's cap at every n: the cap is checked first
     t0 = time.monotonic()
     rc, out, err = run_cli(capsys, ["spectrum", "--walk", "sym", "--n", "100"])
     assert rc == 1 and out == ""
-    assert "partition count 190569292 exceeds cap 2000000" in err
+    assert err == ("error: n = 100 exceeds cap 61 of the partition table "
+                   "(p(61) = 1121505 partitions a level)\n")
     assert time.monotonic() - t0 < 1.0
     with pytest.raises(ValueError):
         spectrum("sym", 12, max_labels=76)
@@ -99,15 +101,35 @@ def test_window_bytes_bound_the_bracket_peak(n):
     finally:
         tracemalloc.stop()
         _cold_window()
-    need = bounds._window_bytes(2, n, bounds.J_WINDOW, bounds.FULL_ENUM_MAX)[0]
+    need = bounds._window_bytes(n, bounds.J_WINDOW, bounds.FULL_ENUM_MAX)[0]
     assert peak <= need <= 2 * peak
 
 
+def test_windowed_bracket_holds_no_copy_of_the_window_or_tail():
+    # at n = 2000 the bracket holds the window shape (1 066 239 atoms, 18
+    # bytes each) and one chunk; an (ln w, ln |y|) copy of the window would
+    # add 16 bytes an atom, one of the tail 16 bytes for each of its
+    # 1.9 M majorants
+    bounds.content_rows(bounds.FULL_ENUM_MAX)
+    _cold_window()
+    tracemalloc.start()
+    try:
+        bounds.l2n_sq_collapsed_bounds(2, 2000, 10000)
+        peak = tracemalloc.get_traced_memory()[1]
+        shape = bounds._window_shape(2000, bounds.J_WINDOW, bounds.FULL_ENUM_MAX)
+    finally:
+        tracemalloc.stop()
+        _cold_window()
+    assert len(shape[0]) == 1066239
+    assert peak < sum(col.nbytes for col in shape) + 8 * len(shape[0])
+
+
 def test_windowed_brackets_past_physical_memory_refused(monkeypatch, capsys):
-    # Z:2 at n = 100: 2 * 60 * 272 - 1 window atoms and, for the slot sizes
-    # 41..100, sum of m - 13 majorants, refused before any is built
-    need, atoms, tails = bounds._window_bytes(2, 100, 12, 40)
-    assert (atoms, tails) == (32639, 3450) and need == bounds.ATOM_BYTES * (atoms + tails)
+    # Z:2 at n = 100: 2 * 60 * 272 - 1 window atoms, held once per n, and
+    # one evaluator chunk, refused before any is built
+    need, atoms = bounds._window_bytes(100, 12, 40)
+    assert atoms == 32639
+    assert need == bounds.SHAPE_ATOM_BYTES * atoms + bounds.CHUNK_ATOM_BYTES * bounds.ATOM_CHUNK
     for have in (need - 1, need):
         _cold_window()
         monkeypatch.setattr(wreath, "_physical_memory", lambda: have)
@@ -116,7 +138,7 @@ def test_windowed_brackets_past_physical_memory_refused(monkeypatch, capsys):
         if have < need:
             assert rc == 1 and out == ""
             assert err == (f"error: the windowed brackets at n = 100 need about {need} bytes "
-                           f"for 32639 window atoms and 3450 tail majorants, more than the "
+                           f"for 32639 window atoms and a chunk of {bounds.ATOM_CHUNK} atoms, more than the "
                            f"{have} bytes of physical memory\n")
         else:
             assert rc == 0 and out
