@@ -123,6 +123,8 @@ def atom_chunks(atoms: Atoms):
             else:
                 yield *_offset(atoms, m[part], ln_d2[part], ln_top[part]), False
     big, lnf = atoms.tail, atoms.lnf
+    if not big.size:
+        return
     counts = big - 1 - atoms.j_window                 # majorants per slot size
     ends = np.cumsum(counts)
     r = 0
