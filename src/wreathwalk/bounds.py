@@ -400,10 +400,18 @@ def _column(g_order: int, n: int, ks, paired: tuple | None = None) -> list:
 def l2n_sq_collapsed_bounds(g_order: int, n: int, k: int) -> tuple[float, float]:
     """Certified (lower, upper) floats for the collapsed sum.  They coincide
     whenever the atoms are exact (n <= FULL_ENUM_MAX)."""
-    if k == 0:
+    return _brackets(g_order, n, [k])[0]
+
+
+def _brackets(g_order: int, n: int, ks) -> list:
+    """l2n_sq_collapsed_bounds at every k, from one pass over the atoms;
+    k = 0 is the exact |G|^n n! - 1 and builds no atoms."""
+    rest = [k for k in ks if k]
+    got = dict(zip(rest, power_sums(_atoms(g_order, n), rest))) if rest else {}
+    if len(rest) < len(ks):
         f = _float_or_inf(g_order ** n * math.factorial(n) - 1)
-        return f, f
-    return power_sums(_atoms(g_order, n), [k])[0]
+        got[0] = (f, f)
+    return [got[k] for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +559,7 @@ def envelope_decay_certificate(g_order: int, n: int, c: float,
         extra = 0.25 * n * math.log(g_order - 1) if g_order > 1 else 0.0
         k0 = math.ceil(0.5 * n * math.log(n) + extra)
     k1 = k0 + math.ceil(c * n)
-    lo0, _ = l2n_sq_collapsed_bounds(g_order, n, k0)
-    _, hi1 = l2n_sq_collapsed_bounds(g_order, n, k1)
+    (lo0, _), (_, hi1) = _brackets(g_order, n, [k0, k1])
     return hi1, math.exp(-4.0 * c) * lo0
 
 

@@ -75,16 +75,14 @@ def class_count(g: GroupTable, n: int) -> int:
     return vec[n]
 
 
-def class_size(g: GroupTable, n: int, tm: TypeMatrix, sizes: list[int] | None = None) -> int:
-    """|G|^n n! / prod_{i,j} ((j |G| / |C_i|)^{a_ij} a_ij!), exact; sizes
-    are g.class_sizes(), when the caller has them."""
-    sizes = g.class_sizes() if sizes is None else sizes
+def class_size(g: GroupTable, n: int, tm: TypeMatrix) -> int:
+    """|G|^n n! / prod_{i,j} ((j |G| / |C_i|)^{a_ij} a_ij!), exact."""
     total = sum((j + 1) * a for (_, j), a in tm)
     if total != n:
         raise ValueError("type matrix does not describe an n-element permutation")
     denom = Fraction(1)
     for (i, j), a in tm:
-        per_cycle = Fraction((j + 1) * g.order, sizes[i])
+        per_cycle = Fraction((j + 1) * g.order, len(g.classes[i]))
         denom *= per_cycle ** a * math.factorial(a)
     out = Fraction(g.order ** n * math.factorial(n)) / denom
     assert out.denominator == 1
@@ -128,12 +126,12 @@ def support_classes(g: GroupTable, n: int) -> list[tuple[tuple, TypeMatrix, int]
     for k in range(2, g.num_classes + 1):
         tm = u_type(g, n, k)
         size = n * sizes[k - 1]
-        assert class_size(g, n, tm, sizes) == size
+        assert class_size(g, n, tm) == size
         out.append((("u", k), tm, size))
     if n >= 2:
         for k in range(1, g.num_classes + 1):
             tm = v_type(g, n, k)
             size = n * (n - 1) // 2 * g.order * sizes[k - 1]
-            assert class_size(g, n, tm, sizes) == size
+            assert class_size(g, n, tm) == size
             out.append((("v", k), tm, size))
     return out

@@ -24,6 +24,25 @@ from .partitions import sn_character_table
 MAX_INGEST_ORDER = 2000
 
 
+class _BuiltOnRead:
+    """A dataclass field that may be set to a builder (a callable of no
+    arguments): the first read runs it and keeps its value."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None                    # the field's default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass
 class GroupTable:
     name: str
@@ -31,17 +50,10 @@ class GroupTable:
     inv: np.ndarray            # (order,) int
     classes: list[list[int]]   # class 0 = {identity}; ordered by min element
     class_of: np.ndarray       # element -> class index
-    # rows: irreps, cols: classes; or a builder of them, run on first read
-    characters: list[list] | Callable[[], list[list]] | None = None
+    # rows: irreps, cols: classes; may be given as a builder of them
+    char_table: list[list] | Callable[[], list[list]] | None = _BuiltOnRead()
     exact_characters: bool = False
     _dims: list | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def char_table(self) -> list[list] | None:
-        """The character table, built on first read when given as a builder."""
-        if callable(self.characters):
-            self.characters = self.characters()
-        return self.characters
 
     @property
     def order(self) -> int:
@@ -152,7 +164,7 @@ def cyclic_group(m: int) -> GroupTable:
         inv=inv.astype(np.int64),
         classes=classes,
         class_of=ar.astype(np.int64),
-        characters=partial(_zm_character_table, m),      # m x m entries: built on first read
+        char_table=partial(_zm_character_table, m),      # m x m entries: built on first read
         exact_characters=m in (1, 2, 4),
     )
 
@@ -234,7 +246,7 @@ def symmetric_group(m: int) -> GroupTable:
         inv=inv,
         classes=classes,
         class_of=class_of,
-        characters=char_rows,
+        char_table=char_rows,
         exact_characters=True,
     )
 
@@ -332,7 +344,7 @@ def group_from_file(path: str) -> GroupTable:
         inv=inv,
         classes=classes,
         class_of=class_of,
-        characters=char_table,
+        char_table=char_table,
         exact_characters=exact,
     )
     _validate_char_table(g)

@@ -254,6 +254,15 @@ def test_envelope_decay_certificate_small():
     assert lhs > 0
 
 
+
+@pytest.mark.parametrize("g_order, n, c, k0", [(2, 25, 1.0, 40), (720, 200, 1.0, 1200), (2, 60, 0.5, 0)])
+def test_envelope_matches_its_two_brackets(g_order, n, c, k0):
+    # both edges come from one pass over the atoms, bit for bit the two
+    # single-k brackets; k0 = 0 is the exact value
+    lhs, rhs = envelope_decay_certificate(g_order, n, c, k0=k0)
+    assert lhs == l2n_sq_collapsed_bounds(g_order, n, k0 + math.ceil(c * n))[1]
+    assert rhs == math.exp(-4.0 * c) * l2n_sq_collapsed_bounds(g_order, n, k0)[0]
+
 def test_mixing_threshold_values():
     g2, g3, s3 = build_group("Z:2"), build_group("Z:3"), build_group("S:3")
     n = 10

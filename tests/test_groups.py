@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathwalk.groups import (
+    GroupTable,
     build_group,
     cyclic_group,
     group_from_file,
@@ -203,12 +204,27 @@ def test_cyclic_characters_are_built_on_first_read(monkeypatch):
         assert g.irrep_dims() == [1] * m
 
 
-def test_oracle_on_a_cyclic_base_reads_no_character():
+def test_oracle_on_a_cyclic_base_reads_no_character(monkeypatch):
+    from wreathwalk import groups
     from wreathwalk.oracle import convolution_curve
     from wreathwalk.walks import build_measure
     from wreathwalk.wreath import build_wreath_table
+    calls = []
+    build = groups._zm_character_table
+    monkeypatch.setattr(groups, "_zm_character_table", lambda m: calls.append(m) or build(m))
     g = cyclic_group(300)
     table = build_wreath_table(g, 1).group
     for kind in ("independent", "paired"):
         list(convolution_curve(table, build_measure(kind, 1, g), [0, 1, 2]))
-    assert callable(g.characters)
+    assert calls == []
+
+
+def test_group_table_takes_and_assigns_a_char_table():
+    # char_table stays the constructor keyword and a plain attribute
+    g = cyclic_group(3)
+    built = GroupTable(g.name, g.mult, g.inv, g.classes, g.class_of,
+                       char_table=g.char_table, exact_characters=False)
+    assert built.char_table == g.char_table
+    assert GroupTable(g.name, g.mult, g.inv, g.classes, g.class_of).char_table is None
+    built.char_table = [[1, 1, 1]]
+    assert built.char_table == [[1, 1, 1]]
