@@ -15,10 +15,10 @@ per-slot offsets ln w(n_1) and ln scale(n_1).
 
 The float sums stream: windowed Atoms hold those |G|-free blocks by
 reference, the O(n) offsets, and the tail majorants as their slot sizes,
-about n^2/2 of them in closed form in (n_1, j).  atom_chunks builds
-(ln w, ln |y|) ATOM_CHUNK atoms at a time, and power_sums folds each chunk
-into a running log-sum-exp per k, one for the atoms and one for the tail.
-A windowed bracket so holds the window shape (18 bytes an atom) and one
+in closed form in (n_1, j); of these about n^2/2 a pass evaluates each
+slot size's first few and certifies the rest (_tail_segments).  Chunks
+of ATOM_CHUNK (ln w, ln |y|) fold into a running log-sum-exp per k.  A
+windowed bracket so holds the window shape (18 bytes an atom) and one
 chunk, never a copy of the window or the tail; terms below 2^-1022 of a
 chunk's largest are left out, which no float sum can see.  Exact and
 spectral atoms are the one-block case: no offsets and no tail.
@@ -76,14 +76,15 @@ class Atoms(NamedTuple):
     at slot size m has ln w = ln_w[m] + ln d^2 and ln |y| = ln |top| -
     ln_scale[m] (m None: no offsets, ln w = ln d^2 and ln |y| = ln |top|).
     Each slot size m in `tail` adds one majorant per deficit j_window < j <
-    m, in closed form over lnf = ln i!, for the upper edge only.  When the
-    atoms are exact, `weights` and `nums` repeat them as ints, y = num / den."""
+    m, in closed form over lnf = ln i!, for the upper edge only (their
+    `segments`).  When exact, `weights` and `nums` repeat them as ints."""
     blocks: tuple
     ln_w: np.ndarray | None = None
     ln_scale: np.ndarray | None = None
     tail: np.ndarray = np.zeros(0, dtype=np.int64)
     j_window: int = 0
     lnf: np.ndarray | None = None
+    segments: tuple | None = None
     weights: tuple | None = None
     nums: tuple | None = None
     den: int = 1
@@ -112,35 +113,85 @@ def exact_atoms(weights, nums, den: int) -> Atoms:
 
 
 def atom_chunks(atoms: Atoms):
-    """(ln w, ln |y|, tail) of the atoms in their fixed order, at most
-    ATOM_CHUNK at a time: each block's, then the tail majorants' (tail
-    True), whose (m, j) are counted off the slot sizes chunk by chunk."""
+    """(ln w, ln |y|) of the atoms in their fixed order, at most ATOM_CHUNK
+    at a time: each block's, offset chunk by chunk."""
     for m, ln_d2, ln_top in atoms.blocks:
         for at in range(0, len(ln_d2), ATOM_CHUNK):
             part = slice(at, at + ATOM_CHUNK)
             if m is None:
-                yield ln_d2[part], ln_top[part], False
+                yield ln_d2[part], ln_top[part]
             else:
-                yield *_offset(atoms, m[part], ln_d2[part], ln_top[part]), False
-    big, lnf = atoms.tail, atoms.lnf
-    if not big.size:
-        return
-    counts = big - 1 - atoms.j_window                 # majorants per slot size
-    ends = np.cumsum(counts)
+                yield _offset(atoms, m[part], ln_d2[part], ln_top[part])
+
+
+def _majorants(atoms: Atoms, counts):
+    """(ln w, ln |y|, i, j) of tail[i]'s majorants at j_window < j <= j_window
+    + counts[i], in chunks of the whole slot sizes that hold about ATOM_CHUNK
+    of all the tail's: the same chunks for any counts."""
+    every = atoms.tail - 1 - atoms.j_window
+    ends = np.cumsum(every)
     r = 0
-    while r < big.size:                               # whole slot sizes, about a chunk
-        rows = slice(r, max(r + 1, int(np.searchsorted(ends, ends[r] - counts[r] + ATOM_CHUNK,
+    while r < every.size:                             # whole slot sizes, about a chunk
+        rows = slice(r, max(r + 1, int(np.searchsorted(ends, ends[r] - every[r] + ATOM_CHUNK,
                                                        side="right"))))
-        r = rows.stop
-        first = ends[rows] - big[rows]                # majorant index of (m, j = 0)
-        mm = np.repeat(big[rows], counts[rows])
-        jj = np.arange(first[0] + atoms.j_window + 1, ends[r - 1]) - np.repeat(first, counts[rows])
-        top = mm + _cmax_at_deficit(mm, jj)
+        r, c = rows.stop, counts[rows]
+        if not c.any():
+            continue
+        ii = np.repeat(np.arange(rows.start, r), c)
+        jj = np.arange(ii.size) - np.repeat(np.cumsum(c) - c, c) + atoms.j_window + 1
+        top = atoms.tail[ii] + _cmax_at_deficit(atoms.tail[ii], jj)
         keep = top > 0
-        mm, jj, top = mm[keep], jj[keep], top[keep]
-        # each deficit j > j_window: at most 2 C(m,j)^2 j! of d^2, |y| <= (m + cmax)/scale
-        ln_count = math.log(2.0) + 2 * (lnf[mm] - lnf[jj] - lnf[mm - jj]) + lnf[jj]
-        yield *_offset(atoms, mm, ln_count, np.log(top)), True
+        ii, jj, top = ii[keep], jj[keep], top[keep]
+        mm = atoms.tail[ii]
+        yield *_offset(atoms, mm, _ln_count(atoms.lnf, mm, jj), np.log(top)), ii, jj
+
+
+def _ln_count(lnf, m, j):
+    """ln 2 C(m,j)^2 j! >= ln d^2 of all lambda |- m with first row or column m - j."""
+    return math.log(2.0) + 2 * (lnf[m] - lnf[j] - lnf[m - j]) + lnf[j]
+
+
+@lru_cache(maxsize=2)
+def _tail_segments(n: int, j_window: int, full: int) -> tuple:
+    """|G|-free bounds on the tail majorants of m = full+1..n in segments
+    [g, h) of deficits, lengths growing 1.15-fold (g - j_window - 1 in offs,
+    and a last, empty one).  m + cmax(m,j) falls in j, and the count
+    2 C(m,j)^2 j! is log-concave, its ratio (m-j)^2/(j+1) to j + 1 falling,
+    so (h - g) times the count at its peak in [g, h), at y(m, g), bounds a
+    segment.  Per (m, segment): ln of that (h - g) count (-inf if the
+    segment is empty or m + cmax(m, g) <= 0) and ln (m + cmax(m, g))."""
+    lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    offs = [0]
+    while j_window + 1 + offs[-1] < n:
+        offs.append(max(offs[-1] + 1, int(offs[-1] * 1.15)))
+    offs = np.array(offs + offs[-1:])
+    starts, (ln_count, ln_top) = j_window + 1 + offs, np.empty((2, n - full, len(offs) - 1))
+    step = ATOM_CHUNK // len(offs) + 1                           # slot sizes at a time
+    for at in range(0, n - full, step):
+        big, rows = np.arange(full + 1, n + 1)[at:at + step, None], slice(at, at + step)
+        g, h = np.minimum(starts[:-1], big - 1), np.minimum(starts[1:], big)
+        top = big + _cmax_at_deficit(big, g)
+        off = (starts[:-1] >= h) | (top <= 0)
+        u = (np.sqrt(4 * big + 5).astype(np.int64) - 1) // 2     # peak: largest u(u+1) <= m+1
+        ln_count[rows] = _ln_count(lnf, big, np.clip(big - u, g, h - 1)) + np.log(h - g + off)
+        ln_count[rows][off] = -math.inf
+        ln_top[rows] = np.log(np.where(off, 1, top))
+    return ln_count, ln_top, offs
+
+
+def _tail_cuts(atoms: Atoms, k: int, lo: float) -> tuple:
+    """(majorants to evaluate per slot size, (top, sum) of the certificate of
+    the rest) at k: from the first segment whose rest is below 2^-60 lo / (slot sizes)."""
+    (ln_count, ln_top, offs), big = atoms.segments, atoms.tail
+    ln_cap = (math.log(lo) if lo else LN_TINY) - 60 * math.log(2.0) - math.log(big.size)
+    t = ln_top * (2 * k)
+    t += ln_count
+    t += (atoms.ln_w[big] - 2 * k * atoms.ln_scale[big] - ln_cap)[:, None]
+    with np.errstate(over="ignore"):
+        rest = np.cumsum(np.exp(t, out=t)[:, ::-1], axis=1)[:, ::-1]   # sum_{>= i} / e^ln_cap
+    cut = (rest >= 1).sum(1)                          # rest falls in i, to 0 at the empty segment
+    cert = float(rest[np.arange(big.size), cut].sum())
+    return np.minimum(offs[cut], big - 1 - atoms.j_window), (ln_cap if cert else -math.inf, cert)
 
 
 def _offset(atoms: Atoms, m, ln_d2, ln_top) -> tuple:
@@ -158,7 +209,8 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
     with equal num^2 share one weight, and the powers step up from one k
     to the next.  Otherwise certified (lower, upper) floats by
     log-sum-exp, one pass over the atom chunks for all ks: the lower edge
-    sums the atoms, the upper edge adds the tail majorants."""
+    sums the atoms, the upper edge adds per k the tail majorants up to
+    _tail_cuts and a certificate for the rest: a bracket depends on k alone."""
     if not ks:
         return []
     if exact:
@@ -173,21 +225,31 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
             pows = [p * y2 ** (k - at) for p, y2 in zip(pows, y2s)]
             got[k], at = Fraction(sum(w * p for w, p in zip(ws, pows)), atoms.den ** (2 * k)), k
         return [got[k] for k in ks]
-    parts = [([], []) for _ in ks]           # per k: (max, sum) of each atom and tail chunk
-    for ln_w, ln_y, tail in atom_chunks(atoms):
-        t = np.empty_like(ln_w)
-        for k, got in zip(ks, parts):
-            if k:
-                np.multiply(ln_y, 2 * k, out=t)
-                t += ln_w
-            else:
-                np.copyto(t, ln_w)                         # 0 * ln 0 is nan
-            got[tail].append(_exp_sum(t))
-    out = []
-    for main, tail in parts:
-        lo = _total(main)
-        out.append((lo, lo + _total(tail)))
-    return out
+    mains, tails = [[] for _ in ks], [[] for _ in ks]     # per k: (max, sum) of each chunk
+    for ln_w, ln_y in atom_chunks(atoms):
+        _fold(ln_w, ln_y, ks, mains)
+    los = [_total(main) for main in mains]
+    if atoms.tail.size:                       # the ks' majorants built once, each k's summed
+        cuts = [_tail_cuts(atoms, k, lo) for k, lo in zip(ks, los)]
+        for ln_w, ln_y, ii, jj in _majorants(atoms, np.max([c for c, _ in cuts], axis=0)):
+            for k, (counts, _), tail in zip(ks, cuts, tails):
+                mine = jj <= atoms.j_window + counts[ii]
+                _fold(ln_w[mine], ln_y[mine], [k], [tail])
+        for (_, cert), tail in zip(cuts, tails):
+            tail.append(cert)
+    return [(lo, lo + _total(tail)) for lo, tail in zip(los, tails)]
+
+
+def _fold(ln_w, ln_y, ks, parts) -> None:
+    """Append each k's (top, sum) of the chunk's w y^{2k} to its parts."""
+    t = np.empty_like(ln_w)
+    for k, got in zip(ks, parts):
+        if k:
+            np.multiply(ln_y, 2 * k, out=t)
+            t += ln_w
+        else:
+            np.copyto(t, ln_w)                             # 0 * ln 0 is nan
+        got.append(_exp_sum(t))
 
 
 def _exp_sum(t: np.ndarray) -> tuple[float, float]:
@@ -215,20 +277,18 @@ def _total(parts) -> float:
 def l2_column(atoms: Atoms, ks, at_zero: float | None = None) -> list:
     """One l2 value per k: an exact Fraction where the atoms are exact and
     k <= EXACT_K_MAX, else the float upper edge (at k = 0 the closed form
-    at_zero, when given)."""
+    at_zero, when given, which then no pass computes)."""
     exact = [k for k in ks if atoms.weights is not None and k <= EXACT_K_MAX]
     got = dict(zip(exact, power_sums(atoms, exact, exact=True)))
-    rest = [k for k in ks if k not in got]
-    got.update((k, at_zero if k == 0 and at_zero is not None else hi)
-               for k, (_, hi) in zip(rest, power_sums(atoms, rest)))
-    return [got[k] for k in ks]
+    rest = [k for k in ks if k not in got and (k or at_zero is None)]
+    got.update((k, hi) for k, (_, hi) in zip(rest, power_sums(atoms, rest)))
+    return [got.get(k, at_zero) for k in ks]
 
 
 # ---------------------------------------------------------------------------
 # collapsed l2 sum for the independent walk (and, with g_order=1, the
 # transposition walk on S_n alone)
 
-@lru_cache(maxsize=8)
 def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None = None) -> Atoms:
     """Atoms of the collapsed sum: weight C(n,n_1)(n!/n_1!)(|G|-1)^{n-n_1} d^2
     at y = (n_1 + content)/n^2 per lambda |- n_1, the trivial line (n_1 = n,
@@ -238,11 +298,11 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     window None: every lambda, exactly, as ints over n^2 (a paired request
     raises ValueError).  window (j_window, full_enum_max): logs only, and
     each n_1 above max(full_enum_max, 2 j_window + 2) gets deficit-window
-    atoms and tail majorants instead of all its partitions.
-    Window atoms are _window_shape's (once per n) and, for |G| > 1, table
-    rows at n_1 <= full are _table_logs' (once per full), held by
-    reference and offset by ln w(n_1) and -ln scale(n_1) chunk by chunk;
-    |G| = 1 keeps only n_1 = n.  The tail majorants are their slot sizes."""
+    atoms and tail majorants (slot sizes, _tail_segments' rows) instead of
+    all its partitions.  Window atoms are _window_shape's (once per n) and,
+    for |G| > 1, table rows at n_1 <= full are _table_logs' (once per full),
+    held by reference, offset by ln w(n_1) and -ln scale(n_1) chunk by
+    chunk; |G| = 1 keeps only n_1 = n.  Not cached: no block outlives its cache."""
     if window is None and paired:
         raise ValueError("the relaxed bound has no exact atoms: its values share no denominator")
     full = n if window is None else min(n, max(window[1], 2 * window[0] + 2))
@@ -277,17 +337,22 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
             table = tuple(np.delete(col, np.searchsorted(table[0], n)) for col in table)
         blocks.append(table)
     big = np.array([m for m in slots if m > full], dtype=np.int64)
+    segments = None
     if big.size:
-        shape = _window_shape(n, window[0], full)
-        blocks.append(shape if g_order > 1 else tuple(col[shape[0] == n] for col in shape))
-    return Atoms(tuple(blocks), ln_w, ln_scale, big, window[0], lnf)
+        shape, segments = _window_shape(n, window[0], full), _tail_segments(n, window[0], full)
+        if g_order == 1:
+            segments = (segments[0][-1:], segments[1][-1:], segments[2])
+            shape = tuple(col[shape[0] == n] for col in shape)
+        blocks.append(shape)
+    return Atoms(tuple(blocks), ln_w, ln_scale, big, window[0], lnf, segments)
 
 
 def _window_bytes(n: int, j_window: int, full: int) -> tuple[int, int]:
     """(bytes, window atoms) of the windowed brackets, in closed form before
     any is built: _window_shape's 2 (n - full) sum_{j <= j_window} p(j) - 1
     atoms at SHAPE_ATOM_BYTES, held once per n for every |G|, and one chunk
-    of ATOM_CHUNK atoms at CHUNK_ATOM_BYTES; the tail holds no array."""
+    of ATOM_CHUNK atoms at CHUNK_ATOM_BYTES.  The tail's _tail_segments, 16
+    bytes per (n_1, segment), fit in the shape build's temporaries."""
     atoms = 2 * (n - full) * sum(partition_counts(j_window)) - 1 if n > full else 0
     return SHAPE_ATOM_BYTES * atoms + CHUNK_ATOM_BYTES * ATOM_CHUNK, atoms
 
@@ -318,6 +383,7 @@ def _window_shape(n: int, j_window: int, full: int) -> tuple:
     outside the window as m > 2 j_window + 2; the trivial line [n] left out."""
     lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
     lni = np.log(np.arange(n + 1).clip(1))                          # ln i for i >= 1
+    runs = np.lib.stride_tricks.sliding_window_view(lni, n - full)  # ln i..i+n-full-1 per i
     big = np.arange(full + 1, n + 1)
     size = 2 * len(big) * sum(partition_counts(j_window)) - 1
     shape, at = (np.empty(size, dtype=np.min_scalar_type(n)), np.empty(size), np.empty(size)), 0
@@ -329,7 +395,8 @@ def _window_shape(n: int, j_window: int, full: int) -> tuple:
         # first-row hooks by the strip formula, column c of mu has (parts >= c).sum(1) cells
         hooks = np.zeros((len(dims), len(big)))
         for c in range(1, j + 1):
-            hooks += np.where(c <= mu1, lni[big - j - c + 1 + (parts >= c).sum(1)[:, None]], 0.0)
+            rows = mu1[:, 0] >= c
+            hooks[rows] += runs[full + 2 - j - c + (parts[rows] >= c).sum(1)]
         ln_d = (lnf[big] - lnf[big - j - mu1] - lnf[j]
                 + np.array([math.log(d) for d in dims])[:, None] - hooks)
         c_lam = (big - j) * (big - j - 1) + np.array(contents)[:, None] - 2 * j
@@ -385,8 +452,15 @@ def _atoms(g_order: int, n: int, paired: tuple | None = None) -> Atoms:
     """The collapsed atoms (paired = (s, delta_n): the relaxed bound's)
     under the one exactness rule: exact, every row as ints over n^2, iff
     they are collapsed atoms and n <= FULL_ENUM_MAX, else windowed logs."""
-    exact = not paired and n <= FULL_ENUM_MAX
-    return _slot_atoms(g_order, n, None if exact else (J_WINDOW, FULL_ENUM_MAX), paired)
+    if not paired and n <= FULL_ENUM_MAX:
+        return _exact_atoms(g_order, n)
+    return _slot_atoms(g_order, n, (J_WINDOW, FULL_ENUM_MAX), paired)
+
+
+@lru_cache(maxsize=8)
+def _exact_atoms(g_order: int, n: int) -> Atoms:
+    """_slot_atoms without a window, cached (windowed atoms would pin shapes)."""
+    return _slot_atoms(g_order, n, None)
 
 
 def _column(g_order: int, n: int, ks, paired: tuple | None = None) -> list:

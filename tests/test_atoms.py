@@ -234,7 +234,6 @@ def test_sym_window_builds_no_small_slot_rows(monkeypatch):
     # m <= FULL_ENUM_MAX table is used, so none of them is built
     tops = []
     monkeypatch.setattr(bounds, "content_rows", lambda top: tops.append(top) or content_rows(top))
-    bounds._slot_atoms.cache_clear()
     lo, hi = bounds.l2n_sq_collapsed_bounds(1, 200, 600)
     assert 0 < lo <= hi and tops == [0]
 
@@ -305,9 +304,19 @@ def _reference_window_atoms(g_order, n, window, paired=None):
 
 
 def _streamed(atoms):
-    """(ln w, ln |y|, tail) of the atoms, their chunks concatenated."""
-    ln_w, ln_y, tail = zip(*((w, y, np.full(len(w), t)) for w, y, t in bounds.atom_chunks(atoms)))
-    return tuple(np.concatenate(col) for col in (ln_w, ln_y, tail))
+    """(ln w, ln |y|) of the atoms, their chunks concatenated."""
+    return tuple(np.concatenate(col) for col in zip(*bounds.atom_chunks(atoms)))
+
+
+def _assert_atoms_equal_the_reference(atoms, want):
+    # bit for bit: the atoms, and every tail majorant as a pass that cuts
+    # nothing streams them (a pass cuts per k; the cut sum is checked below)
+    ln_w, ln_y, tail = want
+    for name, a, b in zip(("ln_w", "ln_y"), _streamed(atoms), (ln_w[~tail], ln_y[~tail])):
+        assert np.array_equal(a, b), name
+    every = bounds._majorants(atoms, atoms.tail - 1 - atoms.j_window) if atoms.tail.size else []
+    for name, a, b in zip(("tail ln_w", "tail ln_y"), zip(*every), (ln_w[tail], ln_y[tail])):
+        assert np.array_equal(np.concatenate(a), b), name
 
 
 WINDOW = (bounds.J_WINDOW, bounds.FULL_ENUM_MAX)
@@ -322,21 +331,17 @@ WINDOW = (bounds.J_WINDOW, bounds.FULL_ENUM_MAX)
 def test_window_atoms_equal_the_reference_bit_for_bit(g_order, n, window, gname):
     paired = _paired(build_group(gname), n) if gname else None
     atoms = bounds._slot_atoms(g_order, n, window, paired)
-    got, want = _streamed(atoms), _reference_window_atoms(g_order, n, window, paired)
     assert atoms.tail.any() and atoms.weights is None
-    for name, a, b in zip(("ln_w", "ln_y", "tail"), got, want):
-        assert np.array_equal(a, b), name
+    _assert_atoms_equal_the_reference(atoms, _reference_window_atoms(g_order, n, window, paired))
 
 
 def test_window_shape_is_built_once_per_n():
     # Z:2, sym, the S:3 relaxed bound and |G| = 720 share one n = 200 shape
-    bounds._slot_atoms.cache_clear()
     bounds._window_shape.cache_clear()
     l2n_sq_collapsed_bounds(2, 200, 600)
     l2n_sq_collapsed_bounds(1, 200, 600)
     paired_relaxed_bound(build_group("S:3"), 200, 1200)
     l2n_sq_collapsed_bounds(720, 200, 1200)
-    assert bounds._slot_atoms.cache_info().misses == 4
     assert bounds._window_shape.cache_info().misses == 1
 
 
@@ -345,10 +350,10 @@ def test_relaxed_atoms_at_n_equal_to_full_equal_the_reference(gname):
     # windowed relaxed atoms at n = 20 <= FULL_ENUM_MAX: table rows only, the
     # trivial line [n] dropped from the shared table block
     g = build_group(gname)
-    got = _streamed(bounds._slot_atoms(g.order, 20, WINDOW, _paired(g, 20)))
+    atoms = bounds._slot_atoms(g.order, 20, WINDOW, _paired(g, 20))
+    assert not atoms.tail.size
     want = _reference_window_atoms(g.order, 20, WINDOW, _paired(g, 20))
-    for name, a, b in zip(("ln_w", "ln_y", "tail"), got, want):
-        assert np.array_equal(a, b), name
+    _assert_atoms_equal_the_reference(atoms, want)
 
 
 def test_table_rows_are_logged_once_per_full(monkeypatch):
@@ -356,13 +361,11 @@ def test_table_rows_are_logged_once_per_full(monkeypatch):
     # and |G| = 720 at n = 200, Z:2 at n = 1000) share one m <= 40 table block
     tops = []
     monkeypatch.setattr(bounds, "content_rows", lambda top: tops.append(top) or content_rows(top))
-    bounds._slot_atoms.cache_clear()
     bounds._table_logs.cache_clear()
     l2n_sq_collapsed_bounds(2, 200, 600)
     paired_relaxed_bound(build_group("S:3"), 200, 1200)
     l2n_sq_collapsed_bounds(720, 200, 1200)
     l2n_sq_collapsed_bounds(2, 1000, 4000)
-    assert bounds._slot_atoms.cache_info().misses == 4
     assert bounds._table_logs.cache_info().misses == 1 and tops == [bounds.FULL_ENUM_MAX]
 
 
@@ -412,3 +415,100 @@ def test_streamed_power_sums_match_a_materialized_evaluation(g_order, n, gname):
         assert 0 < lo_want <= hi_want < math.inf, k
         assert abs(lo - lo_want) <= 1e-13 * lo_want, k
         assert abs(hi - hi_want) <= 1e-13 * hi_want, k
+
+
+def _k0(g_order, n):
+    extra = 0.25 * n * math.log(g_order - 1) if g_order > 1 else 0.0
+    return math.ceil(0.5 * n * math.log(n) + extra)
+
+
+@pytest.mark.parametrize("n", [41, 45, 200, 1000])
+@pytest.mark.parametrize("g_order,gname", [(1, None), (2, None), (720, None), (6, "S:3")])
+def test_cut_tail_is_within_2_to_the_minus_50_lo_of_every_majorant(g_order, gname, n):
+    # the cut tail and its certificate against the sum of every per-j
+    # majorant of the reference, at the benchmark's cutoff offsets and at
+    # k = n, 3n, far before the cutoff, where the tail can dwarf lo
+    paired = _paired(build_group(gname), n) if gname else None
+    ks = [_k0(g_order, n) + math.ceil(c * n) for c in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+    ks = [2 * k for k in ks] if paired else ks
+    ln_w, ln_y, tail = _reference_window_atoms(g_order, n, WINDOW, paired)
+    atoms = bounds._slot_atoms(g_order, n, WINDOW, paired)
+    for k, (lo, hi) in zip(ks + [n, 3 * n], power_sums(atoms, ks + [n, 3 * n])):
+        assert (lo, hi) == power_sums(atoms, [k])[0], k          # k alone decides
+        t = ln_y * (2 * k) + ln_w
+        ln_lo, ln_tail = _ln_sum(t[~tail]), _ln_sum(t[tail])    # the tail: every majorant
+        if max(ln_lo, ln_tail) > 709:                            # past the float range
+            assert hi == math.inf, k
+            continue
+        assert abs(math.log(lo) - ln_lo) <= 1e-13, k
+        hi_full = lo + math.exp(ln_tail)
+        assert hi_full * (1 - 1e-15) <= hi <= hi_full * (1 + 1e-15) + 2 ** -50 * lo, k
+
+
+def _ln_sum(t):
+    """ln sum e^t in one pass, -inf if empty."""
+    top = t.max(initial=-math.inf)
+    return top if top == -math.inf else top + math.log(np.exp(t - top).sum())
+
+
+def _count_majorants(monkeypatch):
+    seen = []
+    majorants = bounds._majorants
+
+    def counted(atoms, counts):
+        for chunk in majorants(atoms, counts):
+            seen.append(len(chunk[0]))
+            yield chunk
+    monkeypatch.setattr(bounds, "_majorants", counted)
+    return seen
+
+
+def test_a_pass_evaluates_few_of_the_tail_majorants(monkeypatch):
+    # at n = 1000 the tail has 467 216 per-j majorants; a bracket half a
+    # cutoff window early evaluates under 5 % of them, and at n = 200 one
+    # where the tail is 10^55 times lo evaluates no more than all 15 632
+    every = {}
+    for n in (200, 1000):
+        atoms = bounds._atoms(2, n)
+        chunks = bounds._majorants(atoms, atoms.tail - 1 - bounds.J_WINDOW)
+        every[n] = sum(len(chunk[0]) for chunk in chunks)
+    assert every == {200: 15632, 1000: 467216}
+    seen = _count_majorants(monkeypatch)
+    for n, k, share in [(1000, _k0(2, 1000) - 500, 0.05), (200, _k0(2, 200) - 200, 1.0)]:
+        seen.clear()
+        lo, hi = power_sums(bounds._atoms(2, n), [k])[0]
+        assert 0 < lo < hi and 0 < sum(seen) <= share * every[n], n
+    assert hi > 1e50 * lo
+
+
+def test_a_pass_builds_each_majorant_once_for_all_its_ks(monkeypatch):
+    # a bracket depends on its k alone, and a pass builds the union of its
+    # ks' majorants once: k = 330 twice costs no more than once
+    seen = _count_majorants(monkeypatch)
+    atoms = bounds._atoms(2, 200)
+    singles, built = [], []
+    for k in (330, 600):
+        seen.clear()
+        singles += power_sums(atoms, [k])
+        built.append(sum(seen))
+    seen.clear()
+    assert power_sums(atoms, [330, 600, 330]) == [singles[0], singles[1], singles[0]]
+    assert 0 < max(built) <= sum(seen) <= sum(built)
+
+
+def test_a_curve_with_k_0_is_the_curve_without_it_and_the_closed_form(monkeypatch):
+    # no float pass over the windowed atoms sees k = 0
+    passes = []
+    power = bounds.power_sums
+    monkeypatch.setattr(bounds, "power_sums", lambda atoms, ks, exact=False: (
+        atoms.tail.size and passes.append(list(ks))) or power(atoms, ks, exact))
+    for kind, gname, n, at_zero in [
+        ("independent", "Z:2", 60, float(2 ** 60 * math.factorial(60) - 1)),
+        ("paired", "S:3", 50, 4.0 * float(Fraction(3, 2) * (6 ** 50 * math.factorial(50) - 1)
+                                          + Fraction(bounds.delta_n(build_group("S:3"), 50), 4))),
+    ]:
+        g = build_group(gname)
+        with_zero = distance_curve(kind, n, g, ks=[0, 300, 900])
+        assert with_zero.rows[1:] == distance_curve(kind, n, g, ks=[300, 900]).rows
+        assert with_zero.rows[0]["l2n_sq"] == pytest.approx(at_zero, rel=1e-12)
+    assert passes and not any(0 in ks for ks in passes)

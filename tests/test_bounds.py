@@ -3,9 +3,8 @@ bound, Chebyshev/dominant/coupling witnesses, thresholds."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wreathwalk import bounds
 from wreathwalk.bounds import (
@@ -138,20 +137,52 @@ def test_window_dimension_recursion():
                 assert c_lam == content_sum(lam)
 
 
-@given(st.integers(6, 14), st.integers(1, 12))
-@settings(max_examples=60, deadline=None)
-def test_cmax_is_the_true_max(m, j):
-    if j > m - 1:
-        j = m - 1
-    want = max(
-        (content_sum((m - j,) + mu) for mu in partitions_of(j) if not mu or mu[0] <= m - j),
-        default=None,
-    )
-    got = bounds._cmax_at_deficit(m, j)
-    if want is None:
-        assert got is None or m - j < 1
-    else:
-        assert got == want
+def test_cmax_is_the_true_max():
+    # every deficit j < m of every m <= 22 against all partitions with first row m - j
+    for m in range(1, 23):
+        for j in range(m):
+            want = max(content_sum((m - j,) + mu) for mu in partitions_of(j)
+                       if not mu or mu[0] <= m - j)
+            assert bounds._cmax_at_deficit(m, j) == want, (m, j)
+
+
+def test_tail_y_falls_in_the_deficit():
+    # m + cmax(m, j) is nonincreasing in j: y(m, g) bounds a tail segment from g on
+    for m in range(1, 3001):
+        j = np.arange(m)
+        assert (np.diff(m + bounds._cmax_at_deficit(np.full(m, m), j)) <= 0).all(), m
+
+
+def test_majorant_counts_are_log_concave():
+    # C(m,j)^2 j! rises to its peak at the largest m - j = u with u(u+1) <= m+1,
+    # then falls: the max over any [g, h) is at the peak clipped to it
+    for m in range(1, 301):
+        counts = [math.comb(m, j) ** 2 * math.factorial(j) for j in range(m)]
+        peak = counts.index(max(counts))
+        u = max(u for u in range(m + 1) if u * (u + 1) <= m + 1)
+        assert peak == max(m - u, 0), m
+        assert counts[:peak + 1] == sorted(counts[:peak + 1]), m
+        assert counts[peak:] == sorted(counts[peak:], reverse=True), m
+
+
+def test_tail_segment_counts_are_their_direct_max():
+    # every segment of _tail_segments at n = 3000 (m = 41..3000) against the
+    # largest majorant count in it, over every deficit
+    n, j_window, full = 3000, bounds.J_WINDOW, bounds.FULL_ENUM_MAX
+    ln_count, ln_top, offs = bounds._tail_segments(n, j_window, full)
+    lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    starts = j_window + 1 + offs
+    for row, m in enumerate(range(full + 1, n + 1)):
+        j = np.arange(m)
+        top = m + bounds._cmax_at_deficit(np.full(m, m), j)
+        last = np.searchsorted(starts, m)                # segments [g, h) with g < m
+        g, h = starts[:last], np.minimum(starts[1:last + 1], m)
+        direct = np.maximum.reduceat(bounds._ln_count(lnf, m, j), g) + np.log(h - g)
+        live = top[g] > 0
+        assert np.allclose(ln_count[row, :last][live], direct[live], rtol=1e-13, atol=1e-9), m
+        assert (ln_count[row, :last][~live] == -math.inf).all()
+        assert (ln_count[row, last:] == -math.inf).all()
+        assert np.array_equal(ln_top[row, :last][live], np.log(top[g][live]))
 
 
 @pytest.mark.parametrize("gname,n", [("Z:2", 4), ("Z:3", 3), ("S:3", 3)])

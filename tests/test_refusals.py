@@ -84,7 +84,7 @@ def test_sym_spectrum_far_past_the_partition_table_cap_refused_before_counting(c
 
 
 def _cold_window():
-    for cached in (bounds._slot_atoms, bounds._window_shape, bounds._table_logs):
+    for cached in (bounds._window_shape, bounds._tail_segments, bounds._table_logs):
         cached.cache_clear()
 
 
@@ -122,6 +122,28 @@ def test_windowed_bracket_holds_no_copy_of_the_window_or_tail():
         _cold_window()
     assert len(shape[0]) == 1066239
     assert peak < sum(col.nbytes for col in shape) + 8 * len(shape[0])
+
+
+def test_a_sweep_of_windowed_brackets_holds_only_the_cached_blocks():
+    # brackets at four sizes leave the last two window shapes and tail
+    # segments and the table logs, nothing more: no windowed atoms are
+    # cached, so none holds a block its own cache has dropped
+    bounds.content_rows(bounds.FULL_ENUM_MAX)
+    _cold_window()
+    tracemalloc.start()
+    try:
+        for n in (1000, 1500, 2000, 2500):
+            bounds.l2n_sq_collapsed_bounds(2, n, 5 * n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    builds = bounds._window_shape.cache_info().misses
+    cached = [bounds._window_shape(n, bounds.J_WINDOW, bounds.FULL_ENUM_MAX) for n in (2000, 2500)]
+    cached += [bounds._tail_segments(n, bounds.J_WINDOW, bounds.FULL_ENUM_MAX) for n in (2000, 2500)]
+    cached.append(bounds._table_logs(bounds.FULL_ENUM_MAX))
+    assert bounds._window_shape.cache_info().misses == builds == 4
+    assert held <= sum(col.nbytes for block in cached for col in block) + 2 ** 20
+    _cold_window()
 
 
 def test_windowed_brackets_past_physical_memory_refused(monkeypatch, capsys):
