@@ -126,8 +126,7 @@ def atom_chunks(atoms: Atoms):
 
 def _majorants(atoms: Atoms, counts):
     """(ln w, ln |y|, i, j) of tail[i]'s majorants at j_window < j <= j_window
-    + counts[i], in chunks of the whole slot sizes that hold about ATOM_CHUNK
-    of all the tail's: the same chunks for any counts."""
+    + counts[i], for any counts in the chunks of whole slot sizes of the full tail."""
     every = atoms.tail - 1 - atoms.j_window
     ends = np.cumsum(every)
     r = 0
@@ -154,12 +153,11 @@ def _ln_count(lnf, m, j):
 @lru_cache(maxsize=2)
 def _tail_segments(n: int, j_window: int, full: int) -> tuple:
     """|G|-free bounds on the tail majorants of m = full+1..n in segments
-    [g, h) of deficits, lengths growing 1.15-fold (g - j_window - 1 in offs,
-    and a last, empty one).  m + cmax(m,j) falls in j, and the count
-    2 C(m,j)^2 j! is log-concave, its ratio (m-j)^2/(j+1) to j + 1 falling,
-    so (h - g) times the count at its peak in [g, h), at y(m, g), bounds a
-    segment.  Per (m, segment): ln of that (h - g) count (-inf if the
-    segment is empty or m + cmax(m, g) <= 0) and ln (m + cmax(m, g))."""
+    [g, h) of deficits, lengths growing 1.15-fold (g - j_window - 1 in offs;
+    a last one empty).  m + cmax(m,j) falls in j and 2 C(m,j)^2 j! is
+    log-concave, so (h - g) times the count at its peak, at y(m, g), bounds a
+    segment.  Per (m, segment): ln of that (h - g) count (-inf if the segment
+    is empty or m + cmax(m, g) <= 0) and ln (m + cmax(m, g))."""
     lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
     offs = [0]
     while j_window + 1 + offs[-1] < n:
