@@ -11,7 +11,12 @@ partition table; above FULL_ENUM_MAX an n_1 gets a deficit window (first
 row n_1 - j, j <= J_WINDOW) plus one tail majorant per larger deficit.
 The window depends on n alone and is built once per n, the logged table
 rows below it once per cutoff; |G| and the walk enter only as the
-per-slot offsets ln w(n_1) and ln scale(n_1).
+per-slot offsets ln w(n_1) and ln scale(n_1).  The table rows are read by
+need: a level n_1 holds d^2 mass n_1! at |y| <= n_1^2/scale(n_1), so the
+table is at most sum_{n_1} w(n_1) n_1! (n_1^2/scale(n_1))^{2k} in closed
+form, and a k at which that is below 2^-60 of the [n-1] atom's term (held
+by the lower edge) adds it to the upper edge instead (_table_gate): near
+the cutoff no partition table is built.
 
 The float sums stream: windowed Atoms hold those |G|-free blocks by
 reference, the O(n) offsets, and the tail majorants as their slot sizes,
@@ -36,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -75,9 +80,11 @@ class Atoms(NamedTuple):
     """Terms w y^{2k} of an l2 sum as blocks (m, ln d^2, ln |top|): an atom
     at slot size m has ln w = ln_w[m] + ln d^2 and ln |y| = ln |top| -
     ln_scale[m] (m None: no offsets, ln w = ln d^2 and ln |y| = ln |top|).
-    Each slot size m in `tail` adds one majorant per deficit j_window < j <
-    m, in closed form over lnf = ln i!, for the upper edge only (their
-    `segments`).  When exact, `weights` and `nums` repeat them as ints."""
+    A block may be a callable, built when first read.  Each slot size m in
+    `tail` adds one majorant per deficit j_window < j < m, in closed form
+    over lnf = ln i!, for the upper edge only; `segments` builds their
+    bounds, tail's in its last rows.  When exact, `weights` and `nums`
+    repeat them as ints."""
     blocks: tuple
     ln_w: np.ndarray | None = None
     ln_scale: np.ndarray | None = None
@@ -112,16 +119,51 @@ def exact_atoms(weights, nums, den: int) -> Atoms:
                  weights=weights, nums=nums, den=den)
 
 
+class Table(NamedTuple):
+    """The block of the table rows at slot sizes m <= full, _table_logs(full),
+    read by need: power_sums reads it only at the ks of _table_gate."""
+    full: int
+
+    def __call__(self) -> tuple:
+        return _table_logs(self.full)
+
+
 def atom_chunks(atoms: Atoms):
     """(ln w, ln |y|) of the atoms in their fixed order, at most ATOM_CHUNK
     at a time: each block's, offset chunk by chunk."""
-    for m, ln_d2, ln_top in atoms.blocks:
-        for at in range(0, len(ln_d2), ATOM_CHUNK):
-            part = slice(at, at + ATOM_CHUNK)
-            if m is None:
-                yield ln_d2[part], ln_top[part]
-            else:
-                yield _offset(atoms, m[part], ln_d2[part], ln_top[part])
+    for block in atoms.blocks:
+        yield from _block_chunks(atoms, block)
+
+
+def _block_chunks(atoms: Atoms, block):
+    """atom_chunks of one block, a callable one built (or taken from its cache) here."""
+    m, ln_d2, ln_top = block() if callable(block) else block
+    for at in range(0, len(ln_d2), ATOM_CHUNK):
+        part = slice(at, at + ATOM_CHUNK)
+        if m is None:
+            yield ln_d2[part], ln_top[part]
+        else:
+            yield _offset(atoms, m[part], ln_d2[part], ln_top[part])
+
+
+def _table_gate(atoms: Atoms, ks) -> list:
+    """Per k: None where a pass reads the Table block, else its certificate
+    as a tail part (ln cert(k), 1) of the upper edge.  A level m holds d^2
+    mass m! at |y| <= m^2 / scale(m) (|content| <= m(m-1)), so the block is
+    at most cert(k) = sum_{m <= full} w(m) m! (m^2 / scale(m))^{2k}; lo holds
+    the slot n-1 atom [n-1], ref(k) = w(n-1) ((n-1)^2 / scale(n-1))^{2k}.  A
+    k reads the block iff k = 0 or cert(k) >= 2^-60 ref(k): k alone decides."""
+    table = next((b for b in atoms.blocks if isinstance(b, Table)), None)
+    if table is None:
+        return [None] * len(ks)
+    n, two_k = atoms.ln_w.size - 1, 2.0 * np.array(ks, dtype=float)
+    ln_cert = np.full(len(ks), -math.inf)
+    for m in range(1, table.full + 1):                  # level 0 is y = 0 at k > 0
+        ln_y = 2 * math.log(m) - atoms.ln_scale[m]
+        np.logaddexp(ln_cert, atoms.ln_w[m] + atoms.lnf[m] + two_k * ln_y, out=ln_cert)
+    ln_ref = atoms.ln_w[n - 1] + two_k * (2 * math.log(n - 1) - atoms.ln_scale[n - 1])
+    skip = (ln_cert < ln_ref - 60 * math.log(2.0)) & (two_k > 0)
+    return [(c, 1.0) if s else None for c, s in zip(ln_cert.tolist(), skip.tolist())]
 
 
 def _majorants(atoms: Atoms, counts):
@@ -180,7 +222,8 @@ def _tail_segments(n: int, j_window: int, full: int) -> tuple:
 def _tail_cuts(atoms: Atoms, k: int, lo: float) -> tuple:
     """(majorants to evaluate per slot size, (top, sum) of the certificate of
     the rest) at k: from the first segment whose rest is below 2^-60 lo / (slot sizes)."""
-    (ln_count, ln_top, offs), big = atoms.segments, atoms.tail
+    (ln_count, ln_top, offs), big = atoms.segments(), atoms.tail
+    ln_count, ln_top = ln_count[-big.size:], ln_top[-big.size:]
     ln_cap = (math.log(lo) if lo else LN_TINY) - 60 * math.log(2.0) - math.log(big.size)
     t = ln_top * (2 * k)
     t += ln_count
@@ -208,7 +251,9 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
     to the next.  Otherwise certified (lower, upper) floats by
     log-sum-exp, one pass over the atom chunks for all ks: the lower edge
     sums the atoms, the upper edge adds per k the tail majorants up to
-    _tail_cuts and a certificate for the rest: a bracket depends on k alone."""
+    _tail_cuts and a certificate for the rest.  A Table block is built and
+    summed only for the ks that read it (_table_gate), the others take its
+    certificate into the upper edge: a bracket depends on k alone."""
     if not ks:
         return []
     if exact:
@@ -224,8 +269,13 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
             got[k], at = Fraction(sum(w * p for w, p in zip(ws, pows)), atoms.den ** (2 * k)), k
         return [got[k] for k in ks]
     mains, tails = [[] for _ in ks], [[] for _ in ks]     # per k: (max, sum) of each chunk
-    for ln_w, ln_y in atom_chunks(atoms):
-        _fold(ln_w, ln_y, ks, mains)
+    gate = _table_gate(atoms, ks)
+    readers = ([k for k, cert in zip(ks, gate) if cert is None],
+               [main for main, cert in zip(mains, gate) if cert is None])
+    for block in atoms.blocks:
+        on_ks, parts = readers if isinstance(block, Table) else (ks, mains)
+        for ln_w, ln_y in _block_chunks(atoms, block) if on_ks else ():
+            _fold(ln_w, ln_y, on_ks, parts)
     los = [_total(main) for main in mains]
     if atoms.tail.size:                       # the ks' majorants built once, each k's summed
         cuts = [_tail_cuts(atoms, k, lo) for k, lo in zip(ks, los)]
@@ -234,6 +284,9 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
                 mine = jj <= atoms.j_window + counts[ii]
                 _fold(ln_w[mine], ln_y[mine], [k], [tail])
         for (_, cert), tail in zip(cuts, tails):
+            tail.append(cert)
+    for cert, tail in zip(gate, tails):
+        if cert is not None:
             tail.append(cert)
     return [(lo, lo + _total(tail)) for lo, tail in zip(los, tails)]
 
@@ -298,9 +351,10 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     each n_1 above max(full_enum_max, 2 j_window + 2) gets deficit-window
     atoms and tail majorants (slot sizes, _tail_segments' rows) instead of
     all its partitions.  Window atoms are _window_shape's (once per n) and,
-    for |G| > 1, table rows at n_1 <= full are _table_logs' (once per full),
-    held by reference, offset by ln w(n_1) and -ln scale(n_1) chunk by
-    chunk; |G| = 1 keeps only n_1 = n.  Not cached: no block outlives its cache."""
+    for |G| > 1, table rows at n_1 <= full are _table_logs' (once per full;
+    a Table block, read by need, when n - 1 > full), held by reference,
+    offset by ln w(n_1) and -ln scale(n_1) chunk by chunk; |G| = 1 keeps
+    only n_1 = n.  Not cached: no block outlives its cache."""
     if window is None and paired:
         raise ValueError("the relaxed bound has no exact atoms: its values share no denominator")
     full = n if window is None else min(n, max(window[1], 2 * window[0] + 2))
@@ -329,19 +383,22 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
                np.array([_ln(Fraction(n - 1, n))]))] if paired else []
     if g_order == 1:
         blocks.append(_row_logs(rows))
+    elif n - 1 > full:                 # read by need: lo holds the [n-1] atom
+        blocks.append(Table(full))
     else:
         table = _table_logs(full)
         if n == full:                  # the trivial line [n] is level n's first row
             table = tuple(np.delete(col, np.searchsorted(table[0], n)) for col in table)
         blocks.append(table)
     big = np.array([m for m in slots if m > full], dtype=np.int64)
-    segments = None
-    if big.size:
-        shape, segments = _window_shape(n, window[0], full), _tail_segments(n, window[0], full)
-        if g_order == 1:
-            segments = (segments[0][-1:], segments[1][-1:], segments[2])
-            shape = tuple(col[shape[0] == n] for col in shape)
-        blocks.append(shape)
+    # |G| > 1: the window shape and the tail segments are built when first
+    # read, so a table read (the pass's first block) holds neither
+    segments = partial(_tail_segments, n, window[0], full)
+    if big.size and g_order == 1:
+        shape = _window_shape(n, window[0], full)
+        blocks.append(tuple(col[shape[0] == n] for col in shape))
+    elif big.size:
+        blocks.append(partial(_window_shape, n, window[0], full))
     return Atoms(tuple(blocks), ln_w, ln_scale, big, window[0], lnf, segments)
 
 

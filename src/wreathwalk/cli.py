@@ -15,7 +15,8 @@ ignores --group and runs the same code on Z:1, reporting the group as S_n.
 The independent and paired walks need --group.
 
 Exit codes: 0 success, 1 validation failure or cap exceeded (the message
-names the cap), 2 usage error.
+names the cap), 2 argparse's usage error: a malformed command line or an
+option value of the wrong form (e.g. --k -1), printed with the usage.
 
 Output is CSV by default (LF line endings, rationals as "p/q", floats as
 shortest round-trip repr, partitions dot-joined with "-" for the empty

@@ -152,18 +152,23 @@ def _zm_character_table(m: int) -> list[list]:
 
 
 def cyclic_group(m: int) -> GroupTable:
+    """Z:m; its m x m int64 table is refused before it is allocated when it
+    would not fit in physical memory."""
+    from .wreath import refuse_past_memory
+
     if m < 1:
         raise ValueError("cyclic group order must be >= 1")
-    ar = np.arange(m)
-    mult = (ar[:, None] + ar[None, :]) % m
-    inv = (-ar) % m
-    classes = [[k] for k in range(m)]
+    refuse_past_memory(8 * m * m, f"Z:{m} needs a {8 * m * m}-byte multiplication table "
+                                  f"(m^2 int64 entries)")
+    ar = np.arange(m, dtype=np.int64)
+    mult = np.add.outer(ar, ar)
+    mult %= m
     return GroupTable(
         name=f"Z:{m}",
-        mult=mult.astype(np.int64),
-        inv=inv.astype(np.int64),
-        classes=classes,
-        class_of=ar.astype(np.int64),
+        mult=mult,
+        inv=(-ar) % m,
+        classes=[[k] for k in range(m)],
+        class_of=ar,
         char_table=partial(_zm_character_table, m),      # m x m entries: built on first read
         exact_characters=m in (1, 2, 4),
     )

@@ -320,6 +320,7 @@ def _assert_atoms_equal_the_reference(atoms, want):
 
 
 WINDOW = (bounds.J_WINDOW, bounds.FULL_ENUM_MAX)
+OFFSETS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)     # the benchmark's cutoff offsets, in units of n
 
 
 @pytest.mark.parametrize("g_order,n,window,gname", [
@@ -357,16 +358,56 @@ def test_relaxed_atoms_at_n_equal_to_full_equal_the_reference(gname):
 
 
 def test_table_rows_are_logged_once_per_full(monkeypatch):
-    # the windowed calls of the cutoff experiments (Z:2, the S:3 relaxed bound
-    # and |G| = 720 at n = 200, Z:2 at n = 1000) share one m <= 40 table block
+    # windowed calls far before the cutoff (Z:2, the S:3 relaxed bound and
+    # |G| = 720 at n = 200, Z:2 at n = 1000, all at k = n/4) read the m <= 40
+    # table block, and share one
     tops = []
     monkeypatch.setattr(bounds, "content_rows", lambda top: tops.append(top) or content_rows(top))
     bounds._table_logs.cache_clear()
-    l2n_sq_collapsed_bounds(2, 200, 600)
-    paired_relaxed_bound(build_group("S:3"), 200, 1200)
-    l2n_sq_collapsed_bounds(720, 200, 1200)
-    l2n_sq_collapsed_bounds(2, 1000, 4000)
+    l2n_sq_collapsed_bounds(2, 200, 50)
+    paired_relaxed_bound(build_group("S:3"), 200, 50)
+    l2n_sq_collapsed_bounds(720, 200, 50)
+    l2n_sq_collapsed_bounds(2, 1000, 250)
     assert bounds._table_logs.cache_info().misses == 1 and tops == [bounds.FULL_ENUM_MAX]
+
+
+def _count_table_reads(monkeypatch):
+    tops, reads = [], []
+    monkeypatch.setattr(bounds, "content_rows", lambda top: tops.append(top) or content_rows(top))
+    table_logs = bounds._table_logs
+    monkeypatch.setattr(bounds, "_table_logs", lambda full: reads.append(full) or table_logs(full))
+    return tops, reads
+
+
+def test_cutoff_window_brackets_read_no_table_rows(monkeypatch):
+    # at the cutoff the m <= 40 table block is below 2^-60 of the [n-1]
+    # atom: the benchmark's windowed brackets neither build nor read it
+    bounds._table_logs.cache_clear()
+    tops, reads = _count_table_reads(monkeypatch)
+    for g_order in (2, 720):
+        for c in OFFSETS:
+            lo, hi = l2n_sq_collapsed_bounds(g_order, 200, _k0(g_order, 200) + math.ceil(c * 200))
+            assert 0 < lo <= hi < math.inf
+    curve = distance_curve("paired", 200, build_group("S:3"), ks=list(range(1000, 1401, 100)))
+    assert curve.mode == "relaxed"
+    l2n_sq_collapsed_bounds(2, 1000, _k0(2, 1000) - 500)
+    hi, bound = bounds.envelope_decay_certificate(720, 200, 1.0)
+    assert hi <= bound
+    assert tops == [] and reads == []
+
+
+@pytest.mark.parametrize("g_order,gname", [(2, None), (720, None), (6, "S:3")])
+def test_the_table_is_read_at_n_41_and_at_k_1(monkeypatch, g_order, gname):
+    # at n = 41 the [n-1] atom is a table row, so every k reads the table;
+    # above it k = 1 does, where the table holds most of the sum
+    _, reads = _count_table_reads(monkeypatch)
+    g = build_group(gname) if gname else None
+    for n, k in [(41, 1), (41, 41), (41, 3 * 41), (41, 100 * 41), (42, 1), (200, 1), (1000, 1),
+                 (200, 0)]:
+        reads.clear()
+        atoms = bounds._atoms(g_order, n, _paired(g, n) if g else None)
+        power_sums(atoms, [k])
+        assert reads == [bounds.FULL_ENUM_MAX], (n, k)
 
 
 @pytest.mark.parametrize("n", [41, 45])
@@ -443,6 +484,38 @@ def test_cut_tail_is_within_2_to_the_minus_50_lo_of_every_majorant(g_order, gnam
         assert abs(math.log(lo) - ln_lo) <= 1e-13, k
         hi_full = lo + math.exp(ln_tail)
         assert hi_full * (1 - 1e-15) <= hi <= hi_full * (1 + 1e-15) + 2 ** -50 * lo, k
+
+
+@pytest.mark.parametrize("n", [42, 45, 60, 200, 1000])
+@pytest.mark.parametrize("g_order,gname", [(2, None), (3, None), (720, None), (6, "S:3")])
+def test_a_skipped_table_is_certified_against_the_read_one(monkeypatch, g_order, gname, n):
+    # a k that skips the table block takes its certificate instead, which
+    # bounds the block: lo may only fall and hi only rise, each by at most
+    # 2^-60 lo and an ulp
+    paired = _paired(build_group(gname), n) if gname else None
+    ks = [_k0(g_order, n) + math.ceil(c * n) for c in OFFSETS]
+    ks = [1, n // 4, n, 3 * n] + ([2 * k for k in ks] if paired else ks)
+    atoms = bounds._atoms(g_order, n, paired)
+    gated = power_sums(atoms, ks)
+    certs = bounds._table_gate(atoms, ks)
+    skipped = [cert is not None for cert in certs]
+    assert not skipped[0] and any(skipped) == (n >= 60)     # at n = 42, 45 every k reads it
+    table = [block for block in atoms.blocks if isinstance(block, bounds.Table)]
+    ln_w, ln_y = (np.concatenate(col) for col in zip(*bounds._block_chunks(atoms, table[0])))
+    for k, cert, got in zip(ks, certs, gated):
+        assert got == power_sums(atoms, [k])[0], k              # k alone decides
+        if cert:
+            ln_cert = cert[0] + math.log(cert[1])
+            assert _ln_sum(ln_y * (2 * k) + ln_w) <= ln_cert < math.log(got[0]) - 60 * math.log(2), k
+    monkeypatch.setattr(bounds, "_table_gate", lambda atoms, ks: [None] * len(ks))
+    for k, skip, (lo, hi), (lo_read, hi_read) in zip(ks, skipped, gated, power_sums(atoms, ks)):
+        if not skip:
+            assert (lo, hi) == (lo_read, hi_read), k
+            continue
+        assert 0 < lo <= lo_read and hi >= hi_read, k
+        if hi_read < math.inf:                                   # else past the float range
+            assert lo_read - lo <= 2 ** -60 * lo + math.ulp(lo), k
+            assert hi - hi_read <= 2 ** -60 * lo + math.ulp(hi_read), k
 
 
 def _ln_sum(t):

@@ -273,6 +273,26 @@ def test_table_past_physical_memory_refused(capsys):
     assert time.monotonic() - t0 < 1.0
 
 
+def test_cyclic_table_past_physical_memory_refused(capsys, monkeypatch):
+    # Z:m's m x m int64 table is refused before it is allocated, its bytes
+    # named, instead of numpy's out-of-memory text
+    argv = ["distance", "--group", "Z:1000", "--n", "2", "--walk", "independent", "--k", "1"]
+    for have in (8 * 1000 ** 2 - 1, 8 * 1000 ** 2):
+        monkeypatch.setattr(wreath, "_physical_memory", lambda: have)
+        rc, out, err = run_cli(capsys, argv)
+        if have < 8 * 1000 ** 2:
+            assert rc == 1 and out == ""
+            assert err == ("error: Z:1000 needs a 8000000-byte multiplication table (m^2 int64 "
+                           f"entries), more than the {have} bytes of physical memory\n")
+        else:
+            assert rc == 0 and out
+    monkeypatch.undo()
+    rc, out, err = run_cli(capsys, ["distance", "--group", "Z:99999999999", "--n", "2",
+                                    "--walk", "independent", "--k", "1"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: Z:99999999999 needs a 79999999998400000000008-byte")
+
+
 def test_memory_error_is_an_error_line(capsys, monkeypatch):
     def exhausted(*args, **kw):
         raise MemoryError("Unable to allocate 1.00 TiB")
