@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -111,12 +111,15 @@ def _float_or_inf(x) -> float:
 
 
 def exact_atoms(weights, nums, den: int) -> Atoms:
-    """Atoms from int weights at values num / den, one int den for all:
-    one block, no offsets and no tail."""
+    """Atoms from int weights at values num / den, one int den for all: one
+    block, its logs built on the first float read, no offsets and no tail."""
     weights, nums = tuple(weights), tuple(nums)
-    ln_y = np.array([_ln(y) for y in nums], dtype=float) - math.log(den)
-    return Atoms(((None, np.array([_ln(w) for w in weights], dtype=float), ln_y),),
-                 weights=weights, nums=nums, den=den)
+
+    @cache
+    def logs() -> tuple:
+        ln_y = np.array([_ln(y) for y in nums], dtype=float) - math.log(den)
+        return None, np.array([_ln(w) for w in weights], dtype=float), ln_y
+    return Atoms((logs,), weights=weights, nums=nums, den=den)
 
 
 class Table(NamedTuple):
@@ -128,15 +131,10 @@ class Table(NamedTuple):
         return _table_logs(self.full)
 
 
-def atom_chunks(atoms: Atoms):
-    """(ln w, ln |y|) of the atoms in their fixed order, at most ATOM_CHUNK
-    at a time: each block's, offset chunk by chunk."""
-    for block in atoms.blocks:
-        yield from _block_chunks(atoms, block)
-
-
 def _block_chunks(atoms: Atoms, block):
-    """atom_chunks of one block, a callable one built (or taken from its cache) here."""
+    """(ln w, ln |y|) of one block's atoms in their fixed order, at most
+    ATOM_CHUNK at a time, offset chunk by chunk; a callable block is built
+    (or taken from its cache) here."""
     m, ln_d2, ln_top = block() if callable(block) else block
     for at in range(0, len(ln_d2), ATOM_CHUNK):
         part = slice(at, at + ATOM_CHUNK)
@@ -247,13 +245,14 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
     """sum_i w_i y_i^{2k} for every k in ks.
 
     exact: Fractions over den^{2k}, from the exact atoms' ints; atoms
-    with equal num^2 share one weight, and the powers step up from one k
-    to the next.  Otherwise certified (lower, upper) floats by
-    log-sum-exp, one pass over the atom chunks for all ks: the lower edge
-    sums the atoms, the upper edge adds per k the tail majorants up to
-    _tail_cuts and a certificate for the rest.  A Table block is built and
-    summed only for the ks that read it (_table_gate), the others take its
-    certificate into the upper edge: a bracket depends on k alone."""
+    with equal num^2 share one weight, and their terms w num^{2k}, an
+    object array, step by num^{2(k' - k)} from one k to the next k'.
+    Otherwise certified (lower, upper) floats by log-sum-exp, one pass
+    over the atom chunks for all ks: the lower edge sums the atoms, the
+    upper edge adds per k the tail majorants up to _tail_cuts and a
+    certificate for the rest.  A Table block is built and summed only for
+    the ks that read it (_table_gate), the others take its certificate
+    into the upper edge: a bracket depends on k alone."""
     if not ks:
         return []
     if exact:
@@ -262,11 +261,11 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
         by_y2 = {}
         for w, y in zip(atoms.weights, atoms.nums):
             by_y2[y * y] = by_y2.get(y * y, 0) + w
-        y2s, ws = list(by_y2), list(by_y2.values())
-        pows, at, got = [1] * len(y2s), 0, {}
+        y2s = np.array(list(by_y2), dtype=object)
+        terms, at, got = np.array(list(by_y2.values()), dtype=object), 0, {}
         for k in sorted(set(ks)):
-            pows = [p * y2 ** (k - at) for p, y2 in zip(pows, y2s)]
-            got[k], at = Fraction(sum(w * p for w, p in zip(ws, pows)), atoms.den ** (2 * k)), k
+            terms *= y2s if k - at == 1 else y2s ** (k - at)
+            got[k], at = Fraction(terms.sum(), atoms.den ** (2 * k)), k
         return [got[k] for k in ks]
     mains, tails = [[] for _ in ks], [[] for _ in ks]     # per k: (max, sum) of each chunk
     gate = _table_gate(atoms, ks)
@@ -598,15 +597,20 @@ def l2_lower_dominant(dims: list[int], n: int, k: int, kind: str) -> float:
     base irrep j, which is what the true spectrum has
     ((|G|-1)((n-1)/n)^{2k} in all on an abelian base).
     """
+    return _dominant_column(dims, n, [k], kind)[0]
+
+
+def _dominant_column(dims: list[int], n: int, ks, kind: str) -> list:
+    """l2_lower_dominant at every k, the paired family in one pass."""
     if kind not in ("independent", "paired"):
         raise ValueError("dominant term applies to the wreath walks")
-    term = n * n * (sum(d * d for d in dims) - 1) * (1.0 - 1.0 / n) ** (4 * k)
+    terms = [n * n * (sum(d * d for d in dims) - 1) * (1.0 - 1.0 / n) ** (4 * k) for k in ks]
     if kind == "paired":
         slots, lcm = dims[1:], math.lcm(*dims)
         nums = [(n - 1) * lcm // d for d in slots]
         atoms = exact_atoms([d ** (2 * n) for d in slots], nums, n * lcm)
-        term = max(term, power_sums(atoms, [k])[0][0])
-    return 0.5 * math.sqrt(term)
+        terms = [max(term, lo) for term, (lo, _) in zip(terms, power_sums(atoms, ks))]
+    return [0.5 * math.sqrt(term) for term in terms]
 
 
 def tv_lower_chebyshev_sym(n: int, k: int) -> float:
@@ -830,7 +834,7 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
     else:
         mode = "relaxed"
         l2s = [4.0 * float(v) for v in _column(g.order, n, ks, (g.num_classes, delta_n(g, n)))]
-    dims = g.irrep_dims()
+    dominant = _dominant_column(g.irrep_dims(), n, ks, kind) if kind != "sym" else [None] * len(ks)
     sym_l2s = _column(1, n, ks) if kind == "independent" and n >= 2 else [0] * len(ks)
     rows = [{
         "k": k,
@@ -838,7 +842,7 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
         "tv_upper_spectral": tv_upper_spectral(l2),
         "tv_upper_coupling": (tv_upper_coupling(n, k, tv_upper_spectral(sym_l2))
                               if kind == "independent" else None),
-        "l2_lower_dominant": l2_lower_dominant(dims, n, k, kind) if kind != "sym" else None,
+        "l2_lower_dominant": low,
         "tv_lower_chebyshev": tv_lower_chebyshev_sym(n, k) if kind == "sym" and n >= 4 else None,
-    } for k, l2, sym_l2 in zip(ks, l2s, sym_l2s)]
+    } for k, l2, sym_l2, low in zip(ks, l2s, sym_l2s, dominant)]
     return DistanceCurve(kind=kind, n=n, mode=mode, rows=rows)

@@ -32,7 +32,6 @@ import csv
 import io
 import json
 import math
-import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -332,6 +331,8 @@ def cmd_selftest(args) -> int:
     if not acceptance.exists():
         print(f"error: acceptance suite not found at {acceptance}", file=sys.stderr)
         return 1
+    import subprocess     # here alone: the other subcommands need not load it
+
     return subprocess.call([sys.executable, "-m", "pytest", "-v", str(acceptance)])
 
 

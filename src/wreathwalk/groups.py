@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -215,12 +215,20 @@ def perm_unrank(ranks: np.ndarray, m: int) -> np.ndarray:
     return perms
 
 
+@lru_cache(maxsize=1)
+def _permutations(m: int) -> np.ndarray:
+    """permutation_table's int8 rows, built once per m (read only)."""
+    perms = perm_unrank(np.arange(math.factorial(m)), m).astype(np.int8)
+    perms.flags.writeable = False
+    return perms
+
+
 def permutation_table(m: int, ranks=None) -> tuple[np.ndarray, np.ndarray]:
     """The m! permutations of range(m) as rows, in lexicographic order
-    (identity first), and rows `ranks` (default all) of their product
-    table: mult[i, b] = rank of a o b for a of rank ranks[i], where
+    (identity first, read only), and rows `ranks` (default all) of their
+    product table: mult[i, b] = rank of a o b for a of rank ranks[i], where
     (a o b)(i) = a(b(i))."""
-    perms = perm_unrank(np.arange(math.factorial(m)), m).astype(np.int8)
+    perms = _permutations(m)
     ranks = np.arange(len(perms)) if ranks is None else np.asarray(ranks)
     mult = np.empty((len(ranks), len(perms)), dtype=np.int64)
     # composites a o b = a[b], ranked in m blocks of rows: a block's int8

@@ -28,7 +28,12 @@ R[k, lam] = child(R[k, p], step): a gather, with nothing searched.
 Dimensions are base-2^30 limbs in int64: a dozen limbs sum far below 2^63,
 and a carry pass brings every limb back below 2^30.  They become Python ints
 only on the way out; content_rows squares and sums them per content in
-limbs first, so it builds one int per (m, content) row.  The table refuses
+limbs first, so it builds one int per (m, content) row.  One resumable
+builder, _LEVELS, makes every level and keeps its last level m alone (the
+arrays above, R, and the start and grow that placed level m - 1's
+children): a request for level top steps on from m, or starts again at
+level 0 when top < m.  content_rows keeps the rows of its largest top and
+asks the builder only for the levels past it.  The table refuses
 m > WORD_M_MAX = 61, where a cold build costs seconds and a level holds
 p(61) = 1 121 505 partitions.
 """
@@ -124,24 +129,13 @@ def char_ratio_transposition(lam: Partition) -> Fraction:
     return Fraction(content_sum(lam), n * (n - 1))
 
 
-def hook_lengths(lam: Partition) -> list[list[int]]:
-    conj = conjugate(lam)
-    return [
-        [(p - c) + (conj[c] - r) for c in range(p)]
-        for r, p in enumerate(lam, start=1)
-    ]
-
-
 def dim_hook(lam: Partition) -> int:
     """Hook-length formula; independent cross-check for dim_partition."""
-    n = sum(lam)
-    num = math.factorial(n)
-    den = 1
-    for row in hook_lengths(lam):
-        for h in row:
-            den *= h
-    assert num % den == 0
-    return num // den
+    conj = conjugate(lam)
+    hooks = math.prod(p - c + conj[c] - r for r, p in enumerate(lam, start=1) for c in range(p))
+    num = math.factorial(sum(lam))
+    assert num % hooks == 0
+    return num // hooks
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +150,13 @@ def refuse_past_cap(m: int) -> None:
                          "(p(61) = 1121505 partitions a level)")
 
 
+def _check_level(m: int) -> None:
+    """Refuse a level m below 0 or past the cap."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    refuse_past_cap(m)
+
+
 def _carry(sums: np.ndarray) -> np.ndarray:
     """Limbs back below 2^30, in place; the top limb takes the rest."""
     for i in range(len(sums) - 1):
@@ -164,26 +165,22 @@ def _carry(sums: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _indexed_levels(top: int) -> Iterator[tuple]:
-    """(contents, limbs, R) for m = 0..top in turn: the content sums of the
-    partitions of m in reverse-lex order, their dimensions as base-2^30
-    limbs (one row per limb, least significant first), and the index map
-    R[k, lam] of the module docstring (rows past lam's corners hold p(m - 1),
-    the index of a zero column)."""
-    if top < 0:
-        raise ValueError("m must be nonnegative")
-    refuse_past_cap(top)
-    endless = 1 << 30
-    last, above = np.full((2, 1), endless, dtype=np.int32)    # the empty partition
-    ell, corners = np.zeros((2, 1), dtype=np.int32)
-    contents = np.zeros(1, dtype=np.int64)
-    limbs = np.array([[1, 0]], dtype=np.int64)      # a zero column past the level
-    index = np.zeros((0, 1), dtype=np.int32)
-    yield contents, limbs[:, :-1], index
-    start = grow = None
-    for _ in range(top):
+class _LevelBuilder:
+    """The one builder of the partition table's levels (see the module
+    docstring): level m and its state, no level at m = -1."""
+    m, state = -1, None
+
+    def _step(self) -> None:
+        """Level m + 1 from level m; level 0, the empty partition, from none."""
+        if self.m < 0:
+            last, above = np.full((2, 1), 1 << 30, dtype=np.int32)     # row 0 is endless
+            ell, corners = np.zeros((2, 1), dtype=np.int32)
+            limbs = np.array([[1, 0]], dtype=np.int64)      # a zero column past the level
+            self.m, self.state = 0, (last, above, ell, corners, np.zeros(1, dtype=np.int64),
+                                     limbs, np.zeros((0, 1), dtype=np.int32), None, None)
+            return
+        last, above, ell, corners, contents, limbs, index, prev_start, prev_grow = self.state
         size = len(last)
-        prev_start, prev_grow = start, grow
         grow = (last < above).astype(np.int32)
         start = np.cumsum(grow + 1, dtype=np.int32) - grow - 1
         parent = np.repeat(np.arange(size, dtype=np.int32), grow + 1)
@@ -205,18 +202,30 @@ def _indexed_levels(top: int) -> Iterator[tuple]:
             q = index[k, parent[sel]]
             index_rows[k, sel] = prev_start[q] + step[sel] * prev_grow[q]
         sums = np.zeros((len(limbs) + 1, len(parent) + 1), dtype=np.int64)
-        for k_row in index_rows:
-            for i, limb in enumerate(limbs):
-                sums[i, :-1] += limb[k_row]
+        for limb, total in zip(limbs, sums):
+            for k_row in index_rows:
+                total[:-1] += limb.take(k_row)
         _carry(sums)
         limbs = sums if sums[-1].any() else sums[:-1]
-        index = index_rows
-        yield contents, limbs[:, :-1], index
+        self.m += 1
+        self.state = last, above, ell, corners, contents, limbs, index_rows, start, grow
+
+    def level(self, top: int) -> tuple:
+        """(contents, limbs, R) of level top: the content sums of the
+        partitions of top in reverse-lex order, their dimensions as base-2^30
+        limbs (one row per limb, least significant first), and the index map
+        R[k, lam] of the module docstring (rows past lam's corners hold
+        p(top - 1), the index of a zero column)."""
+        _check_level(top)
+        if top < self.m:
+            self.m, self.state = -1, None
+        while self.m < top:
+            self._step()
+        contents, limbs, index = self.state[4:7]
+        return contents, limbs[:, :-1], index
 
 
-def _levels(top: int) -> Iterator[tuple]:
-    """(contents, limbs) for m = 0..top, as _indexed_levels gives them."""
-    return ((contents, limbs) for contents, limbs, _ in _indexed_levels(top))
+_LEVELS = _LevelBuilder()
 
 
 def _level_dims(limbs: np.ndarray) -> list[int]:
@@ -235,8 +244,7 @@ def _level_dims(limbs: np.ndarray) -> list[int]:
 def partition_table(m: int) -> dict:
     """{lam: (dim, content_sum)} for every partition of m (read only), in
     reverse-lex order.  Only the requested levels are kept."""
-    for contents, limbs in _levels(m):
-        pass
+    contents, limbs, _ = _LEVELS.level(m)
     return dict(zip(partitions_of(m), zip(_level_dims(limbs), contents.tolist())))
 
 
@@ -256,10 +264,11 @@ def _content_row(contents: np.ndarray, limbs: np.ndarray) -> tuple:
     """((c, sum of dim^2), ...) over the distinct content sums c of one level,
     in order of first appearance: dim^2 in limbs (each 60-bit product split
     into 30-bit halves), summed per c after a stable sort by c."""
-    order = np.argsort(contents, kind="stable")
+    # content sums are even, and |c| / 2 <= m(m - 1) / 2 fits 16 bits: a radix sort
+    order = np.argsort((contents >> 1).astype(np.int16), kind="stable")
     ordered = contents[order]
     starts = np.flatnonzero(np.diff(ordered, prepend=ordered[0] - 1))
-    limbs = limbs[:, order]
+    limbs = limbs.take(order, axis=1)
     # a sum is at most m! < p(m) * max dim^2: one limb past 2 len(limbs) holds the rest
     squares = np.zeros((2 * len(limbs) + 1, len(starts)), dtype=np.int64)
     for i in range(len(limbs)):
@@ -271,16 +280,20 @@ def _content_row(contents: np.ndarray, limbs: np.ndarray) -> tuple:
     return tuple(zip(ordered[starts][first].tolist(), _level_dims(_carry(squares)[:, first])))
 
 
-_CONTENT_ROWS = [()]    # the largest content_rows build so far
+_CONTENT_ROWS = [()]    # the rows of the largest top so far
 
 
 def content_rows(top: int) -> tuple:
     """Per m = 0..top, one pair (c, sum of dim^2) per distinct content sum c
     of the partitions of m, in order of first appearance in reverse-lex
-    order.  Only the largest build is kept, no level; a smaller top slices it."""
-    if top < 0 or top >= len(_CONTENT_ROWS[0]):
-        _CONTENT_ROWS[0] = tuple(_content_row(contents, limbs) for contents, limbs in _levels(top))
-    return _CONTENT_ROWS[0][:top + 1]
+    order.  Only the largest top's rows are kept, no level: a smaller top
+    slices them, a larger one builds the rows of its new levels only."""
+    _check_level(top)
+    rows = _CONTENT_ROWS[0]
+    if top >= len(rows):
+        rows = _CONTENT_ROWS[0] = rows + tuple(_content_row(*_LEVELS.level(m)[:2])
+                                               for m in range(len(rows), top + 1))
+    return rows[:top + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .partitions import (
     refuse_past_cap,
     char_ratio_transposition,
     dim_partition,
-    enumerate_partitions,
+    partition_table,
 )
 
 MAX_LABELS = 2 * 10 ** 6
@@ -61,12 +61,11 @@ def enumerate_labels(g: GroupTable, n: int, max_labels: int = MAX_LABELS) -> lis
     if total > max_labels:
         what = "partition" if s == 1 else "label"
         raise ValueError(f"{what} count {total} exceeds cap {max_labels}")
-    parts_of: dict = {}          # m -> partitions of m, built when first used
+    # the partitions of every slot size (0..n, or n alone on one slot), in
+    # increasing size: the table's builder makes each level once
+    parts_of = {m: list(partition_table(m)) for m in (range(n + 1) if s > 1 else [n])}
     out = []
     for comp in _compositions_desc(n, s):
-        for m in comp:
-            if m not in parts_of:
-                parts_of[m] = enumerate_partitions(m)
         for lams in itertools.product(*(parts_of[m] for m in comp)):
             out.append(IrrepLabel(comp, lams))
     assert len(out) == total

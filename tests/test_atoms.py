@@ -144,6 +144,43 @@ def test_exact_power_sums_match_a_direct_fraction_sum(pairs, den, ks):
             assert abs(lo - float(ex)) <= 1e-12 * float(ex)
 
 
+def test_exact_power_sums_step_to_unsorted_repeated_and_gapped_ks():
+    # the stepped terms against a direct sum per k, on the collapsed sym
+    # and independent atoms and a paired spectrum
+    ks = [64, 0, 7, 7, 1, 33]
+    cases = [bounds._slot_atoms(1, n, None) for n in range(1, 31)]
+    cases += [bounds._slot_atoms(g_order, n, None) for g_order in (2, 3) for n in range(1, 21)]
+    cases.append(spectral_atoms(spectrum("paired", 6, build_group("S:3"))))
+    for atoms in cases:
+        want = [Fraction(sum(w * y ** (2 * k) for w, y in zip(atoms.weights, atoms.nums)),
+                         atoms.den ** (2 * k)) for k in ks]
+        assert power_sums(atoms, ks, exact=True) == want
+
+
+def test_exact_atoms_build_their_logs_on_the_first_float_read():
+    weights, nums = [3, 5, 2 ** 300], [4, -7, 0]
+    atoms = bounds.exact_atoms(weights, nums, 9)
+    (logs,) = atoms.blocks
+    power_sums(atoms, [0, 5], exact=True)
+    assert logs.cache_info().currsize == 0
+    power_sums(atoms, [1, 2])
+    power_sums(atoms, [3])
+    assert logs.cache_info().misses == 1
+    m, ln_w, ln_y = logs()
+    assert m is None
+    assert ln_w.tolist() == [math.log(3), math.log(5), 300 * math.log(2)]
+    assert ln_y.tolist() == [math.log(4) - math.log(9), math.log(7) - math.log(9), -math.inf]
+
+
+@pytest.mark.parametrize("dims", [[1, 1, 1], [1, 1, 2], [1, 1, 2, 3, 3], [1] * 5])
+def test_the_dominant_column_is_its_one_k_values(dims):
+    ks = list(range(161))
+    for n in (3, 10):
+        for kind in ("independent", "paired"):
+            want = [l2_lower_dominant(dims, n, k, kind) for k in ks]
+            assert bounds._dominant_column(dims, n, ks, kind) == want
+
+
 def test_exact_path_switches_at_exact_k_max():
     spec = spectrum("independent", 3, build_group("Z:2"))
     assert isinstance(l2n_sq_spectral(spec, bounds.EXACT_K_MAX), Fraction)
@@ -305,7 +342,8 @@ def _reference_window_atoms(g_order, n, window, paired=None):
 
 def _streamed(atoms):
     """(ln w, ln |y|) of the atoms, their chunks concatenated."""
-    return tuple(np.concatenate(col) for col in zip(*bounds.atom_chunks(atoms)))
+    chunks = (chunk for block in atoms.blocks for chunk in bounds._block_chunks(atoms, block))
+    return tuple(np.concatenate(col) for col in zip(*chunks))
 
 
 def _assert_atoms_equal_the_reference(atoms, want):

@@ -291,7 +291,7 @@ def test_selftest_wiring(monkeypatch, tmp_path):
         calls["cmd"] = cmd
         return 0
 
-    monkeypatch.setattr(cli.subprocess, "call", fake_call)
+    monkeypatch.setattr(subprocess, "call", fake_call)
     rc = main(["selftest"])
     if rc == 1:
         # acceptance suite not written yet in this checkout
@@ -300,6 +300,16 @@ def test_selftest_wiring(monkeypatch, tmp_path):
         assert rc == 0
         assert calls["cmd"][:3] == [sys.executable, "-m", "pytest"]
         assert calls["cmd"][-1].endswith("test_acceptance.py")
+
+
+def test_importing_the_cli_loads_no_subprocess():
+    # only selftest starts a process, so the import that every command pays
+    # leaves subprocess out
+    code = ("import sys; before = set(sys.modules); import wreathwalk.cli; "
+            "print('subprocess' in set(sys.modules) - before)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_module_entry_point():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wreathwalk import oracle, wreath
+from wreathwalk import groups, oracle, wreath
 from wreathwalk.classes import class_count
 from wreathwalk.cli import main
 from wreathwalk.groups import build_group, symmetric_group
@@ -272,6 +272,20 @@ def test_class_steps_refuse_a_law_that_is_not_a_class_function(weights, monkeypa
     monkeypatch.setattr(oracle, "measure_on_table", lambda measure, g: law)
     with pytest.raises(ValueError, match=f"not constant on conjugacy class {c} "):
         next(convolution_curve(gt, build_measure("sym", 3), [0, 1]))
+
+
+def test_the_sym_oracle_unranks_the_permutations_once(monkeypatch, capsys):
+    # the kernel reads its representatives' rows in blocks of 2 at order
+    # 9! = 362 880; every block composes the one cached array of permutations
+    unranked, unrank = [], groups.perm_unrank
+    monkeypatch.setattr(groups, "perm_unrank", lambda ranks, m: unranked.append(m) or unrank(ranks, m))
+    groups._permutations.cache_clear()
+    try:
+        assert main("oracle --walk sym --n 9 --max-order 1000000 --k 0..3".split()) == 0
+    finally:
+        groups._permutations.cache_clear()
+    assert "1,1/9,111991/9,362843/362880" in capsys.readouterr().out.splitlines()
+    assert unranked == [9]
 
 
 @pytest.mark.parametrize("gspec,n,kind", [("S:3", 2, "paired"), ("Z:5", 2, "independent"),

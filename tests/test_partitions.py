@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathwalk import partitions
+from wreathwalk import bounds, partitions
+from wreathwalk.cli import main
 from wreathwalk.classes import class_count
 from wreathwalk.groups import build_group
 from wreathwalk.partitions import (
@@ -234,7 +235,9 @@ def test_table_invariants_at_m40():
     involutions = [1, 1]
     for m in range(2, 41):
         involutions.append(involutions[-1] + (m - 1) * involutions[-2])
-    for m, (contents, limbs) in enumerate(partitions._levels(40)):
+    levels = partitions._LevelBuilder()
+    for m in range(41):
+        contents, limbs, _ = levels.level(m)
         dims = partitions._level_dims(limbs)
         assert len(dims) == len(contents) == partition_count(m)
         assert all(type(d) is int for d in dims)
@@ -247,7 +250,9 @@ def test_index_map_matches_corner_lookups():
     # R[k, lam] is lam without its k-th corner from the top, looked up in
     # level m - 1; rows past lam's corners point at the zero column p(m - 1)
     prev: dict = {}
-    for m, (_, _, index) in enumerate(partitions._indexed_levels(15)):
+    levels = partitions._LevelBuilder()
+    for m in range(16):
+        index = levels.level(m)[2]
         level = list(partitions.partitions_of(m))
         assert index.dtype == np.int32 and index.shape[1] == len(level)
         for i, lam in enumerate(level):
@@ -272,7 +277,7 @@ def test_content_rows_invariants_through_m45():
 
 def test_levels_refuse_negative_m():
     with pytest.raises(ValueError, match="m must be nonnegative"):
-        next(partitions._levels(-1))
+        partitions._LEVELS.level(-1)
     for build in (partition_table, content_rows):
         with pytest.raises(ValueError, match="m must be nonnegative"):
             build(-1)
@@ -280,9 +285,10 @@ def test_levels_refuse_negative_m():
 
 def test_table_refuses_past_the_word_cap():
     assert WORD_M_MAX == 61
-    levels = partitions._levels(WORD_M_MAX + 1)
+    levels = partitions._LevelBuilder()
     with pytest.raises(ValueError, match="exceeds cap 61"):
-        next(levels)                                   # refused before level 0
+        levels.level(WORD_M_MAX + 1)
+    assert levels.m == -1                              # refused before level 0
     for build in (partition_table, content_rows, enumerate_partitions):
         with pytest.raises(ValueError, match="exceeds cap 61 of the partition table"):
             build(WORD_M_MAX + 1)
@@ -294,10 +300,101 @@ def test_content_rows_slice_the_largest_build(monkeypatch):
     # a smaller top reads a prefix of the largest build so far, no level
     # is built for it, and it equals a fresh build
     content_rows(30)
-    built, real = [], partitions._levels
-    monkeypatch.setattr(partitions, "_levels", lambda top: built.append(top) or real(top))
+    built = _count_levels(monkeypatch)
     got = [content_rows(20), content_rows(10)]
     assert built == []
     for top, rows in zip((20, 10), got):
-        fresh = tuple(partitions._content_row(c, limbs) for c, limbs in real(top))
-        assert rows == fresh and len(rows) == top + 1
+        assert rows == _fresh_rows(top) and len(rows) == top + 1
+
+
+# ---------------------------------------------------------------------------
+# the one resumable level builder
+
+
+def _count_levels(monkeypatch) -> list:
+    """The levels the shared builder makes from here on, in order."""
+    levels = partitions._LEVELS
+    step, built = levels._step, []
+
+    def counted():
+        step()
+        built.append(levels.m)
+    monkeypatch.setattr(levels, "_step", counted)
+    return built
+
+
+def _fresh_rows(top: int) -> tuple:
+    """content_rows(top) from a builder of its own, no rows or levels cached."""
+    levels = partitions._LevelBuilder()
+    return tuple(partitions._content_row(*levels.level(m)[:2]) for m in range(top + 1))
+
+
+def test_content_rows_build_only_their_new_levels(monkeypatch):
+    monkeypatch.setattr(partitions, "_CONTENT_ROWS", [()])
+    content_rows(40)
+    built = _count_levels(monkeypatch)
+    rows = content_rows(45)
+    assert built == [41, 42, 43, 44, 45]
+    assert rows == _fresh_rows(45)
+
+
+def test_a_request_below_the_builder_starts_again_at_level_0(monkeypatch):
+    monkeypatch.setattr(partitions, "_CONTENT_ROWS", [()])
+    content_rows(30)
+    built = _count_levels(monkeypatch)
+    assert list(partition_table.__wrapped__(5).items()) == list(list(_reference_levels(5))[-1].items())
+    assert built == [0, 1, 2, 3, 4, 5]
+    built.clear()
+    rows = content_rows(35)
+    assert built == list(range(6, 36))            # on from level 5, rows for 31..35 only
+    assert rows == _fresh_rows(35)
+
+
+def test_a_cold_window_shape_builds_13_levels(monkeypatch):
+    partitions._LEVELS.level(bounds.FULL_ENUM_MAX)
+    bounds._window_shape.cache_clear()
+    partition_table.cache_clear()
+    built = _count_levels(monkeypatch)
+    bounds._window_shape(200, bounds.J_WINDOW, bounds.FULL_ENUM_MAX)
+    assert built == list(range(bounds.J_WINDOW + 1))
+    bounds._window_shape.cache_clear()
+
+
+def test_the_exact_spectrum_commands_build_each_content_level_once(monkeypatch, capsys):
+    # in one process from cold caches: content_rows(20), then (30) on from
+    # level 20, then (10) a slice; after them the S:3 spectrum's partition
+    # tables start again at level 0 once and ask in increasing size
+    monkeypatch.setattr(partitions, "_CONTENT_ROWS", [()])
+    monkeypatch.setattr(partitions, "_LEVELS", partitions._LevelBuilder())
+    partition_table.cache_clear()
+    bounds._exact_atoms.cache_clear()
+    built = _count_levels(monkeypatch)
+    for command in ("distance --group Z:2 --n 20 --walk independent --k 0..40",
+                    "distance --n 30 --walk sym --k 0..60",
+                    "distance --group Z:3 --n 10 --walk paired --k 0..40",
+                    "spectrum --group S:3 --n 8 --walk paired"):
+        assert main(command.split()) == 0
+    capsys.readouterr()
+    assert built == list(range(31)) + list(range(9))
+
+
+_REFERENCE_25 = list(_reference_levels(25))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 25)), min_size=1, max_size=8))
+def test_any_order_of_requests_equals_fresh_builds(requests):
+    # content_rows from no rows and partition_table past its cache, in any
+    # order, against the scalar branching reference
+    partitions._CONTENT_ROWS[0] = ()
+    for rows, top in requests:
+        if rows:
+            want = []
+            for level in _REFERENCE_25[:top + 1]:
+                per_c: dict = {}
+                for d, c in level.values():
+                    per_c[c] = per_c.get(c, 0) + d * d
+                want.append(tuple(per_c.items()))
+            assert content_rows(top) == tuple(want)
+        else:
+            assert list(partition_table.__wrapped__(top).items()) == list(_REFERENCE_25[top].items())
