@@ -16,7 +16,10 @@ need: a level n_1 holds d^2 mass n_1! at |y| <= n_1^2/scale(n_1), so the
 table is at most sum_{n_1} w(n_1) n_1! (n_1^2/scale(n_1))^{2k} in closed
 form, and a k at which that is below 2^-60 of the [n-1] atom's term (held
 by the lower edge) adds it to the upper edge instead (_table_gate): near
-the cutoff no partition table is built.
+the cutoff no partition table is built.  At k = 0 the sum is the weights'
+total, |G|^n n! - 1 (for the relaxed bound (s/2)(|G|^n n! - 1) +
+delta_n/4): the collapsed and relaxed atoms carry it as Atoms.zero, and a
+float k = 0 reads it with no pass.
 
 The float sums stream: windowed Atoms hold those |G|-free blocks by
 reference, the O(n) offsets, and the tail majorants as their slot sizes,
@@ -84,7 +87,8 @@ class Atoms(NamedTuple):
     `tail` adds one majorant per deficit j_window < j < m, in closed form
     over lnf = ln i!, for the upper edge only; `segments` builds their
     bounds, tail's in its last rows.  When exact, `weights` and `nums`
-    repeat them as ints."""
+    repeat them as ints.  `zero`, when set, is the float sum at k = 0 in
+    closed form, which power_sums returns as both edges without a pass."""
     blocks: tuple
     ln_w: np.ndarray | None = None
     ln_scale: np.ndarray | None = None
@@ -95,6 +99,7 @@ class Atoms(NamedTuple):
     weights: tuple | None = None
     nums: tuple | None = None
     den: int = 1
+    zero: float | None = None
 
 
 def _ln(q) -> float:
@@ -150,7 +155,8 @@ def _table_gate(atoms: Atoms, ks) -> list:
     mass m! at |y| <= m^2 / scale(m) (|content| <= m(m-1)), so the block is
     at most cert(k) = sum_{m <= full} w(m) m! (m^2 / scale(m))^{2k}; lo holds
     the slot n-1 atom [n-1], ref(k) = w(n-1) ((n-1)^2 / scale(n-1))^{2k}.  A
-    k reads the block iff k = 0 or cert(k) >= 2^-60 ref(k): k alone decides."""
+    k reads the block iff cert(k) >= 2^-60 ref(k): k alone decides (k = 0 is
+    the atoms' zero and makes no pass)."""
     table = next((b for b in atoms.blocks if isinstance(b, Table)), None)
     if table is None:
         return [None] * len(ks)
@@ -160,7 +166,7 @@ def _table_gate(atoms: Atoms, ks) -> list:
         ln_y = 2 * math.log(m) - atoms.ln_scale[m]
         np.logaddexp(ln_cert, atoms.ln_w[m] + atoms.lnf[m] + two_k * ln_y, out=ln_cert)
     ln_ref = atoms.ln_w[n - 1] + two_k * (2 * math.log(n - 1) - atoms.ln_scale[n - 1])
-    skip = (ln_cert < ln_ref - 60 * math.log(2.0)) & (two_k > 0)
+    skip = ln_cert < ln_ref - 60 * math.log(2.0)
     return [(c, 1.0) if s else None for c, s in zip(ln_cert.tolist(), skip.tolist())]
 
 
@@ -252,7 +258,8 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
     upper edge adds per k the tail majorants up to _tail_cuts and a
     certificate for the rest.  A Table block is built and summed only for
     the ks that read it (_table_gate), the others take its certificate
-    into the upper edge: a bracket depends on k alone."""
+    into the upper edge: a bracket depends on k alone.  k = 0 is the
+    atoms' zero, when they have one."""
     if not ks:
         return []
     if exact:
@@ -267,6 +274,10 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
             terms *= y2s if k - at == 1 else y2s ** (k - at)
             got[k], at = Fraction(terms.sum(), atoms.den ** (2 * k)), k
         return [got[k] for k in ks]
+    if atoms.zero is not None and 0 in ks:                # k = 0 in closed form, no pass
+        rest = [k for k in ks if k]
+        got = dict(zip(rest, power_sums(atoms, rest)))
+        return [got.get(k, (atoms.zero, atoms.zero)) for k in ks]
     mains, tails = [[] for _ in ks], [[] for _ in ks]     # per k: (max, sum) of each chunk
     gate = _table_gate(atoms, ks)
     readers = ([k for k, cert in zip(ks, gate) if cert is None],
@@ -324,15 +335,14 @@ def _total(parts) -> float:
         return float(np.exp(top + math.log(sum(s * math.exp(p - top) for p, s in parts))))
 
 
-def l2_column(atoms: Atoms, ks, at_zero: float | None = None) -> list:
+def l2_column(atoms: Atoms, ks) -> list:
     """One l2 value per k: an exact Fraction where the atoms are exact and
-    k <= EXACT_K_MAX, else the float upper edge (at k = 0 the closed form
-    at_zero, when given, which then no pass computes)."""
+    k <= EXACT_K_MAX, else the float upper edge."""
     exact = [k for k in ks if atoms.weights is not None and k <= EXACT_K_MAX]
     got = dict(zip(exact, power_sums(atoms, exact, exact=True)))
-    rest = [k for k in ks if k not in got and (k or at_zero is None)]
+    rest = [k for k in ks if k not in got]
     got.update((k, hi) for k, (_, hi) in zip(rest, power_sums(atoms, rest)))
-    return [got.get(k, at_zero) for k in ks]
+    return [got[k] for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +363,12 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     for |G| > 1, table rows at n_1 <= full are _table_logs' (once per full;
     a Table block, read by need, when n - 1 > full), held by reference,
     offset by ln w(n_1) and -ln scale(n_1) chunk by chunk; |G| = 1 keeps
-    only n_1 = n.  Not cached: no block outlives its cache."""
+    only n_1 = n.  Either way zero is the weights' total in closed form.
+    Not cached: no block outlives its cache."""
     if window is None and paired:
         raise ValueError("the relaxed bound has no exact atoms: its values share no denominator")
+    half_s, extra = (Fraction(paired[0], 2), Fraction(paired[1], 4)) if paired else (1, 0)
+    zero = _float_or_inf(half_s * (g_order ** n * math.factorial(n) - 1) + extra)
     full = n if window is None else min(n, max(window[1], 2 * window[0] + 2))
     if window is not None:
         need, atoms = _window_bytes(n, window[0], full)
@@ -368,9 +381,8 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
                 if not (m == n and c == m * (m - 1))]
     if window is None:
         w = [math.comb(n, m) * math.perm(n, n - m) * (g_order - 1) ** (n - m) for m in range(n + 1)]
-        return exact_atoms([w[m] * d2 for m, _, d2 in rows], [m + c for m, c, _ in rows], n * n)
-
-    half_s = Fraction(paired[0], 2) if paired else 1
+        atoms = exact_atoms([w[m] * d2 for m, _, d2 in rows], [m + c for m, c, _ in rows], n * n)
+        return atoms._replace(zero=zero)
     lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])      # ln i!
     ms = np.arange(n + 1)
     ln_w = (_ln(half_s) + 2 * lnf[n] - 2 * lnf - lnf[::-1]
@@ -378,7 +390,7 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     ln_scale = np.log(n * np.maximum(ms, 1)) if paired else np.full(n + 1, 2 * math.log(n))
     # blocks (m, ln d^2, ln |top|) of atoms at slot sizes m with y = |top| / scale:
     # the paired extra atom, table rows, window; then the tail majorants
-    blocks = [(None, np.array([_ln(Fraction(paired[1], 4))]),
+    blocks = [(None, np.array([_ln(extra)]),
                np.array([_ln(Fraction(n - 1, n))]))] if paired else []
     if g_order == 1:
         blocks.append(_row_logs(rows))
@@ -398,7 +410,7 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
         blocks.append(tuple(col[shape[0] == n] for col in shape))
     elif big.size:
         blocks.append(partial(_window_shape, n, window[0], full))
-    return Atoms(tuple(blocks), ln_w, ln_scale, big, window[0], lnf, segments)
+    return Atoms(tuple(blocks), ln_w, ln_scale, big, window[0], lnf, segments, zero=zero)
 
 
 def _window_bytes(n: int, j_window: int, full: int) -> tuple[int, int]:
@@ -480,8 +492,6 @@ def _cmax_at_deficit(m, j):
     remainder r; a box moved to a wider higher row always gains).  Works
     elementwise on arrays, whose every m - j must then be >= 1."""
     w = m - j
-    if np.min(w) < 1:
-        return None
     q, r = np.divmod(j, w)
     return w * (w - 1) + q * w * w - w * ((q + 1) ** 2 - 1) + r * r - (2 * q + 3) * r
 
@@ -499,7 +509,8 @@ def l2n_sq_collapsed(g_order: int, n: int, k: int, exact: bool = False):
         raise ValueError("k must be >= 0")
     if exact and n > FULL_ENUM_MAX:
         raise ValueError(f"exact path limited to n <= {FULL_ENUM_MAX}")
-    return power_sums(_atoms(g_order, n), [k], exact=True)[0] if exact else _column(g_order, n, [k])[0]
+    atoms = _atoms(g_order, n)
+    return power_sums(atoms, [k], exact=True)[0] if exact else l2_column(atoms, [k])[0]
 
 
 def _atoms(g_order: int, n: int, paired: tuple | None = None) -> Atoms:
@@ -517,29 +528,10 @@ def _exact_atoms(g_order: int, n: int) -> Atoms:
     return _slot_atoms(g_order, n, None)
 
 
-def _column(g_order: int, n: int, ks, paired: tuple | None = None) -> list:
-    """The collapsed sum (or the relaxed bound) at every k, from one set of atoms."""
-    at_zero = g_order ** n * math.factorial(n) - 1
-    if paired:
-        at_zero = Fraction(paired[0], 2) * at_zero + Fraction(paired[1], 4)
-    return l2_column(_atoms(g_order, n, paired), ks, _float_or_inf(at_zero))
-
-
 def l2n_sq_collapsed_bounds(g_order: int, n: int, k: int) -> tuple[float, float]:
     """Certified (lower, upper) floats for the collapsed sum.  They coincide
     whenever the atoms are exact (n <= FULL_ENUM_MAX)."""
-    return _brackets(g_order, n, [k])[0]
-
-
-def _brackets(g_order: int, n: int, ks) -> list:
-    """l2n_sq_collapsed_bounds at every k, from one pass over the atoms;
-    k = 0 is the exact |G|^n n! - 1 and builds no atoms."""
-    rest = [k for k in ks if k]
-    got = dict(zip(rest, power_sums(_atoms(g_order, n), rest))) if rest else {}
-    if len(rest) < len(ks):
-        f = _float_or_inf(g_order ** n * math.factorial(n) - 1)
-        got[0] = (f, f)
-    return [got[k] for k in ks]
+    return power_sums(_atoms(g_order, n), [k])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +555,7 @@ def paired_relaxed_bound(g: GroupTable, n: int, k: int):
     share no denominator, so the atoms have no exact form."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _column(g.order, n, [k], (g.num_classes, delta_n(g, n)))[0]
+    return l2_column(_atoms(g.order, n, (g.num_classes, delta_n(g, n))), [k])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +641,7 @@ def tv_lower_chebyshev_sym(n: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 # eigenvalue envelope for the independent walk
 
-def independent_envelope_holds(n: int, exhaustive_up_to: int = 30) -> bool:
+def independent_envelope_holds(n: int) -> bool:
     """Every nontrivial independent-walk eigenvalue has modulus at most
     (1 - 1/n)^2.  Exact-arithmetic reduction:
 
@@ -659,7 +651,7 @@ def independent_envelope_holds(n: int, exhaustive_up_to: int = 30) -> bool:
                strictly increases the content sum, so [n-1,1] dominates);
                then |y| <= (n-2)/n < (1-1/n)^2.
 
-    For small n the r-extremes are also checked by brute enumeration.
+    For n <= 30 the r-extremes are also checked by brute enumeration.
     """
     if n < 2:
         return True
@@ -671,7 +663,7 @@ def independent_envelope_holds(n: int, exhaustive_up_to: int = 30) -> bool:
     top = Fraction(1, n) + Fraction(n - 1, n) * r2
     bot = Fraction(1, n) - Fraction(n - 1, n)
     assert abs(top) <= cap and abs(bot) <= cap
-    if n <= exhaustive_up_to:
+    if n <= 30:
         rs = sorted(
             (char_ratio_transposition(lam), lam) for lam in enumerate_partitions(n)
         )
@@ -692,7 +684,7 @@ def envelope_decay_certificate(g_order: int, n: int, c: float,
         extra = 0.25 * n * math.log(g_order - 1) if g_order > 1 else 0.0
         k0 = math.ceil(0.5 * n * math.log(n) + extra)
     k1 = k0 + math.ceil(c * n)
-    (lo0, _), (_, hi1) = _brackets(g_order, n, [k0, k1])
+    (lo0, _), (_, hi1) = power_sums(_atoms(g_order, n), [k0, k1])
     return hi1, math.exp(-4.0 * c) * lo0
 
 
@@ -825,7 +817,7 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
     cap = MAX_LABELS if max_labels is None else max_labels
     if kind != "paired":
         mode = "full-spectrum" if n <= FULL_ENUM_MAX else "collapsed"
-        l2s = _column(g.order, n, ks)
+        l2s = l2_column(_atoms(g.order, n), ks)
     elif n <= WORD_M_MAX and class_count(g, n) <= cap:      # content_rows needs the table
         mode = "full-spectrum"
         den, mults = slot_convolution(n, g)
@@ -833,9 +825,10 @@ def distance_curve(kind: str, n: int, g: GroupTable | None = None,
         l2s = l2_column(exact_atoms([mults[v] for v in nums], nums, den), ks)
     else:
         mode = "relaxed"
-        l2s = [4.0 * float(v) for v in _column(g.order, n, ks, (g.num_classes, delta_n(g, n)))]
+        atoms = _atoms(g.order, n, (g.num_classes, delta_n(g, n)))
+        l2s = [4.0 * float(v) for v in l2_column(atoms, ks)]
     dominant = _dominant_column(g.irrep_dims(), n, ks, kind) if kind != "sym" else [None] * len(ks)
-    sym_l2s = _column(1, n, ks) if kind == "independent" and n >= 2 else [0] * len(ks)
+    sym_l2s = l2_column(_atoms(1, n), ks) if kind == "independent" and n >= 2 else [0] * len(ks)
     rows = [{
         "k": k,
         "l2n_sq": l2,

@@ -89,10 +89,6 @@ def class_size(g: GroupTable, n: int, tm: TypeMatrix) -> int:
     return int(out)
 
 
-def identity_type(g: GroupTable, n: int) -> TypeMatrix:
-    return frozenset({((0, 0), n)})
-
-
 def u_type(g: GroupTable, n: int, k: int) -> TypeMatrix:
     """Type of (u; e) with one coordinate in base class k (1-based, k >= 2)."""
     if not 2 <= k <= g.num_classes:
@@ -122,7 +118,7 @@ def support_classes(g: GroupTable, n: int) -> list[tuple[tuple, TypeMatrix, int]
       ("v", k)   size n(n-1)/2 |G| |C_k|,      1 <= k <= s
     """
     sizes = g.class_sizes()
-    out = [(("id",), identity_type(g, n), 1)]
+    out = [(("id",), frozenset({((0, 0), n)}), 1)]
     for k in range(2, g.num_classes + 1):
         tm = u_type(g, n, k)
         size = n * sizes[k - 1]

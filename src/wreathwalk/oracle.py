@@ -59,10 +59,10 @@ def measure_on_table(measure: WalkMeasure, g: GroupTable) -> dict[int, Fraction]
 
     Counted from the walk's definition: each of the n^2 |G|^b equally likely
     draws (positions p, q, then two independent base elements a, b, or one
-    pair a, a^-1 for paired; `wreath.step_draws`, the list the simulator
-    draws from) is applied to the identity with `wreath.apply_steps`
-    (`wreath.step_elements`), DRAW_CHUNK draws at a time, and the step
-    elements are counted.  Sym is the independent case on G = 1: one draw
+    pair a, a^-1 for paired; d = 0..draw_count - 1 by `wreath.decode_draws`,
+    the draws the simulator takes) is applied to the identity with
+    `wreath.apply_steps` (`wreath.step_elements`), DRAW_CHUNK draws at a
+    time, and the step elements are counted.  Sym is the independent case on G = 1: one draw
     (a, b) = (e, e) per (p, q)."""
     n, base = measure.n, measure.base
     go = base.order

@@ -2,25 +2,29 @@
 empirical TV with jackknife errors, and the coupling experiment (the
 pair-event graph connectivity time).
 
-A step of every trial is one integer draw d, uniform on the walk's
-`wreath.step_draws` list, and one gather.  A trial is one element index x,
-and the step is x = S[d, x], S the walk's `wreath.step_rows` map gathered
-by draw (S[d, x] the index of s_d x), when the map costs no more than the
-walk.  A snapshot is x itself.  Otherwise, as for orders too large to
-index, a trial is a (coords, pinv) pair stepped by `wreath.apply_steps` on
-the draw's `wreath.decode_draws` digits, and encoded at each snapshot.
+A step of every trial is one integer draw d, uniform on the walk's draws
+d = 0..draw_count - 1 (`wreath.decode_draws`), and one gather.  A trial
+is one element index x, and the step is x = S[d, x], S the walk's
+`wreath.step_rows` map gathered by draw (S[d, x] the index of s_d x),
+when the map costs no more than the walk.  A snapshot is x itself.
+Otherwise, as for orders too large to index, a trial is a (coords, pinv)
+pair stepped by `wreath.apply_steps` on the draw's `wreath.decode_draws`
+digits, and encoded at each snapshot.  In continuized mode a trial past
+its Poisson count takes draw 0, (p, q, a, b) = (0, 0, e, e), the identity
+step, so each step is one statement over every trial on either route.
 
 Randomness contract: everything goes through numpy's default_rng (PCG64),
 and every report records the seed.  Per step the sampler draws one
-integer per trial, rng.integers(0, D) with D = n^2 |G|^b the length of
-step_draws (b = 2 independent, 1 paired; sym is the independent walk on
-Z:1, so D = n^2), whatever the route, so the stream layout is fixed.  Its
-mixed-radix digits are p, q, a and b (b = a^-1 for paired), so the law of
-a step is that of drawing them one by one.  The coupling experiment runs
-chunks of trials, the chunk size fixed by n; per chunk, each merge step
-draws one standard exponential per trial, then one (2, trials in the
-chunk) block of uniforms: row 0 picks the first class, row 1 the second.
-After all chunks it draws one Exp(mean n) per trial for T*.
+integer per trial, rng.integers(0, D) with D = n^2 |G|^b = draw_count
+(b = 2 independent, 1 paired; sym is the independent walk on Z:1, so
+D = n^2), whatever the route and whether the trial has stopped, so the
+stream layout is fixed.  Its mixed-radix digits are p, q, a and b
+(b = a^-1 for paired), so the law of a step is that of drawing them one
+by one.  The coupling experiment runs chunks of trials, the chunk size
+fixed by n; per chunk, each merge step draws one standard exponential per
+trial, then one (2, trials in the chunk) block of uniforms: row 0 picks
+the first class, row 1 the second.  After all chunks it draws one
+Exp(mean n) per trial for T*.
 """
 from __future__ import annotations
 
@@ -79,7 +83,8 @@ def _walk(cfg: SimConfig, ks: list, keep, decoded: bool = False) -> list:
     A trial is one element index stepped by one gather through the step
     map (_step_map) when there is one, else a (coords, pinv) pair, pinv its
     inverse permutation, stepped by apply_steps; a step is O(1) per trial
-    either way, and both take the same draws."""
+    either way, and both take the same draws.  A continuized trial past its
+    Poisson count takes draw 0, the identity step."""
     rng = np.random.default_rng(cfg.seed)
     T, n, go = cfg.trials, cfg.n, cfg.g.order
     if cfg.mode == "continuized":
@@ -95,7 +100,7 @@ def _walk(cfg: SimConfig, ks: list, keep, decoded: bool = False) -> list:
     draws = draw_count(cfg.kind, n, cfg.g)
     succ = _step_map(cfg, kmax)
     if succ is None:
-        coords = np.zeros((T, n), dtype=np.int64)
+        coords, rows = np.zeros((T, n), dtype=np.int64), np.arange(T)
         pinv = np.tile(np.arange(n, dtype=np.int64), (T, 1))
     else:
         order = wreath_order(go, n)
@@ -111,27 +116,15 @@ def _walk(cfg: SimConfig, ks: list, keep, decoded: bool = False) -> list:
         if step == kmax:
             break
         d = rng.integers(0, draws, size=T)
-        on = steps > step if cfg.mode == "continuized" else None   # the trials still stepping
+        if cfg.mode == "continuized":
+            d[steps <= step] = 0             # a stopped trial takes draw 0, the identity step
         if succ is None:
-            _step(cfg, d, coords, pinv, on)
-            continue
-        d *= order
-        if on is None:
+            apply_steps(coords, pinv, rows, *decode_draws(cfg.kind, n, cfg.g, d), cfg.g.mult)
+        else:
+            d *= order
             d += x
             x = succ.take(d)
-        else:
-            x[on] = succ.take(d[on] + x[on])
     return [kept[k] for k in ks]
-
-
-def _step(cfg: SimConfig, d: np.ndarray, coords: np.ndarray, pinv: np.ndarray, on) -> None:
-    """Apply draw d[i] (wreath.step_draws order) to trial i of (coords,
-    pinv), or to the trials that the mask on selects, in place."""
-    rows = np.arange(len(d))
-    if on is not None:
-        rows, d = rows[on], d[on]
-    p, q, a, b = decode_draws(cfg.kind, cfg.n, cfg.g, d)
-    apply_steps(coords, pinv, rows, p, q, a, b, cfg.g.mult)
 
 
 def _step_map(cfg: SimConfig, kmax: int):

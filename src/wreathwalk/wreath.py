@@ -31,15 +31,16 @@ its order^2 table built.
 
 The walk step, the one rule for every walk: draw positions p, q and base
 elements a, b, then left-multiply by the step element with a at p, b at q
-and the swap (p q).  A draw is one index d in 0..draw_count - 1, and
-`decode_draws` is the one decoder of d into (p, q, a, b); `step_draws`
-decodes every d, and `apply_steps` is the step's one array statement.
-`step_elements` applies draws to the identity with it (the oracle's
-one-step law counts them); `step_rows` is the successor map
-R[row_of[d], x] = index of s_d x (distinct step elements x order
-entries, at most the explicit table), which the simulator gathers by
-draw and walks when it costs no more than the walk.  `refuse_past_memory`
-refuses, in bytes, a build whose estimate exceeds physical memory.
+and the swap (p q).  A draw is one index d in 0..draw_count - 1, the
+sampler's draw order, and `decode_draws` is the one decoder of d into
+(p, q, a, b); draw 0 is (0, 0, e, e), the identity step of every walk.
+`apply_steps` is the step's one array statement.  `step_elements` applies
+draws to the identity with it (the oracle's one-step law counts them);
+`step_rows` is the successor map R[row_of[d], x] = index of s_d x
+(distinct step elements x order entries, at most the explicit table),
+which the simulator gathers by draw and walks when it costs no more than
+the walk.  `refuse_past_memory` refuses, in bytes, a build whose estimate
+exceeds physical memory.
 """
 from __future__ import annotations
 
@@ -180,13 +181,6 @@ def decode_draws(kind: str, n: int, g: GroupTable | None, d) -> tuple:
     return p, q, a, (g.inv[a] if kind == "paired" else b)
 
 
-def step_draws(kind: str, n: int, g: GroupTable | None):
-    """(p, q, a, b) of every equally likely draw of the walk's step, in the
-    sampler's draw order: decode_draws of 0..draw_count - 1.  The sampler
-    draws one index per trial and step, uniform on this list."""
-    return decode_draws(kind, n, g, np.arange(draw_count(kind, n, g)))
-
-
 def step_elements(kind: str, n: int, g: GroupTable | None, d=None) -> np.ndarray:
     """The element index of the step element s_d of each draw d (default
     every draw, 0..draw_count - 1): the draws applied to the identity with
@@ -269,7 +263,7 @@ def build_bytes(g_order: int, n: int, rows: int, perms: int, held: int,
 
 def step_rows(kind: str, n: int, g: GroupTable | None) -> tuple[np.ndarray, np.ndarray]:
     """The walk's successor map on its distinct step elements: (R, row_of)
-    with R[row_of[d], x] the index of s_d x, for draw d in step_draws order
+    with R[row_of[d], x] the index of s_d x, for draw d in 0..draw_count - 1
     and state x in the element encoding, so R[row_of[d], 0] is s_d.  R has
     one row per distinct step element (b is overwritten at p = q, and
     (p, q, a, b) and (q, p, b, a) give one element): the table_rows of

@@ -437,15 +437,19 @@ def test_cutoff_window_brackets_read_no_table_rows(monkeypatch):
 @pytest.mark.parametrize("g_order,gname", [(2, None), (720, None), (6, "S:3")])
 def test_the_table_is_read_at_n_41_and_at_k_1(monkeypatch, g_order, gname):
     # at n = 41 the [n-1] atom is a table row, so every k reads the table;
-    # above it k = 1 does, where the table holds most of the sum
+    # above it k = 1 does, where the table holds most of the sum.  k = 0 is
+    # the atoms' zero and reads nothing
     _, reads = _count_table_reads(monkeypatch)
     g = build_group(gname) if gname else None
-    for n, k in [(41, 1), (41, 41), (41, 3 * 41), (41, 100 * 41), (42, 1), (200, 1), (1000, 1),
-                 (200, 0)]:
+    for n, k in [(41, 1), (41, 41), (41, 3 * 41), (41, 100 * 41), (42, 1), (200, 1), (1000, 1)]:
         reads.clear()
         atoms = bounds._atoms(g_order, n, _paired(g, n) if g else None)
         power_sums(atoms, [k])
         assert reads == [bounds.FULL_ENUM_MAX], (n, k)
+    reads.clear()
+    atoms = bounds._atoms(g_order, 200, _paired(g, 200) if g else None)
+    assert power_sums(atoms, [0]) == [(atoms.zero, atoms.zero)]
+    assert reads == []
 
 
 @pytest.mark.parametrize("n", [41, 45])
@@ -607,19 +611,63 @@ def test_a_pass_builds_each_majorant_once_for_all_its_ks(monkeypatch):
     assert 0 < max(built) <= sum(seen) <= sum(built)
 
 
+def _count_folds(monkeypatch):
+    """Record the ks of every chunk the float evaluator folds."""
+    folds, fold = [], bounds._fold
+    monkeypatch.setattr(bounds, "_fold", lambda ln_w, ln_y, ks, parts: (
+        folds.append(list(ks)) or fold(ln_w, ln_y, ks, parts)))
+    return folds
+
+
 def test_a_curve_with_k_0_is_the_curve_without_it_and_the_closed_form(monkeypatch):
-    # no float pass over the windowed atoms sees k = 0
-    passes = []
-    power = bounds.power_sums
-    monkeypatch.setattr(bounds, "power_sums", lambda atoms, ks, exact=False: (
-        atoms.tail.size and passes.append(list(ks))) or power(atoms, ks, exact))
+    # no chunk of the windowed atoms is folded at k = 0: the only k = 0
+    # folds are the dominant column's, over its exact atoms
+    folds = _count_folds(monkeypatch)
     for kind, gname, n, at_zero in [
         ("independent", "Z:2", 60, float(2 ** 60 * math.factorial(60) - 1)),
         ("paired", "S:3", 50, 4.0 * float(Fraction(3, 2) * (6 ** 50 * math.factorial(50) - 1)
                                           + Fraction(bounds.delta_n(build_group("S:3"), 50), 4))),
     ]:
         g = build_group(gname)
+        folds.clear()
         with_zero = distance_curve(kind, n, g, ks=[0, 300, 900])
+        at_zero_folds = [ks for ks in folds if 0 in ks]
+        assert folds and len(at_zero_folds) < len(folds)
+        folds.clear()
+        bounds._dominant_column(g.irrep_dims(), n, [0, 300, 900], kind)
+        assert at_zero_folds == folds
         assert with_zero.rows[1:] == distance_curve(kind, n, g, ks=[300, 900]).rows
         assert with_zero.rows[0]["l2n_sq"] == pytest.approx(at_zero, rel=1e-12)
-    assert passes and not any(0 in ks for ks in passes)
+
+
+@pytest.mark.parametrize("g_order,n,gname", [
+    (2, 200, None), (720, 200, None), (720, 1000, None), (1, 200, None),   # windowed collapsed
+    (6, 200, "S:3"), (6, 50, "S:3"), (2, 41, "Z:2"), (720, 1000, "S:6"),   # windowed relaxed
+    (2, 20, None), (3, 40, None), (1, 30, None),                           # exact collapsed
+])
+def test_k_0_is_the_atoms_zero_and_makes_no_pass(monkeypatch, g_order, n, gname):
+    # the weights' total in closed form, |G|^n n! - 1 (relaxed: (s/2) of it
+    # plus delta_n/4), a float, inf past the float range: power_sums reads
+    # it at k = 0 with no table read and no chunk folded
+    paired = _paired(build_group(gname), n) if gname else None
+    total = g_order ** n * math.factorial(n) - 1
+    if paired:
+        total = Fraction(paired[0], 2) * total + Fraction(paired[1], 4)
+    try:
+        want = float(total)
+    except OverflowError:
+        want = math.inf
+    atoms = bounds._atoms(g_order, n, paired)
+    _, reads = _count_table_reads(monkeypatch)
+    folds = _count_folds(monkeypatch)
+    assert atoms.zero == want
+    assert power_sums(atoms, [0]) == [(want, want)]
+    assert reads == [] and folds == []
+    mixed = power_sums(atoms, [0, n, 0])
+    assert mixed == [(want, want), power_sums(atoms, [n])[0], (want, want)]
+    assert folds and not any(0 in ks for ks in folds)
+    if atoms.weights is not None:                       # the exact total is the zero's
+        assert power_sums(atoms, [0], exact=True) == [total]
+    elif want < math.inf:                               # a pass at k = 0 brackets it
+        lo, hi = power_sums(atoms._replace(zero=None), [0])[0]
+        assert lo <= want * (1 + 1e-12) and hi >= want * (1 - 1e-12)

@@ -504,6 +504,29 @@ def test_walk_equals_the_reference_walk(kind, gspec, n, mode, route, monkeypatch
     assert len(built) == (2 if route == "map" else 0)
 
 
+@pytest.mark.parametrize("route", ["map", "coords"])
+def test_a_continuized_walk_steps_every_trial_once_per_step(route, monkeypatch):
+    # a trial past its Poisson count takes draw 0, the identity step, so
+    # each of the largest count's steps is one gather (map) or one
+    # apply_steps (coords) over every trial, and the law is the reference's
+    calls, real_apply, real_map = [], sim.apply_steps, sim._step_map
+
+    class CountedMap(np.ndarray):
+        def take(self, d):
+            calls.append(len(d))
+            return np.asarray(self).take(d)
+
+    monkeypatch.setattr(sim, "apply_steps", lambda *a: calls.append(len(a[2])) or real_apply(*a))
+    monkeypatch.setattr(sim, "_step_map", lambda cfg, kmax: (
+        real_map(cfg, kmax).view(CountedMap) if route == "map" else None))
+    cfg = SimConfig(kind="paired", n=3, g=build_group("Z:3"), t=9.0, trials=25000, seed=3,
+                    mode="continuized")
+    got = run_walk_indices(cfg)
+    steps = np.random.default_rng(3).poisson(9.0, size=25000)
+    assert calls == [25000] * int(steps.max()) and (steps < steps.max()).any()
+    assert np.array_equal(got, _reference_walk_indices(cfg))
+
+
 @pytest.mark.parametrize("kind,gspec,n", REFERENCE_WALKS)
 def test_tv_curve_rows_equal_reference_runs_of_k_steps(kind, gspec, n):
     g = build_group(gspec) if gspec else None

@@ -2,6 +2,7 @@
 the scalar arithmetic (wreath_multiply, permutation composition) and, for
 the larger instances, against the spectral route through the oracle."""
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -25,7 +26,6 @@ from wreathwalk.wreath import (
     decode_states,
     draw_count,
     enumerate_wreath_elements,
-    step_draws,
     step_elements,
     step_rows,
     table_rows,
@@ -151,8 +151,26 @@ def test_step_rows_are_table_rows_of_the_step_elements(kind, gname, n):
     assert rows.dtype == np.int32 and steps.dtype == np.int64
     assert len(rows) == len(set(steps.tolist())) and len(row_of) == len(steps)
     assert np.array_equal(rows[row_of], wt.group.mult[steps])
-    for d, draw in enumerate(zip(*step_draws(kind, n, wt.base))):
+    every = np.arange(draw_count(kind, n, wt.base))
+    for d, draw in enumerate(zip(*decode_draws(kind, n, wt.base, every))):
         assert elements[steps[d]] == _step_element(n, *draw)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("gspec", ["Z:1", "Z:2", "Z:3", "S:3", "file:S:3"])
+@pytest.mark.parametrize("kind", ["sym", "independent", "paired"])
+def test_draw_0_is_the_identity_step(kind, gspec, n, tmp_path):
+    # draw 0 is (p, q, a, b) = (0, 0, e, e), whose step element is the
+    # identity, index 0: the draw a stopped continuized trial takes.
+    # file:S:3 is S:3 written to JSON and read back
+    if gspec.startswith("file:"):
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps({"order": 6, "mult": build_group("S:3").mult.tolist()}))
+        gspec = f"file:{path}"
+    g = build_group(gspec)
+    zero = np.array([0])
+    assert [x.tolist() for x in decode_draws(kind, n, g, zero)] == [[0]] * 4
+    assert step_elements(kind, n, g, zero).tolist() == [0]
 
 
 @pytest.mark.parametrize("kind,gname,n", MAP_WALKS + [("independent", "Z:300", 1),
@@ -166,7 +184,7 @@ def test_decode_draws_is_the_step_draws_list(kind, gname, n):
              else list(itertools.product(range(g.order), repeat=2)))
     want = [(p, q, a, b) for p, q, (a, b) in itertools.product(range(n), range(n), pairs)]
     assert draw_count(kind, n, g) == len(want)
-    listed = step_draws(kind, n, g)
+    listed = decode_draws(kind, n, g, np.arange(draw_count(kind, n, g)))
     assert list(zip(*(x.tolist() for x in listed))) == want
     d = np.random.default_rng(23).permutation(len(want))
     for got, col in zip(decode_draws(kind, n, g, d), listed):
