@@ -9,27 +9,28 @@ exact Fractions, or certified (lower, upper) floats by log-sum-exp.  The
 collapsed and relaxed atoms are one per (n_1, content) row of the shared
 partition table; above FULL_ENUM_MAX an n_1 gets a deficit window (first
 row n_1 - j, j <= J_WINDOW) plus one tail majorant per larger deficit.
-The window depends on n alone and is built once per n, the logged table
-rows below it once per cutoff; |G| and the walk enter only as the
-per-slot offsets ln w(n_1) and ln scale(n_1).  The table rows are read by
-need: a level n_1 holds d^2 mass n_1! at |y| <= n_1^2/scale(n_1), so the
-table is at most sum_{n_1} w(n_1) n_1! (n_1^2/scale(n_1))^{2k} in closed
-form, and a k at which that is below 2^-60 of the [n-1] atom's term (held
-by the lower edge) adds it to the upper edge instead (_table_gate): near
-the cutoff no partition table is built.  At k = 0 the sum is the weights'
-total, |G|^n n! - 1 (for the relaxed bound (s/2)(|G|^n n! - 1) +
-delta_n/4): the collapsed and relaxed atoms carry it as Atoms.zero, and a
-float k = 0 reads it with no pass.
+The window depends on n alone, the logged table rows below it on the
+cutoff; |G| and the walk enter only as the per-slot offsets ln w(n_1) and
+ln scale(n_1).  Both are read by need (_gate): each table level and window
+slot size is at most a closed form in k (_unit_certs), and a k reads only
+those not below 2^-60 of the [n-1] atom's term (held by the lower edge)
+over their count, adding the rest's closed form to the upper edge.  The
+window runs slot size by slot size from n down, so a k reads a prefix,
+built as far as some k has read (Window): near the cutoff no partition
+table and a few dozen window slot sizes are built.  At k = 0 the sum is
+the weights' total, |G|^n n! - 1 (for the relaxed bound (s/2)(|G|^n n! -
+1) + delta_n/4): the collapsed and relaxed atoms carry it as Atoms.zero,
+and a float k = 0 reads it with no pass.
 
 The float sums stream: windowed Atoms hold those |G|-free blocks by
 reference, the O(n) offsets, and the tail majorants as their slot sizes,
 in closed form in (n_1, j); of these about n^2/2 a pass evaluates each
 slot size's first few and certifies the rest (_tail_segments).  Chunks
 of ATOM_CHUNK (ln w, ln |y|) fold into a running log-sum-exp per k.  A
-windowed bracket so holds the window shape (18 bytes an atom) and one
-chunk, never a copy of the window or the tail; terms below 2^-1022 of a
-chunk's largest are left out, which no float sum can see.  Exact and
-spectral atoms are the one-block case: no offsets and no tail.
+windowed bracket so holds the window slot sizes built so far (18 bytes
+an atom) and one chunk, never a copy of them or the tail; terms below
+2^-1022 of a chunk's largest are left out, which no float sum can see.
+Exact and spectral atoms are the one-block case: no offsets and no tail.
 
 Exactness is a property of the atoms, decided once in _atoms: the
 collapsed (sym, independent) atoms are exact, int weights and numerators
@@ -42,9 +43,11 @@ trivial line excluded.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -68,10 +71,10 @@ FULL_ENUM_MAX = 40     # every partition, exactly: the collapsed sums' exact ato
 EXACT_K_MAX = 64       # exact Fraction path of every l2 sum
 ATOM_CHUNK = 2 ** 15   # atoms per pass of the float evaluator
 LN_TINY = math.log(np.finfo(float).tiny)      # e^t is subnormal below this
-# peak bytes of the windowed brackets (tracemalloc peaks of a cold
-# l2n_sq_collapsed_bounds run 23 and 120): per window shape atom, its
-# (m, ln d^2, ln |top|), 18, and the build's per-deficit temporaries; per
-# atom of one chunk, the tail's closed form and the evaluator's arrays
+# peak bytes of a windowed bracket reading every window slot size (tracemalloc
+# peaks of a cold l2n_sq_collapsed_bounds run 23 and 120): per window shape
+# atom, its (m, ln d^2, ln |top|), 18, and the build's temporaries; per atom
+# of one chunk, the tail's closed form and the evaluator's arrays
 SHAPE_ATOM_BYTES = 24
 CHUNK_ATOM_BYTES = 128
 
@@ -83,8 +86,9 @@ class Atoms(NamedTuple):
     """Terms w y^{2k} of an l2 sum as blocks (m, ln d^2, ln |top|): an atom
     at slot size m has ln w = ln_w[m] + ln d^2 and ln |y| = ln |top| -
     ln_scale[m] (m None: no offsets, ln w = ln d^2 and ln |y| = ln |top|).
-    A block may be a callable, built when first read.  Each slot size m in
-    `tail` adds one majorant per deficit j_window < j < m, in closed form
+    A block may be a callable, built when first read; when `tail` is set,
+    the last is a Window of the slot sizes in `tail`, and each of those
+    adds one majorant per deficit j_window < j < m, in closed form
     over lnf = ln i!, for the upper edge only; `segments` builds their
     bounds, tail's in its last rows.  When exact, `weights` and `nums`
     repeat them as ints.  `zero`, when set, is the float sum at k = 0 in
@@ -129,17 +133,22 @@ def exact_atoms(weights, nums, den: int) -> Atoms:
 
 class Table(NamedTuple):
     """The block of the table rows at slot sizes m <= full, _table_logs(full),
-    read by need: power_sums reads it only at the ks of _table_gate."""
+    read by need: power_sums reads it only at the ks of _gate."""
     full: int
 
     def __call__(self) -> tuple:
         return _table_logs(self.full)
 
 
-def _block_chunks(atoms: Atoms, block):
-    """(ln w, ln |y|) of one block's atoms in their fixed order, at most
-    ATOM_CHUNK at a time, offset chunk by chunk; a callable block is built
-    (or taken from its cache) here."""
+def _block_chunks(atoms: Atoms, block, stop: int = sys.maxsize):
+    """(ln w, ln |y|) of one block's first stop atoms in their fixed order,
+    at most ATOM_CHUNK at a time from its first, offset chunk by chunk; a
+    callable block is built (or taken from its cache) here, the Window only
+    as far as stop and the atoms' smallest slot size."""
+    if not stop:
+        return
+    if isinstance(block, Window):
+        block = block(min(stop, block.stop(atoms.tail[0])))
     m, ln_d2, ln_top = block() if callable(block) else block
     for at in range(0, len(ln_d2), ATOM_CHUNK):
         part = slice(at, at + ATOM_CHUNK)
@@ -149,25 +158,54 @@ def _block_chunks(atoms: Atoms, block):
             yield _offset(atoms, m[part], ln_d2[part], ln_top[part])
 
 
-def _table_gate(atoms: Atoms, ks) -> list:
-    """Per k: None where a pass reads the Table block, else its certificate
-    as a tail part (ln cert(k), 1) of the upper edge.  A level m holds d^2
-    mass m! at |y| <= m^2 / scale(m) (|content| <= m(m-1)), so the block is
-    at most cert(k) = sum_{m <= full} w(m) m! (m^2 / scale(m))^{2k}; lo holds
-    the slot n-1 atom [n-1], ref(k) = w(n-1) ((n-1)^2 / scale(n-1))^{2k}.  A
-    k reads the block iff cert(k) >= 2^-60 ref(k): k alone decides (k = 0 is
-    the atoms' zero and makes no pass)."""
-    table = next((b for b in atoms.blocks if isinstance(b, Table)), None)
-    if table is None:
-        return [None] * len(ks)
-    n, two_k = atoms.ln_w.size - 1, 2.0 * np.array(ks, dtype=float)
-    ln_cert = np.full(len(ks), -math.inf)
-    for m in range(1, table.full + 1):                  # level 0 is y = 0 at k > 0
-        ln_y = 2 * math.log(m) - atoms.ln_scale[m]
-        np.logaddexp(ln_cert, atoms.ln_w[m] + atoms.lnf[m] + two_k * ln_y, out=ln_cert)
-    ln_ref = atoms.ln_w[n - 1] + two_k * (2 * math.log(n - 1) - atoms.ln_scale[n - 1])
-    skip = ln_cert < ln_ref - 60 * math.log(2.0)
-    return [(c, 1.0) if s else None for c, s in zip(ln_cert.tolist(), skip.tolist())]
+def _unit_certs(atoms: Atoms, ks, top: int) -> np.ndarray:
+    """ln cert(k) per (k, unit), the units table levels m = 1..top, then
+    window slot sizes m = atoms.tail: cert(k) = w(m) sum_j c(m,j) (y(m,j) /
+    scale(m))^{2k}.  Level m holds d^2 mass m! at |y| <= m^2 / scale(m);
+    slot size m's atoms at deficit j <= j_window, own and conjugate, at most
+    2 C(m,j)^2 j! at |y| <= (m + cmax(m,j)) / scale(m).  A few ks at a time."""
+    big, levels = atoms.tail, np.arange(1, top + 1)
+    units, jj = np.concatenate([levels, big]), np.arange(atoms.j_window + 1)[:, None]
+    ln_c, ln_y = np.full((2, jj.size, units.size), -math.inf)
+    ln_c[0, :top], ln_y[:, :top] = atoms.lnf[levels], 2 * np.log(levels)
+    ln_c[:, top:] = _ln_count(atoms.lnf, big, jj)
+    ln_y[:, top:] = np.log(big + _cmax_at_deficit(big, jj))
+    ln_c += atoms.ln_w[units]
+    ln_y -= atoms.ln_scale[units]
+    two_k, ln_cert = 2.0 * np.array(ks, dtype=float), np.empty((len(ks), units.size))
+    step = ATOM_CHUNK // ln_c.size + 1
+    for at in range(0, len(ks), step):
+        t = two_k[at:at + step, None, None] * ln_y + ln_c
+        peak = t.max(1)
+        ln_cert[at:at + step] = peak + np.log(np.exp(t - peak[:, None]).sum(1))
+    return ln_cert
+
+
+def _gate(atoms: Atoms, ks) -> tuple[list, list]:
+    """Per block, how many of its first atoms each k reads; per k, the
+    certificate (top, sum) of the rest, a tail part of hi.  A unit, a table
+    level or a window slot size, is needed iff its _unit_certs >= 2^-60
+    ref(k) / (units), ref(k) = w(n-1) ((n-1)^2 / scale(n-1))^{2k} the slot
+    n-1 atom [n-1]'s term, which lo holds.  A k reads the Table block iff
+    one of its levels is needed, the Window (its last block) from n down to
+    the smallest needed slot size (n at least, sym's one): the rest adds
+    below 2^-60 ref(k) to hi, and k alone decides."""
+    if not atoms.tail.size:
+        return [[sys.maxsize] * len(ks)] * len(atoms.blocks), [(-math.inf, 0.0)] * len(ks)
+    n, big, window = atoms.ln_w.size - 1, atoms.tail, atoms.blocks[-1]
+    top = window.full if any(isinstance(b, Table) for b in atoms.blocks) else 0
+    ln_ref = atoms.ln_w[n - 1] + 2.0 * np.array(ks, dtype=float) * (2 * math.log(n - 1)
+                                                                     - atoms.ln_scale[n - 1])
+    ln_cert = _unit_certs(atoms, ks, top)
+    need = ln_cert >= (ln_ref - 60 * math.log(2.0) - math.log(top + big.size))[:, None]
+    need[:, -1] = True
+    first, table = need[:, top:].argmax(1), need[:, :top].any(1)   # first: the smallest needed
+    skip = np.arange(top + big.size) < top + first[:, None]
+    skip[:, :top] = ~table[:, None]
+    stops = {Table: [sys.maxsize * read for read in table.tolist()],
+             Window: [window.stop(m) for m in big[first].tolist()]}
+    return ([stops.get(type(b), [sys.maxsize] * len(ks)) for b in atoms.blocks],
+            [_exp_sum(t) for t in np.where(skip, ln_cert, -math.inf)])
 
 
 def _majorants(atoms: Atoms, counts):
@@ -256,10 +294,11 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
     Otherwise certified (lower, upper) floats by log-sum-exp, one pass
     over the atom chunks for all ks: the lower edge sums the atoms, the
     upper edge adds per k the tail majorants up to _tail_cuts and a
-    certificate for the rest.  A Table block is built and summed only for
-    the ks that read it (_table_gate), the others take its certificate
-    into the upper edge: a bracket depends on k alone.  k = 0 is the
-    atoms' zero, when they have one."""
+    certificate for the rest.  Each k sums the Table block only if it
+    reads it and the Window only to its smallest needed slot size
+    (_gate), a prefix of the shared chunks, and adds the certificate of
+    the rest to the upper edge: a bracket depends on k alone.  k = 0 is
+    the atoms' zero, when they have one."""
     if not ks:
         return []
     if exact:
@@ -278,38 +317,36 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
         rest = [k for k in ks if k]
         got = dict(zip(rest, power_sums(atoms, rest)))
         return [got.get(k, (atoms.zero, atoms.zero)) for k in ks]
-    mains, tails = [[] for _ in ks], [[] for _ in ks]     # per k: (max, sum) of each chunk
-    gate = _table_gate(atoms, ks)
-    readers = ([k for k, cert in zip(ks, gate) if cert is None],
-               [main for main, cert in zip(mains, gate) if cert is None])
-    for block in atoms.blocks:
-        on_ks, parts = readers if isinstance(block, Table) else (ks, mains)
-        for ln_w, ln_y in _block_chunks(atoms, block) if on_ks else ():
-            _fold(ln_w, ln_y, on_ks, parts)
+    stops, certs = _gate(atoms, ks)
+    mains, tails = [[] for _ in ks], [[cert] for cert in certs]   # per k: (max, sum) per chunk
+    for block, stop in zip(atoms.blocks, stops):
+        for at, (ln_w, ln_y) in zip(count(0, ATOM_CHUNK), _block_chunks(atoms, block, max(stop))):
+            on = [i for i, s in enumerate(stop) if s > at]
+            _fold(ln_w, ln_y, [ks[i] for i in on], [mains[i] for i in on],
+                  [stop[i] - at for i in on])
     los = [_total(main) for main in mains]
     if atoms.tail.size:                       # the ks' majorants built once, each k's summed
         cuts = [_tail_cuts(atoms, k, lo) for k, lo in zip(ks, los)]
         for ln_w, ln_y, ii, jj in _majorants(atoms, np.max([c for c, _ in cuts], axis=0)):
             for k, (counts, _), tail in zip(ks, cuts, tails):
                 mine = jj <= atoms.j_window + counts[ii]
-                _fold(ln_w[mine], ln_y[mine], [k], [tail])
+                _fold(ln_w[mine], ln_y[mine], [k], [tail], [None])
         for (_, cert), tail in zip(cuts, tails):
-            tail.append(cert)
-    for cert, tail in zip(gate, tails):
-        if cert is not None:
             tail.append(cert)
     return [(lo, lo + _total(tail)) for lo, tail in zip(los, tails)]
 
 
-def _fold(ln_w, ln_y, ks, parts) -> None:
-    """Append each k's (top, sum) of the chunk's w y^{2k} to its parts."""
-    t = np.empty_like(ln_w)
-    for k, got in zip(ks, parts):
+def _fold(ln_w, ln_y, ks, parts, stops) -> None:
+    """Append each k's (top, sum) of w y^{2k} over the chunk's first
+    stops[i] atoms (None: all) to its parts."""
+    buf = np.empty_like(ln_w)
+    for k, got, stop in zip(ks, parts, stops):
+        w, t = ln_w[:stop], buf[:stop]
         if k:
-            np.multiply(ln_y, 2 * k, out=t)
-            t += ln_w
+            np.multiply(ln_y[:stop], 2 * k, out=t)
+            t += w
         else:
-            np.copyto(t, ln_w)                             # 0 * ln 0 is nan
+            np.copyto(t, w)                                # 0 * ln 0 is nan
         got.append(_exp_sum(t))
 
 
@@ -327,12 +364,16 @@ def _exp_sum(t: np.ndarray) -> tuple[float, float]:
 
 
 def _total(parts) -> float:
-    """sum of e^t over chunks' (top, sum) without overflow; inf past the float range."""
+    """sum of e^t over chunks' (top, sum) without overflow: e^top times the
+    sums where e^top is a normal float, else in logs (inf past the float range)."""
     top = max((p for p, _ in parts), default=-math.inf)
     if top == -math.inf:
         return 0.0
+    s = sum(s * math.exp(p - top) for p, s in parts)
+    if -700 < top < 700:
+        return math.exp(top) * s
     with np.errstate(over="ignore"):
-        return float(np.exp(top + math.log(sum(s * math.exp(p - top) for p, s in parts))))
+        return float(np.exp(top + math.log(s)))
 
 
 def l2_column(atoms: Atoms, ks) -> list:
@@ -359,11 +400,11 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     raises ValueError).  window (j_window, full_enum_max): logs only, and
     each n_1 above max(full_enum_max, 2 j_window + 2) gets deficit-window
     atoms and tail majorants (slot sizes, _tail_segments' rows) instead of
-    all its partitions.  Window atoms are _window_shape's (once per n) and,
-    for |G| > 1, table rows at n_1 <= full are _table_logs' (once per full;
-    a Table block, read by need, when n - 1 > full), held by reference,
-    offset by ln w(n_1) and -ln scale(n_1) chunk by chunk; |G| = 1 keeps
-    only n_1 = n.  Either way zero is the weights' total in closed form.
+    all its partitions.  Window atoms are _window_shape's (per n, built by
+    need) and, for |G| > 1, table rows at n_1 <= full are _table_logs' (once
+    per full; a Table block when n - 1 > full), held by reference, offset by
+    ln w(n_1) and -ln scale(n_1) chunk by chunk; |G| = 1 has the one slot
+    n_1 = n.  Either way zero is the weights' total in closed form.
     Not cached: no block outlives its cache."""
     if window is None and paired:
         raise ValueError("the relaxed bound has no exact atoms: its values share no denominator")
@@ -402,14 +443,11 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
             table = tuple(np.delete(col, np.searchsorted(table[0], n)) for col in table)
         blocks.append(table)
     big = np.array([m for m in slots if m > full], dtype=np.int64)
-    # |G| > 1: the window shape and the tail segments are built when first
+    # the window shape is built by need and the tail segments when first
     # read, so a table read (the pass's first block) holds neither
     segments = partial(_tail_segments, n, window[0], full)
-    if big.size and g_order == 1:
-        shape = _window_shape(n, window[0], full)
-        blocks.append(tuple(col[shape[0] == n] for col in shape))
-    elif big.size:
-        blocks.append(partial(_window_shape, n, window[0], full))
+    if big.size:
+        blocks.append(_window_shape(n, window[0], full))
     return Atoms(tuple(blocks), ln_w, ln_scale, big, window[0], lnf, segments, zero=zero)
 
 
@@ -441,49 +479,72 @@ def _table_logs(full: int) -> tuple:
                       for c, d2 in level])
 
 
-@lru_cache(maxsize=2)
-def _window_shape(n: int, j_window: int, full: int) -> tuple:
+class Window:
     """The |G|-free window atoms (m, ln d^2, ln |m + content|) of the slot
-    sizes m = full+1..n: lambda = (m - j, mu) per mu |- j <= j_window in
-    reverse-lex order (a fixed order for the float sums), then its conjugate,
-    outside the window as m > 2 j_window + 2; the trivial line [n] left out."""
-    lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    lni = np.log(np.arange(n + 1).clip(1))                          # ln i for i >= 1
-    runs = np.lib.stride_tricks.sliding_window_view(lni, n - full)  # ln i..i+n-full-1 per i
-    big = np.arange(full + 1, n + 1)
-    size = 2 * len(big) * sum(partition_counts(j_window)) - 1
-    shape, at = (np.empty(size, dtype=np.min_scalar_type(n)), np.empty(size), np.empty(size)), 0
-    for j in range(j_window + 1):
-        dims, contents = zip(*partition_table(j).values())
-        parts = np.array([mu + (0,) * (j - len(mu)) for mu in partitions_of(j)],
-                         dtype=np.int64).reshape(len(dims), j)      # mu, zero-padded
-        mu1 = parts.max(1, initial=0)[:, None]
-        # first-row hooks by the strip formula, column c of mu has (parts >= c).sum(1) cells
-        hooks = np.zeros((len(dims), len(big)))
-        for c in range(1, j + 1):
-            rows = mu1[:, 0] >= c
-            hooks[rows] += runs[full + 2 - j - c + (parts[rows] >= c).sum(1)]
-        ln_d = (lnf[big] - lnf[big - j - mu1] - lnf[j]
-                + np.array([math.log(d) for d in dims])[:, None] - hooks)
-        c_lam = (big - j) * (big - j - 1) + np.array(contents)[:, None] - 2 * j
-        # one (mu, own | conjugate, m) block, written in place; at j = 0 the
-        # own atom at m = n, the trivial line, is dropped from a small copy
-        size = 2 * ln_d.size
-        block = [col[at:at + size].reshape(len(dims), 2, len(big)) if j
-                 else np.empty((1, 2, len(big)), dtype=col.dtype) for col in shape]
-        m, ln_d2, ln_top = block
-        m[...] = big
-        np.multiply(ln_d[:, None], 2, out=ln_d2)
-        np.add(big, c_lam, out=ln_top[:, 0])
-        np.subtract(big, c_lam, out=ln_top[:, 1])
-        with np.errstate(divide="ignore"):
-            np.log(np.abs(ln_top, out=ln_top), out=ln_top)
-        if not j:
-            size -= 1
-            for col, part in zip(shape, block):
-                col[:size] = np.delete(part.ravel(), len(big) - 1)
-        at += size
-    return shape
+    sizes m = n, n-1, ..., full+1 in turn: per m, lambda = (m - j, mu) per
+    mu |- j <= j_window in reverse-lex order (a fixed order for the float
+    sums), each then its conjugate, outside the window as m > 2 j_window + 2.
+    The slot sizes >= m so are a prefix, built by need: a read past the
+    built ones builds only the new slot sizes, by the same operations per
+    atom.  cols leads with the trivial line [n], built and never read."""
+
+    def __init__(self, n: int, j_window: int, full: int):
+        self.n, self.j_window, self.full = n, j_window, full
+        self.per_slot = 2 * sum(partition_counts(j_window))
+        self.cols = (np.empty(0, dtype=np.min_scalar_type(n)), np.empty(0), np.empty(0))
+
+    def stop(self, m_min: int) -> int:
+        """The number of atoms of the slot sizes >= m_min."""
+        return self.per_slot * (self.n + 1 - m_min) - 1
+
+    def __call__(self, stop: int) -> tuple:
+        """The first stop atoms (all, if fewer), built to the slot size they end in."""
+        stop, have = min(stop, self.stop(self.full + 1)), len(self.cols[0])
+        if stop >= have:
+            end = -(-(stop + 1) // self.per_slot) * self.per_slot
+            cols = tuple(np.empty(end, dtype=col.dtype) for col in self.cols)
+            for new, old in zip(cols, self.cols):
+                new[:have] = old
+            big = np.arange(self.n - have // self.per_slot, self.n - end // self.per_slot, -1)
+            self._build(big, [col[have:].reshape(big.size, self.per_slot) for col in cols])
+            self.cols = cols
+        return tuple(col[1:stop + 1] for col in self.cols)
+
+    def _build(self, big, out) -> None:
+        """Write the slot sizes big's atoms into out's rows, a few chunks at a time."""
+        lnf = np.array([math.lgamma(i + 1) for i in range(self.n + 1)])
+        lni = np.log(np.arange(self.n + 1).clip(1))[::-1]               # ln i, i from n down
+        step = 8 * ATOM_CHUNK // self.per_slot + 1
+        for at in range(0, big.size, step):
+            b, rows, col = big[at:at + step], slice(at, at + step), 0
+            runs = np.lib.stride_tricks.sliding_window_view(lni, b.size)  # runs[n - i]: ln (b + i)
+            out[0][rows] = b[:, None]
+            for j in range(self.j_window + 1):
+                level = partition_table(j)
+                parts = np.array([mu + (0,) * (j - len(mu)) for mu in level],
+                                 dtype=np.int64).reshape(len(level), j)  # mu, zero-padded
+                mu1 = parts.max(1, initial=0)[:, None]
+                # first-row hooks by the strip formula: column c of mu has (parts >= c).sum(1)
+                # cells, and the mu with mu_1 >= c lead (reverse-lex order)
+                hooks = np.zeros((len(level), b.size))                   # (mu, m)
+                for c in range(1, j + 1):
+                    r = int((mu1 >= c).sum())
+                    hooks[:r] += runs[self.n - b[0] + c - 1 + j - (parts[:r] >= c).sum(1)]
+                dims, contents = zip(*level.values())
+                ln_d = (lnf[b] - lnf[b - j - mu1] - lnf[j]
+                        + np.array([[math.log(d)] for d in dims]) - hooks)
+                c_lam = (b - j) * (b - j - 1) + np.array(contents)[:, None] - 2 * j
+                top = np.empty((len(level), 2, b.size))                  # (mu, own | conjugate, m)
+                np.add(b, c_lam, out=top[:, 0])
+                np.subtract(b, c_lam, out=top[:, 1])
+                with np.errstate(divide="ignore"):
+                    np.log(np.abs(top, out=top), out=top)
+                span, col = slice(col, col + 2 * len(level)), col + 2 * len(level)
+                out[1][rows, span] = np.repeat(2 * ln_d.T, 2, axis=1)
+                out[2][rows, span] = top.reshape(-1, b.size).T
+
+
+_window_shape = lru_cache(maxsize=2)(Window)    # per (n, j_window, full), the last two
 
 
 def _cmax_at_deficit(m, j):

@@ -34,6 +34,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="exact convolution-power distances")
     add_walk(sp)
-    sp.add_argument("--k", type=parse_krange, default=list(range(11)), help="a..b[:step]")
+    sp.add_argument("--k", type=parse_krange, default="0..10", help="a..b[:step]")
     sp.add_argument("--max-order", type=int, default=MAX_WREATH_ORDER,
                     help="caps the wreath order |G|^n n!")
     add_io(sp)
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte Carlo runs with empirical TV")
     add_walk(sp)
-    sp.add_argument("--k", type=parse_krange, default=list(range(11)),
+    sp.add_argument("--k", type=parse_krange, default="0..10",
                     help="step counts; time horizons t in continuized mode")
     sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0, help="unsigned 64-bit; each k row reruns from this seed")
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("coupling", help="connectivity-time tail experiment")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--c", type=parse_clist, default=[0.0, 1.0, 2.0],
+    sp.add_argument("--c", type=parse_clist, default="0,1,2",
                     help="comma list of threshold offsets")
     sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
@@ -411,8 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once: building it costs more than parsing with
+    it.  Its defaults are strings, converted afresh by every parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

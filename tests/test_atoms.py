@@ -1,6 +1,8 @@
 """The one l2 evaluator: atoms built once per curve, exact and float paths
 of power_sums, windowed upper edges, and the shared partition table."""
+import decimal
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +241,24 @@ def test_sums_past_the_float_range_answer():
     assert got == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("top", [-650, -1, 100, 650])
+@pytest.mark.parametrize("s", [1.37, 1234.567])
+def test_a_total_is_within_2_ulps_of_e_to_the_top_times_its_sum(top, s):
+    # e^top s, not e^(top + ln s), which is resolved only to ulp(top + ln s)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        want = float(decimal.Decimal(top).exp() * decimal.Decimal(s))
+    got = bounds._total([(float(top), s)])
+    assert abs(got - want) <= 2 * math.ulp(want)
+    assert bounds._total([(float(top), s), (top - 800.0, 3.0), (-math.inf, 0.0)]) == got
+
+
+def test_a_total_past_the_float_range_is_inf_or_tiny():
+    assert bounds._total([(800.0, 1.5)]) == math.inf
+    assert bounds._total([(-705.0, 1.5)]) == pytest.approx(1.5 * math.exp(-705.0), rel=1e-12)
+    assert bounds._total([(-math.inf, 0.0)]) == 0.0 == bounds._total([])
+
+
 def test_partition_table_matches_hooks_and_contents():
     for m in range(0, 10):
         table = partition_table(m)
@@ -290,7 +310,8 @@ def _reference_window_atoms(g_order, n, window, paired=None):
     """The windowed collapsed atoms as they were built before the window
     shape was shared across base orders, kept as the bit-for-bit reference:
     one Python pass per mu |- j <= j_window with its first-row hooks summed
-    as a generator, every block a part of one final concatenate."""
+    as a generator, every block a part of one final concatenate; the window
+    atoms then put slot size by slot size, n down, by a stable sort."""
     full = min(n, max(window[1], 2 * window[0] + 2))
     slots = range(n + 1) if g_order > 1 else [n]
     table = content_rows(max((m for m in slots if m <= full), default=0))
@@ -312,12 +333,12 @@ def _reference_window_atoms(g_order, n, window, paired=None):
             ln_y = np.log(np.abs(top)) - ln_scale[m]
         parts.append((ln_w[m] + ln_d2, ln_y, np.full(ln_y.shape, tail)))
 
-    sizes = np.array([m for m, _, _ in rows], dtype=np.int64)
+    sizes, slot_sizes = np.array([m for m, _, _ in rows], dtype=np.int64), []
     add(sizes, np.array([math.log(d2) for _, _, d2 in rows]),
         sizes + np.array([c for _, c, _ in rows], dtype=np.int64))
     big = np.array([m for m in slots if m > full], dtype=np.int64)
     if big.size:
-        j_window = window[0]
+        j_window, table_parts = window[0], len(parts)
         for j in range(j_window + 1):
             level = partition_table(j)
             for mu in partitions_of(j):
@@ -330,6 +351,9 @@ def _reference_window_atoms(g_order, n, window, paired=None):
                 add(big[own], 2 * ln_d[own], (big + c_lam)[own])
                 outside = big - 1 - len(mu) > j_window
                 add(big[outside], 2 * ln_d[outside], (big - c_lam)[outside])
+                slot_sizes += [big[own], big[outside]]
+        by_slot = np.argsort(-np.concatenate(slot_sizes), kind="stable")
+        parts[table_parts:] = [tuple(np.concatenate(col)[by_slot] for col in zip(*parts[table_parts:]))]
         mm = np.repeat(big, big - 1 - j_window)
         jj = np.concatenate([np.arange(j_window + 1, m) for m in big])
         top = mm + bounds._cmax_at_deficit(mm, jj)
@@ -374,14 +398,17 @@ def test_window_atoms_equal_the_reference_bit_for_bit(g_order, n, window, gname)
     _assert_atoms_equal_the_reference(atoms, _reference_window_atoms(g_order, n, window, paired))
 
 
-def test_window_shape_is_built_once_per_n():
-    # Z:2, sym, the S:3 relaxed bound and |G| = 720 share one n = 200 shape
+def test_window_shape_is_built_once_per_n(monkeypatch):
+    # Z:2, sym, the S:3 relaxed bound and |G| = 720 share one n = 200 shape,
+    # and each slot size of it is built once
     bounds._window_shape.cache_clear()
+    built = _count_slot_builds(monkeypatch)
     l2n_sq_collapsed_bounds(2, 200, 600)
     l2n_sq_collapsed_bounds(1, 200, 600)
     paired_relaxed_bound(build_group("S:3"), 200, 1200)
     l2n_sq_collapsed_bounds(720, 200, 1200)
     assert bounds._window_shape.cache_info().misses == 1
+    assert built and len(set(built)) == len(built)
 
 
 @pytest.mark.parametrize("gname", ["Z:1", "Z:2", "S:3"])
@@ -524,32 +551,48 @@ def test_cut_tail_is_within_2_to_the_minus_50_lo_of_every_majorant(g_order, gnam
             assert hi == math.inf, k
             continue
         assert abs(math.log(lo) - ln_lo) <= 1e-13, k
-        hi_full = lo + math.exp(ln_tail)
+        hi_full = lo + _linear_sum(t[tail])
         assert hi_full * (1 - 1e-15) <= hi <= hi_full * (1 + 1e-15) + 2 ** -50 * lo, k
+
+
+def _read_every_unit(atoms, ks):
+    """A _gate that reads every table level and window slot size at every k."""
+    return [[sys.maxsize] * len(ks)] * len(atoms.blocks), [(-math.inf, 0.0)] * len(ks)
+
+
+def _gate_ks(g_order, paired, n):
+    """k = 1, n/4, n, 3n and the benchmark's cutoff offsets (doubled for the
+    relaxed bound, whose cutoff is twice as far)."""
+    ks = [_k0(g_order, n) + math.ceil(c * n) for c in OFFSETS]
+    return [1, n // 4, n, 3 * n] + ([2 * k for k in ks] if paired else ks)
 
 
 @pytest.mark.parametrize("n", [42, 45, 60, 200, 1000])
 @pytest.mark.parametrize("g_order,gname", [(2, None), (3, None), (720, None), (6, "S:3")])
 def test_a_skipped_table_is_certified_against_the_read_one(monkeypatch, g_order, gname, n):
     # a k that skips the table block takes its certificate instead, which
-    # bounds the block: lo may only fall and hi only rise, each by at most
+    # bounds the block (with the window slot sizes the k skips, one
+    # certificate): lo may only fall and hi only rise, each by at most
     # 2^-60 lo and an ulp
     paired = _paired(build_group(gname), n) if gname else None
-    ks = [_k0(g_order, n) + math.ceil(c * n) for c in OFFSETS]
-    ks = [1, n // 4, n, 3 * n] + ([2 * k for k in ks] if paired else ks)
+    ks = _gate_ks(g_order, paired, n)
     atoms = bounds._atoms(g_order, n, paired)
     gated = power_sums(atoms, ks)
-    certs = bounds._table_gate(atoms, ks)
-    skipped = [cert is not None for cert in certs]
+    stops, certs = bounds._gate(atoms, ks)
+    table = next(i for i, block in enumerate(atoms.blocks) if isinstance(block, bounds.Table))
+    skipped = [not stop for stop in stops[table]]
     assert not skipped[0] and any(skipped) == (n >= 60)     # at n = 42, 45 every k reads it
-    table = [block for block in atoms.blocks if isinstance(block, bounds.Table)]
-    ln_w, ln_y = (np.concatenate(col) for col in zip(*bounds._block_chunks(atoms, table[0])))
-    for k, cert, got in zip(ks, certs, gated):
+    chunks = bounds._block_chunks(atoms, atoms.blocks[table])
+    ln_w, ln_y = (np.concatenate(col) for col in zip(*chunks))
+    for k, skip, cert, got in zip(ks, skipped, certs, gated):
         assert got == power_sums(atoms, [k])[0], k              # k alone decides
-        if cert:
+        if skip:
             ln_cert = cert[0] + math.log(cert[1])
             assert _ln_sum(ln_y * (2 * k) + ln_w) <= ln_cert < math.log(got[0]) - 60 * math.log(2), k
-    monkeypatch.setattr(bounds, "_table_gate", lambda atoms, ks: [None] * len(ks))
+    # against the pass that reads the table at every k and gates the window as before
+    unit_certs = bounds._unit_certs
+    monkeypatch.setattr(bounds, "_unit_certs", lambda atoms, ks, top_level: np.concatenate(
+        [np.full((len(ks), top_level), math.inf), unit_certs(atoms, ks, top_level)[:, top_level:]], 1))
     for k, skip, (lo, hi), (lo_read, hi_read) in zip(ks, skipped, gated, power_sums(atoms, ks)):
         if not skip:
             assert (lo, hi) == (lo_read, hi_read), k
@@ -560,10 +603,137 @@ def test_a_skipped_table_is_certified_against_the_read_one(monkeypatch, g_order,
             assert hi - hi_read <= 2 ** -60 * lo + math.ulp(hi_read), k
 
 
+GATE_GRID = [(n, g_order, gname) for n in (41, 45, 60, 200, 1000)
+             for g_order, gname in ((2, None), (3, None), (720, None), (6, "S:3"))]
+
+
+@pytest.mark.parametrize("n,g_order,gname", GATE_GRID)
+def test_a_window_slot_certificate_bounds_its_atoms(n, g_order, gname):
+    # per window slot size m and k, the closed form the gate reads is at
+    # least the sum of m's window atoms, own and conjugate
+    paired = _paired(build_group(gname), n) if gname else None
+    ks = _gate_ks(g_order, paired, n) + [10 * n]
+    atoms = bounds._atoms(g_order, n, paired)
+    window = atoms.blocks[-1]
+    ln_w, ln_y = (np.concatenate(col) for col in zip(*bounds._block_chunks(atoms, window)))
+    starts = np.arange(-1, ln_w.size, window.per_slot).clip(0)   # slot n lacks the line [n]
+    assert starts.size == atoms.tail.size
+    certs = bounds._unit_certs(atoms, ks, 0)[:, ::-1]            # slot sizes n down, as read
+    for k, cert in zip(ks, certs):
+        t = ln_y * (2 * k) + ln_w
+        top = np.maximum.reduceat(t, starts)
+        sums = np.add.reduceat(np.exp(t - np.repeat(top, np.diff(starts, append=t.size))), starts)
+        assert (top + np.log(sums) <= cert).all(), k
+
+
+@pytest.mark.parametrize("n,g_order,gname", GATE_GRID)
+def test_a_gated_pass_is_within_2_to_the_minus_60_lo_of_every_slot_read(monkeypatch, n, g_order,
+                                                                       gname):
+    # against a pass that reads every table level and window slot size: each
+    # edge within 2^-60 lo and 2 ulps, lo never above and hi never below by
+    # more than 2 ulps
+    paired = _paired(build_group(gname), n) if gname else None
+    ks = _gate_ks(g_order, paired, n)
+    atoms = bounds._atoms(g_order, n, paired)
+    gated = power_sums(atoms, ks)
+    monkeypatch.setattr(bounds, "_gate", _read_every_unit)
+    for k, (lo, hi), (lo_all, hi_all) in zip(ks, gated, power_sums(atoms, ks)):
+        if hi_all == math.inf:                                   # past the float range
+            assert hi == math.inf and (lo == math.inf) == (lo_all == math.inf), k
+            continue
+        assert 0 < lo <= lo_all + 2 * math.ulp(lo_all) and hi >= hi_all - 2 * math.ulp(hi_all), k
+        assert abs(lo - lo_all) <= 2 ** -60 * lo_all + 2 * math.ulp(lo_all), k
+        assert abs(hi - hi_all) <= 2 ** -60 * lo_all + 2 * math.ulp(hi_all), k
+
+
+@pytest.mark.parametrize("n,g_order,gname", GATE_GRID)
+def test_a_gated_bracket_depends_on_its_k_alone(n, g_order, gname):
+    # mixed, unsorted and repeated ks read different prefixes of the window
+    # in one pass, and each gets its single-k bracket to the bit
+    paired = _paired(build_group(gname), n) if gname else None
+    ks = [3 * n, n, 0, 3 * n, 1] + _gate_ks(g_order, paired, n)[::-1]
+    atoms = bounds._atoms(g_order, n, paired)
+    assert power_sums(atoms, ks) == [power_sums(atoms, [k])[0] for k in ks]
+
+
+def _count_slot_builds(monkeypatch):
+    """Record (n, m) of every window slot size built."""
+    built, build = [], bounds.Window._build
+
+    def counted(self, big, out):
+        built.extend((self.n, m) for m in big.tolist())
+        return build(self, big, out)
+    monkeypatch.setattr(bounds.Window, "_build", counted)
+    return built
+
+
+@pytest.mark.parametrize("n", [45, 200, 1000])
+def test_sym_reads_and_builds_slot_n_only(monkeypatch, n):
+    bounds._window_shape.cache_clear()
+    built = _count_slot_builds(monkeypatch)
+    ks = [1, n, 3 * n, _k0(1, n)]
+    atoms = bounds._atoms(1, n)
+    stops, _ = bounds._gate(atoms, ks)
+    assert stops[-1] == [atoms.blocks[-1].per_slot - 1] * len(ks)
+    assert all(0 < lo <= hi for lo, hi in power_sums(atoms, ks))
+    assert built == [(n, n)]
+    bounds._window_shape.cache_clear()
+
+
+def test_a_bracket_near_the_n_1000_cutoff_builds_few_slot_sizes(monkeypatch):
+    bounds._window_shape.cache_clear()
+    built = _count_slot_builds(monkeypatch)
+    lo, hi = l2n_sq_collapsed_bounds(2, 1000, _k0(2, 1000) - 500)
+    assert 0 < lo < hi and 0 < len(built) <= 48
+    assert sorted(built, reverse=True) == [(1000, m) for m in range(1000, 1000 - len(built), -1)]
+    bounds._window_shape.cache_clear()
+
+
+def test_the_cutoff_window_sequence_builds_each_slot_size_once(monkeypatch, capsys):
+    # the benchmark's cutoff-window operations in order, from a cold shape
+    from wreathwalk.cli import main
+    bounds._window_shape.cache_clear()
+    built = _count_slot_builds(monkeypatch)
+    assert main("distance --group Z:2 --n 200 --walk independent --k 400..800:50".split()) == 0
+    assert main("distance --group S:3 --n 200 --walk paired --k 1000..1400:100".split()) == 0
+    for g_order in (2, 720):
+        for c in OFFSETS:
+            l2n_sq_collapsed_bounds(g_order, 200, _k0(g_order, 200) + math.ceil(c * 200))
+    bounds.envelope_decay_certificate(720, 200, 1.0)
+    l2n_sq_collapsed_bounds(2, 1000, _k0(2, 1000) - 500)
+    for k in (1, 15, 30, 60):
+        l2n_sq_collapsed_bounds(2, 12, k)
+    capsys.readouterr()
+    assert built and len(set(built)) == len(built)
+    assert {n for n, _ in built} == {200, 1000}
+    bounds._window_shape.cache_clear()
+
+
+@pytest.mark.parametrize("history", [(990, 950, 995, 41), (41, 990), (600, 601, 599, 300)])
+def test_an_extended_window_builds_only_new_slot_sizes_and_equals_a_fresh_one(monkeypatch,
+                                                                                 history):
+    n, full = 1000, bounds.FULL_ENUM_MAX
+    shape = bounds.Window(n, bounds.J_WINDOW, full)
+    fresh = {m: bounds.Window(n, bounds.J_WINDOW, full)(shape.stop(m)) for m in history}
+    built = _count_slot_builds(monkeypatch)
+    for at, m_min in enumerate(history):
+        got = shape(shape.stop(m_min))
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh[m_min])), m_min
+        low = max(min(history[:at + 1]), full + 1)
+        assert [m for _, m in built] == list(range(n, low - 1, -1)), m_min
+
+
 def _ln_sum(t):
     """ln sum e^t in one pass, -inf if empty."""
     top = t.max(initial=-math.inf)
     return top if top == -math.inf else top + math.log(np.exp(t - top).sum())
+
+
+def _linear_sum(t):
+    """sum e^t in one pass as _total forms it, e^top times the sum of
+    e^(t - top): e^(top + ln sum) would be resolved only to ulp(top + ln sum)."""
+    top = t.max(initial=-math.inf)
+    return 0.0 if top == -math.inf else math.exp(top) * np.exp(t - top).sum()
 
 
 def _count_majorants(monkeypatch):
@@ -614,8 +784,8 @@ def test_a_pass_builds_each_majorant_once_for_all_its_ks(monkeypatch):
 def _count_folds(monkeypatch):
     """Record the ks of every chunk the float evaluator folds."""
     folds, fold = [], bounds._fold
-    monkeypatch.setattr(bounds, "_fold", lambda ln_w, ln_y, ks, parts: (
-        folds.append(list(ks)) or fold(ln_w, ln_y, ks, parts)))
+    monkeypatch.setattr(bounds, "_fold", lambda ln_w, ln_y, ks, *rest: (
+        folds.append(list(ks)) or fold(ln_w, ln_y, ks, *rest)))
     return folds
 
 

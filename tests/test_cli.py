@@ -312,6 +312,17 @@ def test_importing_the_cli_loads_no_subprocess():
     assert out.stdout == "False\n"
 
 
+def test_main_parses_with_one_parser_and_fresh_defaults():
+    assert cli._parser() is cli._parser()
+    argv = ["oracle", "--n", "2", "--walk", "sym"]
+    first, second = cli._parser().parse_args(argv), cli._parser().parse_args(argv)
+    assert first.k == list(range(11)) and first.k is not second.k
+    simulate = cli._parser().parse_args(["simulate", "--n", "2", "--walk", "sym"])
+    assert simulate.k == list(range(11))
+    coupling = cli._parser().parse_args(["coupling", "--n", "5"])
+    assert coupling.c == [0.0, 1.0, 2.0]
+
+
 def test_module_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "wreathwalk", "threshold", "--n", "8",

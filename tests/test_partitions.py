@@ -355,7 +355,8 @@ def test_a_cold_window_shape_builds_13_levels(monkeypatch):
     bounds._window_shape.cache_clear()
     partition_table.cache_clear()
     built = _count_levels(monkeypatch)
-    bounds._window_shape(200, bounds.J_WINDOW, bounds.FULL_ENUM_MAX)
+    shape = bounds._window_shape(200, bounds.J_WINDOW, bounds.FULL_ENUM_MAX)
+    shape(shape.stop(bounds.FULL_ENUM_MAX + 1))                  # every slot size
     assert built == list(range(bounds.J_WINDOW + 1))
     bounds._window_shape.cache_clear()
 

@@ -1,6 +1,7 @@
 """Bad input is refused before any work, with an error naming the problem."""
 import contextlib
 import io
+import math
 import re
 import subprocess
 import sys
@@ -91,12 +92,13 @@ def _cold_window():
 @pytest.mark.parametrize("n", [1000, 2000])
 def test_window_bytes_bound_the_bracket_peak(n):
     # the closed-form estimate against the traced peak of a windowed
-    # bracket from cold atom caches (the partition table rows stay warm)
+    # bracket from cold atom caches (the partition table rows stay warm),
+    # at k = n/4, where every window slot size is read: the worst case
     bounds.content_rows(bounds.FULL_ENUM_MAX)
     _cold_window()
     tracemalloc.start()
     try:
-        bounds.l2n_sq_collapsed_bounds(2, n, 5 * n)
+        bounds.l2n_sq_collapsed_bounds(2, n, n // 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -106,22 +108,40 @@ def test_window_bytes_bound_the_bracket_peak(n):
 
 
 def test_windowed_bracket_holds_no_copy_of_the_window_or_tail():
-    # at n = 2000 the bracket holds the window shape (1 066 239 atoms, 18
-    # bytes each) and one chunk; an (ln w, ln |y|) copy of the window would
-    # add 16 bytes an atom, one of the tail 16 bytes for each of its
-    # 1.9 M majorants
+    # at n = 2000 and k = n/4, where every slot size is read, the bracket
+    # holds the window shape (1 066 239 atoms, 18 bytes each) and one
+    # chunk; an (ln w, ln |y|) copy of the window would add 16 bytes an
+    # atom, one of the tail 16 bytes for each of its 1.9 M majorants
     bounds.content_rows(bounds.FULL_ENUM_MAX)
     _cold_window()
     tracemalloc.start()
     try:
-        bounds.l2n_sq_collapsed_bounds(2, 2000, 10000)
+        bounds.l2n_sq_collapsed_bounds(2, 2000, 500)
         peak = tracemalloc.get_traced_memory()[1]
         shape = bounds._window_shape(2000, bounds.J_WINDOW, bounds.FULL_ENUM_MAX)
+        shape = shape(shape.stop(bounds.FULL_ENUM_MAX + 1))     # built: no new slot size
     finally:
         tracemalloc.stop()
         _cold_window()
     assert len(shape[0]) == 1066239
     assert peak < sum(col.nbytes for col in shape) + 8 * len(shape[0])
+
+
+def test_a_bracket_near_the_n_10000_cutoff_holds_a_fraction_of_the_window_bytes():
+    # at k = 50000, just past the n = 10^4 cutoff, a bracket builds and
+    # reads only the slot sizes its certificate cannot cover: its traced
+    # peak is under a quarter of the every-slot estimate it is refused on
+    bounds.content_rows(bounds.FULL_ENUM_MAX)
+    _cold_window()
+    tracemalloc.start()
+    try:
+        lo, hi = bounds.l2n_sq_collapsed_bounds(2, 10000, 50000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _cold_window()
+    assert 0 < lo <= hi < math.inf
+    assert peak < bounds._window_bytes(10000, bounds.J_WINDOW, bounds.FULL_ENUM_MAX)[0] / 4
 
 
 def test_a_sweep_of_windowed_brackets_holds_only_the_cached_blocks():
@@ -138,7 +158,8 @@ def test_a_sweep_of_windowed_brackets_holds_only_the_cached_blocks():
     finally:
         tracemalloc.stop()
     builds = bounds._window_shape.cache_info().misses
-    cached = [bounds._window_shape(n, bounds.J_WINDOW, bounds.FULL_ENUM_MAX) for n in (2000, 2500)]
+    cached = [bounds._window_shape(n, bounds.J_WINDOW, bounds.FULL_ENUM_MAX).cols
+              for n in (2000, 2500)]
     cached += [bounds._tail_segments(n, bounds.J_WINDOW, bounds.FULL_ENUM_MAX) for n in (2000, 2500)]
     cached.append(bounds._table_logs(bounds.FULL_ENUM_MAX))
     assert bounds._window_shape.cache_info().misses == builds == 4
