@@ -3,34 +3,32 @@ sum, the relaxed paired-walk upper bound, coupling and dominant-term and
 Chebyshev witnesses, and the step-count threshold tables.
 
 Every l2 sum (the spectral one in walks too) is sum_i w_i y_i^{2k} over
-Atoms: (weight, value) pairs plus tail majorants that count toward the
-upper edge only.  One evaluator, power_sums, takes a whole list of k:
-exact Fractions, or certified (lower, upper) floats by log-sum-exp.  The
+Atoms.  One evaluator, power_sums, takes a whole list of k: exact
+Fractions, or certified (lower, upper) floats by log-sum-exp.  The
 collapsed and relaxed atoms are one per (n_1, content) row of the shared
-partition table; above FULL_ENUM_MAX an n_1 gets a deficit window (first
-row n_1 - j, j <= J_WINDOW) plus one tail majorant per larger deficit.
-The window depends on n alone, the logged table rows below it on the
-cutoff; |G| and the walk enter only as the per-slot offsets ln w(n_1) and
-ln scale(n_1).  Both are read by need (_gate): each table level and window
-slot size is at most a closed form in k (_unit_certs), and a k reads only
-those not below 2^-60 of the [n-1] atom's term (held by the lower edge)
-over their count, adding the rest's closed form to the upper edge.  The
-window runs slot size by slot size from n down, so a k reads a prefix,
-built as far as some k has read (Window): near the cutoff no partition
-table and a few dozen window slot sizes are built.  At k = 0 the sum is
-the weights' total, |G|^n n! - 1 (for the relaxed bound (s/2)(|G|^n n! -
-1) + delta_n/4): the collapsed and relaxed atoms carry it as Atoms.zero,
-and a float k = 0 reads it with no pass.
+partition table, as |G|-free blocks; |G| and the walk enter only as the
+per-slot offsets ln w(n_1) and ln scale(n_1).  Above FULL_ENUM_MAX the
+terms are certified units, each at most a closed form c y^{2k} summed
+over a few terms (_unit_terms): a table level n_1 <= FULL_ENUM_MAX, its
+rows; a window slot size n_1, its partitions of first row or column
+n_1 - j, j <= J_WINDOW; and a tail segment of larger deficits j, one
+majorant per j that counts toward the upper edge only.  One rule
+(_reads) decides per k and unit to read its atoms or add its certificate
+to the upper edge: read iff the certificate is not below 2^-60 of the
+[n-1] atom's term, which the lower edge holds, over the number of levels
+and slot sizes.  A k reads prefixes of runs (levels from 0 up, slot sizes
+from n down, each slot size's segments from J_WINDOW up), so a bracket
+depends on its k alone, and the window is built slot size by slot size
+only as far as some k reads (Window): near the cutoff no partition table
+and a few dozen window slot sizes.  At k = 0 the sum is the weights'
+total, |G|^n n! - 1 (for the relaxed bound (s/2)(|G|^n n! - 1) +
+delta_n/4), which the atoms carry as Atoms.zero, read with no pass.
 
-The float sums stream: windowed Atoms hold those |G|-free blocks by
-reference, the O(n) offsets, and the tail majorants as their slot sizes,
-in closed form in (n_1, j); of these about n^2/2 a pass evaluates each
-slot size's first few and certifies the rest (_tail_segments).  Chunks
-of ATOM_CHUNK (ln w, ln |y|) fold into a running log-sum-exp per k.  A
-windowed bracket so holds the window slot sizes built so far (18 bytes
-an atom) and one chunk, never a copy of them or the tail; terms below
-2^-1022 of a chunk's largest are left out, which no float sum can see.
-Exact and spectral atoms are the one-block case: no offsets and no tail.
+The float sums stream: a pass folds chunks of ATOM_CHUNK (ln w, ln |y|)
+into a running log-sum-exp per k, so a windowed bracket holds the window
+slot sizes built so far (18 bytes an atom) and one chunk, never a copy
+of them or the tail; terms below 2^-1022 of a chunk's largest are left
+out, which no float sum can see.
 
 Exactness is a property of the atoms, decided once in _atoms: the
 collapsed (sym, independent) atoms are exact, int weights and numerators
@@ -46,7 +44,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from itertools import count
 from typing import NamedTuple
 
@@ -83,23 +81,15 @@ CHUNK_ATOM_BYTES = 128
 # atoms and the one evaluator
 
 class Atoms(NamedTuple):
-    """Terms w y^{2k} of an l2 sum as blocks (m, ln d^2, ln |top|): an atom
-    at slot size m has ln w = ln_w[m] + ln d^2 and ln |y| = ln |top| -
-    ln_scale[m] (m None: no offsets, ln w = ln d^2 and ln |y| = ln |top|).
-    A block may be a callable, built when first read; when `tail` is set,
-    the last is a Window of the slot sizes in `tail`, and each of those
-    adds one majorant per deficit j_window < j < m, in closed form
-    over lnf = ln i!, for the upper edge only; `segments` builds their
-    bounds, tail's in its last rows.  When exact, `weights` and `nums`
-    repeat them as ints.  `zero`, when set, is the float sum at k = 0 in
-    closed form, which power_sums returns as both edges without a pass."""
+    """Terms w y^{2k} of an l2 sum as blocks (m, ln d^2, ln |top|), maybe
+    callables built when first read: ln w = ln_w[m] + ln d^2 and ln |y| =
+    ln |top| - ln_scale[m] (m None: no offsets); `units`, more terms that
+    each k reads or certifies; when exact, the blocks as int `weights` and
+    `nums` over den; `zero`, the float sum at k = 0 in closed form."""
     blocks: tuple
     ln_w: np.ndarray | None = None
     ln_scale: np.ndarray | None = None
-    tail: np.ndarray = np.zeros(0, dtype=np.int64)
-    j_window: int = 0
-    lnf: np.ndarray | None = None
-    segments: tuple | None = None
+    units: Units | None = None
     weights: tuple | None = None
     nums: tuple | None = None
     den: int = 1
@@ -121,7 +111,7 @@ def _float_or_inf(x) -> float:
 
 def exact_atoms(weights, nums, den: int) -> Atoms:
     """Atoms from int weights at values num / den, one int den for all: one
-    block, its logs built on the first float read, no offsets and no tail."""
+    block, its logs built on the first float read, no offsets and no units."""
     weights, nums = tuple(weights), tuple(nums)
 
     @cache
@@ -131,102 +121,63 @@ def exact_atoms(weights, nums, den: int) -> Atoms:
     return Atoms((logs,), weights=weights, nums=nums, den=den)
 
 
-class Table(NamedTuple):
-    """The block of the table rows at slot sizes m <= full, _table_logs(full),
-    read by need: power_sums reads it only at the ks of _gate."""
-    full: int
+class Units(NamedTuple):
+    """Windowed terms as units in sections of runs (_unit_terms): the table
+    levels from 0 up (if `table`), one run; the first `slots` window slot
+    sizes from n down, one run; per slot size, its tail segments from
+    deficit j_window + 1 up, whose atoms are majorants."""
+    window: Window
+    slots: int
+    table: bool
 
-    def __call__(self) -> tuple:
-        return _table_logs(self.full)
+    def sections(self) -> list:
+        """(m, ln c, ln y) per section, _unit_terms' grids cut to these units."""
+        w = self.window
+        table, window, tail = _unit_terms(w.n, w.j_window, w.full)[:3]
+        return [table] * self.table + [tuple(a[:, :self.slots] for a in window),
+                                       tuple(a[-self.slots:] for a in tail)]
+
+    def blocks(self, reads) -> list:
+        """(block, per-k stops) of the table rows and window atoms of the
+        units each k reads, built only as far as some k reads."""
+        w, slots = self.window, reads[-2][:, 0]
+        out = [(w(w.stop(w.n + 1 - int(slots.max()))), (w.per_slot * slots - 1).tolist())]
+        if self.table and reads[0].any():
+            table = _table_logs(w.full)
+            out.insert(0, (table, np.searchsorted(table[0], reads[0][:, 0]).tolist()))
+        return out
+
+    def majorants(self, atoms: Atoms, reads):
+        """(ln w, ln |y|, run, segment) of the majorants of each run r's
+        first reads[r] segments, in chunks of whole runs fixed by n: at slot
+        size m and deficit j, 2 C(m,j)^2 j! at |top| = m + cmax(m,j) > 0."""
+        w = self.window
+        offs, lnf = _unit_terms(w.n, w.j_window, w.full)[3:]
+        big = np.arange(w.n + 1 - self.slots, w.n + 1)
+        most, step = np.minimum(offs[reads], big - 1 - w.j_window), ATOM_CHUNK // w.n + 1
+        for r in range(0, big.size, step):
+            c = most[r:r + step]
+            if not c.any():
+                continue
+            ii = np.repeat(np.arange(r, r + c.size), c)
+            jj = np.arange(ii.size) - np.repeat(np.cumsum(c) - c, c) + w.j_window + 1
+            top = big[ii] + _cmax_at_deficit(big[ii], jj)
+            ii, jj, top = ii[top > 0], jj[top > 0], top[top > 0]
+            m = big[ii]
+            yield (atoms.ln_w[m] + _ln_count(lnf, m, jj), np.log(top) - atoms.ln_scale[m], ii,
+                   np.searchsorted(offs, jj - w.j_window - 1, side="right") - 1)
 
 
 def _block_chunks(atoms: Atoms, block, stop: int = sys.maxsize):
-    """(ln w, ln |y|) of one block's first stop atoms in their fixed order,
-    at most ATOM_CHUNK at a time from its first, offset chunk by chunk; a
-    callable block is built (or taken from its cache) here, the Window only
-    as far as stop and the atoms' smallest slot size."""
-    if not stop:
-        return
-    if isinstance(block, Window):
-        block = block(min(stop, block.stop(atoms.tail[0])))
+    """(ln w, ln |y|) of a block's first stop atoms, ATOM_CHUNK at a time
+    from its first, offset chunk by chunk; a callable block is built here."""
     m, ln_d2, ln_top = block() if callable(block) else block
-    for at in range(0, len(ln_d2), ATOM_CHUNK):
+    for at in range(0, min(stop, len(ln_d2)), ATOM_CHUNK):
         part = slice(at, at + ATOM_CHUNK)
         if m is None:
             yield ln_d2[part], ln_top[part]
         else:
-            yield _offset(atoms, m[part], ln_d2[part], ln_top[part])
-
-
-def _unit_certs(atoms: Atoms, ks, top: int) -> np.ndarray:
-    """ln cert(k) per (k, unit), the units table levels m = 1..top, then
-    window slot sizes m = atoms.tail: cert(k) = w(m) sum_j c(m,j) (y(m,j) /
-    scale(m))^{2k}.  Level m holds d^2 mass m! at |y| <= m^2 / scale(m);
-    slot size m's atoms at deficit j <= j_window, own and conjugate, at most
-    2 C(m,j)^2 j! at |y| <= (m + cmax(m,j)) / scale(m).  A few ks at a time."""
-    big, levels = atoms.tail, np.arange(1, top + 1)
-    units, jj = np.concatenate([levels, big]), np.arange(atoms.j_window + 1)[:, None]
-    ln_c, ln_y = np.full((2, jj.size, units.size), -math.inf)
-    ln_c[0, :top], ln_y[:, :top] = atoms.lnf[levels], 2 * np.log(levels)
-    ln_c[:, top:] = _ln_count(atoms.lnf, big, jj)
-    ln_y[:, top:] = np.log(big + _cmax_at_deficit(big, jj))
-    ln_c += atoms.ln_w[units]
-    ln_y -= atoms.ln_scale[units]
-    two_k, ln_cert = 2.0 * np.array(ks, dtype=float), np.empty((len(ks), units.size))
-    step = ATOM_CHUNK // ln_c.size + 1
-    for at in range(0, len(ks), step):
-        t = two_k[at:at + step, None, None] * ln_y + ln_c
-        peak = t.max(1)
-        ln_cert[at:at + step] = peak + np.log(np.exp(t - peak[:, None]).sum(1))
-    return ln_cert
-
-
-def _gate(atoms: Atoms, ks) -> tuple[list, list]:
-    """Per block, how many of its first atoms each k reads; per k, the
-    certificate (top, sum) of the rest, a tail part of hi.  A unit, a table
-    level or a window slot size, is needed iff its _unit_certs >= 2^-60
-    ref(k) / (units), ref(k) = w(n-1) ((n-1)^2 / scale(n-1))^{2k} the slot
-    n-1 atom [n-1]'s term, which lo holds.  A k reads the Table block iff
-    one of its levels is needed, the Window (its last block) from n down to
-    the smallest needed slot size (n at least, sym's one): the rest adds
-    below 2^-60 ref(k) to hi, and k alone decides."""
-    if not atoms.tail.size:
-        return [[sys.maxsize] * len(ks)] * len(atoms.blocks), [(-math.inf, 0.0)] * len(ks)
-    n, big, window = atoms.ln_w.size - 1, atoms.tail, atoms.blocks[-1]
-    top = window.full if any(isinstance(b, Table) for b in atoms.blocks) else 0
-    ln_ref = atoms.ln_w[n - 1] + 2.0 * np.array(ks, dtype=float) * (2 * math.log(n - 1)
-                                                                     - atoms.ln_scale[n - 1])
-    ln_cert = _unit_certs(atoms, ks, top)
-    need = ln_cert >= (ln_ref - 60 * math.log(2.0) - math.log(top + big.size))[:, None]
-    need[:, -1] = True
-    first, table = need[:, top:].argmax(1), need[:, :top].any(1)   # first: the smallest needed
-    skip = np.arange(top + big.size) < top + first[:, None]
-    skip[:, :top] = ~table[:, None]
-    stops = {Table: [sys.maxsize * read for read in table.tolist()],
-             Window: [window.stop(m) for m in big[first].tolist()]}
-    return ([stops.get(type(b), [sys.maxsize] * len(ks)) for b in atoms.blocks],
-            [_exp_sum(t) for t in np.where(skip, ln_cert, -math.inf)])
-
-
-def _majorants(atoms: Atoms, counts):
-    """(ln w, ln |y|, i, j) of tail[i]'s majorants at j_window < j <= j_window
-    + counts[i], for any counts in the chunks of whole slot sizes of the full tail."""
-    every = atoms.tail - 1 - atoms.j_window
-    ends = np.cumsum(every)
-    r = 0
-    while r < every.size:                             # whole slot sizes, about a chunk
-        rows = slice(r, max(r + 1, int(np.searchsorted(ends, ends[r] - every[r] + ATOM_CHUNK,
-                                                       side="right"))))
-        r, c = rows.stop, counts[rows]
-        if not c.any():
-            continue
-        ii = np.repeat(np.arange(rows.start, r), c)
-        jj = np.arange(ii.size) - np.repeat(np.cumsum(c) - c, c) + atoms.j_window + 1
-        top = atoms.tail[ii] + _cmax_at_deficit(atoms.tail[ii], jj)
-        keep = top > 0
-        ii, jj, top = ii[keep], jj[keep], top[keep]
-        mm = atoms.tail[ii]
-        yield *_offset(atoms, mm, _ln_count(atoms.lnf, mm, jj), np.log(top)), ii, jj
+            yield atoms.ln_w[m[part]] + ln_d2[part], ln_top[part] - atoms.ln_scale[m[part]]
 
 
 def _ln_count(lnf, m, j):
@@ -235,70 +186,81 @@ def _ln_count(lnf, m, j):
 
 
 @lru_cache(maxsize=2)
-def _tail_segments(n: int, j_window: int, full: int) -> tuple:
-    """|G|-free bounds on the tail majorants of m = full+1..n in segments
-    [g, h) of deficits, lengths growing 1.15-fold (g - j_window - 1 in offs;
-    a last one empty).  m + cmax(m,j) falls in j and 2 C(m,j)^2 j! is
-    log-concave, so (h - g) times the count at its peak, at y(m, g), bounds a
-    segment.  Per (m, segment): ln of that (h - g) count (-inf if the segment
-    is empty or m + cmax(m, g) <= 0) and ln (m + cmax(m, g))."""
+def _unit_terms(n: int, j_window: int, full: int) -> tuple:
+    """Per section, (m, ln c, ln y) grids (run, unit, term): a unit at slot
+    size m is at most w(m) sum_terms c (y / scale(m))^{2k}, |G|-free.  A
+    table level m has d^2 mass m! at |y| <= max(m, 1)^2; a window slot size
+    m, per deficit j <= j_window, 2 C(m,j)^2 j! at |y| <= m + cmax(m,j),
+    own and conjugate; a tail segment, deficits [g, h) growing 1.15-fold,
+    (h - g) times that count's peak (log-concave) at y(m, g), as y falls.
+    Then the segments' first deficits less j_window + 1, and ln i!."""
     lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    levels, big = np.arange(full + 1)[None, :, None], np.arange(n, full, -1)[None, :, None]
     offs = [0]
     while j_window + 1 + offs[-1] < n:
         offs.append(max(offs[-1] + 1, int(offs[-1] * 1.15)))
-    offs = np.array(offs + offs[-1:])
-    starts, (ln_count, ln_top) = j_window + 1 + offs, np.empty((2, n - full, len(offs) - 1))
+    starts, tail = j_window + 1 + np.array(offs), np.empty((2, big.size, len(offs) - 1, 1))
     step = ATOM_CHUNK // len(offs) + 1                           # slot sizes at a time
-    for at in range(0, n - full, step):
-        big, rows = np.arange(full + 1, n + 1)[at:at + step, None], slice(at, at + step)
-        g, h = np.minimum(starts[:-1], big - 1), np.minimum(starts[1:], big)
-        top = big + _cmax_at_deficit(big, g)
+    for at in range(0, big.size, step):
+        m, rows = big[0, ::-1][at:at + step], slice(at, at + step)
+        g, h = np.minimum(starts[:-1], m - 1), np.minimum(starts[1:], m)
+        top = m + _cmax_at_deficit(m, g)
         off = (starts[:-1] >= h) | (top <= 0)
-        u = (np.sqrt(4 * big + 5).astype(np.int64) - 1) // 2     # peak: largest u(u+1) <= m+1
-        ln_count[rows] = _ln_count(lnf, big, np.clip(big - u, g, h - 1)) + np.log(h - g + off)
-        ln_count[rows][off] = -math.inf
-        ln_top[rows] = np.log(np.where(off, 1, top))
-    return ln_count, ln_top, offs
+        u = (np.sqrt(4 * m + 5).astype(np.int64) - 1) // 2       # peak: largest u(u+1) <= m+1
+        ln_c = _ln_count(lnf, m, np.clip(m - u, g, h - 1)) + np.log(h - g + off)
+        tail[0, rows, :, 0] = np.where(off, -math.inf, ln_c)
+        tail[1, rows, :, 0] = np.log(np.where(off, 1, top))
+    jj = np.arange(j_window + 1)
+    return ((levels, lnf[levels], 2 * np.log(levels.clip(1))),
+            (big, _ln_count(lnf, big, jj), np.log(big + _cmax_at_deficit(big, jj))),
+            (big[0, ::-1, None], *tail), starts - j_window - 1, lnf)
 
 
-def _tail_cuts(atoms: Atoms, k: int, lo: float) -> tuple:
-    """(majorants to evaluate per slot size, (top, sum) of the certificate of
-    the rest) at k: from the first segment whose rest is below 2^-60 lo / (slot sizes)."""
-    (ln_count, ln_top, offs), big = atoms.segments(), atoms.tail
-    ln_count, ln_top = ln_count[-big.size:], ln_top[-big.size:]
-    ln_cap = (math.log(lo) if lo else LN_TINY) - 60 * math.log(2.0) - math.log(big.size)
-    t = ln_top * (2 * k)
-    t += ln_count
-    t += (atoms.ln_w[big] - 2 * k * atoms.ln_scale[big] - ln_cap)[:, None]
-    with np.errstate(over="ignore"):
-        rest = np.cumsum(np.exp(t, out=t)[:, ::-1], axis=1)[:, ::-1]   # sum_{>= i} / e^ln_cap
-    cut = (rest >= 1).sum(1)                          # rest falls in i, to 0 at the empty segment
-    cert = float(rest[np.arange(big.size), cut].sum())
-    return np.minimum(offs[cut], big - 1 - atoms.j_window), (ln_cap if cert else -math.inf, cert)
-
-
-def _offset(atoms: Atoms, m, ln_d2, ln_top) -> tuple:
-    """(ln_w[m] + ln d^2, ln |top| - ln_scale[m])."""
-    w = np.take(atoms.ln_w, m)
-    w += ln_d2
-    y = np.take(atoms.ln_scale, m)
-    return w, np.subtract(ln_top, y, out=y)
+def _reads(atoms: Atoms, ks) -> tuple[list, list]:
+    """The one rule: a unit is needed at k iff its certificate is >= 2^-60
+    ref(k) / (table levels and window slot sizes), ref(k) the [n-1] atom's
+    term, which lo holds; so is slot size n.  A k reads each run through
+    its last needed unit and certifies the rest, so k alone decides; where
+    a one-row atom [m] puts lo past the float range, hi is too, and the
+    tail is left out.  Per section the units each k reads per run (k, run),
+    and per k the certificate (top, sum) of those it skips."""
+    n, sections = atoms.ln_w.size - 1, atoms.units.sections()
+    ms, two_k = np.arange(1, n if atoms.units.table else 1), 2.0 * np.array(ks, dtype=float)
+    ln_cap = (atoms.ln_w[n - 1] + two_k * (2 * math.log(n - 1) - atoms.ln_scale[n - 1])
+              - 60 * math.log(2.0) - math.log(sum(c[..., 0].size for _, c, _ in sections[:-1])))
+    reads = [np.empty((len(ks), len(c)), dtype=np.int64) for _, c, _ in sections]
+    skipped, step = np.zeros(len(ks)), ATOM_CHUNK // sum(c.size for _, c, _ in sections) + 1
+    for at in range(0, len(ks), step):
+        k2, cap = two_k[at:at + step, None, None, None], ln_cap[at:at + step, None, None, None]
+        ln_m = atoms.ln_w[ms] + k2[:, 0, 0] * (2 * np.log(ms) - atoms.ln_scale[ms])
+        for (m, ln_c, ln_y), read in zip(sections, reads):
+            if read is reads[-1]:
+                cap = np.where(ln_m.max(-1, initial=-math.inf)[:, None, None, None]
+                               > math.log(sys.float_info.max), math.inf, cap)
+            t = ln_y * k2
+            t += ln_c
+            t += atoms.ln_w[m] - k2 * atoms.ln_scale[m] - cap
+            keep = t >= LN_TINY                                   # the rest cannot move a sum
+            with np.errstate(over="ignore"):
+                u = np.exp(t, out=t, where=keep).sum(-1, where=keep)    # (k, run, unit): cert / cap
+            ranks = np.arange(1, u.shape[-1] + 1)                  # slot size n is always read
+            got = read[at:at + step] = (ranks * (u >= 1)).max(-1).clip(int(read is reads[-2]))
+            skipped[at:at + step] += np.where(ranks > got[..., None], u, 0).sum((1, 2))
+    return reads, [(c if s else -math.inf, s) for c, s in zip(ln_cap.tolist(), skipped.tolist())]
 
 
 def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
-    """sum_i w_i y_i^{2k} for every k in ks.
+    """sum_i w_i y_i^{2k} for every k in ks; a k below 0 raises ValueError.
 
     exact: Fractions over den^{2k}, from the exact atoms' ints; atoms
     with equal num^2 share one weight, and their terms w num^{2k}, an
     object array, step by num^{2(k' - k)} from one k to the next k'.
     Otherwise certified (lower, upper) floats by log-sum-exp, one pass
-    over the atom chunks for all ks: the lower edge sums the atoms, the
-    upper edge adds per k the tail majorants up to _tail_cuts and a
-    certificate for the rest.  Each k sums the Table block only if it
-    reads it and the Window only to its smallest needed slot size
-    (_gate), a prefix of the shared chunks, and adds the certificate of
-    the rest to the upper edge: a bracket depends on k alone.  k = 0 is
-    the atoms' zero, when they have one."""
+    over the atom chunks for all ks: lo sums the blocks and the units a k
+    reads (_reads); hi adds its majorants and the certificate of the rest.
+    k = 0 is the atoms' zero, when they have one."""
+    if any(k < 0 for k in ks):
+        raise ValueError("k must be >= 0")
     if not ks:
         return []
     if exact:
@@ -317,33 +279,30 @@ def power_sums(atoms: Atoms, ks, exact: bool = False) -> list:
         rest = [k for k in ks if k]
         got = dict(zip(rest, power_sums(atoms, rest)))
         return [got.get(k, (atoms.zero, atoms.zero)) for k in ks]
-    stops, certs = _gate(atoms, ks)
+    reads, certs = _reads(atoms, ks) if atoms.units else ([], [(-math.inf, 0.0)] * len(ks))
     mains, tails = [[] for _ in ks], [[cert] for cert in certs]   # per k: (max, sum) per chunk
-    for block, stop in zip(atoms.blocks, stops):
+    blocks = [(block, [sys.maxsize] * len(ks)) for block in atoms.blocks]
+    for block, stop in blocks + (atoms.units.blocks(reads) if atoms.units else []):
         for at, (ln_w, ln_y) in zip(count(0, ATOM_CHUNK), _block_chunks(atoms, block, max(stop))):
             on = [i for i, s in enumerate(stop) if s > at]
             _fold(ln_w, ln_y, [ks[i] for i in on], [mains[i] for i in on],
-                  [stop[i] - at for i in on])
+                  [slice(stop[i] - at) for i in on])
+    if atoms.units:                           # the ks' majorants built once, each k's masked
+        for ln_w, ln_y, run, seg in atoms.units.majorants(atoms, reads[-1].max(0)):
+            _fold(ln_w, ln_y, ks, tails, [seg < read[run] for read in reads[-1]])
     los = [_total(main) for main in mains]
-    if atoms.tail.size:                       # the ks' majorants built once, each k's summed
-        cuts = [_tail_cuts(atoms, k, lo) for k, lo in zip(ks, los)]
-        for ln_w, ln_y, ii, jj in _majorants(atoms, np.max([c for c, _ in cuts], axis=0)):
-            for k, (counts, _), tail in zip(ks, cuts, tails):
-                mine = jj <= atoms.j_window + counts[ii]
-                _fold(ln_w[mine], ln_y[mine], [k], [tail], [None])
-        for (_, cert), tail in zip(cuts, tails):
-            tail.append(cert)
     return [(lo, lo + _total(tail)) for lo, tail in zip(los, tails)]
 
 
-def _fold(ln_w, ln_y, ks, parts, stops) -> None:
-    """Append each k's (top, sum) of w y^{2k} over the chunk's first
-    stops[i] atoms (None: all) to its parts."""
+def _fold(ln_w, ln_y, ks, parts, sels) -> None:
+    """Append each k's (top, sum) of w y^{2k} over its selection of the
+    chunk, a slice or a mask, to its parts."""
     buf = np.empty_like(ln_w)
-    for k, got, stop in zip(ks, parts, stops):
-        w, t = ln_w[:stop], buf[:stop]
+    for k, got, sel in zip(ks, parts, sels):
+        w = ln_w[sel]
+        t = buf[:w.size]
         if k:
-            np.multiply(ln_y[:stop], 2 * k, out=t)
+            np.multiply(ln_y[sel], 2 * k, out=t)
             t += w
         else:
             np.copyto(t, w)                                # 0 * ln 0 is nan
@@ -397,96 +356,71 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     y = (n_1 + content)/(n n_1), weights times s/2, and delta_n/4 at (n-1)/n.
 
     window None: every lambda, exactly, as ints over n^2 (a paired request
-    raises ValueError).  window (j_window, full_enum_max): logs only, and
-    each n_1 above max(full_enum_max, 2 j_window + 2) gets deficit-window
-    atoms and tail majorants (slot sizes, _tail_segments' rows) instead of
-    all its partitions.  Window atoms are _window_shape's (per n, built by
-    need) and, for |G| > 1, table rows at n_1 <= full are _table_logs' (once
-    per full; a Table block when n - 1 > full), held by reference, offset by
-    ln w(n_1) and -ln scale(n_1) chunk by chunk; |G| = 1 has the one slot
-    n_1 = n.  Either way zero is the weights' total in closed form.
-    Not cached: no block outlives its cache."""
-    if window is None and paired:
-        raise ValueError("the relaxed bound has no exact atoms: its values share no denominator")
+    raises ValueError).  window (j_window, full_enum_max): |G|-free blocks,
+    offset by ln w(n_1) and -ln scale(n_1), and above full = max(full_enum_max,
+    2 j_window + 2) Units (|G| = 1: n_1 = n alone).  zero is the weights'
+    total.  Not cached: no block outlives its cache."""
     half_s, extra = (Fraction(paired[0], 2), Fraction(paired[1], 4)) if paired else (1, 0)
     zero = _float_or_inf(half_s * (g_order ** n * math.factorial(n) - 1) + extra)
-    full = n if window is None else min(n, max(window[1], 2 * window[0] + 2))
-    if window is not None:
-        need, atoms = _window_bytes(n, window[0], full)
-        refuse_past_memory(need, f"the windowed brackets at n = {n} need about {need} bytes "
-                                 f"for {atoms} window atoms and a chunk of {ATOM_CHUNK} atoms")
-    slots = range(n + 1) if g_order > 1 else [n]            # |G| = 1: n_1 = n only
-    if window is None or g_order == 1:
-        table = content_rows(max((m for m in slots if m <= full), default=0))
-        rows = [(m, c, d2) for m in slots if m <= full for c, d2 in table[m]
-                if not (m == n and c == m * (m - 1))]
     if window is None:
+        if paired:
+            raise ValueError("the relaxed bound has no exact atoms: its values share no "
+                             "denominator")
+        table = content_rows(n)
+        rows = [(m, c, d2) for m in (range(n + 1) if g_order > 1 else [n])  # |G| = 1: n_1 = n only
+                for c, d2 in table[m] if not (m == n and c == m * (m - 1))]
         w = [math.comb(n, m) * math.perm(n, n - m) * (g_order - 1) ** (n - m) for m in range(n + 1)]
-        atoms = exact_atoms([w[m] * d2 for m, _, d2 in rows], [m + c for m, c, _ in rows], n * n)
-        return atoms._replace(zero=zero)
+        return exact_atoms([w[m] * d2 for m, _, d2 in rows], [m + c for m, c, _ in rows],
+                           n * n)._replace(zero=zero)
+    full = min(n, max(window[1], 2 * window[0] + 2))
+    need, atoms = _window_bytes(n, window[0], full)
+    refuse_past_memory(need, f"the windowed brackets at n = {n} need about {need} bytes "
+                             f"for {atoms} window atoms and a chunk of {ATOM_CHUNK} atoms")
     lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])      # ln i!
     ms = np.arange(n + 1)
     ln_w = (_ln(half_s) + 2 * lnf[n] - 2 * lnf - lnf[::-1]
             + (n - ms) * math.log(max(g_order - 1, 1)))
     ln_scale = np.log(n * np.maximum(ms, 1)) if paired else np.full(n + 1, 2 * math.log(n))
-    # blocks (m, ln d^2, ln |top|) of atoms at slot sizes m with y = |top| / scale:
-    # the paired extra atom, table rows, window; then the tail majorants
-    blocks = [(None, np.array([_ln(extra)]),
-               np.array([_ln(Fraction(n - 1, n))]))] if paired else []
-    if g_order == 1:
-        blocks.append(_row_logs(rows))
-    elif n - 1 > full:                 # read by need: lo holds the [n-1] atom
-        blocks.append(Table(full))
-    else:
+    # the paired extra atom, then at n = full the table less [n], level n's first row
+    # (|G| = 1: level n alone)
+    blocks = [(None, np.array([_ln(extra)]), np.array([_ln(Fraction(n - 1, n))]))] if paired else []
+    if n == full:
         table = _table_logs(full)
-        if n == full:                  # the trivial line [n] is level n's first row
-            table = tuple(np.delete(col, np.searchsorted(table[0], n)) for col in table)
-        blocks.append(table)
-    big = np.array([m for m in slots if m > full], dtype=np.int64)
-    # the window shape is built by need and the tail segments when first
-    # read, so a table read (the pass's first block) holds neither
-    segments = partial(_tail_segments, n, window[0], full)
-    if big.size:
-        blocks.append(_window_shape(n, window[0], full))
-    return Atoms(tuple(blocks), ln_w, ln_scale, big, window[0], lnf, segments, zero=zero)
+        at = np.searchsorted(table[0], n)
+        blocks.append(tuple(np.delete(col, at) if g_order > 1 else col[at + 1:] for col in table))
+    units = (Units(_window_shape(n, window[0], full), n - full if g_order > 1 else 1, g_order > 1)
+             if n > full else None)
+    return Atoms(tuple(blocks), ln_w, ln_scale, units, zero=zero)
 
 
 def _window_bytes(n: int, j_window: int, full: int) -> tuple[int, int]:
-    """(bytes, window atoms) of the windowed brackets, in closed form before
-    any is built: _window_shape's 2 (n - full) sum_{j <= j_window} p(j) - 1
-    atoms at SHAPE_ATOM_BYTES, held once per n for every |G|, and one chunk
-    of ATOM_CHUNK atoms at CHUNK_ATOM_BYTES.  The tail's _tail_segments, 16
-    bytes per (n_1, segment), fit in the shape build's temporaries."""
+    """(bytes, window atoms) of windowed brackets reading every slot size,
+    before any is built: 2 (n - full) sum_{j <= j_window} p(j) - 1 atoms at
+    SHAPE_ATOM_BYTES, once per n for every |G|, and one chunk at
+    CHUNK_ATOM_BYTES (_unit_terms fits in the build's temporaries)."""
     atoms = 2 * (n - full) * sum(partition_counts(j_window)) - 1 if n > full else 0
     return SHAPE_ATOM_BYTES * atoms + CHUNK_ATOM_BYTES * ATOM_CHUNK, atoms
 
 
-def _row_logs(rows) -> tuple:
-    """(m, ln d^2, ln |m + content|) arrays of (m, content, d^2) table rows,
-    m in the smallest integer dtype that holds it."""
+@lru_cache(maxsize=2)
+def _table_logs(full: int) -> tuple:
+    """(m, ln d^2, ln |m + content|) of every content_rows row at m <= full,
+    trivial lines included, m in the smallest integer dtype that holds it:
+    the |G|-free table atoms."""
+    rows = [(m, c, d2) for m, level in enumerate(content_rows(full)) for c, d2 in level]
     sizes = np.array([m for m, _, _ in rows], dtype=np.int64)
     with np.errstate(divide="ignore"):
-        return (sizes.astype(np.min_scalar_type(sizes.max(initial=0))),
+        return (sizes.astype(np.min_scalar_type(full)),
                 np.array([math.log(d2) for _, _, d2 in rows]),
                 np.log(np.abs(sizes + np.array([c for _, c, _ in rows], dtype=np.int64))))
 
 
-@lru_cache(maxsize=2)
-def _table_logs(full: int) -> tuple:
-    """_row_logs of every content_rows row at m <= full, trivial lines
-    included: the |G|-free table atoms that every |G| > 1 reads."""
-    return _row_logs([(m, c, d2) for m, level in enumerate(content_rows(full))
-                      for c, d2 in level])
-
-
 class Window:
     """The |G|-free window atoms (m, ln d^2, ln |m + content|) of the slot
-    sizes m = n, n-1, ..., full+1 in turn: per m, lambda = (m - j, mu) per
-    mu |- j <= j_window in reverse-lex order (a fixed order for the float
-    sums), each then its conjugate, outside the window as m > 2 j_window + 2.
-    The slot sizes >= m so are a prefix, built by need: a read past the
-    built ones builds only the new slot sizes, by the same operations per
-    atom.  cols leads with the trivial line [n], built and never read."""
+    sizes m = n, n-1, ..., full+1: per m, lambda = (m - j, mu) per mu |- j
+    <= j_window in reverse-lex order, each then its conjugate.  The slot
+    sizes >= m are a prefix, built by need, only the new ones at a time.
+    cols leads with the trivial line [n], built and never read."""
 
     def __init__(self, n: int, j_window: int, full: int):
         self.n, self.j_window, self.full = n, j_window, full
@@ -511,37 +445,37 @@ class Window:
         return tuple(col[1:stop + 1] for col in self.cols)
 
     def _build(self, big, out) -> None:
-        """Write the slot sizes big's atoms into out's rows, a few chunks at a time."""
+        """Write the slot sizes big's atoms into out's rows in place, a few chunks at a time."""
         lnf = np.array([math.lgamma(i + 1) for i in range(self.n + 1)])
         lni = np.log(np.arange(self.n + 1).clip(1))[::-1]               # ln i, i from n down
         step = 8 * ATOM_CHUNK // self.per_slot + 1
         for at in range(0, big.size, step):
-            b, rows, col = big[at:at + step], slice(at, at + step), 0
+            b, rows, col = big[at:at + step, None], slice(at, at + step), 0
             runs = np.lib.stride_tricks.sliding_window_view(lni, b.size)  # runs[n - i]: ln (b + i)
-            out[0][rows] = b[:, None]
+            out[0][rows] = b
             for j in range(self.j_window + 1):
                 level = partition_table(j)
                 parts = np.array([mu + (0,) * (j - len(mu)) for mu in level],
                                  dtype=np.int64).reshape(len(level), j)  # mu, zero-padded
-                mu1 = parts.max(1, initial=0)[:, None]
+                mu1 = parts.max(1, initial=0)
                 # first-row hooks by the strip formula: column c of mu has (parts >= c).sum(1)
                 # cells, and the mu with mu_1 >= c lead (reverse-lex order)
                 hooks = np.zeros((len(level), b.size))                   # (mu, m)
                 for c in range(1, j + 1):
                     r = int((mu1 >= c).sum())
-                    hooks[:r] += runs[self.n - b[0] + c - 1 + j - (parts[:r] >= c).sum(1)]
+                    hooks[:r] += runs[self.n - b[0, 0] + c - 1 + j - (parts[:r] >= c).sum(1)]
                 dims, contents = zip(*level.values())
                 ln_d = (lnf[b] - lnf[b - j - mu1] - lnf[j]
-                        + np.array([[math.log(d)] for d in dims]) - hooks)
-                c_lam = (b - j) * (b - j - 1) + np.array(contents)[:, None] - 2 * j
-                top = np.empty((len(level), 2, b.size))                  # (mu, own | conjugate, m)
-                np.add(b, c_lam, out=top[:, 0])
-                np.subtract(b, c_lam, out=top[:, 1])
+                        + np.array([math.log(d) for d in dims]) - hooks.T)
+                c_lam = (b - j) * (b - j - 1) + np.array(contents) - 2 * j
+                span, col = slice(col, col + 2 * len(level)), col + 2 * len(level)
+                d2, top = (o[rows, span].reshape(b.size, len(level), 2) for o in out[1:])
+                np.multiply(ln_d, 2, out=d2[..., 0])                     # (m, mu, own | conjugate)
+                d2[..., 1] = d2[..., 0]
+                np.add(b, c_lam, out=top[..., 0])
+                np.subtract(b, c_lam, out=top[..., 1])
                 with np.errstate(divide="ignore"):
                     np.log(np.abs(top, out=top), out=top)
-                span, col = slice(col, col + 2 * len(level)), col + 2 * len(level)
-                out[1][rows, span] = np.repeat(2 * ln_d.T, 2, axis=1)
-                out[2][rows, span] = top.reshape(-1, b.size).T
 
 
 _window_shape = lru_cache(maxsize=2)(Window)    # per (n, j_window, full), the last two
@@ -566,8 +500,6 @@ def l2n_sq_collapsed(g_order: int, n: int, k: int, exact: bool = False):
     n <= FULL_ENUM_MAX and k <= EXACT_K_MAX, float (windowed upper edge
     above FULL_ENUM_MAX) otherwise; exact=True forces the Fraction at any
     k (n <= FULL_ENUM_MAX)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     if exact and n > FULL_ENUM_MAX:
         raise ValueError(f"exact path limited to n <= {FULL_ENUM_MAX}")
     atoms = _atoms(g_order, n)
@@ -614,8 +546,6 @@ def paired_relaxed_bound(g: GroupTable, n: int, k: int):
     carry an extra 1/d_j decay), so the bound is loose but safe on
     nonabelian bases.  The float upper edge at every n and k: the values
     share no denominator, so the atoms have no exact form."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     return l2_column(_atoms(g.order, n, (g.num_classes, delta_n(g, n))), [k])[0]
 
 

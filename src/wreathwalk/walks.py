@@ -213,6 +213,4 @@ def l2n_sq_spectral(spec: Spectrum, k: int):
     """|G| * ||P^{*k} - U||_2^2 = sum over nontrivial lines of
     multiplicity * value^{2k}.  Exact Fraction for k <= EXACT_K_MAX, float
     beyond."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     return l2_column(spectral_atoms(spec), [k])[0]

@@ -2,7 +2,6 @@
 of power_sums, windowed upper edges, and the shared partition table."""
 import decimal
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -222,7 +221,7 @@ def test_relaxed_windowed_upper_edge_covers_exact(monkeypatch, gname):
     monkeypatch.setattr(bounds, "FULL_ENUM_MAX", 10)
     monkeypatch.setattr(bounds, "J_WINDOW", 4)
     atoms = bounds._slot_atoms(g.order, 12, (4, 10), _paired(g, 12))
-    assert atoms.tail.any() and atoms.weights is None
+    assert atoms.units and atoms.weights is None
     for k, ex, (lo, hi) in zip(ks, exact, power_sums(atoms, ks)):
         got = paired_relaxed_bound(g, 12, k)
         assert isinstance(got, float) and got == hi
@@ -292,7 +291,7 @@ def test_sym_window_builds_no_small_slot_rows(monkeypatch):
     tops = []
     monkeypatch.setattr(bounds, "content_rows", lambda top: tops.append(top) or content_rows(top))
     lo, hi = bounds.l2n_sq_collapsed_bounds(1, 200, 600)
-    assert 0 < lo <= hi and tops == [0]
+    assert 0 < lo <= hi and tops == []
 
 
 def test_sym_spectrum_lines_by_content():
@@ -364,10 +363,25 @@ def _reference_window_atoms(g_order, n, window, paired=None):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
+def _every_read(atoms, ks):
+    """_reads' answer where every unit of every run is read at every k."""
+    return ([np.full((len(ks), len(c)), c.shape[1]) for _, c, _ in atoms.units.sections()],
+            [(-math.inf, 0.0)] * len(ks))
+
+
 def _streamed(atoms):
-    """(ln w, ln |y|) of the atoms, their chunks concatenated."""
-    chunks = (chunk for block in atoms.blocks for chunk in bounds._block_chunks(atoms, block))
+    """(ln w, ln |y|) of the atoms and of every table and window unit,
+    their chunks concatenated."""
+    blocks = list(atoms.blocks)
+    if atoms.units:
+        blocks += [block for block, _ in atoms.units.blocks(_every_read(atoms, [1])[0])]
+    chunks = (chunk for block in blocks for chunk in bounds._block_chunks(atoms, block))
     return tuple(np.concatenate(col) for col in zip(*chunks))
+
+
+def _every_majorant(atoms):
+    """The majorants of every tail segment unit, in chunks."""
+    return atoms.units.majorants(atoms, _every_read(atoms, [1])[0][-1].max(0))
 
 
 def _assert_atoms_equal_the_reference(atoms, want):
@@ -376,7 +390,7 @@ def _assert_atoms_equal_the_reference(atoms, want):
     ln_w, ln_y, tail = want
     for name, a, b in zip(("ln_w", "ln_y"), _streamed(atoms), (ln_w[~tail], ln_y[~tail])):
         assert np.array_equal(a, b), name
-    every = bounds._majorants(atoms, atoms.tail - 1 - atoms.j_window) if atoms.tail.size else []
+    every = _every_majorant(atoms) if atoms.units else []
     for name, a, b in zip(("tail ln_w", "tail ln_y"), zip(*every), (ln_w[tail], ln_y[tail])):
         assert np.array_equal(np.concatenate(a), b), name
 
@@ -394,7 +408,7 @@ OFFSETS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)     # the benchmark's cutoff offsets,
 def test_window_atoms_equal_the_reference_bit_for_bit(g_order, n, window, gname):
     paired = _paired(build_group(gname), n) if gname else None
     atoms = bounds._slot_atoms(g_order, n, window, paired)
-    assert atoms.tail.any() and atoms.weights is None
+    assert atoms.units and atoms.weights is None
     _assert_atoms_equal_the_reference(atoms, _reference_window_atoms(g_order, n, window, paired))
 
 
@@ -417,7 +431,7 @@ def test_relaxed_atoms_at_n_equal_to_full_equal_the_reference(gname):
     # trivial line [n] dropped from the shared table block
     g = build_group(gname)
     atoms = bounds._slot_atoms(g.order, 20, WINDOW, _paired(g, 20))
-    assert not atoms.tail.size
+    assert atoms.units is None
     want = _reference_window_atoms(g.order, 20, WINDOW, _paired(g, 20))
     _assert_atoms_equal_the_reference(atoms, want)
 
@@ -555,9 +569,19 @@ def test_cut_tail_is_within_2_to_the_minus_50_lo_of_every_majorant(g_order, gnam
         assert hi_full * (1 - 1e-15) <= hi <= hi_full * (1 + 1e-15) + 2 ** -50 * lo, k
 
 
-def _read_every_unit(atoms, ks):
-    """A _gate that reads every table level and window slot size at every k."""
-    return [[sys.maxsize] * len(ks)] * len(atoms.blocks), [(-math.inf, 0.0)] * len(ks)
+def _read_at_every_k(monkeypatch, *sections):
+    """Make _reads read every unit of the given _unit_terms sections (0:
+    the table levels, 1: the window slot sizes) at every k, by certificates
+    of +inf; the other units are read or certified as before."""
+    unit_terms = bounds._unit_terms
+
+    def patched(*args):
+        got = list(unit_terms(*args))
+        for at in sections:
+            m, ln_c, ln_y = got[at]
+            got[at] = m, np.full_like(ln_c, math.inf), ln_y
+        return tuple(got)
+    monkeypatch.setattr(bounds, "_unit_terms", patched)
 
 
 def _gate_ks(g_order, paired, n):
@@ -570,19 +594,18 @@ def _gate_ks(g_order, paired, n):
 @pytest.mark.parametrize("n", [42, 45, 60, 200, 1000])
 @pytest.mark.parametrize("g_order,gname", [(2, None), (3, None), (720, None), (6, "S:3")])
 def test_a_skipped_table_is_certified_against_the_read_one(monkeypatch, g_order, gname, n):
-    # a k that skips the table block takes its certificate instead, which
-    # bounds the block (with the window slot sizes the k skips, one
-    # certificate): lo may only fall and hi only rise, each by at most
+    # a k that skips the table levels takes their certificate instead, which
+    # bounds them (with the window slot sizes and tail segments the k skips,
+    # one certificate): lo may only fall and hi only rise, each by at most
     # 2^-60 lo and an ulp
     paired = _paired(build_group(gname), n) if gname else None
     ks = _gate_ks(g_order, paired, n)
     atoms = bounds._atoms(g_order, n, paired)
     gated = power_sums(atoms, ks)
-    stops, certs = bounds._gate(atoms, ks)
-    table = next(i for i, block in enumerate(atoms.blocks) if isinstance(block, bounds.Table))
-    skipped = [not stop for stop in stops[table]]
+    reads, certs = bounds._reads(atoms, ks)
+    skipped = [not read for read in reads[0][:, 0].tolist()]    # the table levels' one run
     assert not skipped[0] and any(skipped) == (n >= 60)     # at n = 42, 45 every k reads it
-    chunks = bounds._block_chunks(atoms, atoms.blocks[table])
+    chunks = bounds._block_chunks(atoms, bounds._table_logs(bounds.FULL_ENUM_MAX))
     ln_w, ln_y = (np.concatenate(col) for col in zip(*chunks))
     for k, skip, cert, got in zip(ks, skipped, certs, gated):
         assert got == power_sums(atoms, [k])[0], k              # k alone decides
@@ -590,9 +613,7 @@ def test_a_skipped_table_is_certified_against_the_read_one(monkeypatch, g_order,
             ln_cert = cert[0] + math.log(cert[1])
             assert _ln_sum(ln_y * (2 * k) + ln_w) <= ln_cert < math.log(got[0]) - 60 * math.log(2), k
     # against the pass that reads the table at every k and gates the window as before
-    unit_certs = bounds._unit_certs
-    monkeypatch.setattr(bounds, "_unit_certs", lambda atoms, ks, top_level: np.concatenate(
-        [np.full((len(ks), top_level), math.inf), unit_certs(atoms, ks, top_level)[:, top_level:]], 1))
+    _read_at_every_k(monkeypatch, 0)
     for k, skip, (lo, hi), (lo_read, hi_read) in zip(ks, skipped, gated, power_sums(atoms, ks)):
         if not skip:
             assert (lo, hi) == (lo_read, hi_read), k
@@ -609,21 +630,31 @@ GATE_GRID = [(n, g_order, gname) for n in (41, 45, 60, 200, 1000)
 
 @pytest.mark.parametrize("n,g_order,gname", GATE_GRID)
 def test_a_window_slot_certificate_bounds_its_atoms(n, g_order, gname):
-    # per window slot size m and k, the closed form the gate reads is at
-    # least the sum of m's window atoms, own and conjugate
+    # per unit and k, the closed form _reads compares is at least the sum of
+    # the unit's own atoms: a table level's rows, a window slot size's atoms,
+    # own and conjugate, and a tail segment's majorants
     paired = _paired(build_group(gname), n) if gname else None
     ks = _gate_ks(g_order, paired, n) + [10 * n]
     atoms = bounds._atoms(g_order, n, paired)
-    window = atoms.blocks[-1]
-    ln_w, ln_y = (np.concatenate(col) for col in zip(*bounds._block_chunks(atoms, window)))
-    starts = np.arange(-1, ln_w.size, window.per_slot).clip(0)   # slot n lacks the line [n]
-    assert starts.size == atoms.tail.size
-    certs = bounds._unit_certs(atoms, ks, 0)[:, ::-1]            # slot sizes n down, as read
-    for k, cert in zip(ks, certs):
-        t = ln_y * (2 * k) + ln_w
-        top = np.maximum.reduceat(t, starts)
-        sums = np.add.reduceat(np.exp(t - np.repeat(top, np.diff(starts, append=t.size))), starts)
-        assert (top + np.log(sums) <= cert).all(), k
+    sections = atoms.units.sections()
+    table, window = (block for block, _ in atoms.units.blocks(_every_read(atoms, [1])[0]))
+    ln_w, ln_y, slot, seg = (np.concatenate(col) for col in zip(*_every_majorant(atoms)))
+    units = [(*_streamed_block(atoms, table), table[0]),                # per level m
+             (*_streamed_block(atoms, window), n - window[0].astype(np.int64)),  # slot n down
+             (ln_w, ln_y, slot * sections[2][1].shape[1] + seg)]        # per (slot, segment)
+    for at, ((m, ln_c, ln_y), (ln_w, ln_y_atoms, unit)) in enumerate(zip(sections, units)):
+        starts = np.flatnonzero(np.diff(unit, prepend=-1))              # units in order
+        assert len(starts) == ln_c[..., 0].size or at == 2              # a segment may be empty
+        for k in ks:
+            t = atoms.ln_w[m] + ln_c + 2 * k * (ln_y - atoms.ln_scale[m])
+            ln_cert = np.logaddexp.reduce(t, -1)
+            got = np.logaddexp.reduceat(ln_y_atoms * (2 * k) + ln_w, starts)
+            assert (got <= ln_cert.ravel()[unit[starts]]).all(), (k, m.size)
+
+
+def _streamed_block(atoms, block):
+    """(ln w, ln |y|) of one block, its chunks concatenated."""
+    return (np.concatenate(col) for col in zip(*bounds._block_chunks(atoms, block)))
 
 
 @pytest.mark.parametrize("n,g_order,gname", GATE_GRID)
@@ -636,7 +667,7 @@ def test_a_gated_pass_is_within_2_to_the_minus_60_lo_of_every_slot_read(monkeypa
     ks = _gate_ks(g_order, paired, n)
     atoms = bounds._atoms(g_order, n, paired)
     gated = power_sums(atoms, ks)
-    monkeypatch.setattr(bounds, "_gate", _read_every_unit)
+    _read_at_every_k(monkeypatch, 0, 1)
     for k, (lo, hi), (lo_all, hi_all) in zip(ks, gated, power_sums(atoms, ks)):
         if hi_all == math.inf:                                   # past the float range
             assert hi == math.inf and (lo == math.inf) == (lo_all == math.inf), k
@@ -673,8 +704,8 @@ def test_sym_reads_and_builds_slot_n_only(monkeypatch, n):
     built = _count_slot_builds(monkeypatch)
     ks = [1, n, 3 * n, _k0(1, n)]
     atoms = bounds._atoms(1, n)
-    stops, _ = bounds._gate(atoms, ks)
-    assert stops[-1] == [atoms.blocks[-1].per_slot - 1] * len(ks)
+    reads, _ = bounds._reads(atoms, ks)
+    assert atoms.units.blocks(reads)[-1][1] == [atoms.units.window.per_slot - 1] * len(ks)
     assert all(0 < lo <= hi for lo, hi in power_sums(atoms, ks))
     assert built == [(n, n)]
     bounds._window_shape.cache_clear()
@@ -738,13 +769,13 @@ def _linear_sum(t):
 
 def _count_majorants(monkeypatch):
     seen = []
-    majorants = bounds._majorants
+    majorants = bounds.Units.majorants
 
-    def counted(atoms, counts):
-        for chunk in majorants(atoms, counts):
+    def counted(units, atoms, reads):
+        for chunk in majorants(units, atoms, reads):
             seen.append(len(chunk[0]))
             yield chunk
-    monkeypatch.setattr(bounds, "_majorants", counted)
+    monkeypatch.setattr(bounds.Units, "majorants", counted)
     return seen
 
 
@@ -754,9 +785,7 @@ def test_a_pass_evaluates_few_of_the_tail_majorants(monkeypatch):
     # where the tail is 10^55 times lo evaluates no more than all 15 632
     every = {}
     for n in (200, 1000):
-        atoms = bounds._atoms(2, n)
-        chunks = bounds._majorants(atoms, atoms.tail - 1 - bounds.J_WINDOW)
-        every[n] = sum(len(chunk[0]) for chunk in chunks)
+        every[n] = sum(len(chunk[0]) for chunk in _every_majorant(bounds._atoms(2, n)))
     assert every == {200: 15632, 1000: 467216}
     seen = _count_majorants(monkeypatch)
     for n, k, share in [(1000, _k0(2, 1000) - 500, 0.05), (200, _k0(2, 200) - 200, 1.0)]:

@@ -103,7 +103,7 @@ def test_windowed_bounds_sandwich_exact(monkeypatch):
     monkeypatch.setattr(bounds, "FULL_ENUM_MAX", 10)
     monkeypatch.setattr(bounds, "J_WINDOW", 4)
     for (go, n, k), ex in zip(cases, exact):
-        assert bounds._atoms(go, n).tail.any()  # the windowed atoms
+        assert bounds._atoms(go, n).units  # the windowed atoms
         lo, hi = l2n_sq_collapsed_bounds(go, n, k)
         assert lo <= ex * (1 + 1e-9)
         assert hi >= ex * (1 - 1e-9)
@@ -166,10 +166,11 @@ def test_majorant_counts_are_log_concave():
 
 
 def test_tail_segment_counts_are_their_direct_max():
-    # every segment of _tail_segments at n = 3000 (m = 41..3000) against the
-    # largest majorant count in it, over every deficit
+    # every tail segment unit of _unit_terms at n = 3000 (m = 41..3000)
+    # against the largest majorant count in it, over every deficit
     n, j_window, full = 3000, bounds.J_WINDOW, bounds.FULL_ENUM_MAX
-    ln_count, ln_top, offs = bounds._tail_segments(n, j_window, full)
+    (_, ln_count, ln_top), offs = bounds._unit_terms(n, j_window, full)[2:4]
+    ln_count, ln_top = ln_count[..., 0], ln_top[..., 0]
     lnf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
     starts = j_window + 1 + offs
     for row, m in enumerate(range(full + 1, n + 1)):

@@ -85,7 +85,7 @@ def test_sym_spectrum_far_past_the_partition_table_cap_refused_before_counting(c
 
 
 def _cold_window():
-    for cached in (bounds._window_shape, bounds._tail_segments, bounds._table_logs):
+    for cached in (bounds._window_shape, bounds._unit_terms, bounds._table_logs):
         cached.cache_clear()
 
 
@@ -145,8 +145,8 @@ def test_a_bracket_near_the_n_10000_cutoff_holds_a_fraction_of_the_window_bytes(
 
 
 def test_a_sweep_of_windowed_brackets_holds_only_the_cached_blocks():
-    # brackets at four sizes leave the last two window shapes and tail
-    # segments and the table logs, nothing more: no windowed atoms are
+    # brackets at four sizes leave the last two window shapes and unit
+    # certificates and the table logs, nothing more: no windowed atoms are
     # cached, so none holds a block its own cache has dropped
     bounds.content_rows(bounds.FULL_ENUM_MAX)
     _cold_window()
@@ -160,11 +160,37 @@ def test_a_sweep_of_windowed_brackets_holds_only_the_cached_blocks():
     builds = bounds._window_shape.cache_info().misses
     cached = [bounds._window_shape(n, bounds.J_WINDOW, bounds.FULL_ENUM_MAX).cols
               for n in (2000, 2500)]
-    cached += [bounds._tail_segments(n, bounds.J_WINDOW, bounds.FULL_ENUM_MAX) for n in (2000, 2500)]
+    cached += [bounds._unit_terms(n, bounds.J_WINDOW, bounds.FULL_ENUM_MAX) for n in (2000, 2500)]
     cached.append(bounds._table_logs(bounds.FULL_ENUM_MAX))
     assert bounds._window_shape.cache_info().misses == builds == 4
-    assert held <= sum(col.nbytes for block in cached for col in block) + 2 ** 20
+    assert held <= _nbytes(cached) + 2 ** 20
     _cold_window()
+
+
+def test_a_negative_k_is_refused_by_the_evaluator():
+    # power_sums refuses k < 0 for every caller, windowed (n = 200) or exact
+    # (n = 20): a bracket, a curve, the envelope certificate at k0 < 0 and at
+    # c < 0 past k0, and the l2 sums that used to refuse it themselves
+    g = build_group("Z:2")
+    calls = [lambda: bounds.power_sums(bounds._atoms(2, 200), [3, -1]),
+             lambda: bounds.power_sums(bounds._atoms(2, 20), [-1], exact=True),
+             lambda: bounds.l2n_sq_collapsed_bounds(2, 200, -1),
+             lambda: bounds.l2n_sq_collapsed_bounds(2, 20, -1),
+             lambda: distance_curve("independent", 200, g, ks=[-1, 2]),
+             lambda: distance_curve("independent", 20, g, ks=[2, -1]),
+             lambda: bounds.envelope_decay_certificate(2, 200, 1.0, k0=-1),
+             lambda: bounds.envelope_decay_certificate(2, 25, -2.0, k0=40),
+             lambda: bounds.l2n_sq_collapsed(2, 200, -1),
+             lambda: bounds.paired_relaxed_bound(build_group("S:3"), 200, -1),
+             lambda: l2n_sq_spectral(spectrum("sym", 4), -1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            call()
+
+
+def _nbytes(held) -> int:
+    """The bytes of every array in nested tuples and lists."""
+    return held.nbytes if hasattr(held, "nbytes") else sum(map(_nbytes, held))
 
 
 def test_windowed_brackets_past_physical_memory_refused(monkeypatch, capsys):
