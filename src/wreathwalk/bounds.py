@@ -449,27 +449,31 @@ class Window:
         lnf = np.array([math.lgamma(i + 1) for i in range(self.n + 1)])
         lni = np.log(np.arange(self.n + 1).clip(1))[::-1]               # ln i, i from n down
         step = 8 * ATOM_CHUNK // self.per_slot + 1
+        levels = []                  # per deficit j: what no slot size changes
+        for j in range(self.j_window + 1):
+            level = partition_table(j)
+            parts = np.array([mu + (0,) * (j - len(mu)) for mu in level],
+                             dtype=np.int64).reshape(len(level), j)      # mu, zero-padded
+            mu1 = parts.max(1, initial=0)
+            # first-row hooks by the strip formula: column c of mu has (parts >= c).sum(1)
+            # cells, and the mu with mu_1 >= c lead (reverse-lex order)
+            strips = [(r, c - 1 + j - (parts[:r] >= c).sum(1))
+                      for c in range(1, j + 1) for r in [int((mu1 >= c).sum())]]
+            dims, contents = zip(*level.values())
+            levels.append((len(level), mu1, strips, np.array([math.log(d) for d in dims]),
+                           np.array(contents)))
         for at in range(0, big.size, step):
             b, rows, col = big[at:at + step, None], slice(at, at + step), 0
             runs = np.lib.stride_tricks.sliding_window_view(lni, b.size)  # runs[n - i]: ln (b + i)
             out[0][rows] = b
-            for j in range(self.j_window + 1):
-                level = partition_table(j)
-                parts = np.array([mu + (0,) * (j - len(mu)) for mu in level],
-                                 dtype=np.int64).reshape(len(level), j)  # mu, zero-padded
-                mu1 = parts.max(1, initial=0)
-                # first-row hooks by the strip formula: column c of mu has (parts >= c).sum(1)
-                # cells, and the mu with mu_1 >= c lead (reverse-lex order)
-                hooks = np.zeros((len(level), b.size))                   # (mu, m)
-                for c in range(1, j + 1):
-                    r = int((mu1 >= c).sum())
-                    hooks[:r] += runs[self.n - b[0, 0] + c - 1 + j - (parts[:r] >= c).sum(1)]
-                dims, contents = zip(*level.values())
-                ln_d = (lnf[b] - lnf[b - j - mu1] - lnf[j]
-                        + np.array([math.log(d) for d in dims]) - hooks.T)
-                c_lam = (b - j) * (b - j - 1) + np.array(contents) - 2 * j
-                span, col = slice(col, col + 2 * len(level)), col + 2 * len(level)
-                d2, top = (o[rows, span].reshape(b.size, len(level), 2) for o in out[1:])
+            for j, (size, mu1, strips, ln_dims, contents) in enumerate(levels):
+                hooks = np.zeros((size, b.size))                          # (mu, m)
+                for r, offsets in strips:
+                    hooks[:r] += runs[self.n - b[0, 0] + offsets]
+                ln_d = lnf[b] - lnf[b - j - mu1] - lnf[j] + ln_dims - hooks.T
+                c_lam = (b - j) * (b - j - 1) + contents - 2 * j
+                span, col = slice(col, col + 2 * size), col + 2 * size
+                d2, top = (o[rows, span].reshape(b.size, size, 2) for o in out[1:])
                 np.multiply(ln_d, 2, out=d2[..., 0])                     # (m, mu, own | conjugate)
                 d2[..., 1] = d2[..., 0]
                 np.add(b, c_lam, out=top[..., 0])

@@ -90,11 +90,12 @@ def build_transition_matrix(g: GroupTable, measure: WalkMeasure) -> TransitionMa
 
 def matrix_power_traces(m: TransitionMatrix, k_max: int) -> list[Fraction]:
     """tr(M^k) for k = 0..k_max via repeated multiplication, exact.  Entries
-    of num^k are nonnegative with row sums den^k, so every partial sum and
-    the trace stay below order * den^k: int64 while that fits, Python ints
-    past it."""
+    of num^k are nonnegative with row sums den^k, so every product, partial
+    sum and the trace are integers below order * den^k: float64 (BLAS) while
+    that is below 2^53, int64 below 2^63, Python ints past it."""
     order = m.order
-    num = m.num if order * m.den ** k_max < 2 ** 63 else m.num.astype(object)
+    top = order * m.den ** k_max
+    num = m.num.astype(np.float64 if top < 2 ** 53 else np.int64 if top < 2 ** 63 else object)
     traces = [Fraction(order)]
     power = num
     den = m.den

@@ -260,10 +260,11 @@ def dim_partition(lam: Partition) -> int:
     return partition_table(m)[lam][0]
 
 
-def _content_row(contents: np.ndarray, limbs: np.ndarray) -> tuple:
+def _content_row(contents: np.ndarray, limbs: np.ndarray, m: int | None = None) -> tuple:
     """((c, sum of dim^2), ...) over the distinct content sums c of one level,
     in order of first appearance: dim^2 in limbs (each 60-bit product split
-    into 30-bit halves), summed per c after a stable sort by c."""
+    into 30-bit halves), summed per c after a stable sort by c.  Given the
+    level m, _ROW_FIRSTS[m] records the index of each c's first partition."""
     # content sums are even, and |c| / 2 <= m(m - 1) / 2 fits 16 bits: a radix sort
     order = np.argsort((contents >> 1).astype(np.int16), kind="stable")
     ordered = contents[order]
@@ -277,10 +278,13 @@ def _content_row(contents: np.ndarray, limbs: np.ndarray) -> tuple:
             squares[i + j] += np.add.reduceat(product & _LIMB_MASK, starts)
             squares[i + j + 1] += np.add.reduceat(product >> _LIMB, starts)
     first = np.argsort(order[starts])
+    if m is not None:
+        _ROW_FIRSTS[m] = order[starts][first].astype(np.int32)
     return tuple(zip(ordered[starts][first].tolist(), _level_dims(_carry(squares)[:, first])))
 
 
 _CONTENT_ROWS = [()]    # the rows of the largest top so far
+_ROW_FIRSTS = {}        # m -> the index of each content_rows(m)[m] row's first partition
 
 
 def content_rows(top: int) -> tuple:
@@ -291,9 +295,30 @@ def content_rows(top: int) -> tuple:
     _check_level(top)
     rows = _CONTENT_ROWS[0]
     if top >= len(rows):
-        rows = _CONTENT_ROWS[0] = rows + tuple(_content_row(*_LEVELS.level(m)[:2])
+        rows = _CONTENT_ROWS[0] = rows + tuple(_content_row(*_LEVELS.level(m)[:2], m)
                                                for m in range(len(rows), top + 1))
     return rows[:top + 1]
+
+
+@lru_cache(maxsize=None)
+def _bounded_count(m: int, part: int) -> int:
+    """The number of partitions of m into parts of at most part."""
+    return 1 if m == 0 else sum(_bounded_count(m - p, p) for p in range(1, min(m, part) + 1))
+
+
+@lru_cache(maxsize=None)
+def row_witness(m: int, row: int) -> Partition:
+    """The first partition of m, in reverse-lex order, with the content sum of
+    content_rows(top)[m][row]: unranked from the index the rows recorded."""
+    index, lam, part = int(_ROW_FIRSTS[m][row]), [], m
+    while m:
+        part = min(m, part)
+        while index >= (count := _bounded_count(m - part, part)):
+            index -= count
+            part -= 1
+        lam.append(part)
+        m -= part
+    return tuple(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -48,19 +48,24 @@ def _compositions_desc(n: int, s: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def enumerate_labels(g: GroupTable, n: int, max_labels: int = MAX_LABELS) -> list[IrrepLabel]:
-    """All irrep labels, ordered by type composition (descending lex), then
-    per-slot partition order.  The trivial label (n,0,...)[ [n], -,... ]
-    comes first.  On a one-class base (G = 1) the labels are the
-    partitions of n, and the refusal names them so.  n past the partition
-    table's cap (partitions.WORD_M_MAX) is refused first, before the labels are
-    counted."""
-    s = g.num_classes
+def refuse_labels(g: GroupTable, n: int, max_labels: int = MAX_LABELS) -> int:
+    """The label count of G wr S_n, refused past max_labels (as partitions
+    of n on a one-class base, G = 1), after n past the partition table's
+    cap (partitions.WORD_M_MAX), which is refused before any count."""
     refuse_past_cap(n)
     total = class_count(g, n)
     if total > max_labels:
-        what = "partition" if s == 1 else "label"
+        what = "partition" if g.num_classes == 1 else "label"
         raise ValueError(f"{what} count {total} exceeds cap {max_labels}")
+    return total
+
+
+def enumerate_labels(g: GroupTable, n: int, max_labels: int = MAX_LABELS) -> list[IrrepLabel]:
+    """All irrep labels, ordered by type composition (descending lex), then
+    per-slot partition order.  The trivial label (n,0,...)[ [n], -,... ]
+    comes first.  Refused as refuse_labels says."""
+    s = g.num_classes
+    total = refuse_labels(g, n, max_labels)
     # the partitions of every slot size (0..n, or n alone on one slot), in
     # increasing size: the table's builder makes each level once
     parts_of = {m: list(partition_table(m)) for m in (range(n + 1) if s > 1 else [n])}

@@ -35,6 +35,7 @@ from .partitions import (  # noqa: F401  (dim_partition unused; the tracer test 
     content_rows,
     content_sum,
     dim_partition,
+    row_witness,
 )
 from .reps import (
     MAX_LABELS,
@@ -42,6 +43,7 @@ from .reps import (
     _scale,
     enumerate_labels,
     irrep_dimension,
+    refuse_labels,
     support_characters,
 )
 from .wreath import walk_base
@@ -133,7 +135,7 @@ class Spectrum:
         return sum(l.multiplicity for l in self.lines)
 
 
-def slot_convolution(n: int, g: GroupTable) -> tuple[int, dict]:
+def slot_convolution(n: int, g: GroupTable, witnesses: dict | None = None) -> tuple[int, dict]:
     """The paired walk's spectrum without labels: (denominator,
     {numerator: multiplicity}) over the denominator n^2 lcm(d_j).
 
@@ -144,49 +146,71 @@ def slot_convolution(n: int, g: GroupTable) -> tuple[int, dict]:
     d_j^{2m} dim^2.  A state (size a, numerator v) holds the weight sum
     over its partial labels, and adding m to it multiplies by
     C(a + m, m)^2, which restores the multinomial of the label dimension:
-    every weight stays an int."""
+    every weight stays an int.
+
+    witnesses, if given, receives each numerator's first label in label
+    order.  A state keeps the least key of its partial labels: one int with
+    the digits n - n_1, ..., n - n_s, then each slot's row (rows come in the
+    order of their first partitions), 0 for slots not yet added.  Keys compare
+    lexicographically, so the best prefix stays best under any completion."""
     dims = g.irrep_dims()
     lcm = math.lcm(*dims)
     rows = content_rows(n)
     states = [{0: 1}] + [{} for _ in range(n)]       # per size a: {v: weight}
+    firsts = [{0: 0}] + [{} for _ in range(n)]       # per size a: {v: least key}
+    width = max(map(len, rows))
+    places = [(width ** len(dims) * (n + 1) ** i, width ** i) for i in reversed(range(len(dims)))]
     for j, dj in enumerate(dims):
         step = lcm // dj
         table = [[(((m if j == 0 else 0) + c) * step, dj ** (2 * m) * d2) for c, d2 in rows[m]]
                  for m in range(n + 1)]
         new = [{} for _ in range(n + 1)]
+        prev, firsts = firsts, [{} for _ in range(n + 1)]
+        size_place, row_place = places[j]
         for a in range(n + 1):
             for m in ([n - a] if j == len(dims) - 1 else range(n - a + 1)):
                 f = math.comb(a + m, m) ** 2
                 into = new[a + m]
+                if witnesses is None:
+                    for v, w in states[a].items():
+                        fw = f * w
+                        for dv, w2 in table[m]:
+                            into[v + dv] = into.get(v + dv, 0) + fw * w2
+                    continue
+                least, head, digit = firsts[a + m], prev[a], (n - m) * size_place
                 for v, w in states[a].items():
-                    fw = f * w
-                    for dv, w2 in table[m]:
-                        into[v + dv] = into.get(v + dv, 0) + fw * w2
+                    fw, base = f * w, head[v] + digit
+                    for row, (dv, w2) in enumerate(table[m]):
+                        t, key = v + dv, base + row * row_place
+                        into[t] = into.get(t, 0) + fw * w2
+                        if least.get(t, key + 1) > key:
+                            least[t] = key
         states = new
+    for v, key in (firsts[n].items() if witnesses is not None else ()):
+        sizes = tuple(n - key // size_place % (n + 1) for size_place, _ in places)
+        witnesses[v] = IrrepLabel(sizes, tuple(row_witness(m, key // row_place % width)
+                                               for m, (_, row_place) in zip(sizes, places)))
     return n * n * lcm, states[n]
 
 
 def spectrum(kind: str, n: int, g: GroupTable | None = None,
              max_labels: int | None = None) -> Spectrum:
-    """Deduplicated exact spectrum of the walk's transition operator.
-    max_labels (default MAX_LABELS) caps the labels before any is built."""
+    """Deduplicated exact spectrum of the walk's transition operator, paired
+    by slot_convolution.  max_labels (default MAX_LABELS) caps labels first."""
     measure = build_measure(kind, n, g)
     g = measure.base
-    acc: dict[Fraction, list] = {}       # value -> [multiplicity, first label]
     cap = MAX_LABELS if max_labels is None else max_labels
-    for lab in enumerate_labels(g, n, cap):
-        val = eigenvalue(measure, lab)
-        d = irrep_dimension(g, n, lab)
-        line = acc.get(val)          # one Fraction hash per label
-        if line is None:
-            acc[val] = [d * d, lab]
-        else:
-            line[0] += d * d
+    if kind == "paired":
+        refuse_labels(g, n, cap)
+        den, mults = slot_convolution(n, g, firsts := {})
+        acc = {Fraction(v, den): [mults[v], firsts[v]] for v in sorted(mults, reverse=True)}
+    else:
+        acc = {}                         # value -> [multiplicity, first label]
+        for lab in enumerate_labels(g, n, cap):
+            acc.setdefault(eigenvalue(measure, lab), [0, lab])[0] += irrep_dimension(g, n, lab) ** 2
     total = g.order ** n * math.factorial(n)
-    lines = [
-        SpectralLine(value=v, multiplicity=m, witness=w)
-        for v, (m, w) in sorted(acc.items(), reverse=True)
-    ]
+    lines = [SpectralLine(value=v, multiplicity=m, witness=w)
+             for v, (m, w) in sorted(acc.items(), reverse=True)]
     assert sum(l.multiplicity for l in lines) == total
     assert lines[0].value == 1 and lines[0].multiplicity == 1, "walk must be ergodic"
     return Spectrum(kind=kind, n=n, group_order=total, lines=lines)

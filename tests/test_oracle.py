@@ -159,6 +159,16 @@ def test_trace_moments_past_the_int64_range():
     assert matrix_power_traces(m, 24)[:20] == matrix_power_traces(m, 19)
 
 
+def test_trace_moments_agree_on_float64_int64_and_python_ints():
+    # Z:2 wr S_2 independent (order 8, den 8): k_max = 16 is the last on
+    # float64 (every value an integer below 2^53), 19 the last on int64
+    g = build_group("Z:2")
+    m = build_transition_matrix(build_wreath_table(g, 2).group, build_measure("independent", 2, g))
+    assert m.order * m.den ** 16 < 2 ** 53 <= m.order * m.den ** 17
+    traces = matrix_power_traces(m, 24)
+    assert matrix_power_traces(m, 16) == traces[:17] and matrix_power_traces(m, 19) == traces[:20]
+
+
 def _scalar_laws(g, n, kind, k_max):
     """P^{*k} for k = 0..k_max as {element: Fraction}, by scalar convolution
     with wreath_multiply and no table.  The one-step law is the walk's

@@ -59,6 +59,31 @@ def test_sym_spectrum_refuses_large_n_at_once(capsys):
         spectrum("sym", 12, max_labels=76)
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["--group", "S:3", "--n", "8", "--walk", "paired", "--max-labels", "809"],
+     "error: label count 810 exceeds cap 809\n"),
+    (["--group", "Z:1", "--n", "10", "--walk", "paired", "--max-labels", "41"],
+     "error: partition count 42 exceeds cap 41\n"),
+    (["--group", "Z:5", "--n", "62", "--walk", "paired"],
+     "error: n = 62 exceeds cap 61 of the partition table (p(61) = 1121505 partitions a level)\n"),
+    (["--group", "Z:5", "--n", "62", "--walk", "paired", "--max-labels", "1"],
+     "error: n = 62 exceeds cap 61 of the partition table (p(61) = 1121505 partitions a level)\n"),
+    (["--group", "Z:2", "--n", "30", "--walk", "independent", "--max-labels", "100000"],
+     "error: label count 589128 exceeds cap 100000\n"),
+])
+def test_spectrum_refuses_before_the_slot_engine(capsys, monkeypatch, argv, err):
+    # the paired lines come from the slot engine, which builds no label:
+    # the table cap, then the label count, are still refused before it runs
+    from wreathwalk import walks
+
+    def refused(*args, **kw):
+        raise AssertionError("slot engine ran")
+    monkeypatch.setattr(walks, "slot_convolution", refused)
+    t0 = time.monotonic()
+    assert run_cli(capsys, ["spectrum"] + argv) == (1, "", err)
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_labels_past_the_partition_table_cap_refused_at_once():
     # p(62) = 1 300 156 labels fit the label cap, but the partition table
     # stops at m = 61: refused before any label is built

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathwalk.groups import build_group, cyclic_group
-from wreathwalk.reps import IrrepLabel, enumerate_labels
+from wreathwalk.reps import IrrepLabel, enumerate_labels, irrep_dimension
 from wreathwalk.walks import (
+    SpectralLine,
     build_measure,
     eigenvalue,
     fourier_class_function,
@@ -178,16 +179,46 @@ SLOT_CASES = sorted(
     {(gspec, n) for gspec, n_max in [("Z:2", 6), ("Z:3", 5), ("S:3", 4)]
      for n in range(1, n_max + 1)}
     | {("Z:3", 10), ("S:3", 8), ("S:4", 4), ("S:4", 2), ("Z:5", 6), ("Z:4", 5),
-       ("Z:1", 1), ("Z:1", 6)})
+       ("Z:1", 1), ("Z:1", 6), ("S:4", 6), ("Z:2", 12), ("Z:1", 10)})
+
+
+def label_spectrum(n, g):
+    """The paired lines by labels, as an independent reference: every
+    label's eigenvalue and dimension, and the first label of each value."""
+    measure = build_measure("paired", n, g)
+    acc = {}                                 # value -> [multiplicity, first label]
+    for lab in enumerate_labels(g, n):
+        line = acc.setdefault(eigenvalue(measure, lab), [0, lab])
+        line[0] += irrep_dimension(g, n, lab) ** 2
+    return [(v, m, w) for v, (m, w) in sorted(acc.items(), reverse=True)]
 
 
 @pytest.mark.parametrize("gspec,n", SLOT_CASES)
 def test_slot_convolution_equals_labels(gspec, n):
-    # spectrum is the label route: every label's eigenvalue and dimension
+    # values, multiplicities and first-label witnesses, against the labels
     g = build_group(gspec)
+    want = label_spectrum(n, g)
     den, mults = slot_convolution(n, g)
-    got = [(Fraction(v, den), mults[v]) for v in sorted(mults, reverse=True)]
-    assert got == [(l.value, l.multiplicity) for l in spectrum("paired", n, g).lines]
+    assert [(Fraction(v, den), mults[v]) for v in sorted(mults, reverse=True)] \
+        == [(v, m) for v, m, _ in want]
+    assert [(l.value, l.multiplicity, l.witness) for l in spectrum("paired", n, g).lines] == want
+
+
+def test_paired_spectrum_builds_no_labels(monkeypatch):
+    from wreathwalk import partitions, reps, walks
+
+    def refused(*args, **kw):
+        raise AssertionError("label path called")
+
+    for mod in (reps, walks, partitions):
+        for name in ("enumerate_labels", "irrep_dimension", "eigenvalue", "partition_table"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refused)
+    monkeypatch.setattr(partitions, "_CONTENT_ROWS", [()])     # rows built cold, too
+    spec = spectrum("paired", 8, build_group("S:3"))
+    assert len(spec.lines) == 83 and spec.multiplicity_total() == 6 ** 8 * 40320
+    # all eight coordinates on the sign irrep of S_3, under the sign of S_8
+    assert spec.lines[-1] == SpectralLine(Fraction(-7, 8), 1, IrrepLabel((0, 0, 8), ((), (), (1,) * 8)))
 
 
 def test_distance_builds_no_labels(monkeypatch):
