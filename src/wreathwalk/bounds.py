@@ -218,16 +218,20 @@ def _unit_terms(n: int, j_window: int, full: int) -> tuple:
 
 def _reads(atoms: Atoms, ks) -> tuple[list, list]:
     """The one rule: a unit is needed at k iff its certificate is >= 2^-60
-    ref(k) / (table levels and window slot sizes), ref(k) the [n-1] atom's
-    term, which lo holds; so is slot size n.  A k reads each run through
-    its last needed unit and certifies the rest, so k alone decides; where
-    a one-row atom [m] puts lo past the float range, hi is too, and the
-    tail is left out.  Per section the units each k reads per run (k, run),
-    and per k the certificate (top, sum) of those it skips."""
+    ref(k) / (the units of its kind: table levels and window slot sizes, or
+    tail segments), ref(k) the [n-1] atom's term, which lo holds; so is slot
+    size n.  The skipped units of each kind sum to at most 2^-60 ref(k), so
+    all of them to at most 2^-59 ref(k).  A k reads each run through its
+    last needed unit and certifies the rest, so k alone decides; where a
+    one-row atom [m] puts lo past the float range, hi is too, and the tail
+    is left out.  Per section the units each k reads per run (k, run), and
+    per k the certificate (top, sum) of those it skips."""
     n, sections = atoms.ln_w.size - 1, atoms.units.sections()
     ms, two_k = np.arange(1, n if atoms.units.table else 1), 2.0 * np.array(ks, dtype=float)
+    units = sum(c[..., 0].size for _, c, _ in sections[:-1])     # table levels and slot sizes
     ln_cap = (atoms.ln_w[n - 1] + two_k * (2 * math.log(n - 1) - atoms.ln_scale[n - 1])
-              - 60 * math.log(2.0) - math.log(sum(c[..., 0].size for _, c, _ in sections[:-1])))
+              - 60 * math.log(2.0) - math.log(units))
+    tail = units / sections[-1][1][..., 0].size           # the tail's cap over ln_cap
     reads = [np.empty((len(ks), len(c)), dtype=np.int64) for _, c, _ in sections]
     skipped, step = np.zeros(len(ks)), ATOM_CHUNK // sum(c.size for _, c, _ in sections) + 1
     for at in range(0, len(ks), step):
@@ -236,7 +240,7 @@ def _reads(atoms: Atoms, ks) -> tuple[list, list]:
         for (m, ln_c, ln_y), read in zip(sections, reads):
             if read is reads[-1]:
                 cap = np.where(ln_m.max(-1, initial=-math.inf)[:, None, None, None]
-                               > math.log(sys.float_info.max), math.inf, cap)
+                               > math.log(sys.float_info.max), math.inf, cap + math.log(tail))
             t = ln_y * k2
             t += ln_c
             t += atoms.ln_w[m] - k2 * atoms.ln_scale[m] - cap
@@ -245,7 +249,8 @@ def _reads(atoms: Atoms, ks) -> tuple[list, list]:
                 u = np.exp(t, out=t, where=keep).sum(-1, where=keep)    # (k, run, unit): cert / cap
             ranks = np.arange(1, u.shape[-1] + 1)                  # slot size n is always read
             got = read[at:at + step] = (ranks * (u >= 1)).max(-1).clip(int(read is reads[-2]))
-            skipped[at:at + step] += np.where(ranks > got[..., None], u, 0).sum((1, 2))
+            skipped[at:at + step] += (np.where(ranks > got[..., None], u, 0).sum((1, 2))
+                                      * (tail if read is reads[-1] else 1))
     return reads, [(c if s else -math.inf, s) for c, s in zip(ln_cap.tolist(), skipped.tolist())]
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .partitions import sn_character_table
 
 MAX_INGEST_ORDER = 2000
+BLOCK = 1 << 14            # permutations, or wreath elements, unranked or decoded at once
 
 
 class _BuiltOnRead:
@@ -55,7 +56,7 @@ class GroupTable:
     # (order, order) int, mult[a,b] = a*b; may be given as a builder of rows,
     # builder(elements) = mult[elements], whose builder() is the whole table
     mult: np.ndarray | Callable[..., np.ndarray] = _BuiltOnRead()
-    inv: np.ndarray            # (order,) int
+    inv: np.ndarray | Callable[[], np.ndarray] = _BuiltOnRead()   # (order,) int; or its builder
     classes: list[list[int]]   # class 0 = {identity}; ordered by min element
     class_of: np.ndarray       # element -> class index
     # rows: irreps, cols: classes; may be given as a builder of them
@@ -65,7 +66,7 @@ class GroupTable:
 
     @property
     def order(self) -> int:
-        return len(self.inv)
+        return len(self.class_of)
 
     def rows(self, elements) -> np.ndarray:
         """mult[elements]; while mult is still its builder, these rows alone
@@ -217,8 +218,11 @@ def perm_unrank(ranks: np.ndarray, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _permutations(m: int) -> np.ndarray:
-    """permutation_table's int8 rows, built once per m (read only)."""
-    perms = perm_unrank(np.arange(math.factorial(m)), m).astype(np.int8)
+    """permutation_table's int8 rows, built once per m (read only), from
+    BLOCK ranks at a time: perm_unrank holds about 9 m + 32 bytes a rank."""
+    perms = np.empty((math.factorial(m), m), dtype=np.int8)
+    for lo in range(0, len(perms), BLOCK):
+        perms[lo:lo + BLOCK] = perm_unrank(np.arange(lo, min(lo + BLOCK, len(perms))), m)
     perms.flags.writeable = False
     return perms
 
@@ -238,34 +242,42 @@ def permutation_table(m: int, ranks=None) -> tuple[np.ndarray, np.ndarray]:
     return perms, mult
 
 
-def _cycle_type(perm: tuple) -> tuple:
-    seen = [False] * len(perm)
-    lens = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        lens.append(length)
-    return tuple(sorted(lens, reverse=True))
+def cycle_paths(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(path, ends), (n!, n) int8 each, a row per permutation of range(n)
+    in rank order: path[r] its positions in cycle order, each cycle from its
+    least position along pi^-1 (classes.cycle_products' traversal), and
+    ends[r, t] the length of the cycle that ends at path[r, t], else 0.
+    Traced BLOCK permutations at a time."""
+    perms = _permutations(n)
+    path, ends = np.empty_like(perms), np.zeros_like(perms)
+    for lo in range(0, len(perms), BLOCK):
+        block = slice(lo, lo + BLOCK)
+        at, length, pinv = path[block], ends[block], np.empty_like(perms[block])
+        np.put_along_axis(pinv, perms[block], np.arange(n, dtype=np.int8), axis=1)
+        rows, seen = np.arange(len(at)), np.zeros(at.shape, dtype=bool)
+        cur, run = np.zeros((2, len(at)), dtype=np.int64)
+        for t in range(n):
+            at[:, t], seen[rows, cur] = cur, True
+            cur, run = pinv[rows, cur], run + 1
+            closed = np.flatnonzero(seen[rows, cur])      # back at the cycle's start
+            length[closed, t], run[closed] = run[closed], 0
+            cur[closed] = np.argmin(seen[closed], axis=1)  # the least unseen position
+    return path, ends
 
 
 def symmetric_group(m: int) -> GroupTable:
     """S_m with elements in lexicographic tuple order (identity first)."""
     if not 1 <= m <= 6:
         raise ValueError("built-in symmetric groups limited to 1 <= m <= 6")
-    rows, mult = permutation_table(m)
-    perms = [tuple(p) for p in rows.tolist()]
+    mult = permutation_table(m)[1]
     inv = _inverses(mult)
     classes, class_of = conjugacy_classes(mult, inv)
     # characters from the Murnaghan-Nakayama table, columns matched by cycle type
     parts, table = sn_character_table(m)
     col_of_type = {mu: c for c, mu in enumerate(parts)}
-    class_cols = [col_of_type[_cycle_type(perms[cls[0]])] for cls in classes]
+    ends = cycle_paths(m)[1]
+    class_cols = [col_of_type[tuple(sorted(ends[c[0]][ends[c[0]] > 0].tolist(), reverse=True))]
+                  for c in classes]
     char_rows = [[Fraction(table[r][c]) for c in class_cols] for r in range(len(parts))]
     return GroupTable(
         name=f"S:{m}",

@@ -136,7 +136,7 @@ class Spectrum:
 
 
 def slot_convolution(n: int, g: GroupTable, witnesses: dict | None = None) -> tuple[int, dict]:
-    """The paired walk's spectrum without labels: (denominator,
+    """The paired walk's spectrum (sym's on G = 1) without labels: (denominator,
     {numerator: multiplicity}) over the denominator n^2 lcm(d_j).
 
     An eigenvalue depends only on n_1 and the per-slot content sums (see
@@ -196,11 +196,12 @@ def slot_convolution(n: int, g: GroupTable, witnesses: dict | None = None) -> tu
 def spectrum(kind: str, n: int, g: GroupTable | None = None,
              max_labels: int | None = None) -> Spectrum:
     """Deduplicated exact spectrum of the walk's transition operator, paired
-    by slot_convolution.  max_labels (default MAX_LABELS) caps labels first."""
+    and sym (the paired walk on G = 1) by slot_convolution, independent by
+    its labels.  max_labels (default MAX_LABELS) caps labels first."""
     measure = build_measure(kind, n, g)
     g = measure.base
     cap = MAX_LABELS if max_labels is None else max_labels
-    if kind == "paired":
+    if kind != "independent":
         refuse_labels(g, n, cap)
         den, mults = slot_convolution(n, g, firsts := {})
         acc = {Fraction(v, den): [mults[v], firsts[v]] for v in sorted(mults, reverse=True)}

@@ -19,13 +19,13 @@ table.  Indices are int64: orders above 2^63 - 1 are refused.
 
 `table_rows(g, n, elements)`, the one builder of the product's rows, is
 mult[elements] by the rule above, with `build_bytes` its memory estimate:
-`class_table` takes the rows of its generators, `build_wreath_table` every
-row, `step_rows` the rows of the walk's distinct step elements.
+`build_wreath_table` takes every row, `step_rows` the rows of the walk's
+distinct step elements, and the oracle's class kernel one row per class.
 
-`class_table(g, n)` is G wr S_n with no multiplication table: inverses in
-closed form and conjugacy classes by conjugation closure over a generating
-set, with mult built on first read and rows(elements) built alone.  The
-oracle, its check and the simulator's exact column read it; the dense
+`class_table(g, n)` is G wr S_n with no multiplication table: conjugacy
+classes from each element's type matrix (`type_keys`), with mult and the
+closed-form inverses built on first read and rows(elements) built alone.
+The oracle, its check and the simulator's exact column read it; the dense
 oracle and the tests read `build_wreath_table`, the same class table with
 its order^2 table built.
 
@@ -53,7 +53,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import (
+    BLOCK,
     GroupTable,
+    cycle_paths,
     cyclic_group,
     perm_rank,
     perm_unrank,
@@ -62,7 +64,6 @@ from .groups import (
 
 MAX_WREATH_ORDER = 5000
 INDEX_MAX = 2 ** 63 - 1            # the largest order whose indices fit in int64
-INVERSE_BLOCK = 1 << 14            # elements decoded at once by wreath_inverses
 
 
 class WreathElement(NamedTuple):
@@ -80,17 +81,10 @@ def walk_base(kind: str, g: GroupTable | None) -> GroupTable:
     return g
 
 
-def perm_inverse(perm: tuple) -> tuple:
-    out = [0] * len(perm)
-    for i, p in enumerate(perm):
-        out[p] = i
-    return tuple(out)
-
-
 def wreath_multiply(g: GroupTable, a: WreathElement, b: WreathElement) -> WreathElement:
     y, sigma = a
     x, pi = b
-    sinv = perm_inverse(sigma)
+    sinv = sorted(range(len(sigma)), key=sigma.__getitem__)      # sigma^-1
     mult = g.mult
     coords = tuple(int(mult[y[i], x[sinv[i]]]) for i in range(len(y)))
     perm = tuple(sigma[pi[i]] for i in range(len(pi)))
@@ -284,119 +278,97 @@ def step_rows(kind: str, n: int, g: GroupTable | None) -> tuple[np.ndarray, np.n
     return table_rows(g, n, steps).astype(dtype, copy=False), row_of
 
 
-def _base_generators(g: GroupTable) -> list[int]:
-    """A greedy generating set of g: each element, in index order, that the
-    earlier ones do not generate.  Each at least doubles the subgroup, so
-    there are at most log2 |G| of them."""
-    gens, inside = [], np.zeros(g.order, dtype=bool)
-    inside[0] = True
-    for x in range(1, g.order):
-        if inside[x]:
-            continue
-        gens.append(x)
-        # the subgroup is the closure of the old one under right
-        # multiplication by gens, grown one frontier of new elements at a
-        # time (a mask, not np.unique, which imports numpy.ma on first use)
-        frontier = np.flatnonzero(inside)
-        while len(frontier):
-            reached = np.zeros_like(inside)
-            reached[g.mult[frontier[:, None], gens]] = True
-            frontier = np.flatnonzero(reached & ~inside)
-            inside[frontier] = True
-    return gens
-
-
-def generators(g: GroupTable, n: int) -> np.ndarray:
-    """Element indices of a generating set S of G wr S_n: the n - 1
-    adjacent transpositions, then a greedy generating set of G placed at
-    coordinate 0 (conjugating it by permutations moves it to every
-    coordinate, so S generates the base G^n too)."""
-    gens = _base_generators(g)
-    swaps = np.tile(np.arange(n, dtype=np.int64), (n - 1 + len(gens), 1))
-    coords = np.zeros_like(swaps)
-    for i in range(n - 1):
-        swaps[i, i:i + 2] = i + 1, i
-    coords[n - 1:, 0] = gens
-    return encode_states(coords, swaps, g.order)
-
-
 def wreath_inverses(g: GroupTable, n: int) -> np.ndarray:
     """inv[x] = index of x^-1 for every element, in closed form:
-    (x; pi)^-1 = (x_pi(i)^-1; pi^-1), decoded and encoded INVERSE_BLOCK
+    (x; pi)^-1 = (x_pi(i)^-1; pi^-1), decoded and encoded BLOCK
     elements at a time."""
     order = _index_order(g.order, n)
     inv = np.empty(order, dtype=np.int64)
-    for lo in range(0, order, INVERSE_BLOCK):
-        x, pi = decode_states(np.arange(lo, min(lo + INVERSE_BLOCK, order)), g.order, n)
+    for lo in range(0, order, BLOCK):
+        x, pi = decode_states(np.arange(lo, min(lo + BLOCK, order)), g.order, n)
         inv[lo:lo + len(x)] = encode_states(g.inv[np.take_along_axis(x, pi, axis=1)],
                                             np.argsort(pi, axis=1), g.order)
     return inv
 
 
-def _least_labels(maps: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """The least element of each element's orbit under conjugation by the
-    elements whose table rows are maps (overwritten by their conjugation
-    maps)."""
-    for row in maps:
-        row[:] = row[inv[row[inv]]]           # s x s^-1 for every x
-    label = np.arange(len(inv))
-    changed = True
-    while changed:
-        changed = False
-        for conj in maps:
-            low = label[conj]
-            if (low < label).any():
-                np.minimum(label, low, out=label)
-                changed = True
-        label = label[label]
-    return label
+def type_keys(g: GroupTable, n: int) -> np.ndarray:
+    """Each element's type matrix as one int64, BLOCK elements at a time.
+    The element's coordinates are multiplied along each cycle of its
+    permutation (groups.cycle_paths; n gathers through g.mult); a finished
+    cycle of length L with product x is coded[L, x] = (L - 1) s + class(x)
+    + 1, s the base classes, and 0 (coded[0, x]) stands for no cycle.  The n
+    codes, sorted, are the key's digits in radix n s + 1.  Two elements are
+    conjugate iff their keys are equal (classes.py)."""
+    order, fact, s = _index_order(g.order, n), math.factorial(n), g.num_classes
+    assert (n * s + 1) ** n < 2 ** 63, "type-matrix keys past int64"
+    path, ends = cycle_paths(n)
+    down = np.arange(n - 1, -1, -1, dtype=np.int64)
+    place, digit = g.order ** down, (n * s + 1) ** down    # a coordinate's and a code's
+    coded = np.maximum(np.arange(-1, n)[:, None] * s + g.class_of + 1, 0)    # <= 0 at L = 0
+    mult, keys = g.mult.reshape(-1), np.empty(order, dtype=np.int64)
+    for lo in range(0, order, BLOCK):
+        digits, ranks = np.divmod(np.arange(lo, min(lo + BLOCK, order)), fact)
+        at, length = path[ranks], ends[ranks]
+        prod, codes = np.zeros_like(digits), np.empty(at.shape, dtype=np.int64)
+        for t in range(n):
+            prod = mult[prod * g.order + digits // place[at[:, t]] % g.order]
+            codes[:, t] = coded[length[:, t], prod]
+            prod *= length[:, t] == 0      # a finished cycle restarts at the identity
+        codes.sort(axis=1, kind="stable")
+        keys[lo:lo + len(digits)] = (codes * digit).sum(axis=1)
+    return keys
 
 
-def class_table_bytes(g_order: int, n: int) -> int:
-    """Peak bytes of class_table, in closed form, with |S| <= n - 1 +
-    log2 |G| generators.  The phases: inv, next to one block of the
-    inverse pass (48 n bytes an element); the generators' table_rows
-    (build_bytes) next to inv; their conjugation maps, order int64 entries
-    each, next to inv, the labels and three temporaries; the classes as
-    Python lists, 40 bytes an element, next to inv, class_of, members and
-    two temporaries."""
-    order = wreath_order(g_order, n)
-    gens = n - 1 + g_order.bit_length() - 1
-    return 8 * order + max(48 * n * min(order, INVERSE_BLOCK),
-                           build_bytes(g_order, n, gens, n, 0),
-                           8 * order * (gens + 4) + order, 8 * order * (5 + 5))
+def class_table_bytes(g: GroupTable, n: int) -> int:
+    """Peak bytes of class_table, in closed form.  Next to the n! x n int8
+    permutations (groups._permutations) it holds the most of: their build
+    (9 n + 32 bytes a rank of a block); two more such tables, the cycle
+    paths, with a block being traced (3 n + 64 bytes a permutation) or with
+    the int64 keys, the (n + 1) x |G| code table (16 bytes an entry as it
+    is built) and a block being keyed (20 n + 64 bytes an element); the
+    class lists, 48 bytes an element (a pointer and an int, 8 to spare) and
+    128 a class, next to class_of and the sorted members, which is above
+    the sort before them.  numpy and Python take 8 KiB more."""
+    from .classes import class_count       # classes imports this module
+    order, fact = wreath_order(g.order, n), math.factorial(n)
+    perms, block = n * fact, min(order, BLOCK)
+    return 2 ** 13 + perms + max(
+        (9 * n + 32) * min(fact, BLOCK),
+        2 * perms + max((3 * n + 64) * min(fact, BLOCK),
+                        8 * order + 16 * (n + 1) * g.order + (20 * n + 64) * block),
+        64 * order + 128 * class_count(g, n))
 
 
 def class_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER) -> GroupTable:
-    """G wr S_n as a GroupTable with its inverses and conjugacy classes but
-    no multiplication table: mult is table_rows' builder, so rows(elements)
-    builds those rows alone and reading mult builds the table.
+    """G wr S_n as a GroupTable with its conjugacy classes but no
+    multiplication table: mult is table_rows' builder, so rows(elements)
+    builds those rows alone and reading mult builds the table; inv is
+    wreath_inverses, built on first read.
 
-    Inverses are in closed form (wreath_inverses).  Classes are orbits
-    under conjugation by the generators S (generators): R_s = table_rows of
-    s, so R_s[inv[R_s[inv]]] is x -> s x s^-1 over every element, and each
-    element's label, at first itself, takes the least label over those
-    maps (then label[label]) until nothing changes.  Classes are numbered
-    by ascending least element, as groups.conjugacy_classes numbers them.
+    Classes are the type matrices (type_keys), numbered by ascending least
+    element, as groups.conjugacy_classes numbers them: a stable sort of the
+    keys puts each class's members together in ascending order, least
+    first.
 
     Refuses orders above max_order and, before allocating anything,
     orders whose class table (class_table_bytes) would exceed physical
     memory."""
     order = _index_order(g.order, n, max_order, f"cap {max_order}")
-    need = class_table_bytes(g.order, n)
+    need = class_table_bytes(g, n)
     refuse_past_memory(need, f"wreath order {order} needs {need} bytes for its class table "
-                             f"(conjugation maps of {order} int64 entries)")
-    inv = wreath_inverses(g, n)
-    label = _least_labels(table_rows(g, n, generators(g, n)), inv)
-    least = label == np.arange(order)
-    class_of = (np.cumsum(least) - 1)[label]
-    del label, least
-    members = np.argsort(class_of, kind="stable")
-    classes = [c.tolist() for c in np.split(members, np.cumsum(np.bincount(class_of))[:-1])]
+                             f"(type-matrix keys of {order} int64 entries)")
+    keys = type_keys(g, n)
+    members = np.argsort(keys, kind="stable")       # each class together, least member first
+    bounds = np.append(np.flatnonzero(np.diff(keys[members], prepend=-1)), order)
+    del keys
+    by_least = np.argsort(members[bounds[:-1]])     # key groups in class order
+    class_of = np.empty(order, dtype=np.int64)
+    class_of[members] = np.repeat(np.argsort(by_least), np.diff(bounds))
+    classes = [members[bounds[c]:bounds[c + 1]].tolist() for c in by_least.tolist()]
     return GroupTable(
         name=f"{g.name} wr S_{n}",
         mult=partial(table_rows, g, n),
-        inv=inv,
+        inv=partial(wreath_inverses, g, n),
         classes=classes,
         class_of=class_of,
     )
@@ -418,7 +390,7 @@ def build_wreath_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER)
     """
     order = _index_order(g.order, n, max_order, f"cap {max_order}")
     table = 8 * order * order
-    need = build_bytes(g.order, n, order, math.factorial(n), 0) + class_table_bytes(g.order, n)
+    need = build_bytes(g.order, n, order, math.factorial(n), 0) + class_table_bytes(g, n)
     have = _physical_memory()
     if need > have:
         raise ValueError(f"wreath order {order} needs a {table / 2 ** 30:.1f} GiB table "

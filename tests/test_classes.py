@@ -169,22 +169,42 @@ def test_support_classes_read_the_class_sizes_once():
 
 CLOSURE_INSTANCES = ([("Z:1", 7), ("Z:2000", 1)] + [("Z:2", n) for n in range(1, 6)]
                      + [("Z:3", n) for n in range(1, 5)] + [("S:3", n) for n in range(1, 4)]
-                     + [("S:4", n) for n in range(1, 3)] + [("file:S:3", n) for n in range(1, 4)])
+                     + [("S:4", n) for n in range(1, 3)] + [("file:S:3", n) for n in range(1, 4)]
+                     + [("file:A4", 2)])
+
+
+def _a4_table():
+    """A4 as the 12 even permutations of 4 points in lexicographic order
+    (identity first), multiplied by composition: its two classes of
+    3-cycles are each other's inverses, so its classes are not closed under
+    inversion."""
+    perms = [p for p in itertools.permutations(range(4))
+             if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[b[i]] for i in range(4))] for b in perms] for a in perms]
 
 
 def _base(gspec, tmp_path):
     """The base group; file:S:3 is S:3 written to JSON and read back, a
-    nonabelian base through the ingestion path."""
+    nonabelian base through the ingestion path, and file:A4 is A4 written
+    the same way."""
     if not gspec.startswith("file:"):
         return build_group(gspec)
-    path = tmp_path / "s3.json"
-    path.write_text(json.dumps({"order": 6, "mult": build_group("S:3").mult.tolist()}))
+    mult = build_group("S:3").mult.tolist() if gspec == "file:S:3" else _a4_table()
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"order": len(mult), "mult": mult}))
     return build_group(f"file:{path}")
+
+
+def test_a4_classes_are_not_closed_under_inversion(tmp_path):
+    g = _base("file:A4", tmp_path)
+    assert g.order == 12 and sorted(g.class_sizes()) == [1, 3, 4, 4]
+    assert any(g.class_of[g.inv[c[0]]] != i for i, c in enumerate(g.classes))
 
 
 @pytest.mark.parametrize("gspec,n", CLOSURE_INSTANCES)
 def test_closure_classes_are_the_table_classes(gspec, n, tmp_path):
-    # inverses in closed form and classes by conjugation closure against the
+    # inverses in closed form and classes by type matrices against the
     # inverse search and brute conjugation on the whole table
     g = _base(gspec, tmp_path)
     ct = class_table(g, n, max_order=6000)
@@ -198,12 +218,12 @@ def test_closure_classes_are_the_table_classes(gspec, n, tmp_path):
     assert ct.num_classes == class_count(g, n)
 
 
-@pytest.mark.parametrize("gspec,n", CLOSURE_INSTANCES)
+@pytest.mark.parametrize("gspec,n", CLOSURE_INSTANCES + [("file:A4", 3)])
 def test_closure_classes_are_the_type_matrices(gspec, n, tmp_path):
-    # with no table: the type matrix is constant on each closure class and
-    # differs between classes
+    # with no table: classes.type_matrix, one element at a time, is constant
+    # on each class and differs between classes (A4 at n = 3: order 10 368)
     g = _base(gspec, tmp_path)
-    ct = class_table(g, n, max_order=6000)
+    ct = class_table(g, n, max_order=20000)
     coords, perms = decode_states(np.arange(ct.order), g.order, n)
     types = [type_matrix(g, WreathElement(tuple(x), tuple(p)))
              for x, p in zip(coords.tolist(), perms.tolist())]

@@ -286,16 +286,18 @@ def test_class_steps_refuse_a_law_that_is_not_a_class_function(weights, monkeypa
 
 def test_the_sym_oracle_unranks_the_permutations_once(monkeypatch, capsys):
     # the kernel reads its representatives' rows in blocks of 2 at order
-    # 9! = 362 880; every block composes the one cached array of permutations
+    # 9! = 362 880; every block composes the one cached array of permutations,
+    # whose build unranks each of the 9! ranks once
     unranked, unrank = [], groups.perm_unrank
-    monkeypatch.setattr(groups, "perm_unrank", lambda ranks, m: unranked.append(m) or unrank(ranks, m))
+    monkeypatch.setattr(groups, "perm_unrank",
+                        lambda ranks, m: unranked.extend([m] * len(ranks)) or unrank(ranks, m))
     groups._permutations.cache_clear()
     try:
         assert main("oracle --walk sym --n 9 --max-order 1000000 --k 0..3".split()) == 0
     finally:
         groups._permutations.cache_clear()
     assert "1,1/9,111991/9,362843/362880" in capsys.readouterr().out.splitlines()
-    assert unranked == [9]
+    assert unranked == [9] * math.factorial(9)
 
 
 @pytest.mark.parametrize("gspec,n,kind", [("S:3", 2, "paired"), ("Z:5", 2, "independent"),
@@ -377,9 +379,9 @@ def _cli(argv) -> str:
      "--trials 100", "Z:2", 3),
 ])
 def test_commands_build_rows_of_representatives_only(argv, gspec, n, monkeypatch):
-    # the commands never build a wreath table's whole mult: table_rows is
-    # called on the generators S of the conjugation closure and on one
-    # representative per class in the kernel, no more
+    # the commands never build a wreath table's whole mult or its inverses:
+    # table_rows is called on one representative per class in the kernel,
+    # no more
     rows = []
     built = wreath.table_rows
 
@@ -388,10 +390,14 @@ def test_commands_build_rows_of_representatives_only(argv, gspec, n, monkeypatch
         rows.append(len(elements))
         return built(g, n, elements)
 
+    def no_inverses(*args):
+        raise AssertionError("the inverse table was built")
+
     monkeypatch.setattr(wreath, "table_rows", counted)
+    monkeypatch.setattr(wreath, "wreath_inverses", no_inverses)
     _cli(argv.split())
     g = build_group(gspec)
-    assert 0 < sum(rows) <= class_count(g, n) + len(wreath.generators(g, n))
+    assert 0 < sum(rows) <= class_count(g, n)
 
 
 def _spectral_rows(kind, n, g, ks):

@@ -70,10 +70,15 @@ def test_sym_spectrum_refuses_large_n_at_once(capsys):
      "error: n = 62 exceeds cap 61 of the partition table (p(61) = 1121505 partitions a level)\n"),
     (["--group", "Z:2", "--n", "30", "--walk", "independent", "--max-labels", "100000"],
      "error: label count 589128 exceeds cap 100000\n"),
+    (["--walk", "sym", "--n", "62"],
+     "error: n = 62 exceeds cap 61 of the partition table (p(61) = 1121505 partitions a level)\n"),
+    (["--walk", "sym", "--n", "30", "--max-labels", "10"],
+     "error: partition count 5604 exceeds cap 10\n"),
 ])
 def test_spectrum_refuses_before_the_slot_engine(capsys, monkeypatch, argv, err):
-    # the paired lines come from the slot engine, which builds no label:
-    # the table cap, then the label count, are still refused before it runs
+    # the paired and sym lines come from the slot engine, which builds no
+    # label: the table cap, then the label count, are still refused before it
+    # runs
     from wreathwalk import walks
 
     def refused(*args, **kw):
@@ -349,7 +354,7 @@ def test_class_table_past_physical_memory_refused(capsys, monkeypatch):
     # the class table is refused on its own closed-form estimate, its bytes
     # named, before anything is allocated
     argv = ["oracle", "--group", "S:3", "--n", "3", "--walk", "paired", "--k", "0..2"]
-    need = wreath.class_table_bytes(6, 3)
+    need = wreath.class_table_bytes(build_group("S:3"), 3)
     for have in (need - 1, need):
         monkeypatch.setattr(wreath, "_physical_memory", lambda: have)
         t0 = time.monotonic()
@@ -358,7 +363,7 @@ def test_class_table_past_physical_memory_refused(capsys, monkeypatch):
         if have < need:
             assert rc == 1 and out == ""
             assert err == (f"error: wreath order 1296 needs {need} bytes for its class table "
-                           f"(conjugation maps of 1296 int64 entries), more than the {have} "
+                           f"(type-matrix keys of 1296 int64 entries), more than the {have} "
                            f"bytes of physical memory\n")
         else:
             assert rc == 0 and err == ""

@@ -228,10 +228,12 @@ def test_step_row_bytes_is_the_build_peak(kind, gname, n):
     assert peak <= need <= 1.5 * peak
 
 
-@pytest.mark.parametrize("gname,n", [("Z:1", 8), ("Z:3", 5), ("S:3", 3), ("Z:2000", 1)])
+@pytest.mark.parametrize("gname,n", [("Z:1", 8), ("Z:3", 5), ("S:3", 3), ("Z:2000", 1),
+                                     ("Z:1", 9), ("Z:2", 7)])
 def test_class_table_bytes_bound_its_peak(gname, n):
     # the closed-form estimate the class table is refused on, against its
-    # traced peak: past the table cap (Z:1 n = 8, Z:3 n = 5) and under it
+    # traced peak: past the table cap (Z:1 n = 8, 9, Z:3 n = 5, Z:2 n = 7)
+    # and under it
     g = build_group(gname)
     tracemalloc.start()
     try:
@@ -239,7 +241,7 @@ def test_class_table_bytes_bound_its_peak(gname, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= class_table_bytes(g.order, n) <= 2.5 * peak
+    assert peak <= class_table_bytes(g, n) <= 2.5 * peak
 
 
 @pytest.mark.parametrize("gname,n", [("S:3", 3), ("Z:2", 5)])

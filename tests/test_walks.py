@@ -205,6 +205,8 @@ def test_slot_convolution_equals_labels(gspec, n):
 
 
 def test_paired_spectrum_builds_no_labels(monkeypatch):
+    # sym too: it is the paired walk on Z:1, witnesses included (the label
+    # route's sym lines are test_sym_is_the_trivial_base_case's reference)
     from wreathwalk import partitions, reps, walks
 
     def refused(*args, **kw):
@@ -219,6 +221,13 @@ def test_paired_spectrum_builds_no_labels(monkeypatch):
     assert len(spec.lines) == 83 and spec.multiplicity_total() == 6 ** 8 * 40320
     # all eight coordinates on the sign irrep of S_3, under the sign of S_8
     assert spec.lines[-1] == SpectralLine(Fraction(-7, 8), 1, IrrepLabel((0, 0, 8), ((), (), (1,) * 8)))
+    trivial = cyclic_group(1)
+    for n in range(1, 13):
+        assert spectrum("sym", n).lines == spectrum("paired", n, trivial).lines
+    spec = spectrum("sym", 12)
+    assert len(spec.lines) == 45 and spec.multiplicity_total() == 479001600
+    # the sign of S_12: 1/12 - 11/12
+    assert spec.lines[-1] == SpectralLine(Fraction(-5, 6), 1, IrrepLabel((12,), ((1,) * 12,)))
 
 
 def test_distance_builds_no_labels(monkeypatch):
