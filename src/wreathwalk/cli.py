@@ -201,8 +201,8 @@ def cmd_distance(args) -> int:
         want = {r["k"]: r["l2n_sq"] for r in curve.rows}
         bound = curve.mode != "full-spectrum"     # an upper bound: only a shortfall fails
         worst = Fraction(0)
-        for k, num, scale in convolution_curve(gt, measure, sorted(want)):
-            truth = exact_distances(num, scale, gt.order)["l2n_sq"]
+        for k, v, scale in convolution_curve(gt, measure, sorted(want)):
+            truth = exact_distances(gt, v, scale)["l2n_sq"]
             val = want[k]
             if not isinstance(val, Fraction):
                 val, truth = float(val), float(truth)
@@ -244,9 +244,10 @@ def cmd_oracle(args) -> int:
     gt = class_table(g, args.n, max_order=args.max_order)
     measure = build_measure(args.walk, args.n, g)
     rows = []
-    for k, num, scale in convolution_curve(gt, measure, sorted(set(args.k))):
-        d = exact_distances(num, scale, gt.order)
-        rows.append([k, Fraction(int(num[0]), scale), d["l2n_sq"], d["tv"]])
+    for k, v, scale in convolution_curve(gt, measure, sorted(set(args.k))):
+        d = exact_distances(gt, v, scale)
+        # class 0 is {identity}
+        rows.append([k, Fraction(int(v[0]), scale), d["l2n_sq"], d["tv"]])
     meta = {"subcommand": "oracle", "walk": args.walk,
             "group": _group_name(args, g), "n": args.n, "order": gt.order}
     emit(ORACLE_COLUMNS, rows, meta, args.format, args.out)
@@ -261,27 +262,32 @@ def _poisson_weight(t: float, k: int) -> float:
     return math.exp(lw) / math.factorial(k) if k <= 170 else math.exp(lw - math.lgamma(k + 1))
 
 
-def _float_law(num: np.ndarray, scale: int) -> np.ndarray:
-    """num / scale as float64 by Python-int true division, which rounds
-    each entry once: float(Fraction(x, scale)), at any size of scale."""
-    return np.array([x / scale for x in num.tolist()])
+def _float_law(v: np.ndarray, sizes: list, scale: int) -> np.ndarray:
+    """Per class C, its elements' mass (v[C] // |C|) / scale as float64 by
+    Python-int true division, which rounds once, at any size of scale."""
+    return np.array([x // c / scale for x, c in zip(v.tolist(), sizes)])
 
 
 def _poisson_reference_tvs(gt, measure, ts: list, order: int) -> list:
     """TV against uniform of the continuized law P_t for each t in ts, via
     a Poisson mixture of exact convolution powers truncated below 1e-12
     tail mass, from one pass to the largest truncation point; None where
-    that point exceeds 400."""
+    that point exceeds 400.  The mixture holds one float x per class; a sum
+    over the elements, sum_C |C| x, is taken exactly and rounded once, as
+    math.fsum over the elements rounds it."""
     kcaps = [int(t + 12.0 * math.sqrt(t) + 30.0) for t in ts]
     rows = [r for r, kcap in enumerate(kcaps) if kcap <= 400]
-    mix = np.zeros((len(rows), order))
+    sizes = gt.class_sizes()
+    mix = np.zeros((len(rows), len(sizes)))
     kmax = max((kcaps[r] for r in rows), default=-1)
-    for k, num, scale in convolution_curve(gt, measure, list(range(kmax + 1))):
+    for k, v, scale in convolution_curve(gt, measure, list(range(kmax + 1))):
         w = [_poisson_weight(ts[r], k) if k <= kcaps[r] else 0.0 for r in rows]
-        mix += np.array(w)[:, None] * _float_law(num, scale)
+        mix += np.array(w)[:, None] * _float_law(v, sizes, scale)
     out, u = [None] * len(ts), 1.0 / order
     for r, m in zip(rows, mix):
-        out[r] = 0.5 * math.fsum(np.abs(m - u)) + 0.5 * (1.0 - math.fsum(m))
+        dev, mass = (float(sum(c * Fraction(x) for c, x in zip(sizes, xs.tolist())))
+                     for xs in (np.abs(m - u), m))
+        out[r] = 0.5 * dev + 0.5 * (1.0 - mass)
     return out
 
 
@@ -296,8 +302,8 @@ def cmd_simulate(args) -> int:
     rows = []
     if args.mode == "discrete":
         # one run to the largest k, each row read off it (see tv_curve)
-        exact = {k: float(exact_distances(num, scale, order)["tv"])
-                 for k, num, scale in convolution_curve(gt, measure, sorted(set(args.k)))}
+        exact = {k: float(exact_distances(gt, v, scale)["tv"])
+                 for k, v, scale in convolution_curve(gt, measure, sorted(set(args.k)))}
         cfg = SimConfig(kind=args.walk, n=args.n, g=g, k=max(args.k),
                         trials=args.trials, seed=args.seed)
         for k, (tv, se) in zip(args.k, tv_curve(cfg, args.k)):

@@ -5,11 +5,11 @@ Everything is exact rational arithmetic, carried as integer numerators over
 one shared denominator; Fractions are built only for the cells a caller
 reads.  A transition matrix is int64 numerators over den, and its powers
 are numerators over den^k.  A convolution power P^{*k} is one integer
-vector num over scale = den^k.  The one-step law is a class function, so
-P^{*k} is one too and the walk lumps onto the table's conjugacy classes:
-each step multiplies the vector of class masses by an integer class
-kernel, on int64 while scale * den stays below 2^63 and on Python ints
-past it, and num is expanded to the elements only at the requested k.
+vector v of class masses over scale = den^k.  The one-step law is a class
+function, so P^{*k} is one too and the walk lumps onto the table's
+conjugacy classes: each step multiplies v by an integer class kernel, on
+int64 while scale * den stays below 2^63 and on Python ints past it, and
+the readers take v as it is, with no law expanded to the elements.
 The kernel reads the table rows of one representative per class
 (GroupTable.rows), so a wreath.class_table, whose classes come without a
 multiplication table, serves the sparse oracle with no order^2 table.
@@ -21,7 +21,6 @@ routes is evidence, not circularity.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -107,15 +106,6 @@ def matrix_power_traces(m: TransitionMatrix, k_max: int) -> list[Fraction]:
     return traces
 
 
-def convolution_power(g: GroupTable, measure: WalkMeasure, k: int) -> tuple[np.ndarray, int]:
-    """P^{*k} as (num, scale) over the table, by k sparse convolutions:
-    P^{*k}(e_i) = num[i] / scale (see convolution_curve)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    _, num, scale = next(convolution_curve(g, measure, [k]))
-    return num, scale
-
-
 def _class_kernel(g: GroupTable, support: dict[int, Fraction], den: int) -> np.ndarray:
     """The transpose of the integer class kernel K[C, C'] = sum_s w_s
     [s x_C in C'] of the one-step law: s runs over the support with weight
@@ -160,20 +150,20 @@ def _class_kernel(g: GroupTable, support: dict[int, Fraction], den: int) -> np.n
 
 
 def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
-    """Yield (k, num, scale) with P^{*k}(e_i) = num[i] / scale at the
-    requested k values in one incremental pass; scale = den^k for the
-    one-step law's common denominator den.  ks must be sorted ascending and
-    nonnegative.  num is int64 while scale * den < 2^63 and an object array
-    of Python ints past that; no Fractions are built.
+    """Yield (k, v, scale) with v the class masses, P^{*k}(C) = v[C] / scale
+    for each conjugacy class C of g, at the requested k values in one
+    incremental pass; scale = den^k for the one-step law's common
+    denominator den.  ks must be sorted ascending and nonnegative.  v is
+    int64 while scale * den < 2^63 and an object array of Python ints past
+    that; no Fractions are built.
 
     The one-step law P is constant on conjugacy classes (checked, see
     _class_kernel), so P^{*k} is too, and the walk is stepped on the
-    table's classes: with v[C] = scale * P^{*k}(C) the class masses,
-    (P * Q)(C') = sum_C Q(C) sum_s P(s) [s x_C in C'] for any x_C in C, so
-    one step is v <- v @ K = K^T v with the integer class kernel K.
-    Entries are nonnegative, each row of K sums to den and v sums to scale,
-    so no partial sum exceeds scale * den.  At a requested k the masses are
-    spread evenly over the elements: num = (v // |C|)[class_of]."""
+    table's classes: (P * Q)(C') = sum_C Q(C) sum_s P(s) [s x_C in C'] for
+    any x_C in C, so one step is v <- v @ K = K^T v with the integer class
+    kernel K.  Entries are nonnegative, each row of K sums to den and v
+    sums to scale, so no partial sum exceeds scale * den.  Each element of
+    C has P^{*k} = (v[C] // |C|) / scale; v[C] divides by |C| (asserted)."""
     if ks and ks[0] < 0:
         raise ValueError("k must be >= 0")
     support = measure_on_table(measure, g)
@@ -194,17 +184,17 @@ def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
             scale *= den
             cur += 1
         assert not (v % sizes).any(), "a class mass does not divide by its class size"
-        num = (v // sizes)[g.class_of]
-        assert num.sum() == scale
-        yield k, num, scale
+        assert v.sum() == scale
+        yield k, v, scale
 
 
-def exact_distances(num: np.ndarray, scale: int, order: int) -> dict:
-    """tv, l1, l2 squared, and |G|*l2^2 of the law num / scale against
-    uniform; exact.  Sums the integer deviations num_i * order - scale over
-    the common denominator scale * order, once per distinct numerator times
-    its count (a law constant on classes has at most one per class)."""
-    diffs = [(x * order - scale, c) for x, c in Counter(num.tolist()).items()]
+def exact_distances(g: GroupTable, v: np.ndarray, scale: int) -> dict:
+    """tv, l1, l2 squared, and |G|*l2^2 against uniform of the law with
+    class masses v / scale on g (see convolution_curve); exact.  Each class
+    C adds |C| times the integer deviation (v[C] // |C|) * order - scale of
+    its elements, over the common denominator scale * order."""
+    order = g.order
+    diffs = [(x // c * order - scale, c) for x, c in zip(v.tolist(), g.class_sizes())]
     den = scale * order
     l1 = Fraction(sum(c * abs(d) for d, c in diffs), den)
     l2_sq = Fraction(sum(c * d * d for d, c in diffs), den * den)
@@ -214,10 +204,3 @@ def exact_distances(num: np.ndarray, scale: int, order: int) -> dict:
         "l2_sq": l2_sq,
         "l2n_sq": order * l2_sq,
     }
-
-
-def trace_moment_check(m: TransitionMatrix, spectral_moments: list, k_max: int) -> list:
-    """Deviations tr(M^k) - sum(mult * value^k) for k = 0..k_max; all should
-    be exactly zero when the spectrum is right."""
-    traces = matrix_power_traces(m, k_max)
-    return [traces[k] - spectral_moments[k] for k in range(k_max + 1)]

@@ -24,7 +24,7 @@ from wreathwalk.bounds import (
     classify_base,
 )
 from wreathwalk.groups import build_group, symmetric_group
-from wreathwalk.oracle import convolution_power, exact_distances
+from wreathwalk.oracle import convolution_curve, exact_distances
 from wreathwalk.partitions import conjugate, content_sum, dim_hook, partitions_of
 from wreathwalk.reps import enumerate_labels, irrep_dimension
 from wreathwalk.walks import build_measure, l2n_sq_spectral, spectrum
@@ -216,9 +216,8 @@ def test_chebyshev_variance_vanishes_at_k0():
 def test_chebyshev_below_exact_tv():
     g = symmetric_group(4)
     meas = build_measure("sym", 4)
-    for k in range(0, 13):
-        num, scale = convolution_power(g, meas, k)
-        tv = exact_distances(num, scale, g.order)["tv"]
+    for k, v, scale in convolution_curve(g, meas, list(range(13))):
+        tv = exact_distances(g, v, scale)["tv"]
         assert tv_lower_chebyshev_sym(4, k) <= float(tv) + 1e-12
 
 

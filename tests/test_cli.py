@@ -15,13 +15,18 @@ from wreathwalk.groups import build_group
 from wreathwalk.oracle import (
     build_transition_matrix,
     convolution_curve,
-    convolution_power,
     exact_distances,
     matrix_power_traces,
     measure_on_table,
 )
 from wreathwalk.walks import build_measure
 from wreathwalk.wreath import build_wreath_table
+
+
+def _spread(g, v):
+    """The per-element numerators of the class masses v: each element of
+    class C carries v[C] // |C|."""
+    return (v // np.array(g.class_sizes(), dtype=np.int64))[g.class_of]
 
 
 def run_cli(capsys, argv):
@@ -115,10 +120,10 @@ def test_oracle_rows_are_exact(capsys):
     g = build_group("Z:2")
     gt = build_wreath_table(g, 2).group
     meas = build_measure("paired", 2, g)
-    for row, k in zip(lines[1:], range(4)):
-        num, scale = convolution_power(gt, meas, k)
-        d = exact_distances(num, scale, 8)
-        assert row == f"{k},{Fraction(int(num[0]), scale)},{d['l2n_sq']},{d['tv']}"
+    for row, (k, v, scale) in zip(lines[1:], convolution_curve(gt, meas, list(range(4))),
+                                  strict=True):
+        d = exact_distances(gt, v, scale)
+        assert row == f"{k},{Fraction(int(v[0]), scale)},{d['l2n_sq']},{d['tv']}"
 
 
 @pytest.mark.parametrize("gspec,n,kind", [("Z:2", 2, "independent"), ("Z:3", 2, "paired"),
@@ -138,15 +143,16 @@ def test_oracle_return_prob_is_the_dense_trace(capsys, gspec, n, kind):
 
 def test_continuized_floats_are_correctly_rounded_past_2_53():
     # Z:3 wr S_2 paired, den = 12: at k = 16, 2^53 < scale = 12^16 < 2^63 and
-    # num is still int64, so casting it to float64 before dividing would
-    # round twice; four entries show it
+    # the masses are still int64, so casting them to float64 before dividing
+    # would round twice; some classes show it
     g = build_group("Z:3")
     gt = build_wreath_table(g, 2).group
-    (_, num, scale), = convolution_curve(gt, build_measure("paired", 2, g), [16])
-    assert 2 ** 53 < scale < 2 ** 63 and num.dtype == np.int64
-    want = [float(Fraction(int(x), scale)) for x in num]
-    assert cli._float_law(num, scale).tolist() == want
-    assert (num.astype(np.float64) / float(scale)).tolist() != want
+    (_, v, scale), = convolution_curve(gt, build_measure("paired", 2, g), [16])
+    assert 2 ** 53 < scale < 2 ** 63 and v.dtype == np.int64
+    sizes = gt.class_sizes()
+    want = [float(Fraction(int(x) // c, scale)) for x, c in zip(v, sizes)]
+    assert cli._float_law(v, sizes, scale).tolist() == want
+    assert ((v // sizes).astype(np.float64) / float(scale)).tolist() != want
 
 
 def test_simulate_byte_identical(capsys):
@@ -170,10 +176,10 @@ def _per_row_poisson_reference_tv(gt, measure, t, order):
         return None
     mix = [0.0] * order
     lw = -t
-    for k, num, scale in convolution_curve(gt, measure, list(range(kcap + 1))):
+    for k, v, scale in convolution_curve(gt, measure, list(range(kcap + 1))):
         w = math.exp(lw + k * math.log(t)) / math.factorial(k) if t > 0 else (1.0 if k == 0 else 0.0)
         if w > 0:
-            for i, x in enumerate(num.tolist()):
+            for i, x in enumerate(_spread(gt, v).tolist()):
                 if x:
                     mix[i] += w * float(Fraction(x, scale))
     u = 1.0 / order

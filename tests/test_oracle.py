@@ -17,11 +17,9 @@ from wreathwalk.groups import build_group, symmetric_group
 from wreathwalk.oracle import (
     build_transition_matrix,
     convolution_curve,
-    convolution_power,
     exact_distances,
     matrix_power_traces,
     measure_on_table,
-    trace_moment_check,
 )
 from wreathwalk.walks import build_measure, l2n_sq_spectral, return_probability, spectrum
 from wreathwalk.wreath import (
@@ -32,6 +30,12 @@ from wreathwalk.wreath import (
 )
 
 INSTANCES = [("Z:2", 2), ("Z:2", 3), ("Z:3", 2), ("S:3", 2)]
+
+
+def _spread(g, v):
+    """The per-element numerators of the class masses v: each element of
+    class C carries v[C] // |C|."""
+    return (v // np.array(g.class_sizes(), dtype=np.int64))[g.class_of]
 
 
 @pytest.mark.parametrize("gspec,n", INSTANCES)
@@ -46,8 +50,7 @@ def test_trace_moments_exact(gspec, n, kind):
         sum(Fraction(l.multiplicity) * l.value ** k for l in spec.lines)
         for k in range(7)
     ]
-    dev = trace_moment_check(m, moments, 6)
-    assert dev == [Fraction(0)] * 7
+    assert matrix_power_traces(m, 6) == moments
 
 
 def test_transition_matrix_is_stochastic():
@@ -74,11 +77,10 @@ def test_convolution_matches_spectral_l2():
     for kind in ("independent", "paired"):
         spec = spectrum(kind, 3, g)
         meas = build_measure(kind, 3, g)
-        for k in range(1, 21):
-            num, scale = convolution_power(wt.group, meas, k)
-            d = exact_distances(num, scale, wt.group.order)
+        for k, v, scale in convolution_curve(wt.group, meas, list(range(1, 21))):
+            d = exact_distances(wt.group, v, scale)
             assert d["l2n_sq"] == l2n_sq_spectral(spec, k)
-            assert Fraction(int(num[0]), scale) == return_probability(spec, k)
+            assert Fraction(int(v[0]), scale) == return_probability(spec, k)
 
 
 def test_tv_l2_inequality():
@@ -87,9 +89,8 @@ def test_tv_l2_inequality():
     wt = build_wreath_table(g, 2)
     meas = build_measure("paired", 2, g)
     spec = spectrum("paired", 2, g)
-    for k in (1, 3, 6, 10):
-        num, scale = convolution_power(wt.group, meas, k)
-        d = exact_distances(num, scale, wt.group.order)
+    for k, v, scale in convolution_curve(wt.group, meas, [1, 3, 6, 10]):
+        d = exact_distances(wt.group, v, scale)
         assert d["tv"] ** 2 <= Fraction(1, 4) * d["l2n_sq"]
         assert d["l2n_sq"] == l2n_sq_spectral(spec, k)
 
@@ -98,7 +99,9 @@ def test_convolution_power_zero_is_point_mass():
     g = build_group("Z:2")
     wt = build_wreath_table(g, 2)
     meas = build_measure("independent", 2, g)
-    num, scale = convolution_power(wt.group, meas, 0)
+    (_, v, scale), = convolution_curve(wt.group, meas, [0])
+    assert len(v) == wt.group.num_classes
+    num = _spread(wt.group, v)
     assert num[0] == scale == 1
     assert all(p == 0 for p in num[1:])
 
@@ -114,10 +117,9 @@ def test_sym_walk_oracle():
             sum(Fraction(l.multiplicity) * l.value ** k for l in spec.lines)
             for k in range(6)
         ]
-        assert trace_moment_check(m, moments, 5) == [Fraction(0)] * 6
-        for k in (1, 5, 12):
-            num, scale = convolution_power(g, meas, k)
-            d = exact_distances(num, scale, g.order)
+        assert matrix_power_traces(m, 5) == moments
+        for k, v, scale in convolution_curve(g, meas, [1, 5, 12]):
+            d = exact_distances(g, v, scale)
             assert d["l2n_sq"] == l2n_sq_spectral(spec, k)
 
 
@@ -155,7 +157,7 @@ def test_trace_moments_past_the_int64_range():
         sum(Fraction(l.multiplicity) * l.value ** k for l in spec.lines)
         for k in range(25)
     ]
-    assert trace_moment_check(m, moments, 24) == [Fraction(0)] * 25
+    assert matrix_power_traces(m, 24) == moments
     assert matrix_power_traces(m, 24)[:20] == matrix_power_traces(m, 19)
 
 
@@ -210,12 +212,12 @@ def test_integer_curve_matches_scalar_fraction_convolution(gspec, n, kind):
     k_max = 24
     dtypes = []
     curve = convolution_curve(wt.group, build_measure(kind, n, g), list(range(k_max + 1)))
-    for (k, num, scale), law in zip(curve, _scalar_laws(g, n, kind, k_max)):
+    for (k, v, scale), law in zip(curve, _scalar_laws(g, n, kind, k_max)):
         want = [Fraction(0)] * wt.group.order
         for e, p in law.items():
             want[index[e]] = p
-        assert [Fraction(int(x), scale) for x in num] == want, k
-        dtypes.append(num.dtype)
+        assert [Fraction(int(x), scale) for x in _spread(wt.group, v)] == want, k
+        dtypes.append(v.dtype)
     assert dtypes[0] == np.int64 and dtypes[-1] == object
     switch = dtypes.index(object)
     assert all(d == np.int64 for d in dtypes[:switch])
@@ -263,11 +265,13 @@ def test_class_steps_match_the_element_steps(gspec, n, kind):
     gt = build_wreath_table(g, n).group
     measure = build_measure(kind, n, g)
     ks = list(range(25))
-    for (k, num, scale), (k_ref, num_ref, scale_ref) in zip(
+    for (k, v, scale), (k_ref, num_ref, scale_ref) in zip(
             convolution_curve(gt, measure, ks), _element_convolution_curve(gt, measure, ks),
             strict=True):
         assert k == k_ref
+        assert len(v) == gt.num_classes, k
         assert scale == scale_ref, k
+        num = _spread(gt, v)
         assert num.dtype == num_ref.dtype, k
         assert np.array_equal(num, num_ref), k
 
@@ -343,22 +347,28 @@ def _per_element_distances(num, scale, order):
     return {"tv": l1 / 2, "l1": l1, "l2_sq": l2_sq, "l2n_sq": order * l2_sq}
 
 
-def test_exact_distances_sum_once_per_distinct_numerator():
+def test_exact_distances_sum_once_per_class():
+    # random class masses, on int64 and past it (an object array), on
+    # tables whose classes have several sizes, against the sum over the
+    # elements
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        order = int(rng.integers(1, 300))
-        num = rng.integers(0, 6, size=order) * int(rng.integers(1, 10 ** 6))
-        scale = int(num.sum()) or 1
-        big = num.astype(object) * (3 ** 70)        # past int64: an object array
-        assert exact_distances(num, scale, order) == _per_element_distances(num, scale, order)
-        assert (exact_distances(big, scale * 3 ** 70, order)
-                == _per_element_distances(big, scale * 3 ** 70, order))
-    # a class function on S:3 wr S_3: 1296 elements, at most 22 distinct numerators
+    for gspec, n in [("Z:2", 3), ("Z:3", 2), ("S:3", 2), ("Z:1", 4), ("Z:5", 1)]:
+        gt = build_wreath_table(build_group(gspec), n).group
+        sizes = np.array(gt.class_sizes(), dtype=np.int64)
+        for _ in range(10):
+            v = rng.integers(0, 6, size=gt.num_classes) * sizes * int(rng.integers(1, 10 ** 6))
+            scale = int(v.sum()) or 1
+            big = v.astype(object) * (3 ** 70)
+            for law, s in ((v, scale), (big, scale * 3 ** 70)):
+                assert (exact_distances(gt, law, s)
+                        == _per_element_distances(_spread(gt, law), s, gt.order))
+    # the curve on S:3 wr S_3: 1296 elements in 22 classes, on Python ints at k = 12
     g = build_group("S:3")
-    wt = build_wreath_table(g, 3)
-    for k, num, scale in convolution_curve(wt.group, build_measure("paired", 3, g), [1, 4, 12]):
-        assert len(set(num.tolist())) <= wt.group.num_classes == 22
-        assert exact_distances(num, scale, 1296) == _per_element_distances(num, scale, 1296), k
+    gt = build_wreath_table(g, 3).group
+    for k, v, scale in convolution_curve(gt, build_measure("paired", 3, g), [1, 4, 12]):
+        assert len(v) == gt.num_classes == 22
+        assert (v.dtype == object) == (k == 12)
+        assert exact_distances(gt, v, scale) == _per_element_distances(_spread(gt, v), scale, 1296), k
 
 
 def _cli(argv) -> str:

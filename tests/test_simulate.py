@@ -11,7 +11,7 @@ from scipy import stats
 from wreathwalk import simulate as sim
 from wreathwalk.bounds import tv_upper_coupling
 from wreathwalk.groups import build_group, symmetric_group
-from wreathwalk.oracle import convolution_power, exact_distances, measure_on_table
+from wreathwalk.oracle import convolution_curve, exact_distances, measure_on_table
 from wreathwalk.simulate import (
     CouplingReport,
     SimConfig,
@@ -33,6 +33,12 @@ from wreathwalk.wreath import (
     walk_base,
     wreath_multiply,
 )
+
+
+def _spread(g, v):
+    """The per-element numerators of the class masses v: each element of
+    class C carries v[C] // |C|."""
+    return (v // np.array(g.class_sizes(), dtype=np.int64))[g.class_of]
 
 
 @pytest.mark.parametrize("gname,n", [("Z:2", 2), ("Z:2", 3), ("Z:3", 2), ("S:3", 2)])
@@ -111,10 +117,9 @@ def test_continuized_matches_poissonized_oracle():
     kcap = 30
     mix = np.zeros(8)
     logw_total = 0.0
-    for k in range(kcap + 1):
+    for k, v, scale in convolution_curve(wt.group, meas, list(range(kcap + 1))):
         w = math.exp(-t) * t ** k / math.factorial(k)
-        num, scale = convolution_power(wt.group, meas, k)
-        for i, x in enumerate(num.tolist()):
+        for i, x in enumerate(_spread(wt.group, v).tolist()):
             mix[i] += w * float(Fraction(x, scale))
         logw_total += w
     mix /= logw_total
@@ -147,7 +152,8 @@ def test_empirical_tv_three_sigma_of_oracle():
     g = build_group("Z:2")
     wt = build_wreath_table(g, 2)
     meas = build_measure("independent", 2, g)
-    exact_tv = float(exact_distances(*convolution_power(wt.group, meas, 20), 8)["tv"])
+    (_, v, scale), = convolution_curve(wt.group, meas, [20])
+    exact_tv = float(exact_distances(wt.group, v, scale)["tv"])
     cfg = SimConfig(kind="independent", n=2, g=g, k=20, trials=10 ** 5, seed=12345)
     tv, se = empirical_tv(run_walk_indices(cfg), None, 8)
     assert abs(tv - exact_tv) <= 3 * se
@@ -159,8 +165,8 @@ def test_empirical_tv_against_reference():
     g = build_group("Z:2")
     wt = build_wreath_table(g, 2)
     meas = build_measure("independent", 2, g)
-    num, scale = convolution_power(wt.group, meas, 2)
-    dk = [Fraction(int(x), scale) for x in num]
+    (_, v, scale), = convolution_curve(wt.group, meas, [2])
+    dk = [Fraction(int(x), scale) for x in _spread(wt.group, v)]
     cfg = SimConfig(kind="independent", n=2, g=g, k=2, trials=10 ** 5, seed=8)
     idx = run_walk_indices(cfg)
     tv_ref, _ = empirical_tv(idx, dict(enumerate(dk)), 8)

@@ -92,8 +92,8 @@ def test_oracle_matches_spectral_l2_on_larger_tables(gname, n, kind):
     wt = _table(gname, n)
     spec = spectrum(kind, n, wt.base)
     measure = build_measure(kind, n, wt.base)
-    for k, num, scale in convolution_curve(wt.group, measure, [0, 1, 2, 3]):
-        assert exact_distances(num, scale, wt.group.order)["l2n_sq"] == l2n_sq_spectral(spec, k)
+    for k, v, scale in convolution_curve(wt.group, measure, [0, 1, 2, 3]):
+        assert exact_distances(wt.group, v, scale)["l2n_sq"] == l2n_sq_spectral(spec, k)
 
 
 @pytest.mark.parametrize("gname,n", [("Z:1", 6), ("Z:20", 2), ("Z:500", 1), ("S:3", 3)])
