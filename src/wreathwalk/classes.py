@@ -82,7 +82,7 @@ def class_size(g: GroupTable, n: int, tm: TypeMatrix) -> int:
         raise ValueError("type matrix does not describe an n-element permutation")
     denom = Fraction(1)
     for (i, j), a in tm:
-        per_cycle = Fraction((j + 1) * g.order, len(g.classes[i]))
+        per_cycle = Fraction((j + 1) * g.order, g._sizes[i])     # the cached class sizes
         denom *= per_cycle ** a * math.factorial(a)
     out = Fraction(g.order ** n * math.factorial(n)) / denom
     assert out.denominator == 1

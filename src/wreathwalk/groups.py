@@ -12,9 +12,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -53,43 +53,47 @@ class _BuiltOnRead:
 @dataclass
 class GroupTable:
     name: str
-    # (order, order) int, mult[a,b] = a*b; may be given as a builder of rows,
-    # builder(elements) = mult[elements], whose builder() is the whole table
-    mult: np.ndarray | Callable[..., np.ndarray] = _BuiltOnRead()
+    # (order, order) int, mult[a,b] = a*b; or its builder
+    mult: np.ndarray | Callable[[], np.ndarray] = _BuiltOnRead()
     inv: np.ndarray | Callable[[], np.ndarray] = _BuiltOnRead()   # (order,) int; or its builder
-    classes: list[list[int]]   # class 0 = {identity}; ordered by min element
-    class_of: np.ndarray       # element -> class index
+    class_of: np.ndarray   # element -> class; numbered by least member, class 0 = {identity}
     # rows: irreps, cols: classes; may be given as a builder of them
     char_table: list[list] | Callable[[], list[list]] | None = _BuiltOnRead(None)
     exact_characters: bool = False
-    _dims: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.class_of)
 
-    def rows(self, elements) -> np.ndarray:
-        """mult[elements]; while mult is still its builder, these rows alone
-        are built, not the table."""
-        mult = self.__dict__["_mult"]
-        return mult(elements) if callable(mult) else mult[elements]
+    @cached_property
+    def _sizes(self) -> list[int]:
+        return np.bincount(self.class_of).tolist()
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return len(self._sizes)
 
     @property
     def is_abelian(self) -> bool:
-        return all(len(c) == 1 for c in self.classes)
+        return self.num_classes == self.order
 
     def class_sizes(self) -> list[int]:
-        return [len(c) for c in self.classes]
+        """Class sizes, in class order; computed once (read only)."""
+        return self._sizes
+
+    @property
+    def classes(self) -> list[list[int]]:
+        """Each class's members, ascending: built from class_of on each read."""
+        members = np.argsort(self.class_of, kind="stable")
+        return [c.tolist() for c in np.split(members, np.cumsum(self._sizes)[:-1])]
 
     def irrep_dims(self) -> list[int]:
         """Irrep dimensions, row order of the character table; computed once
         (read only)."""
-        if self._dims is not None:
-            return self._dims
+        return self._dims
+
+    @cached_property
+    def _dims(self) -> list[int]:
         if self.char_table is None:
             raise ValueError(f"group {self.name} has no character table")
         dims = []
@@ -101,7 +105,6 @@ class GroupTable:
             if abs(float(d) - di) > 1e-9 or di < 1:
                 raise ValueError("character table has a non-integer dimension")
             dims.append(di)
-        self._dims = dims
         return dims
 
 
@@ -137,21 +140,14 @@ def _inverses(mult: np.ndarray) -> np.ndarray:
     return inv
 
 
-def conjugacy_classes(mult: np.ndarray, inv: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
-    """Classes by conjugation closure, ordered by ascending minimal element."""
-    order = mult.shape[0]
-    class_of = np.full(order, -1, dtype=np.int64)
-    classes: list[list[int]] = []
-    everyone = np.arange(order)
-    for g in range(order):
-        if class_of[g] >= 0:
-            continue
-        # sorted orbit; np.unique would import numpy.ma (about 14 ms) on first use
-        orbit = np.flatnonzero(np.bincount(mult[mult[everyone, g], inv[everyone]], minlength=order))
-        idx = len(classes)
-        classes.append([int(x) for x in orbit])
-        class_of[orbit] = idx
-    return classes, class_of
+def conjugacy_classes(mult: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """class_of by conjugation closure, classes numbered by least member."""
+    class_of, found = np.full(len(inv), -1, dtype=np.int64), 0
+    for g in range(len(inv)):
+        if class_of[g] < 0:
+            class_of[mult[mult[:, g], inv]] = found        # h g h^-1 for every h
+            found += 1
+    return class_of
 
 
 def _zm_character_table(m: int) -> list[list]:
@@ -182,7 +178,6 @@ def cyclic_group(m: int) -> GroupTable:
         name=f"Z:{m}",
         mult=mult,
         inv=(-ar) % m,
-        classes=[[k] for k in range(m)],
         class_of=ar,
         char_table=partial(_zm_character_table, m),      # m x m entries: built on first read
         exact_characters=m in (1, 2, 4),
@@ -271,19 +266,19 @@ def symmetric_group(m: int) -> GroupTable:
         raise ValueError("built-in symmetric groups limited to 1 <= m <= 6")
     mult = permutation_table(m)[1]
     inv = _inverses(mult)
-    classes, class_of = conjugacy_classes(mult, inv)
-    # characters from the Murnaghan-Nakayama table, columns matched by cycle type
+    class_of = conjugacy_classes(mult, inv)
+    # Murnaghan-Nakayama characters, columns matched by a class member's cycle type
     parts, table = sn_character_table(m)
     col_of_type = {mu: c for c, mu in enumerate(parts)}
-    ends = cycle_paths(m)[1]
-    class_cols = [col_of_type[tuple(sorted(ends[c[0]][ends[c[0]] > 0].tolist(), reverse=True))]
-                  for c in classes]
+    member = np.empty(class_of.max() + 1, dtype=np.int64)
+    member[class_of] = np.arange(len(class_of))
+    class_cols = [col_of_type[tuple(sorted(e[e > 0].tolist(), reverse=True))]
+                  for e in cycle_paths(m)[1][member]]
     char_rows = [[Fraction(table[r][c]) for c in class_cols] for r in range(len(parts))]
     return GroupTable(
         name=f"S:{m}",
         mult=mult,
         inv=inv,
-        classes=classes,
         class_of=class_of,
         char_table=char_rows,
         exact_characters=True,
@@ -348,7 +343,7 @@ def group_from_file(path: str) -> GroupTable:
     mult = np.array(table, dtype=np.int64)
     _check_group_axioms(mult)
     inv = _inverses(mult)
-    classes, class_of = conjugacy_classes(mult, inv)
+    class_of = conjugacy_classes(mult, inv)
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ValueError("'labels' must be a list")
@@ -381,7 +376,6 @@ def group_from_file(path: str) -> GroupTable:
         name=f"file:{path}",
         mult=mult,
         inv=inv,
-        classes=classes,
         class_of=class_of,
         char_table=char_table,
         exact_characters=exact,

@@ -10,9 +10,9 @@ function, so P^{*k} is one too and the walk lumps onto the table's
 conjugacy classes: each step multiplies v by an integer class kernel, on
 int64 while scale * den stays below 2^63 and on Python ints past it, and
 the readers take v as it is, with no law expanded to the elements.
-The kernel reads the table rows of one representative per class
-(GroupTable.rows), so a wreath.class_table, whose classes come without a
-multiplication table, serves the sparse oracle with no order^2 table.
+The kernel multiplies one member of each class by the support elements
+(wreath.products), so a wreath.class_table, whose classes come without a
+multiplication table, serves the sparse oracle with no table rows.
 The one-step law is counted from the walk's draws (measure_on_table), each
 applied to the identity by the walk's step `wreath.apply_steps`, not read
 from the spectral side's class measure, so agreement between the two
@@ -28,12 +28,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .groups import GroupTable
-from .wreath import draw_count, step_elements
+from .wreath import draw_count, products, step_elements
 
 if TYPE_CHECKING:
     from .walks import WalkMeasure
 
-KERNEL_CELLS = 1 << 20     # cells per temporary of the class kernel build
+PRODUCT_CELLS = 1 << 16    # products x_C s formed at once by the class kernel
 DRAW_CHUNK = 1 << 16       # draws applied to the identity at once by measure_on_table
 
 
@@ -106,12 +106,12 @@ def matrix_power_traces(m: TransitionMatrix, k_max: int) -> list[Fraction]:
     return traces
 
 
-def _class_kernel(g: GroupTable, support: dict[int, Fraction], den: int) -> np.ndarray:
+def _class_kernel(g: GroupTable, measure: WalkMeasure, support: dict, den: int) -> np.ndarray:
     """The transpose of the integer class kernel K[C, C'] = sum_s w_s
-    [s x_C in C'] of the one-step law: s runs over the support with weight
-    w_s = den * P(s) and x_C is one representative of class C.  Every row
-    of K (column of the result) sums to den.  Only the representatives'
-    rows of the table are read (g.rows), in blocks.
+    [x_C s in C'] of the one-step law: s runs over the support with weight
+    w_s = den * P(s) and x_C is any member of class C (x_C s is conjugate
+    to s x_C).  Every row of K (column of the result) sums to den.  The
+    products are formed by wreath.products, about PRODUCT_CELLS at once.
 
     Refuses (ValueError, naming the class) a law that is not constant on
     the table's classes, checked in O(|support|) before K is built: each
@@ -130,22 +130,14 @@ def _class_kernel(g: GroupTable, support: dict[int, Fraction], den: int) -> np.n
         c = int(cls[np.argmin(ok)])
         raise ValueError(f"the one-step law is not constant on conjugacy class {c} of "
                          f"{g.name} ({sizes[c]} elements, {in_support[c]} in the support)")
-    reps = np.array([members[0] for members in g.classes], dtype=np.int64)
-    by_weight = [(weight, s[w == weight]) for weight in set(w.tolist())]
+    reps = np.empty(m, dtype=np.int64)
+    reps[g.class_of] = np.arange(g.order)           # one member of each class
     kernel_t = np.zeros((m, m), dtype=np.int64)     # kernel_t[C', C] = K[C, C']
-    # columns in blocks of representatives, so no temporary passes KERNEL_CELLS
-    # cells; in a block, kernel_t[C', lo + j] is bincount cell C' * width + j
-    width = max(1, KERNEL_CELLS // g.order)
-    cells = g.class_of * width
+    width = max(1, PRODUCT_CELLS // len(s))
     for lo in range(0, m, width):
         block = reps[lo:lo + width]
-        j = np.arange(len(block))[:, None]
-        products = g.rows(block)                    # [j, y] = x_(lo + j) y
-        for weight, sel in by_weight:
-            # x s and s x are conjugate: the cell of the class of s_i x_(lo + j)
-            landed = cells[np.take(products, sel, axis=1)] + j
-            counts = np.bincount(landed.ravel(), minlength=m * width).reshape(m, width)
-            kernel_t[:, lo:lo + len(block)] += weight * counts[:, :len(block)]
+        landed = g.class_of[products(measure.base, measure.n, block, s)]
+        np.add.at(kernel_t, (landed, np.arange(lo, lo + len(block))[:, None]), w)
     return kernel_t
 
 
@@ -168,7 +160,7 @@ def convolution_curve(g: GroupTable, measure: WalkMeasure, ks: list):
         raise ValueError("k must be >= 0")
     support = measure_on_table(measure, g)
     den = math.lcm(*(p.denominator for p in support.values()))
-    kernel_t = _class_kernel(g, support, den)
+    kernel_t = _class_kernel(g, measure, support, den)
     sizes = np.array(g.class_sizes(), dtype=np.int64)
     v = np.zeros(g.num_classes, dtype=np.int64)
     v[g.class_of[0]] = 1

@@ -19,12 +19,13 @@ table.  Indices are int64: orders above 2^63 - 1 are refused.
 
 `table_rows(g, n, elements)`, the one builder of the product's rows, is
 mult[elements] by the rule above, with `build_bytes` its memory estimate:
-`build_wreath_table` takes every row, `step_rows` the rows of the walk's
-distinct step elements, and the oracle's class kernel one row per class.
+`build_wreath_table` takes every row and `step_rows` the rows of the walk's
+distinct step elements.  `products(g, n, left, right)` is the rule on pairs,
+which the oracle's class kernel takes on class members and step elements.
 
 `class_table(g, n)` is G wr S_n with no multiplication table: conjugacy
-classes from each element's type matrix (`type_keys`), with mult and the
-closed-form inverses built on first read and rows(elements) built alone.
+classes from each element's type matrix (`type_keys`), stored as class_of
+alone, with mult and the closed-form inverses built on first read.
 The oracle, its check and the simulator's exact column read it; the dense
 oracle and the tests read `build_wreath_table`, the same class table with
 its order^2 table built.
@@ -61,6 +62,7 @@ from .groups import (
     perm_unrank,
     permutation_table,
 )
+from .partitions import partition_counts
 
 MAX_WREATH_ORDER = 5000
 INDEX_MAX = 2 ** 63 - 1            # the largest order whose indices fit in int64
@@ -203,6 +205,16 @@ def refuse_past_memory(need: int, what: str) -> None:
         raise ValueError(f"{what}, more than the {have} bytes of physical memory")
 
 
+def products(g: GroupTable, n: int, left, right) -> np.ndarray:
+    """The (len(left), len(right)) indices of left[i] right[j]: the product
+    rule above on the decoded elements, wreath_multiply vectorized."""
+    y, sigma = decode_states(left, g.order, n)
+    x, pi = decode_states(right, g.order, n)
+    # z[i, j, k] = mult[y_ik, x_j sigma_i^-1(k)], through the flat table
+    z = g.mult.reshape(-1)[(y * g.order)[:, None] + x[:, np.argsort(sigma, axis=1)].swapaxes(0, 1)]
+    return encode_states(z, sigma[:, pi], g.order)
+
+
 def table_rows(g: GroupTable, n: int, elements=None) -> np.ndarray:
     """mult[elements] of G wr S_n without the table: an (r, order) int64
     array whose row i holds the index of elements[i] x for every x, and
@@ -325,25 +337,25 @@ def class_table_bytes(g: GroupTable, n: int) -> int:
     (9 n + 32 bytes a rank of a block); two more such tables, the cycle
     paths, with a block being traced (3 n + 64 bytes a permutation) or with
     the int64 keys, the (n + 1) x |G| code table (16 bytes an entry as it
-    is built) and a block being keyed (20 n + 64 bytes an element); the
-    class lists, 48 bytes an element (a pointer and an int, 8 to spare) and
-    128 a class, next to class_of and the sorted members, which is above
-    the sort before them.  numpy and Python take 8 KiB more."""
-    from .classes import class_count       # classes imports this module
+    is built) and a block being keyed (20 n + 64 bytes an element); or
+    three int64 arrays of order entries, the keys, their stable argsort and
+    the keys in its order, then the argsort, class_of and the repeated class
+    numbers next to four int64 arrays of one entry a class.  Classes are at
+    most k(G)^n p(n) (Gallagher: k(H) <= k(N) k(H/N), here N = G^n) and at
+    most the order.  numpy and Python take 16 KiB more."""
     order, fact = wreath_order(g.order, n), math.factorial(n)
     perms, block = n * fact, min(order, BLOCK)
-    return 2 ** 13 + perms + max(
+    return 2 ** 14 + perms + max(
         (9 * n + 32) * min(fact, BLOCK),
         2 * perms + max((3 * n + 64) * min(fact, BLOCK),
                         8 * order + 16 * (n + 1) * g.order + (20 * n + 64) * block),
-        64 * order + 128 * class_count(g, n))
+        24 * order + 32 * min(order, g.num_classes ** n * partition_counts(n)[n]))
 
 
 def class_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER) -> GroupTable:
     """G wr S_n as a GroupTable with its conjugacy classes but no
-    multiplication table: mult is table_rows' builder, so rows(elements)
-    builds those rows alone and reading mult builds the table; inv is
-    wreath_inverses, built on first read.
+    multiplication table: mult is table_rows' builder and inv
+    wreath_inverses, each built on first read.
 
     Classes are the type matrices (type_keys), numbered by ascending least
     element, as groups.conjugacy_classes numbers them: a stable sort of the
@@ -359,17 +371,16 @@ def class_table(g: GroupTable, n: int, max_order: int = MAX_WREATH_ORDER) -> Gro
                              f"(type-matrix keys of {order} int64 entries)")
     keys = type_keys(g, n)
     members = np.argsort(keys, kind="stable")       # each class together, least member first
-    bounds = np.append(np.flatnonzero(np.diff(keys[members], prepend=-1)), order)
+    keys = keys[members]
+    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
     del keys
-    by_least = np.argsort(members[bounds[:-1]])     # key groups in class order
+    by_least = np.argsort(members[starts])          # key groups in class order
     class_of = np.empty(order, dtype=np.int64)
-    class_of[members] = np.repeat(np.argsort(by_least), np.diff(bounds))
-    classes = [members[bounds[c]:bounds[c + 1]].tolist() for c in by_least.tolist()]
+    class_of[members] = np.repeat(np.argsort(by_least), np.diff(starts, append=order))
     return GroupTable(
         name=f"{g.name} wr S_{n}",
         mult=partial(table_rows, g, n),
         inv=partial(wreath_inverses, g, n),
-        classes=classes,
         class_of=class_of,
     )
 

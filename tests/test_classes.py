@@ -28,8 +28,11 @@ from wreathwalk.wreath import (
     build_wreath_table,
     class_table,
     decode_states,
+    encode_states,
     enumerate_wreath_elements,
+    products,
     table_rows,
+    wreath_multiply,
     wreath_order,
 )
 
@@ -210,12 +213,30 @@ def test_closure_classes_are_the_table_classes(gspec, n, tmp_path):
     ct = class_table(g, n, max_order=6000)
     mult = table_rows(g, n)
     inv = _inverses(mult)
-    classes, class_of = conjugacy_classes(mult, inv)
+    class_of = conjugacy_classes(mult, inv)
     assert np.array_equal(ct.inv, inv)
-    assert ct.classes == classes
     assert np.array_equal(ct.class_of, class_of)
+    classes = [np.flatnonzero(class_of == c).tolist() for c in range(class_of.max() + 1)]
+    assert ct.classes == classes
     assert ct.class_sizes() == [len(c) for c in classes]
     assert ct.num_classes == class_count(g, n)
+
+
+@pytest.mark.parametrize("gspec,n", [("S:3", 3), ("Z:2", 4), ("file:A4", 2)])
+def test_products_are_wreath_multiply(gspec, n, tmp_path):
+    # random pairs, repeats and unsorted order included, against the scalar
+    # product rule on the decoded elements
+    g = _base(gspec, tmp_path)
+    rng = np.random.default_rng(35)
+    left, right = rng.integers(0, wreath_order(g.order, n), size=(2, 40))
+    left[:5], right[-5:] = left[5], right[0]
+    got = products(g, n, left, right)
+    assert got.shape == (40, 40) and got.dtype == np.int64
+    (lx, lp), (rx, rp) = decode_states(left, g.order, n), decode_states(right, g.order, n)
+    for i, a in enumerate(zip(lx.tolist(), lp.tolist())):
+        for j, b in enumerate(zip(rx.tolist(), rp.tolist())):
+            x, pi = wreath_multiply(g, WreathElement(*map(tuple, a)), WreathElement(*map(tuple, b)))
+            assert got[i, j] == encode_states(np.array(x), np.array(pi), g.order), (i, j)
 
 
 @pytest.mark.parametrize("gspec,n", CLOSURE_INSTANCES + [("file:A4", 3)])

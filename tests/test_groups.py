@@ -222,9 +222,9 @@ def test_oracle_on_a_cyclic_base_reads_no_character(monkeypatch):
 def test_group_table_takes_and_assigns_a_char_table():
     # char_table stays the constructor keyword and a plain attribute
     g = cyclic_group(3)
-    built = GroupTable(g.name, g.mult, g.inv, g.classes, g.class_of,
+    built = GroupTable(g.name, g.mult, g.inv, g.class_of,
                        char_table=g.char_table, exact_characters=False)
     assert built.char_table == g.char_table
-    assert GroupTable(g.name, g.mult, g.inv, g.classes, g.class_of).char_table is None
+    assert GroupTable(g.name, g.mult, g.inv, g.class_of).char_table is None
     built.char_table = [[1, 1, 1]]
     assert built.char_table == [[1, 1, 1]]

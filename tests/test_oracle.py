@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from wreathwalk import groups, oracle, wreath
-from wreathwalk.classes import class_count
 from wreathwalk.cli import main
-from wreathwalk.groups import build_group, symmetric_group
+from wreathwalk.groups import GroupTable, build_group, symmetric_group
 from wreathwalk.oracle import (
     build_transition_matrix,
     convolution_curve,
@@ -289,9 +288,9 @@ def test_class_steps_refuse_a_law_that_is_not_a_class_function(weights, monkeypa
 
 
 def test_the_sym_oracle_unranks_the_permutations_once(monkeypatch, capsys):
-    # the kernel reads its representatives' rows in blocks of 2 at order
-    # 9! = 362 880; every block composes the one cached array of permutations,
-    # whose build unranks each of the 9! ranks once
+    # at order 9! = 362 880 the class table traces the cycles of the one
+    # cached array of permutations, whose build unranks each of the 9! ranks
+    # once; the kernel decodes only its 30 class members and 37 step elements
     unranked, unrank = [], groups.perm_unrank
     monkeypatch.setattr(groups, "perm_unrank",
                         lambda ranks, m: unranked.extend([m] * len(ranks)) or unrank(ranks, m))
@@ -307,18 +306,19 @@ def test_the_sym_oracle_unranks_the_permutations_once(monkeypatch, capsys):
 @pytest.mark.parametrize("gspec,n,kind", [("S:3", 2, "paired"), ("Z:5", 2, "independent"),
                                           ("Z:1", 4, "sym")])
 def test_class_kernel_is_the_same_built_in_blocks(gspec, n, kind, monkeypatch):
-    # one representative per block (KERNEL_CELLS below the order) and a
+    # one class member per block (PRODUCT_CELLS below the support) and a
     # last block of one (m - 1 per block) against one block for all
     g = build_group(gspec)
     gt = build_wreath_table(g, n).group
-    support = measure_on_table(build_measure(kind, n, g), gt)
+    measure = build_measure(kind, n, g)
+    support = measure_on_table(measure, gt)
     den = math.lcm(*(p.denominator for p in support.values()))
-    whole = oracle._class_kernel(gt, support, den)
+    whole = oracle._class_kernel(gt, measure, support, den)
     assert (whole.sum(axis=0) == den).all()
-    assert gt.order < oracle.KERNEL_CELLS
-    for cells in (1, (gt.num_classes - 1) * gt.order):
-        monkeypatch.setattr(oracle, "KERNEL_CELLS", cells)
-        assert np.array_equal(oracle._class_kernel(gt, support, den), whole)
+    assert gt.num_classes * len(support) < oracle.PRODUCT_CELLS
+    for cells in (1, (gt.num_classes - 1) * len(support)):
+        monkeypatch.setattr(oracle, "PRODUCT_CELLS", cells)
+        assert np.array_equal(oracle._class_kernel(gt, measure, support, den), whole)
 
 
 @pytest.mark.parametrize("kind,gspec,n", [("independent", "Z:3", 2), ("paired", "S:3", 2),
@@ -389,25 +389,26 @@ def _cli(argv) -> str:
      "--trials 100", "Z:2", 3),
 ])
 def test_commands_build_rows_of_representatives_only(argv, gspec, n, monkeypatch):
-    # the commands never build a wreath table's whole mult or its inverses:
-    # table_rows is called on one representative per class in the kernel,
-    # no more
+    # the commands build no row of a wreath table, no inverses and no class
+    # lists: the kernel multiplies class members by the step elements
     rows = []
     built = wreath.table_rows
 
     def counted(g, n, elements=None):
-        assert elements is not None, "the whole table was built"
-        rows.append(len(elements))
+        rows.append(elements)
         return built(g, n, elements)
 
     def no_inverses(*args):
         raise AssertionError("the inverse table was built")
 
+    def no_lists(self):
+        raise AssertionError("the class lists were built")
+
     monkeypatch.setattr(wreath, "table_rows", counted)
     monkeypatch.setattr(wreath, "wreath_inverses", no_inverses)
+    monkeypatch.setattr(GroupTable, "classes", property(no_lists))
     _cli(argv.split())
-    g = build_group(gspec)
-    assert 0 < sum(rows) <= class_count(g, n)
+    assert rows == []
 
 
 def _spectral_rows(kind, n, g, ks):
