@@ -366,7 +366,6 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
     2 j_window + 2) Units (|G| = 1: n_1 = n alone).  zero is the weights'
     total.  Not cached: no block outlives its cache."""
     half_s, extra = (Fraction(paired[0], 2), Fraction(paired[1], 4)) if paired else (1, 0)
-    zero = _float_or_inf(half_s * (g_order ** n * math.factorial(n) - 1) + extra)
     if window is None:
         if paired:
             raise ValueError("the relaxed bound has no exact atoms: its values share no "
@@ -376,7 +375,7 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
                 for c, d2 in table[m] if not (m == n and c == m * (m - 1))]
         w = [math.comb(n, m) * math.perm(n, n - m) * (g_order - 1) ** (n - m) for m in range(n + 1)]
         return exact_atoms([w[m] * d2 for m, _, d2 in rows], [m + c for m, c, _ in rows],
-                           n * n)._replace(zero=zero)
+                           n * n)._replace(zero=_total_weight(g_order, n, half_s, extra))
     full = min(n, max(window[1], 2 * window[0] + 2))
     need, atoms = _window_bytes(n, window[0], full)
     refuse_past_memory(need, f"the windowed brackets at n = {n} need about {need} bytes "
@@ -395,7 +394,17 @@ def _slot_atoms(g_order: int, n: int, window: tuple | None, paired: tuple | None
         blocks.append(tuple(np.delete(col, at) if g_order > 1 else col[at + 1:] for col in table))
     units = (Units(_window_shape(n, window[0], full), n - full if g_order > 1 else 1, g_order > 1)
              if n > full else None)
-    return Atoms(tuple(blocks), ln_w, ln_scale, units, zero=zero)
+    return Atoms(tuple(blocks), ln_w, ln_scale, units,
+                 zero=_total_weight(g_order, n, half_s, extra))
+
+
+def _total_weight(g_order: int, n: int, half_s, extra) -> float:
+    """half_s (|G|^n n! - 1) + extra, the atoms' total weight, as a float:
+    inf, without the exact order, where ln of its leading term (lgamma for
+    ln n!) passes 710, above ln(float max) = 709.78."""
+    if n * math.log(g_order) + math.lgamma(n + 1) + _ln(half_s) > 710:
+        return math.inf
+    return _float_or_inf(half_s * (g_order ** n * math.factorial(n) - 1) + extra)
 
 
 def _window_bytes(n: int, j_window: int, full: int) -> tuple[int, int]:

@@ -2,29 +2,35 @@
 empirical TV with jackknife errors, and the coupling experiment (the
 pair-event graph connectivity time).
 
-A step of every trial is one integer draw d, uniform on the walk's draws
-d = 0..draw_count - 1 (`wreath.decode_draws`), and one gather.  A trial
-is one element index x, and the step is x = S[d, x], S the walk's
-`wreath.step_rows` map gathered by draw (S[d, x] the index of s_d x),
-when the map costs no more than the walk.  A snapshot is x itself.
-Otherwise, as for orders too large to index, a trial is a (coords, pinv)
-pair stepped by `wreath.apply_steps` on the draw's `wreath.decode_draws`
-digits, and encoded at each snapshot.  In continuized mode a trial past
-its Poisson count takes draw 0, (p, q, a, b) = (0, 0, e, e), the identity
-step, so each step is one statement over every trial on either route.
+A step of every trial is one draw d, uniform on the walk's draws
+d = 0..D - 1, D = draw_count (`wreath.decode_draws`), and steps are drawn
+in pairs.  A trial is one element index x when the step map S costs no
+more than the walk (S[d, x] the index of s_d x, the walk's
+`wreath.step_rows` map gathered by draw): a pair of steps is one gather
+through the two-step map S2[(d1 D + d2) order + x] = S[d2, S[d1, x]] where
+S2 fits the same rule and PAIR_MAP_CELLS, else one gather through S per
+step.  A snapshot is x itself.  Otherwise, as for orders too large to
+index, a trial is a (coords, pinv) pair stepped by `wreath.apply_steps` on
+each step's `wreath.decode_draws` digits, and encoded at each snapshot.  In
+continuized mode a trial past its Poisson count takes draw 0,
+(p, q, a, b) = (0, 0, e, e), the identity step, so each step or pair is
+one statement over every trial on either route.
 
 Randomness contract: everything goes through numpy's default_rng (PCG64),
-and every report records the seed.  Per step the sampler draws one
-integer per trial, rng.integers(0, D) with D = n^2 |G|^b = draw_count
-(b = 2 independent, 1 paired; sym is the independent walk on Z:1, so
-D = n^2), whatever the route and whether the trial has stopped, so the
-stream layout is fixed.  Its mixed-radix digits are p, q, a and b
-(b = a^-1 for paired), so the law of a step is that of drawing them one
-by one.  The coupling experiment runs chunks of trials, the chunk size
-fixed by n; per chunk, each merge step draws one standard exponential per
-trial, then one (2, trials in the chunk) block of uniforms: row 0 picks
-the first class, row 1 the second.  After all chunks it draws one
-Exp(mean n) per trial for T*.
+and every report records the seed.  Before steps 2j + 1 and 2j + 2 the
+sampler draws one integer per trial, rng.integers(0, D^2) with
+D = n^2 |G|^b = draw_count (b = 2 independent, 1 paired; sym is the
+independent walk on Z:1, so D = n^2); its high base-D digit is step
+2j + 1's draw and its low digit step 2j + 2's.  A run to an odd k draws
+its last pair and takes the high digit only, so a run to k is a prefix of
+any longer run.  The stream is the same whatever the route, whether a pair
+is split, and whether the trial has stopped.  A draw's mixed-radix digits
+are p, q, a and b (b = a^-1 for paired), so the law of a step is that of
+drawing them one by one.  The coupling experiment runs chunks of trials,
+the chunk size fixed by n; per chunk, each merge step draws one standard
+exponential per trial, then one (2, trials in the chunk) block of
+uniforms: row 0 picks the first class, row 1 the second.  After all chunks
+it draws one Exp(mean n) per trial for T*.
 """
 from __future__ import annotations
 
@@ -35,6 +41,7 @@ import numpy as np
 
 from .groups import GroupTable
 from .wreath import (
+    INDEX_MAX,
     _index_order,
     apply_steps,
     decode_draws,
@@ -48,6 +55,12 @@ from .wreath import (
 
 RNG_ALGORITHM = "PCG64"
 JACKKNIFE_BLOCKS = 100             # delete-one-block jackknife groups in empirical_tv
+JACKKNIFE_CELLS = 1 << 20          # (block, state) cells of one jackknife count
+# the most cells of the two-step map S2 (_step_map): on a 2-vCPU Xeon (2 MiB
+# L2 a core), 20 steps through S2, its build included, beat those split
+# through S by 8-24 % at 1.5-1.6 M cells and by 8-16 % at 2.7-3.4 M, and
+# lost by 8-36 % at 3.8-9.6 M, where its gathers leave the cache
+PAIR_MAP_CELLS = 1 << 21
 
 
 @dataclass
@@ -80,11 +93,15 @@ def _walk(cfg: SimConfig, ks: list, keep, decoded: bool = False) -> list:
     ignored, in continuized mode), in ks order.  The state is the (trials,)
     element indices, or their (coords, perms) arrays when decoded.
 
-    A trial is one element index stepped by one gather through the step
-    map (_step_map) when there is one, else a (coords, pinv) pair, pinv its
-    inverse permutation, stepped by apply_steps; a step is O(1) per trial
-    either way, and both take the same draws.  A continuized trial past its
-    Poisson count takes draw 0, the identity step."""
+    Steps are drawn in pairs: before steps 2j + 1 and 2j + 2 one integer
+    per trial, uniform on [0, D^2), D = draw_count, whose high base-D digit
+    is the first step's draw and whose low digit is the second's.  A trial
+    is one element index stepped through the step maps (_step_map) when
+    there are any, a pair by one gather through S2 or, where S2 is missing
+    or a wanted odd k splits the pair, a digit by one gather through S;
+    else a (coords, pinv) pair, pinv its inverse permutation, stepped per
+    digit by apply_steps.  Both routes take the same draws.  A continuized
+    trial past its Poisson count takes draw 0, the identity step."""
     rng = np.random.default_rng(cfg.seed)
     T, n, go = cfg.trials, cfg.n, cfg.g.order
     if cfg.mode == "continuized":
@@ -98,47 +115,79 @@ def _walk(cfg: SimConfig, ks: list, keep, decoded: bool = False) -> list:
     if not decoded:
         _index_order(go, n)                  # refuses indices past int64 before walking
     draws = draw_count(cfg.kind, n, cfg.g)
-    succ = _step_map(cfg, kmax)
-    if succ is None:
-        coords, rows = np.zeros((T, n), dtype=np.int64), np.arange(T)
+    if draws * draws > INDEX_MAX:
+        raise ValueError(f"the {draws}^2 pairs of draws exceed 2^63 - 1, the int64 draws")
+    wanted, kept = set(ks), {}
+    maps = _step_map(cfg, kmax, any(s + 1 not in wanted for s in range(0, kmax - 1, 2)))
+    if maps is None:
+        coords, rows, pairs = np.zeros((T, n), dtype=np.int64), np.arange(T), None
         pinv = np.tile(np.arange(n, dtype=np.int64), (T, 1))
     else:
-        order = wreath_order(go, n)
+        (succ, pairs), order = maps, wreath_order(go, n)
         x = np.zeros(T, dtype=succ.dtype)
-    wanted, kept = set(ks), {}
-    for step in range(kmax + 1):
+
+    def snap(step):
         if step in wanted:
-            if succ is None:
+            if maps is None:
                 state = coords, np.argsort(pinv, axis=1)
                 kept[step] = keep(state if decoded else encode_states(*state, go))
             else:
                 kept[step] = keep(decode_states(x, go, n) if decoded else x)
-        if step == kmax:
-            break
-        d = rng.integers(0, draws, size=T)
-        if cfg.mode == "continuized":
-            d[steps <= step] = 0             # a stopped trial takes draw 0, the identity step
-        if succ is None:
+
+    def gather(table, d):                    # x = table[d, x], d consumed
+        nonlocal x
+        d *= order
+        d += x
+        x = table.take(d)
+
+    def one_step(d):
+        if maps is None:
             apply_steps(coords, pinv, rows, *decode_draws(cfg.kind, n, cfg.g, d), cfg.g.mult)
         else:
-            d *= order
-            d += x
-            x = succ.take(d)
+            gather(succ, d)
+
+    for step in range(0, kmax, 2):
+        snap(step)
+        d = rng.integers(0, draws * draws, size=T)
+        if cfg.mode == "continuized":        # draw 0 for the steps past a trial's count
+            d[steps <= step] = 0
+            half = steps == step + 1
+            d[half] -= d[half] % draws
+        if pairs is not None and step + 2 <= kmax and step + 1 not in wanted:
+            gather(pairs, d)
+            continue
+        hi = d // draws
+        d -= hi * draws                      # the low digit
+        one_step(hi)
+        snap(step + 1)
+        if step + 2 <= kmax:
+            one_step(d)
+    if kmax % 2 == 0:
+        snap(kmax)
     return [kept[k] for k in ks]
 
 
-def _step_map(cfg: SimConfig, kmax: int):
-    """The flat map S, S[d * order + x] the index of s_d x (the
-    wreath.step_rows map gathered by draw, R[row_of]), or None when the
-    walk carries (coords, pinv).  S is built only when it has at most
-    min(kmax, n) cells per trial: then its build costs no more than the
-    walk's steps, and it holds no more than the n coordinates a trial
-    would (step_rows' memory check covers the build of R)."""
+def _step_map(cfg: SimConfig, kmax: int, whole_pairs: bool = True):
+    """(S, S2), the flat one- and two-step maps, or None when the walk
+    carries (coords, pinv).  S[d * order + x] is the index of s_d x (the
+    wreath.step_rows map gathered by draw, R[row_of]), and
+    S2[(d1 D + d2) order + x] = S[d2, S[d1, x]], D = draw_count, steps a
+    pair of draws.  A map is built only when it has at most min(kmax, n)
+    cells per trial: then its build costs no more than the walk's steps,
+    and it holds no more than the n coordinates a trial would (step_rows'
+    memory check covers the build of R).  S2 is None past that rule, past
+    PAIR_MAP_CELLS, or when the walk splits every pair (whole_pairs False:
+    a wanted odd k in each)."""
     draws = draw_count(cfg.kind, cfg.n, cfg.g)
-    if draws * wreath_order(cfg.g.order, cfg.n) > cfg.trials * min(kmax, cfg.n):
+    order, cells = wreath_order(cfg.g.order, cfg.n), cfg.trials * min(kmax, cfg.n)
+    if draws * order > cells:
         return None
     rows, row_of = step_rows(cfg.kind, cfg.n, cfg.g)
-    return rows[row_of].reshape(-1)
+    succ = rows[row_of]
+    pairs = None
+    if whole_pairs and draws * draws * order <= min(cells, PAIR_MAP_CELLS):
+        pairs = np.take(succ, succ, axis=1).transpose(1, 0, 2).reshape(-1)
+    return succ.reshape(-1), pairs
 
 
 def run_walk(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -180,13 +229,15 @@ def empirical_tv(samples: np.ndarray, reference, order: int) -> tuple[float, flo
     tv = 0.5 * np.abs(counts / m - pi).sum()
     B = min(JACKKNIFE_BLOCKS, m)
     edges = np.linspace(0, m, B + 1).astype(int)
-    reps = []
-    for b in range(B):
-        blk = samples[edges[b]:edges[b + 1]]
-        cb = np.bincount(blk, minlength=order).astype(np.float64)
-        mb = len(blk)
-        reps.append(0.5 * np.abs((counts - cb) / (m - mb) - pi).sum())
-    reps = np.asarray(reps)
+    sizes = np.diff(edges)
+    reps = np.empty(B)
+    per = max(1, JACKKNIFE_CELLS // order)  # blocks a count, sample x of block b at b * order + x
+    for lo in range(0, B, per):
+        hi = min(lo + per, B)
+        keys = np.repeat(np.arange(0, (hi - lo) * order, order), sizes[lo:hi])
+        keys += samples[edges[lo]:edges[hi]]
+        cb = np.bincount(keys, minlength=(hi - lo) * order).reshape(hi - lo, order)
+        reps[lo:hi] = 0.5 * np.abs((counts - cb) / (m - sizes[lo:hi, None]) - pi).sum(1)
     se = math.sqrt((B - 1) / B * ((reps - reps.mean()) ** 2).sum())
     return float(tv), se
 

@@ -244,6 +244,35 @@ def test_windowed_brackets_past_physical_memory_refused(monkeypatch, capsys):
     _cold_window()
 
 
+def test_windowed_brackets_refuse_before_the_exact_order(monkeypatch, capsys):
+    # Z:2 at n = 10^6: the memory refusal comes before |G|^n n! (whose
+    # factorial alone took seconds), and a total past the float range is inf
+    # from lgamma: answers print as with the exact total
+    real = math.factorial
+    argv = ["distance", "--group", "Z:2", "--n", "200", "--walk", "independent",
+            "--k", "0..400:200"]
+    _, want, _ = run_cli(capsys, argv)
+
+    def small(n):
+        assert n <= 170, f"math.factorial({n})"
+        return real(n)
+
+    monkeypatch.setattr(math, "factorial", small)
+    monkeypatch.setattr(wreath, "_physical_memory", lambda: 2 ** 33)
+    t0 = time.monotonic()
+    rc, out, err = run_cli(capsys, ["distance", "--group", "Z:2", "--n", "1000000", "--walk",
+                                    "independent", "--k", "10"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: the windowed brackets at n = 1000000 need about ")
+    assert time.monotonic() - t0 < 1.0
+    assert run_cli(capsys, argv) == (0, want, "")
+    assert bounds._total_weight(1, 171, 1, 0) == bounds._total_weight(2, 10 ** 6, 1, 0) == math.inf
+    assert bounds._total_weight(1, 170, 1, 0) == float(real(170) - 1)
+    half_s, extra = Fraction(3, 2), Fraction(1, 4)
+    assert bounds._total_weight(2, 150, half_s, extra) == float(
+        half_s * (2 ** 150 * real(150) - 1) + extra)
+
+
 def test_auto_distance_past_the_table_cap_answers():
     # a raised label cap does not send auto mode to a spectrum past the cap
     curve = distance_curve("independent", 62, build_group("Z:2"), ks=[200],

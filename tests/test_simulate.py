@@ -1,5 +1,6 @@
 """Sampler correctness: one-step laws, state encoding, reproducibility,
 empirical TV, and both coupling experiments."""
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -28,6 +29,7 @@ from wreathwalk.wreath import (
     apply_steps,
     build_wreath_table,
     decode_states,
+    draw_count,
     enumerate_wreath_elements,
     step_rows,
     walk_base,
@@ -172,6 +174,45 @@ def test_empirical_tv_against_reference():
     tv_ref, _ = empirical_tv(idx, dict(enumerate(dk)), 8)
     tv_unif, _ = empirical_tv(idx, None, 8)
     assert tv_ref < tv_unif
+
+
+def _loop_jackknife(samples, reference, order):
+    """empirical_tv as one bincount per jackknife block, kept as the
+    reference for the one count of every block."""
+    m = len(samples)
+    pi = np.full(order, 1.0 / order)
+    if reference is not None:
+        pi = np.zeros(order)
+        for i, p in reference.items():
+            pi[i] = float(p)
+    counts = np.bincount(samples, minlength=order).astype(np.float64)
+    tv = 0.5 * np.abs(counts / m - pi).sum()
+    B = min(sim.JACKKNIFE_BLOCKS, m)
+    edges = np.linspace(0, m, B + 1).astype(int)
+    reps = []
+    for b in range(B):
+        blk = samples[edges[b]:edges[b + 1]]
+        cb = np.bincount(blk, minlength=order).astype(np.float64)
+        reps.append(0.5 * np.abs((counts - cb) / (m - len(blk)) - pi).sum())
+    reps = np.asarray(reps)
+    return float(tv), math.sqrt((B - 1) / B * ((reps - reps.mean()) ** 2).sum())
+
+
+@pytest.mark.parametrize("m,order,cells", [
+    (2, 8, None), (57, 8, None), (1001, 162, None), (10 ** 5, 162, None),
+    (12345, 50000, None), (4321, 300, 1000),        # blocks counted 20 and 3 at a time
+])
+def test_empirical_tv_equals_the_per_block_counts(m, order, cells, monkeypatch):
+    # m < 100 blocks, m not divisible by 100, int32 and int64 samples, a
+    # reference dict, and counts split when blocks x order passes the cells
+    if cells is not None:
+        monkeypatch.setattr(sim, "JACKKNIFE_CELLS", cells)
+    rng = np.random.default_rng(m)
+    reference = dict(enumerate(rng.dirichlet(np.ones(order)).tolist()))
+    for dtype in (np.int32, np.int64):
+        samples = rng.integers(0, order, size=m).astype(dtype)
+        for ref in (None, reference):
+            assert empirical_tv(samples, ref, order) == _loop_jackknife(samples, ref, order)
 
 
 def test_sym_walk_marginal():
@@ -451,12 +492,15 @@ def test_simulate_rows_come_from_one_run(capsys, monkeypatch):
 
 
 def _reference_walk_indices(cfg):
-    """The walk as it was before element indices, kept as the bit-for-bit
-    reference: each trial a (coords, pinv) pair, pinv its inverse permutation, and
-    each step one draw d uniform on the n^2 |G|^b draws, split by divmod
-    into p, q, a, b (b = a^-1 for paired), then one apply_steps,
-    restricted in continuized mode to the trials whose Poisson count
-    exceeds the step; the states are encoded at the end."""
+    """The walk re-stated on its own, kept as the bit-for-bit reference: each
+    trial a (coords, pinv) pair, pinv its inverse permutation.  Before steps
+    2j + 1 and 2j + 2, one draw per trial uniform on the D^2 pairs of the
+    D = n^2 |G|^b draws of a step, split by divmod into the first step's
+    draw and the second's; each of those split by divmod into p, q, a, b
+    (b = a^-1 for paired), then one apply_steps, restricted in continuized
+    mode to the trials whose Poisson count exceeds the step.  A run to an
+    odd k draws its last pair whole and takes its first step only.  The
+    states are encoded at the end."""
     rng = np.random.default_rng(cfg.seed)
     T, n, g = cfg.trials, cfg.n, cfg.g
     coords = np.zeros((T, n), dtype=np.int64)
@@ -466,7 +510,9 @@ def _reference_walk_indices(cfg):
     paired = cfg.kind == "paired"
     draws = n * n * (g.order if paired else g.order ** 2)
     for step in range(kmax):
-        rest = rng.integers(0, draws, size=T)
+        if step % 2 == 0:
+            pair = divmod(rng.integers(0, draws * draws, size=T), draws)
+        rest = pair[step % 2]
         if not paired:
             rest, b = divmod(rest, g.order)
         rest, a = divmod(rest, g.order)
@@ -492,29 +538,94 @@ def _spy_step_rows(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("route", ["map", "coords"])
+def _route(monkeypatch, route):
+    """Send the simulator's walks down one route, recording the maps built:
+    "pairs", S and S2 (_step_map built as for 10^7 trials, S2 up to 2^22
+    cells); "map", S alone; "coords", no map."""
+    maps, real = [], sim._step_map
+    big = lambda cfg, *a: real(dataclasses.replace(cfg, trials=10 ** 7), *a)
+    monkeypatch.setattr(sim, "PAIR_MAP_CELLS", 1 << 22)
+    pick = {"pairs": big,
+            "map": lambda *a: (big(*a)[0], None),
+            "coords": lambda *a: None}[route]
+    monkeypatch.setattr(sim, "_step_map", lambda *a: maps.append(pick(*a)) or maps[-1])
+    return maps
+
+
+@pytest.mark.parametrize("route", ["pairs", "map", "coords"])
 @pytest.mark.parametrize("mode", ["discrete", "continuized"])
 @pytest.mark.parametrize("kind,gspec,n", REFERENCE_WALKS)
 def test_walk_equals_the_reference_walk(kind, gspec, n, mode, route, monkeypatch):
-    # through a step_rows map (25000 trials make it cheaper than the walk
-    # on every instance), and as (coords, pinv)
+    # through S2 with S where a pair is split, through S alone, and as
+    # (coords, pinv): an even and an odd kmax in each mode (t = 9.0 draws a
+    # largest Poisson count of 24 at seed 3 and 25 at seed 4), and
+    # continuized trials that stop mid-pair
     g = build_group(gspec) if gspec else None
-    built = _spy_step_rows(monkeypatch)
-    if route == "coords":
-        monkeypatch.setattr(sim, "_step_map", lambda cfg, kmax: None)
-    for seed in (3, 17):
-        cfg = SimConfig(kind=kind, n=n, g=g, k=25, t=9.0, trials=25000, seed=seed, mode=mode)
+    maps = _route(monkeypatch, route)
+    for seed, k in ((3, 24), (4, 25)):
+        cfg = SimConfig(kind=kind, n=n, g=g, k=k, t=9.0, trials=25000, seed=seed, mode=mode)
         got = run_walk_indices(cfg)
         assert got.dtype == np.int64 and len(np.unique(got)) > 1
         assert np.array_equal(got, _reference_walk_indices(cfg))
-    assert len(built) == (2 if route == "map" else 0)
+    assert [m is None or m[1] is None for m in maps] == [route != "pairs"] * 2
+    steps = np.random.default_rng(4).poisson(9.0, size=25000)
+    assert steps.max() == 25 and (steps % 2 == 1).any()
+
+
+@pytest.mark.parametrize("kind,gspec,n", REFERENCE_WALKS)
+def test_two_step_map_is_the_step_map_twice(kind, gspec, n, monkeypatch):
+    # S2[(d1 D + d2) order + x] is the index of s_d2 s_d1 x, S applied twice;
+    # past PAIR_MAP_CELLS there is none (S:3 paired, 3.8 M cells), so the cap
+    # is raised to check that instance too
+    g = build_group(gspec) if gspec else None
+    cfg = SimConfig(kind=kind, n=n, g=g, k=n, trials=10 ** 7)
+    draws, order = draw_count(kind, n, g), cfg.g.order ** n * math.factorial(n)
+    assert (sim._step_map(cfg, n)[1] is None) == (draws * draws * order > sim.PAIR_MAP_CELLS)
+    monkeypatch.setattr(sim, "PAIR_MAP_CELLS", 1 << 22)
+    succ, pairs = sim._step_map(cfg, n)
+    s = succ.reshape(draws, order)
+    assert pairs.shape == (draws * draws * order,) and pairs.dtype == succ.dtype
+    assert np.array_equal(pairs.reshape(draws, draws, order),
+                          np.stack([s[d2][s[d1]] for d1 in range(draws)
+                                    for d2 in range(draws)]).reshape(draws, draws, order))
+
+
+def test_odd_snapshots_split_their_pair(monkeypatch):
+    # ks 3 and 7 split pairs (2, 3) and (6, 7) into two gathers through S,
+    # the odd kmax 11 splits the last pair and takes its high digit only,
+    # and pairs (0, 1), (4, 5), (8, 9) are one gather each through S2
+    taken, real_map = [], sim._step_map
+
+    def counted(name):
+        class Counted(np.ndarray):
+            def take(self, d):
+                taken.append(name)
+                return np.asarray(self).take(d)
+        return Counted
+
+    monkeypatch.setattr(sim, "_step_map", lambda *a: tuple(
+        m if m is None else m.view(counted(name)) for name, m in zip(("S", "S2"), real_map(*a))))
+    g, ks = build_group("Z:3"), [3, 0, 10, 7, 11]
+    cfg = SimConfig(kind="paired", n=3, g=g, k=11, trials=40000, seed=6)
+    got = tv_curve(cfg, ks)
+    assert taken == ["S2", "S", "S", "S2", "S", "S", "S2", "S"]
+    for k, tv_se in zip(ks, got):
+        ref = _reference_walk_indices(SimConfig(kind="paired", n=3, g=g, k=k, trials=40000, seed=6))
+        assert tv_se == empirical_tv(ref, None, 162)
+    # every odd k wanted splits every pair: no S2 is built, and the rows are the same
+    taken.clear()
+    every = tv_curve(cfg, range(12))
+    assert taken == ["S"] * 11 and [every[k] for k in ks] == got
 
 
 @pytest.mark.parametrize("route", ["map", "coords"])
 def test_a_continuized_walk_steps_every_trial_once_per_step(route, monkeypatch):
     # a trial past its Poisson count takes draw 0, the identity step, so
-    # each of the largest count's steps is one gather (map) or one
-    # apply_steps (coords) over every trial, and the law is the reference's
+    # each pair of the largest count's steps is one gather through S2 (map;
+    # 40000 trials' three coordinates hold its 27^2 x 162 cells), and each
+    # step one apply_steps (coords), over every trial; the largest count
+    # is odd, so its last pair is one gather through S; the law is the
+    # reference's
     calls, real_apply, real_map = [], sim.apply_steps, sim._step_map
 
     class CountedMap(np.ndarray):
@@ -523,13 +634,16 @@ def test_a_continuized_walk_steps_every_trial_once_per_step(route, monkeypatch):
             return np.asarray(self).take(d)
 
     monkeypatch.setattr(sim, "apply_steps", lambda *a: calls.append(len(a[2])) or real_apply(*a))
-    monkeypatch.setattr(sim, "_step_map", lambda cfg, kmax: (
-        real_map(cfg, kmax).view(CountedMap) if route == "map" else None))
-    cfg = SimConfig(kind="paired", n=3, g=build_group("Z:3"), t=9.0, trials=25000, seed=3,
+    monkeypatch.setattr(sim, "_step_map", lambda *a: (
+        tuple(m.view(CountedMap) for m in real_map(*a)) if route == "map" else None))
+    T = 40000
+    cfg = SimConfig(kind="paired", n=3, g=build_group("Z:3"), t=9.0, trials=T, seed=4,
                     mode="continuized")
     got = run_walk_indices(cfg)
-    steps = np.random.default_rng(3).poisson(9.0, size=25000)
-    assert calls == [25000] * int(steps.max()) and (steps < steps.max()).any()
+    steps = np.random.default_rng(4).poisson(9.0, size=T)
+    top = int(steps.max())
+    assert top % 2 == 1 and (steps < top).any() and (steps % 2 == 1).any()
+    assert calls == [T] * (top if route == "coords" else (top + 1) // 2)
     assert np.array_equal(got, _reference_walk_indices(cfg))
 
 
@@ -585,6 +699,15 @@ def test_orders_past_int64_are_refused(kind, gspec, n, order):
         encode_states(np.zeros((1, n), dtype=np.int64), np.arange(n)[None], cfg.g.order)
     with pytest.raises(ValueError, match=f"wreath order {order} exceeds"):
         step_rows(kind, n, g)
+
+
+def test_pairs_of_draws_past_int64_are_refused():
+    # sym at n = 55109 decodes its states, so no order refuses it, but its
+    # n^4 pairs of draws pass 2^63 - 1: refused before the walk
+    coords, perms = run_walk(SimConfig(kind="sym", n=55108, k=2, trials=2, seed=1))
+    assert perms.shape == (2, 55108) and not coords.any()
+    with pytest.raises(ValueError, match=f"{55109 ** 2}\\^2 pairs of draws exceed 2\\^63 - 1"):
+        run_walk(SimConfig(kind="sym", n=55109, k=2, trials=2, seed=1))
 
 
 def _assert_rows_of_reference_walks(rows, kind, g, n, ks, trials, seed, mode):
